@@ -32,12 +32,14 @@ import argparse
 import sys
 
 from repro import __version__
-from repro.driver import (
-    ON_LIMIT_POLICIES,
-    STRATEGY_CHOICES,
-    run_text,
+from repro.config import (
+    DEFAULT_CACHE_SIZE,
+    DEFAULT_EVAL_ITERATIONS,
+    DEFAULT_REWRITE_ITERATIONS,
 )
+from repro.driver import STRATEGY_CHOICES, run_text
 from repro.errors import ReproError, exit_code_for
+from repro.governor.cli import add_governor_arguments, build_budget
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,62 +84,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-iterations",
         type=int,
-        default=None,
-        help="cap for the constraint-inference fixpoints (default 50)",
+        default=DEFAULT_REWRITE_ITERATIONS,
+        help="cap for the constraint-inference fixpoints "
+        "(default %(default)s)",
     )
     parser.add_argument(
         "--eval-iterations",
         type=int,
-        default=None,
-        help="cap for the bottom-up evaluation (default 200)",
+        default=DEFAULT_EVAL_ITERATIONS,
+        help="cap for the bottom-up evaluation (default %(default)s)",
     )
-    governor = parser.add_argument_group(
-        "resource governor",
-        "budgets for the whole run; when one trips, --on-limit picks "
-        "the degradation policy (docs/robustness.md)",
-    )
-    governor.add_argument(
-        "--deadline",
-        type=float,
-        metavar="SECONDS",
-        help="wall-clock budget for the whole run",
-    )
-    governor.add_argument(
-        "--max-facts",
-        type=int,
-        metavar="N",
-        help="cap on facts stored during evaluation",
-    )
-    governor.add_argument(
-        "--max-solver-calls",
-        type=int,
-        metavar="N",
-        help="cap on constraint-solver calls (variable eliminations)",
-    )
-    governor.add_argument(
-        "--max-rewrite-iterations",
-        type=int,
-        metavar="N",
-        help="budget on constraint-inference fixpoint iterations "
-        "(across all rewriting phases; distinct from "
-        "--max-iterations, the per-fixpoint divergence cap)",
-    )
-    governor.add_argument(
-        "--on-limit",
-        choices=ON_LIMIT_POLICIES,
-        default="truncate",
-        help="what to do when a budget trips: fail (exit 3), truncate "
-        "(keep sound partial results, exit 1), or widen (fall back "
-        "to interval-hull widening where possible) "
-        "(default: truncate)",
-    )
-    governor.add_argument(
-        "--faults",
-        metavar="SPEC",
-        help="inject faults at observability sites, e.g. "
-        "'delay:evaluate:0.01;fail:rewrite.qrp' "
-        "(testing/CI harness; see docs/robustness.md)",
-    )
+    add_governor_arguments(parser, "the whole run")
     service = parser.add_argument_group(
         "service mode",
         "long-lived session semantics: the program is compiled once "
@@ -154,10 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
     service.add_argument(
         "--cache-size",
         type=int,
-        default=None,
+        default=DEFAULT_CACHE_SIZE,
         metavar="N",
         help="capacity of the query-form LRU cache in batch mode "
-        "(default 64)",
+        "(default %(default)s)",
     )
     parser.add_argument(
         "--show-program",
@@ -201,19 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_budget(arguments):
-    """A Budget from the CLI flags, or None when none is set."""
-    from repro.governor import Budget
-
-    budget = Budget(
-        deadline=arguments.deadline,
-        max_facts=arguments.max_facts,
-        max_solver_calls=arguments.max_solver_calls,
-        max_rewrite_iterations=arguments.max_rewrite_iterations,
-    )
-    return None if budget.is_unlimited() else budget
-
-
 def _run_batch_mode(arguments, text: str) -> int:
     """Serve ``--batch`` requests through a long-lived Engine.
 
@@ -222,34 +166,17 @@ def _run_batch_mode(arguments, text: str) -> int:
     returned an incomplete answer set -- either way the session
     survives every failure (``docs/service.md``).
     """
-    from repro.config import (
-        DEFAULT_EVAL_ITERATIONS,
-        DEFAULT_REWRITE_ITERATIONS,
-    )
     from repro.service import Engine
     from repro.service.batch import run_batch
-    from repro.service.cache import DEFAULT_CACHE_SIZE
 
     engine = Engine.from_text(
         text,
         strategy=arguments.strategy,
-        max_iterations=(
-            arguments.max_iterations
-            if arguments.max_iterations is not None
-            else DEFAULT_REWRITE_ITERATIONS
-        ),
-        eval_iterations=(
-            arguments.eval_iterations
-            if arguments.eval_iterations is not None
-            else DEFAULT_EVAL_ITERATIONS
-        ),
-        budget=_build_budget(arguments),
+        max_iterations=arguments.max_iterations,
+        eval_iterations=arguments.eval_iterations,
+        budget=build_budget(arguments),
         on_limit=arguments.on_limit,
-        cache_size=(
-            arguments.cache_size
-            if arguments.cache_size is not None
-            else DEFAULT_CACHE_SIZE
-        ),
+        cache_size=arguments.cache_size,
     )
     if arguments.batch == "-":
         return run_batch(engine, sys.stdin, sys.stdout)
@@ -297,10 +224,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     from repro import obs
-    from repro.config import (
-        DEFAULT_EVAL_ITERATIONS,
-        DEFAULT_REWRITE_ITERATIONS,
-    )
 
     observing = bool(
         arguments.trace or arguments.report or arguments.metrics
@@ -342,17 +265,9 @@ def main(argv: list[str] | None = None) -> int:
                 outcomes = run_text(
                     text,
                     strategy=arguments.strategy,
-                    max_iterations=(
-                        arguments.max_iterations
-                        if arguments.max_iterations is not None
-                        else DEFAULT_REWRITE_ITERATIONS
-                    ),
-                    eval_iterations=(
-                        arguments.eval_iterations
-                        if arguments.eval_iterations is not None
-                        else DEFAULT_EVAL_ITERATIONS
-                    ),
-                    budget=_build_budget(arguments),
+                    max_iterations=arguments.max_iterations,
+                    eval_iterations=arguments.eval_iterations,
+                    budget=build_budget(arguments),
                     on_limit=arguments.on_limit,
                 )
     except OSError as error:

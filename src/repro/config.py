@@ -1,4 +1,4 @@
-"""Single source of truth for the pipeline's default iteration caps.
+"""Single source of truth for the pipeline's default caps and sizes.
 
 Every fixpoint in the system is capped (non-termination is a studied
 phenomenon of the paper, not a bug), and the caps used to be repeated
@@ -19,6 +19,10 @@ DEFAULT_REWRITE_ITERATIONS = 50
 #: Default cap for bottom-up fixpoint evaluation
 #: (``repro.engine.fixpoint.evaluate``).
 DEFAULT_EVAL_ITERATIONS = 200
+
+#: Default capacity of a session's query-form LRU cache
+#: (``repro.service.cache.FormCache``).
+DEFAULT_CACHE_SIZE = 64
 
 #: Default cap for the terminating interval-hull widening fallback
 #: (``repro.core.widening``); it converges on its own, the cap is a

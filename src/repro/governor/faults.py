@@ -22,9 +22,9 @@ pass through it:
   layer touches it).  The snapshotter announces every write and fsync
   through the recorder seam as ``fs.write.<site>`` / ``fs.fsync.<site>``
   events; the site classes are closed (:data:`FS_FAULT_SITES`:
-  ``wal``, ``snapshot``, ``compact``, ``dir``) and an unknown class is
-  a parse error, so a typo'd chaos spec fails loudly instead of
-  silently never firing;
+  ``wal``, ``snapshot``, ``compact``, ``manifest``, ``dir``) and an
+  unknown class is a parse error, so a typo'd chaos spec fails loudly
+  instead of silently never firing;
 * ``hang`` / ``garble`` -- *protocol-level* faults at the shard frame
   seam (simulates gray failure: a worker that is alive but
   unresponsive, or one whose replies arrive damaged).  Sites are the
@@ -62,8 +62,10 @@ from repro.obs.recorder import NULL_RECORDER
 #: layer announces (``fs.write.<site>`` / ``fs.fsync.<site>`` events
 #: in :mod:`repro.serve.snapshot`): ``wal`` -- fact-log appends;
 #: ``snapshot`` -- checkpoint file writes; ``compact`` -- log
-#: compaction/rewrite; ``dir`` -- directory fsyncs after renames.
-FS_FAULT_SITES = ("wal", "snapshot", "compact", "dir")
+#: compaction/rewrite; ``manifest`` -- cluster manifest writes
+#: (:mod:`repro.shard.snapshot`); ``dir`` -- directory fsyncs after
+#: renames.
+FS_FAULT_SITES = ("wal", "snapshot", "compact", "manifest", "dir")
 
 #: The closed set of shard protocol ops the ``hang``/``garble`` fault
 #: kinds can target (:mod:`repro.shard.worker` announces

@@ -29,17 +29,17 @@ import sys
 
 from repro import obs
 from repro.config import (
+    DEFAULT_CACHE_SIZE,
     DEFAULT_EVAL_ITERATIONS,
     DEFAULT_REWRITE_ITERATIONS,
 )
-from repro.driver import ON_LIMIT_POLICIES, STRATEGY_CHOICES
+from repro.driver import STRATEGY_CHOICES
 from repro.errors import ReproError, UsageError, exit_code_for
-from repro.governor import Budget
+from repro.governor.cli import add_governor_arguments, build_budget
 from repro.serve.retry import RetryPolicy
 from repro.serve.snapshot import program_sha
 from repro.serve.supervisor import ServeConfig, Supervisor
 from repro.service.batch import degraded_status
-from repro.service.cache import DEFAULT_CACHE_SIZE
 from repro.service.engine import Engine
 
 
@@ -195,65 +195,28 @@ def build_parser() -> argparse.ArgumentParser:
         "cost-based planner (default: rewrite)",
     )
     parser.add_argument(
-        "--max-iterations", type=int, default=None, metavar="N",
-        help="cap for the constraint-inference fixpoints",
+        "--max-iterations", type=int, metavar="N",
+        default=DEFAULT_REWRITE_ITERATIONS,
+        help="cap for the constraint-inference fixpoints "
+        "(default %(default)s)",
     )
     parser.add_argument(
-        "--eval-iterations", type=int, default=None, metavar="N",
-        help="cap for the bottom-up evaluation",
+        "--eval-iterations", type=int, metavar="N",
+        default=DEFAULT_EVAL_ITERATIONS,
+        help="cap for the bottom-up evaluation (default %(default)s)",
     )
     parser.add_argument(
-        "--cache-size", type=int, default=None, metavar="N",
-        help="query-form LRU cache capacity (default 64)",
+        "--cache-size", type=int, metavar="N",
+        default=DEFAULT_CACHE_SIZE,
+        help="query-form LRU cache capacity (default %(default)s)",
     )
-    governor = parser.add_argument_group("resource governor")
-    governor.add_argument(
-        "--deadline", type=float, metavar="SECONDS",
-        help="wall-clock budget per request",
-    )
-    governor.add_argument(
-        "--max-facts", type=int, metavar="N",
-        help="cap on facts stored during one evaluation",
-    )
-    governor.add_argument(
-        "--max-solver-calls", type=int, metavar="N",
-        help="cap on constraint-solver calls per request",
-    )
-    governor.add_argument(
-        "--max-rewrite-iterations", type=int, metavar="N",
-        help="budget on rewrite fixpoint iterations per compile",
-    )
-    governor.add_argument(
-        "--on-limit",
-        choices=ON_LIMIT_POLICIES,
-        default="truncate",
-        help="degradation policy when a budget trips "
-        "(default: truncate)",
-    )
-    governor.add_argument(
-        "--faults",
-        metavar="SPEC",
-        help="inject faults at observability sites; serve-stage "
-        "sites: serve.dispatch (retried), serve.worker "
-        "(kills the worker); filesystem sites: write:/fsync: on "
-        "wal, snapshot, compact, dir (docs/serving.md)",
-    )
+    add_governor_arguments(parser, "each request")
     parser.add_argument(
         "--summary",
         action="store_true",
         help="print the supervisor stats JSON to stderr at drain",
     )
     return parser
-
-
-def _build_budget(arguments) -> Budget | None:
-    budget = Budget(
-        deadline=arguments.deadline,
-        max_facts=arguments.max_facts,
-        max_solver_calls=arguments.max_solver_calls,
-        max_rewrite_iterations=arguments.max_rewrite_iterations,
-    )
-    return None if budget.is_unlimited() else budget
 
 
 def _start_shards(engine, err) -> None:
@@ -356,23 +319,11 @@ def main(argv: list[str] | None = None) -> int:
             )
         session_options = dict(
             strategy=arguments.strategy,
-            max_iterations=(
-                arguments.max_iterations
-                if arguments.max_iterations is not None
-                else DEFAULT_REWRITE_ITERATIONS
-            ),
-            eval_iterations=(
-                arguments.eval_iterations
-                if arguments.eval_iterations is not None
-                else DEFAULT_EVAL_ITERATIONS
-            ),
-            budget=_build_budget(arguments),
+            max_iterations=arguments.max_iterations,
+            eval_iterations=arguments.eval_iterations,
+            budget=build_budget(arguments),
             on_limit=arguments.on_limit,
-            cache_size=(
-                arguments.cache_size
-                if arguments.cache_size is not None
-                else DEFAULT_CACHE_SIZE
-            ),
+            cache_size=arguments.cache_size,
         )
         if sharded:
             from repro.shard import (

@@ -10,12 +10,11 @@ classic checkpoint + write-ahead-log pair:
   :func:`os.replace`, so a crash mid-write can never leave a torn
   snapshot under the final name.  A small trailing window of old
   snapshots is retained as fallback against a corrupt latest file.
-* The **fact log** (``facts.log``) is an append-only JSON-lines file;
-  the supervisor appends one checksummed record per *acknowledged*
-  fact load and fsyncs before the response is returned, so an acked
-  load survives a crash even between snapshots.  After each snapshot
-  the log is compacted down to the entries the snapshot does not
-  cover.
+* The **fact log** (``facts.log``) is an append-only JSON-lines file
+  with one checksummed record per *acknowledged* fact load, so an
+  acked load survives a crash even between snapshots.  After each
+  snapshot the log is compacted down to the entries the snapshot does
+  not cover.
 * **Recovery** loads the newest *verifiable* snapshot whose program
   hash matches the running program, restores it into a fresh session
   (including any persisted planner records -- see below), and replays
@@ -42,16 +41,43 @@ three kinds of damage:
   is quarantined and recovery falls back to the next-newest verifiable
   snapshot (that is what the retention window is for).
 
-Legacy v1 files (no CRC) are still read -- an upgraded binary must
-recover a pre-upgrade directory -- and every compaction rewrites
-records in the current checksummed format.
+An un-checksummed record or snapshot is damage, never an older format.
+
+**The durability policy** lives here once, for the single-process
+supervisor and every shard worker alike -- they decide only *when* to
+checkpoint:
+
+* :meth:`Snapshotter.load` acknowledges a fact load only after its WAL
+  record is fsynced.  If the append fails the load is answered with
+  ``REPRO_SNAPSHOT`` (its facts stay in the live session -- sound,
+  like an unacked in-flight load at crash time) and the snapshotter
+  flips *degraded*;
+* degraded is one-way for the process lifetime (a disk that failed
+  once cannot be trusted to have kept everything since) and
+  read-only: later loads are refused before they touch the session --
+  an un-logged load would be acked state the WAL never saw -- while
+  queries keep being served (:attr:`Snapshotter.durability`,
+  :attr:`Snapshotter.degraded_reason`);
+* :meth:`Snapshotter.checkpoint` snapshots the session and compacts
+  the log.  A failed checkpoint degrades too but un-acks nothing:
+  every acked epoch is already in the fsynced WAL;
+* one mutex serialises appends, checkpoints and recovery, so a
+  compaction can never replace the log with a read that misses a
+  record appended meanwhile: with any number of concurrent loaders,
+  an acknowledged load survives a crash.
+
+**File discipline.**  The module-level helpers (:func:`atomic_write`,
+:func:`quarantine`, :func:`numbered_files`, :func:`prune_numbered`,
+:func:`newest_verifiable`) are the only code that writes, lists,
+quarantines or walks durable files; the cluster manifests of
+:mod:`repro.shard.snapshot` go through them too.
 
 **Fault sites.**  Every write and fsync announces itself through the
 observability seam first (``fs.write.<site>`` / ``fs.fsync.<site>``
-counters, sites ``wal``/``snapshot``/``compact``/``dir``), so the
-governor's fault injector (``write:wal``, ``fsync:snapshot``, ...) can
-turn any of them into a deterministic ``OSError(EIO)`` -- the seam the
-supervisor's degraded read-only mode is tested through.
+counters, sites ``wal``/``snapshot``/``compact``/``manifest``/``dir``),
+so the governor's fault injector (``write:wal``, ``fsync:snapshot``,
+...) can turn any of them into a deterministic ``OSError(EIO)`` -- the
+seam degraded mode is tested through.
 
 **Planner persistence.**  Snapshots optionally embed the adaptive
 planner's converged per-form records (strategy choice, observed
@@ -75,9 +101,10 @@ import hashlib
 import json
 import os
 import re
+import threading
 import zlib
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.constraints.atom import Atom, Op
 from repro.constraints.conjunction import Conjunction
@@ -86,13 +113,9 @@ from repro.engine.facts import Fact, PENDING
 from repro.errors import CorruptionError, SnapshotError
 from repro.lang.terms import Sym
 from repro.obs.recorder import count as obs_count, span as obs_span
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.service.session import Session
+from repro.service.session import Response, Session
 
 SCHEMA = "repro-snap/v2"
-#: Pre-CRC snapshots (still readable; rewritten on the next snapshot).
-LEGACY_SCHEMA = "repro-snap/v1"
 #: Checksummed WAL record format version.
 LOG_VERSION = 2
 LOG_NAME = "facts.log"
@@ -138,21 +161,16 @@ def _frame_record(epoch: int, facts: list) -> str:
 
 
 def _parse_log_line(line: str) -> dict:
-    """Decode one WAL line (checksummed v2 or legacy v1).
+    """Decode one checksummed WAL line.
 
     Returns the ``{"epoch": ..., "facts": [...]}`` body; raises
     :class:`ValueError` with a reason on any damage (malformed JSON,
-    unknown version, missing fields, CRC mismatch) -- the caller
-    decides whether the damage is a tolerable torn tail or corruption.
+    missing or unknown version, CRC mismatch) -- the caller decides
+    whether the damage is a tolerable torn tail or corruption.
     """
     record = json.loads(line)
     if not isinstance(record, dict):
         raise ValueError("record is not an object")
-    if "v" not in record and "crc" not in record:
-        # Legacy v1 line: bare body, no checksum to verify.
-        if "epoch" not in record or "facts" not in record:
-            raise ValueError("record is missing epoch/facts")
-        return {"epoch": record["epoch"], "facts": record["facts"]}
     if record.get("v") != LOG_VERSION:
         raise ValueError(
             f"unknown record version {record.get('v')!r}"
@@ -247,7 +265,7 @@ def decode_fact(payload: dict) -> Fact:
         ) from error
 
 
-# -- the snapshot directory -------------------------------------------
+# -- file discipline (shared with repro.shard.snapshot) ----------------
 
 
 def _fsync_dir(directory: str) -> None:
@@ -260,17 +278,212 @@ def _fsync_dir(directory: str) -> None:
         os.close(fd)
 
 
+def atomic_write(path: str, text: str, site: str) -> None:
+    """Durably put ``text`` under ``path``; readers never see it torn.
+
+    The text lands under a temporary name first, is fsynced, and is
+    moved into place with :func:`os.replace`, then the directory is
+    fsynced.  ``site`` names the fault-site class the write and fsync
+    announce themselves under.
+    """
+    tmp_path = path + ".tmp"
+    obs_count(f"fs.write.{site}")
+    with open(tmp_path, "w") as handle:
+        handle.write(text)
+        handle.flush()
+        obs_count(f"fs.fsync.{site}")
+        os.fsync(handle.fileno())
+    os.replace(tmp_path, path)
+    _fsync_dir(os.path.dirname(path))
+
+
+def quarantine(directory: str, path: str) -> str:
+    """Move a damaged file into ``directory``'s ``corrupt/`` sidecar.
+
+    The file is preserved (evidence beats deletion when diagnosing a
+    bad disk or a torn write) under its own name, suffixed with a
+    sequence number on collision.  Both directories are fsynced so the
+    quarantine itself survives a crash.  Returns the new path.
+    """
+    corrupt_dir = os.path.join(directory, CORRUPT_DIR)
+    os.makedirs(corrupt_dir, exist_ok=True)
+    base = os.path.basename(path)
+    target = os.path.join(corrupt_dir, base)
+    sequence = 0
+    while os.path.exists(target):
+        sequence += 1
+        target = os.path.join(corrupt_dir, f"{base}.{sequence}")
+    os.replace(path, target)
+    _fsync_dir(corrupt_dir)
+    _fsync_dir(directory)
+    obs_count("serve.quarantined")
+    return target
+
+
+def numbered_files(
+    directory: str, pattern: re.Pattern
+) -> list[tuple[int, str]]:
+    """``(number, name)`` of every file matching ``pattern``, oldest
+    first; ``pattern``'s first group is the number."""
+    try:
+        names = os.listdir(directory)
+    except OSError:
+        return []
+    found = []
+    for name in names:
+        match = pattern.match(name)
+        if match:
+            found.append((int(match.group(1)), name))
+    return sorted(found)
+
+
+def prune_numbered(directory: str, pattern: re.Pattern) -> None:
+    """Drop numbered files beyond the retention window."""
+    for _, name in numbered_files(directory, pattern)[:-RETAIN_SNAPSHOTS]:
+        try:
+            os.remove(os.path.join(directory, name))
+        except OSError:  # pragma: no cover - best-effort cleanup
+            pass
+
+
+def newest_verifiable(
+    directory: str,
+    pattern: re.Pattern,
+    program_id: str,
+    quarantined: list[str],
+    unsigned: tuple[str, ...] = ("crc",),
+    kind: str | None = None,
+) -> tuple[int, str, dict] | None:
+    """The newest intact ``(number, name, payload)``, or ``None``.
+
+    Walks backward through the retained files.  One that is not a JSON
+    object, or whose ``crc`` does not match its canonical body (every
+    key but the ``unsigned`` ones), is damaged: it is quarantined
+    (its new path appended to ``quarantined``) and the walk falls back
+    to the next-newest.  An intact file of an unknown schema/``kind``,
+    or taken for a *different program*, is an error and not a fallback
+    candidate -- restoring another program's (or format's) state would
+    silently corrupt the session.
+    """
+    for number, name in reversed(numbered_files(directory, pattern)):
+        path = os.path.join(directory, name)
+        try:
+            with open(path) as handle:
+                payload = json.load(handle)
+            if not isinstance(payload, dict):
+                raise ValueError("payload is not an object")
+            body = {
+                key: value
+                for key, value in payload.items()
+                if key not in unsigned
+            }
+            if payload.get("crc") != _crc(_canonical(body)):
+                raise ValueError("crc mismatch")
+        except OSError:
+            obs_count("serve.snapshot_skipped")
+            continue
+        except ValueError:
+            obs_count("serve.snapshot_skipped")
+            quarantined.append(quarantine(directory, path))
+            continue
+        if payload.get("schema") != SCHEMA or payload.get("kind") != kind:
+            raise SnapshotError(
+                f"{name}: unknown schema {payload.get('schema')!r} "
+                f"(kind {payload.get('kind')!r})"
+            )
+        if payload.get("program_sha") != program_id:
+            raise SnapshotError(
+                f"{name}: taken for a different program (sha "
+                f"{payload.get('program_sha')}, running {program_id})"
+            )
+        return number, name, payload
+    return None
+
+
+# -- the snapshot directory -------------------------------------------
+
+
+def _refusal(message: str) -> Response:
+    error = SnapshotError(message)
+    return Response(
+        kind="error", error_code=error.code, error_message=str(error)
+    )
+
+
 class Snapshotter:
-    """One snapshot directory: checkpoints, the fact log, recovery."""
+    """One snapshot directory: the durability policy and its files."""
 
     def __init__(self, directory: str, program_id: str) -> None:
         self.directory = directory
         self.program_id = program_id
         os.makedirs(directory, exist_ok=True)
         self._log_path = os.path.join(directory, LOG_NAME)
+        #: Serialises every append, checkpoint and recovery.
+        self._mutex = threading.Lock()
+        #: Why durability was lost (one-way); ``None`` while healthy.
+        self.degraded_reason: str | None = None
         #: Paths (in ``corrupt/``) damaged files were moved to, in
         #: quarantine order, for reports and operator forensics.
         self.quarantined: list[str] = []
+
+    # -- policy -------------------------------------------------------
+
+    @property
+    def durability(self) -> str:
+        """``ok``, or ``degraded`` once a write has failed."""
+        return "ok" if self.degraded_reason is None else "degraded"
+
+    def _degrade(self, reason: str) -> None:
+        with self._mutex:
+            if self.degraded_reason is not None:
+                return
+            self.degraded_reason = reason
+        obs_count("serve.degraded")
+
+    def load(self, session, facts) -> Response:
+        """``session.add_facts(facts)``, acknowledged only once durable.
+
+        ``session`` is a :class:`Session` or an engine fronting one.
+        Refused untouched when degraded; a failed append degrades and
+        un-acks the load (module docstring).  Never retry a load: the
+        epoch may have committed before a fault fired.
+        """
+        reason = self.degraded_reason
+        if reason is not None:
+            obs_count("serve.readonly_refusals")
+            return _refusal(
+                f"fact load refused: durability lost ({reason}); "
+                "serving read-only"
+            )
+        response = session.add_facts(facts)
+        if response.ok and response.loaded:
+            try:
+                self.append_log(response.epoch, response.loaded)
+            except OSError as error:
+                self._degrade(f"WAL append failed: {error}")
+                return _refusal(
+                    f"fact load not durable (WAL append failed: "
+                    f"{error}); now read-only"
+                )
+        return response
+
+    def checkpoint(self, session: Session) -> int | None:
+        """Snapshot ``session`` (EDB + converged planner records).
+
+        Returns the epoch checkpointed, or ``None`` when durability is
+        degraded -- already, or by this attempt failing.
+        """
+        if self.degraded_reason is not None:
+            return None
+        epoch, facts = session.export_state()
+        try:
+            self.snapshot(
+                epoch, facts, planner_records=session.export_planner()
+            )
+        except OSError as error:
+            self._degrade(f"checkpoint failed: {error}")
+            return None
+        return epoch
 
     # -- writing ------------------------------------------------------
 
@@ -282,13 +495,11 @@ class Snapshotter:
     ) -> str:
         """Write one atomic checkpoint; returns its path.
 
-        The payload lands under a temporary name first and is moved
-        into place with :func:`os.replace`, so readers only ever see
-        complete snapshots.  The fact log is then compacted down to
-        the epochs this snapshot does not cover, and snapshots beyond
-        the retention window are dropped.  ``planner_records`` are the
-        adaptive planner's exported converged records (JSON-ready),
-        embedded for :meth:`Session.restore_planner` at recovery.
+        The fact log is then compacted down to the epochs this
+        snapshot does not cover, and snapshots beyond the retention
+        window are dropped.  ``planner_records`` are the adaptive
+        planner's exported converged records (JSON-ready), embedded
+        for :meth:`Session.restore_planner` at recovery.
         """
         body = {
             "program_sha": self.program_id,
@@ -301,20 +512,15 @@ class Snapshotter:
             "crc": _crc(_canonical(body)),
             **body,
         }
-        name = f"snapshot-{epoch:08d}.json"
-        path = os.path.join(self.directory, name)
-        tmp_path = path + ".tmp"
-        with obs_span("serve.snapshot", epoch=epoch):
-            obs_count("fs.write.snapshot")
-            with open(tmp_path, "w") as handle:
-                json.dump(payload, handle)
-                handle.flush()
-                obs_count("fs.fsync.snapshot")
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, path)
-            _fsync_dir(self.directory)
-            self._compact_log(epoch)
-            self._prune_snapshots()
+        path = os.path.join(self.directory, f"snapshot-{epoch:08d}.json")
+        with self._mutex, obs_span("serve.snapshot", epoch=epoch):
+            atomic_write(path, json.dumps(payload), "snapshot")
+            self._rewrite_log([
+                entry
+                for entry in self._read_log()
+                if entry["epoch"] > epoch
+            ])
+            prune_numbered(self.directory, SNAPSHOT_PATTERN)
         obs_count("serve.snapshots")
         return path
 
@@ -323,79 +529,27 @@ class Snapshotter:
         line = _frame_record(
             epoch, [encode_fact(fact) for fact in facts]
         )
-        obs_count("fs.write.wal")
-        with open(self._log_path, "a") as handle:
-            handle.write(line + "\n")
-            handle.flush()
-            obs_count("fs.fsync.wal")
-            os.fsync(handle.fileno())
+        with self._mutex:
+            obs_count("fs.write.wal")
+            with open(self._log_path, "a") as handle:
+                handle.write(line + "\n")
+                handle.flush()
+                obs_count("fs.fsync.wal")
+                os.fsync(handle.fileno())
         obs_count("serve.log_appends")
 
     def _rewrite_log(self, entries: list[dict]) -> None:
-        """Atomically replace the log with ``entries`` (current format)."""
-        tmp_path = self._log_path + ".tmp"
-        obs_count("fs.write.compact")
-        with open(tmp_path, "w") as handle:
-            for entry in entries:
-                handle.write(
-                    _frame_record(entry["epoch"], entry["facts"])
-                    + "\n"
-                )
-            handle.flush()
-            obs_count("fs.fsync.compact")
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, self._log_path)
-        _fsync_dir(self.directory)
-
-    def _compact_log(self, through_epoch: int) -> None:
-        """Drop log entries a fresh snapshot now covers (atomically)."""
-        keep = [
-            entry
-            for entry in self._read_log()
-            if entry["epoch"] > through_epoch
-        ]
-        self._rewrite_log(keep)
-
-    def _prune_snapshots(self) -> None:
-        for _, name in self._snapshot_files()[:-RETAIN_SNAPSHOTS]:
-            try:
-                os.remove(os.path.join(self.directory, name))
-            except OSError:  # pragma: no cover - best-effort cleanup
-                pass
-
-    def _quarantine(self, path: str) -> str:
-        """Move a damaged file into the ``corrupt/`` sidecar.
-
-        The file is preserved (evidence beats deletion when diagnosing
-        a bad disk or a torn write) under its own name, suffixed with
-        a sequence number on collision.  Both directories are fsynced
-        so the quarantine itself survives a crash.
-        """
-        corrupt_dir = os.path.join(self.directory, CORRUPT_DIR)
-        os.makedirs(corrupt_dir, exist_ok=True)
-        base = os.path.basename(path)
-        target = os.path.join(corrupt_dir, base)
-        sequence = 0
-        while os.path.exists(target):
-            sequence += 1
-            target = os.path.join(corrupt_dir, f"{base}.{sequence}")
-        os.replace(path, target)
-        _fsync_dir(corrupt_dir)
-        _fsync_dir(self.directory)
-        obs_count("serve.quarantined")
-        self.quarantined.append(target)
-        return target
+        """Atomically replace the log with ``entries`` (mutex held)."""
+        atomic_write(
+            self._log_path,
+            "".join(
+                _frame_record(entry["epoch"], entry["facts"]) + "\n"
+                for entry in entries
+            ),
+            "compact",
+        )
 
     # -- reading ------------------------------------------------------
-
-    def _snapshot_files(self) -> list[tuple[int, str]]:
-        """``(epoch, name)`` of every snapshot present, oldest first."""
-        found = []
-        for name in os.listdir(self.directory):
-            match = SNAPSHOT_PATTERN.match(name)
-            if match:
-                found.append((int(match.group(1)), name))
-        return sorted(found)
 
     def _scan_log(self) -> tuple[list[dict], dict | None]:
         """The valid log prefix plus a damage report.
@@ -458,74 +612,28 @@ class Snapshotter:
             f"{damage['reason']}"
         )
 
-    def _verify_snapshot(self, payload: dict) -> None:
-        """Raise ``ValueError`` when a snapshot payload is damaged."""
-        if not isinstance(payload, dict):
-            raise ValueError("snapshot is not an object")
-        schema = payload.get("schema")
-        if schema == LEGACY_SCHEMA:
-            return  # pre-CRC format: nothing to verify against
-        if schema != SCHEMA:
-            # Not damage -- a genuinely unknown format is a hard
-            # error, not a fallback candidate (handled by the caller).
-            return
-        body = {
-            key: value
-            for key, value in payload.items()
-            if key not in ("schema", "crc")
-        }
-        expected = _crc(_canonical(body))
-        if payload.get("crc") != expected:
-            raise ValueError(
-                f"crc mismatch (stored {payload.get('crc')!r}, "
-                f"computed {expected})"
-            )
-
     def latest(self) -> dict | None:
-        """The newest verifiable, compatible snapshot payload (or None).
-
-        Walks backward through retained snapshots; an unreadable file
-        or one failing its CRC is quarantined to ``corrupt/`` and the
-        walk falls back to the next-newest.  A snapshot for a
-        *different program* is an error, not a fallback candidate --
-        replaying another program's facts would silently corrupt the
-        session.
+        """The newest verifiable, compatible snapshot payload (or None);
+        damaged ones are quarantined on the way (:func:`newest_verifiable`).
         """
-        for epoch, name in reversed(self._snapshot_files()):
-            path = os.path.join(self.directory, name)
-            try:
-                with open(path) as handle:
-                    payload = json.load(handle)
-                self._verify_snapshot(payload)
-            except OSError:
-                obs_count("serve.snapshot_skipped")
-                continue
-            except ValueError:
-                # Damaged beyond reading or checksum-mismatched:
-                # preserve the evidence, fall back to an older one.
-                obs_count("serve.snapshot_skipped")
-                self._quarantine(path)
-                continue
-            if payload.get("schema") not in (SCHEMA, LEGACY_SCHEMA):
-                raise SnapshotError(
-                    f"{name}: unknown snapshot schema "
-                    f"{payload.get('schema')!r}"
-                )
-            if payload.get("program_sha") != self.program_id:
-                raise SnapshotError(
-                    f"{name}: snapshot was taken for a different "
-                    f"program (sha {payload.get('program_sha')}, "
-                    f"running {self.program_id})"
-                )
-            if payload.get("epoch") != epoch:
-                raise SnapshotError(
-                    f"{name}: epoch mismatch between file name and "
-                    f"payload ({payload.get('epoch')})"
-                )
-            return payload
-        return None
+        found = newest_verifiable(
+            self.directory,
+            SNAPSHOT_PATTERN,
+            self.program_id,
+            self.quarantined,
+            unsigned=("schema", "crc"),
+        )
+        if found is None:
+            return None
+        epoch, name, payload = found
+        if payload.get("epoch") != epoch:
+            raise SnapshotError(
+                f"{name}: epoch mismatch between file name and "
+                f"payload ({payload.get('epoch')})"
+            )
+        return payload
 
-    def recover(self, session: "Session") -> dict:
+    def recover(self, session: Session) -> dict:
         """Restore the latest verifiable snapshot + log tail.
 
         Returns a summary dict: ``snapshot_epoch``, ``facts_restored``
@@ -541,7 +649,7 @@ class Snapshotter:
         a valid snapshot is normal (a checkpoint right before the
         crash compacts the log to nothing).
         """
-        with obs_span("serve.recover"):
+        with self._mutex, obs_span("serve.recover"):
             already_quarantined = len(self.quarantined)
             payload = self.latest()
             # Any quarantine latest() performed was a damaged
@@ -573,7 +681,9 @@ class Snapshotter:
                 else:
                     corrupt = True
                     obs_count("serve.log_corrupt")
-                    self._quarantine(self._log_path)
+                    self.quarantined.append(
+                        quarantine(self.directory, self._log_path)
+                    )
                 # Rewrite the valid prefix either way: a torn stump
                 # left in place would be concatenated onto by the
                 # next append, turning expected tail damage into

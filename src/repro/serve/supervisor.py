@@ -21,23 +21,14 @@ robustness machinery this package exists for:
   their budget repeatedly; see :mod:`repro.serve.breaker`.  Under
   ``on_limit=widen`` an open breaker serves the form's last widened
   answer instead of an error.
-* **Crash safety** -- with a snapshot directory configured, every
-  acknowledged fact load is appended to the write-ahead fact log
-  before the response is released, and a full EDB checkpoint
-  (embedding the adaptive planner's converged records, when the
-  session has one) is taken every ``snapshot_every`` loads and at
-  drain; see :mod:`repro.serve.snapshot` and :meth:`recover`.
-* **Degraded read-only mode** -- when the snapshot directory itself
-  fails (disk full, EIO -- injectable via the ``write:``/``fsync:``
-  fault sites), the supervisor does not crash workers: it flips to an
-  explicit no-durability mode in which queries keep being served but
-  fact loads are *refused* with ``REPRO_SNAPSHOT`` (an un-logged load
-  would silently void the at-most-once-ack contract).  The load whose
-  WAL append failed is reported as an error -- it was never
-  acknowledged as durable -- and :meth:`healthz` reports
-  ``durability: degraded`` with the reason.  The mode is one-way for
-  the process lifetime: a disk that failed once cannot be trusted to
-  have kept everything since.
+* **Crash safety** -- with a snapshot directory configured, fact
+  loads go through :meth:`Snapshotter.load
+  <repro.serve.snapshot.Snapshotter.load>`, which owns the whole
+  durability policy (WAL-before-ack, the one-way degraded read-only
+  mode a failing disk flips it into, compaction); the supervisor
+  decides only *when* to checkpoint: every ``snapshot_every`` loads
+  and at drain.  :meth:`healthz` reports the snapshotter's
+  ``durability``; see :meth:`recover` for restart.
 * **Supervision** -- a worker that dies unexpectedly fails its current
   request, is counted (``serve.worker_deaths``), and is replaced.
   The injected-fault site ``serve.worker`` kills workers on purpose in
@@ -53,12 +44,7 @@ import queue
 import threading
 from dataclasses import dataclass, field, replace
 
-from repro.errors import (
-    OverloadError,
-    ReproError,
-    SnapshotError,
-    UsageError,
-)
+from repro.errors import OverloadError, ReproError, UsageError
 from repro.lang.parser import parse_query
 from repro.obs.recorder import count as obs_count, span as obs_span
 from repro.serve.breaker import BreakerRegistry, counts_as_trip
@@ -154,8 +140,6 @@ class Supervisor:
         self._retries = 0
         self._worker_deaths = 0
         self._loads_since_snapshot = 0
-        self._degraded = False
-        self._degraded_reason: str | None = None
         self.snapshotter: Snapshotter | None = None
         if self.config.snapshot_dir is not None:
             self.snapshotter = Snapshotter(
@@ -209,16 +193,10 @@ class Supervisor:
             self._queue.put(_STOP)
         for thread in workers:
             thread.join(timeout)
-        if self.snapshotter is not None and not self._degraded:
-            try:
-                self._checkpoint()
-            except OSError as error:
-                # Shutting down anyway; the WAL already holds every
-                # acked epoch, so losing the final checkpoint only
-                # costs the next recovery some replay time.
-                self._enter_degraded(
-                    f"final checkpoint failed: {error}"
-                )
+        if self.snapshotter is not None:
+            # A failure here only costs the next recovery some replay
+            # time: the WAL already holds every acked epoch.
+            self.snapshotter.checkpoint(self._engine.session)
         obs_count("serve.drains")
 
     def __enter__(self) -> "Supervisor":
@@ -386,77 +364,27 @@ class Supervisor:
     def _serve_facts(self, line: str) -> Response:
         # Never retried: a fault firing after the epoch committed
         # would make a retry double-load (see module docstring).
-        if self.snapshotter is not None:
-            with self._lock:
-                degraded, reason = (
-                    self._degraded, self._degraded_reason
-                )
-            if degraded:
-                # Refuse before touching the session: an un-logged
-                # load would be acked state the WAL never saw.
-                obs_count("serve.readonly_refusals")
-                return self._error(SnapshotError(
-                    f"fact load refused: durability lost ({reason}); "
-                    "serving read-only"
-                ))
         try:
             with obs_span("serve.dispatch", kind="facts"):
-                response = self._engine.add_facts(line)
+                if self.snapshotter is None:
+                    return self._engine.add_facts(line)
+                response = self.snapshotter.load(self._engine, line)
         except ReproError as error:
             return self._error(error)
-        if response.ok and response.loaded and self.snapshotter:
-            # Durable before acknowledged: the log entry hits disk
-            # before the caller sees the response.
-            try:
-                self.snapshotter.append_log(
-                    response.epoch, response.loaded
-                )
-            except OSError as error:
-                # The facts are in the live session (sound -- same as
-                # an unacked in-flight load at crash time) but were
-                # never made durable, so the load is NOT acknowledged.
-                self._enter_degraded(f"WAL append failed: {error}")
-                return self._error(SnapshotError(
-                    f"fact load not durable (WAL append failed: "
-                    f"{error}); supervisor now read-only"
-                ))
+        if response.ok and response.loaded:
             with self._lock:
                 self._loads_since_snapshot += 1
-                checkpoint = (
+                due = (
                     self._loads_since_snapshot
                     >= self.config.snapshot_every
                 )
-                if checkpoint:
+                if due:
                     self._loads_since_snapshot = 0
-            if checkpoint:
-                try:
-                    self._checkpoint()
-                except OSError as error:
-                    # The ack stands -- this epoch is already in the
-                    # fsynced WAL -- but the disk can no longer be
-                    # trusted with future loads.
-                    self._enter_degraded(
-                        f"checkpoint failed: {error}"
-                    )
+            if due:
+                # Should this fail, the ack stands (the epoch is in
+                # the fsynced WAL) and later loads are refused.
+                self.snapshotter.checkpoint(self._engine.session)
         return response
-
-    def _checkpoint(self) -> None:
-        """One full snapshot: EDB + converged planner records."""
-        assert self.snapshotter is not None
-        session = self._engine.session
-        epoch, facts = session.export_state()
-        self.snapshotter.snapshot(
-            epoch, facts, planner_records=session.export_planner()
-        )
-
-    def _enter_degraded(self, reason: str) -> None:
-        """Flip to read-only/no-durability mode (one-way)."""
-        with self._lock:
-            if self._degraded:
-                return
-            self._degraded = True
-            self._degraded_reason = reason
-        obs_count("serve.degraded")
 
     # -- inspection ----------------------------------------------------
 
@@ -471,9 +399,6 @@ class Supervisor:
                 else "ok" if self._started and alive
                 else "stopped"
             )
-            degraded, degraded_reason = (
-                self._degraded, self._degraded_reason
-            )
         with self._breaker_lock:
             breakers_open = self._breakers.open_count()
         health = {
@@ -484,12 +409,13 @@ class Supervisor:
             "breakers_open": breakers_open,
             "durability": (
                 "none" if self.snapshotter is None
-                else "degraded" if degraded
-                else "ok"
+                else self.snapshotter.durability
             ),
         }
-        if degraded:
-            health["durability_reason"] = degraded_reason
+        if health["durability"] == "degraded":
+            health["durability_reason"] = (
+                self.snapshotter.degraded_reason
+            )
         planner = self._engine.session.planner
         if planner is not None:
             summary = planner.stats()
@@ -509,7 +435,10 @@ class Supervisor:
                 "shed": self._shed,
                 "retries": self._retries,
                 "worker_deaths": self._worker_deaths,
-                "degraded": self._degraded,
+                "degraded": (
+                    self.snapshotter is not None
+                    and self.snapshotter.durability == "degraded"
+                ),
             }
         with self._breaker_lock:
             breakers = self._breakers.states()

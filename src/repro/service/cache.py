@@ -17,13 +17,12 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
+from repro.config import DEFAULT_CACHE_SIZE
 from repro.obs.recorder import count as obs_count
 from repro.service.forms import QueryForm
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.service.session import CompiledForm, WarmState
-
-DEFAULT_CACHE_SIZE = 64
 
 #: Warm databases kept per form.  Seed-less strategies only ever need
 #: one (their evaluated database is constant-independent); the magic

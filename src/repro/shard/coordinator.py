@@ -660,10 +660,7 @@ class ShardCoordinator:
         self._hb_stop.set()
         with self._rw.write_locked():
             if drain and self.durable and self._started:
-                try:
-                    self._checkpoint_locked()
-                except (ShardError, WorkerReplyError):
-                    pass  # per-shard WALs already hold every ack
+                self._barrier_locked()
             for client in self._clients:
                 client.close(graceful=drain)
         if self._hb_thread is not None:
@@ -1027,13 +1024,7 @@ class ShardCoordinator:
                 self.durable
                 and self._loads % self.snapshot_every == 0
             ):
-                try:
-                    self._checkpoint_locked()
-                except (ShardError, WorkerReplyError):
-                    # The acks are already WAL-durable per shard; a
-                    # failed barrier only delays the next manifest.
-                    self.counters["checkpoint_failures"] += 1
-                    obs_count("shard.checkpoint_failures")
+                self._barrier_locked()
             return Response(
                 kind="facts",
                 added=len(new_keys),
@@ -1044,6 +1035,16 @@ class ShardCoordinator:
         """A consistent cross-shard checkpoint (public entry point)."""
         with self._rw.write_locked():
             return self._checkpoint_locked()
+
+    def _barrier_locked(self) -> None:
+        """A checkpoint whose failure -- a shard's, or the manifest
+        write's -- is only counted: the acks are already WAL-durable
+        per shard, so it merely delays the next manifest."""
+        try:
+            self._checkpoint_locked()
+        except (ShardError, WorkerReplyError, OSError):
+            self.counters["checkpoint_failures"] += 1
+            obs_count("shard.checkpoint_failures")
 
     def _checkpoint_locked(self) -> dict:
         with obs_span("shard.checkpoint"):

@@ -19,27 +19,27 @@ recovered epochs against the newest verifiable manifest: the cut is
 epoch -- a shard's WAL may legitimately carry it past the barrier
 (loads acked after the last checkpoint), but falling short means that
 shard lost acknowledged, manifest-covered loads.  Manifests follow
-the snapshot file discipline exactly: canonical-JSON CRC, atomic
-write + directory fsync, three retained generations, corrupt files
-quarantined to ``corrupt/`` rather than trusted or deleted.
+the snapshot file discipline exactly, because they use the very same
+helpers (:mod:`repro.serve.snapshot`): canonical-JSON CRC, atomic
+write + directory fsync (fault site ``manifest``), three retained
+generations, corrupt files quarantined to ``corrupt/`` rather than
+trusted or deleted.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from typing import Mapping
 
-from repro.errors import SnapshotError
 from repro.obs.recorder import count as obs_count
 from repro.serve.snapshot import (
-    CORRUPT_DIR,
-    RETAIN_SNAPSHOTS,
     SCHEMA,
     _canonical,
     _crc,
-    _fsync_dir,
+    atomic_write,
+    newest_verifiable,
+    prune_numbered,
 )
 
 #: Cluster manifests share the snapshot schema with their own kind tag.
@@ -51,10 +51,6 @@ _MANIFEST_RE = re.compile(r"^manifest-(\d{8})\.json$")
 def shard_directory(root: str, shard: int) -> str:
     """Where one shard's Snapshotter lives under the cluster root."""
     return os.path.join(root, f"shard-{shard:02d}")
-
-
-def manifest_name(generation: int) -> str:
-    return f"manifest-{generation:08d}.json"
 
 
 def build_manifest(
@@ -92,57 +88,11 @@ def write_manifest(
     payload = build_manifest(
         program_id, generation, shard_count, epochs
     )
-    name = manifest_name(generation)
-    path = os.path.join(directory, name)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as handle:
-        handle.write(_canonical(payload))
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    _fsync_dir(directory)
-    for __, old_name in _manifest_files(directory)[:-RETAIN_SNAPSHOTS]:
-        try:
-            os.unlink(os.path.join(directory, old_name))
-        except OSError:
-            pass
+    path = os.path.join(directory, f"manifest-{generation:08d}.json")
+    atomic_write(path, _canonical(payload), "manifest")
+    prune_numbered(directory, _MANIFEST_RE)
     obs_count("shard.manifests_written")
     return path
-
-
-def _manifest_files(directory: str) -> list[tuple[int, str]]:
-    try:
-        names = os.listdir(directory)
-    except OSError:
-        return []
-    found = []
-    for name in names:
-        match = _MANIFEST_RE.match(name)
-        if match:
-            found.append((int(match.group(1)), name))
-    return sorted(found)
-
-
-def _quarantine(directory: str, path: str) -> None:
-    corrupt_dir = os.path.join(directory, CORRUPT_DIR)
-    os.makedirs(corrupt_dir, exist_ok=True)
-    destination = os.path.join(corrupt_dir, os.path.basename(path))
-    suffix = 0
-    while os.path.exists(destination):
-        suffix += 1
-        destination = os.path.join(
-            corrupt_dir, f"{os.path.basename(path)}.{suffix}"
-        )
-    os.replace(path, destination)
-
-
-def _verify(payload: dict) -> None:
-    recorded = payload.get("crc")
-    probe = dict(payload)
-    probe.pop("crc", None)
-    probe["crc"] = _crc(_canonical(probe))
-    if not isinstance(recorded, str) or probe["crc"] != recorded:
-        raise ValueError("manifest checksum mismatch")
 
 
 def latest_manifest(
@@ -150,45 +100,22 @@ def latest_manifest(
 ) -> tuple[dict | None, list[str]]:
     """The newest verifiable manifest, plus names quarantined en route.
 
-    Walks backward through retained generations; unreadable or
-    checksum-failed manifests are quarantined and the walk falls back
-    to the next-newest.  A manifest for a different program is a hard
-    :class:`~repro.errors.SnapshotError`, mirroring the per-shard
-    snapshot rules -- restoring another program's cut would silently
-    corrupt every shard at once.
+    The walk, the quarantine of damaged generations (reported by their
+    name under ``corrupt/``) and the hard
+    :class:`~repro.errors.SnapshotError` on another program's manifest
+    are :func:`repro.serve.snapshot.newest_verifiable`'s -- restoring
+    another program's cut would silently corrupt every shard at once.
     """
     quarantined: list[str] = []
-    for __, name in reversed(_manifest_files(directory)):
-        path = os.path.join(directory, name)
-        try:
-            with open(path) as handle:
-                payload = json.load(handle)
-            if not isinstance(payload, dict):
-                raise ValueError("manifest payload must be an object")
-            _verify(payload)
-        except OSError:
-            continue
-        except ValueError:
-            _quarantine(directory, path)
-            quarantined.append(name)
-            obs_count("shard.manifests_quarantined")
-            continue
-        if (
-            payload.get("schema") != SCHEMA
-            or payload.get("kind") != MANIFEST_KIND
-        ):
-            raise SnapshotError(
-                f"{name}: unknown manifest schema "
-                f"{payload.get('schema')!r}/{payload.get('kind')!r}"
-            )
-        if payload.get("program_sha") != program_id:
-            raise SnapshotError(
-                f"{name}: cluster manifest was taken for a different "
-                f"program (sha {payload.get('program_sha')}, running "
-                f"{program_id})"
-            )
-        return payload, quarantined
-    return None, quarantined
+    found = newest_verifiable(
+        directory,
+        _MANIFEST_RE,
+        program_id,
+        quarantined,
+        kind=MANIFEST_KIND,
+    )
+    names = [os.path.basename(path) for path in quarantined]
+    return (None if found is None else found[2]), names
 
 
 def reconcile(

@@ -25,13 +25,13 @@ Each query runs under its own per-shard budget meter built from the
 handshake's budget spec, and every request is error-isolated: a
 ``REPRO_*`` failure becomes an error reply, never a dead worker.
 
-Durability reuses the serve machinery verbatim: the worker owns a
-:class:`~repro.serve.snapshot.Snapshotter` over its per-shard
-directory, appends every accepted load to its own WAL *before*
-replying (the ack the coordinator forwards is the durable one), and
-checkpoints on the coordinator's epoch barrier.  A failed append
-flips the shard read-only, exactly like the single-session
-supervisor.
+Durability is the serve machinery's, policy included: the worker owns
+a :class:`~repro.serve.snapshot.Snapshotter` over its per-shard
+directory and loads through :meth:`Snapshotter.load
+<repro.serve.snapshot.Snapshotter.load>` (WAL before the reply, so the
+ack the coordinator forwards is the durable one; a failed append flips
+the shard read-only).  The worker decides only *when* to checkpoint:
+on the coordinator's epoch barrier and at shutdown.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ import sys
 import threading
 from contextlib import nullcontext
 from dataclasses import replace
+from typing import NoReturn
 
 from repro import obs
 from repro.driver import split_edb
@@ -146,7 +147,6 @@ class ShardWorker:
             )
         self._evals: dict[str, _EvalState] = {}
         self._warm: dict[tuple[str, str], _WarmSlot] = {}
-        self._degraded: str | None = None
         self.counters = {
             "queries": 0,
             "rounds": 0,
@@ -210,12 +210,10 @@ class ShardWorker:
     # -- durability ---------------------------------------------------
 
     def _op_recover(self, frame: dict) -> dict:
-        if self.snapshotter is None:
-            return {
-                "ok": True, "recovery": None,
-                "epoch": self.session.epoch,
-            }
-        summary = self.snapshotter.recover(self.session)
+        summary = (
+            None if self.snapshotter is None
+            else self.snapshotter.recover(self.session)
+        )
         return {
             "ok": True,
             "recovery": summary,
@@ -223,13 +221,11 @@ class ShardWorker:
         }
 
     def _op_load(self, frame: dict) -> dict:
-        if self._degraded is not None:
-            return self._error(SnapshotError(
-                f"fact load refused: shard {self.shard} durability "
-                f"lost ({self._degraded}); serving read-only"
-            ))
         facts = [decode_fact(entry) for entry in frame["facts"]]
-        response = self.session.add_facts(facts)
+        if self.snapshotter is None:
+            response = self.session.add_facts(facts)
+        else:
+            response = self.snapshotter.load(self.session, facts)
         if not response.ok:
             return {
                 "ok": False,
@@ -237,17 +233,6 @@ class ShardWorker:
                 "error_message": response.error_message,
             }
         self.counters["loads"] += 1
-        if response.loaded and self.snapshotter is not None:
-            try:
-                self.snapshotter.append_log(
-                    response.epoch, response.loaded
-                )
-            except OSError as error:
-                self._degraded = f"WAL append failed: {error}"
-                return self._error(SnapshotError(
-                    f"fact load not durable on shard {self.shard} "
-                    f"(WAL append failed: {error}); shard read-only"
-                ))
         return {
             "ok": True,
             "added": response.added,
@@ -258,22 +243,11 @@ class ShardWorker:
     def _op_checkpoint(self, frame: dict) -> dict:
         if self.snapshotter is None:
             return {"ok": True, "epoch": self.session.epoch}
-        if self._degraded is not None:
+        epoch = self.snapshotter.checkpoint(self.session)
+        if epoch is None:
             return self._error(SnapshotError(
-                f"checkpoint refused: shard {self.shard} degraded "
-                f"({self._degraded})"
-            ))
-        epoch, facts = self.session.export_state()
-        try:
-            self.snapshotter.snapshot(
-                epoch,
-                facts,
-                planner_records=self.session.export_planner(),
-            )
-        except OSError as error:
-            self._degraded = f"checkpoint failed: {error}"
-            return self._error(SnapshotError(
-                f"checkpoint failed on shard {self.shard}: {error}"
+                f"no checkpoint on shard {self.shard}: "
+                f"{self.snapshotter.degraded_reason}"
             ))
         return {"ok": True, "epoch": epoch}
 
@@ -453,22 +427,25 @@ class ShardWorker:
             "ok": True,
             "shard": self.shard,
             "counters": dict(self.counters),
-            "degraded": self._degraded,
+            "degraded": (
+                None if self.snapshotter is None
+                else self.snapshotter.degraded_reason
+            ),
             "session": self.session.stats(),
         }
 
     def _op_healthz(self, frame: dict) -> dict:
+        durability = (
+            "none" if self.snapshotter is None
+            else self.snapshotter.durability
+        )
         return {
             "ok": True,
             "shard": self.shard,
-            "status": "degraded" if self._degraded else "ok",
+            "status": "degraded" if durability == "degraded" else "ok",
             "epoch": self.session.epoch,
             "edb_facts": self.session.edb.count(),
-            "durability": (
-                "none" if self.snapshotter is None
-                else "degraded" if self._degraded
-                else "ok"
-            ),
+            "durability": durability,
         }
 
     def _op_ping(self, frame: dict) -> dict:
@@ -476,11 +453,9 @@ class ShardWorker:
         return {"ok": True, "shard": self.shard, "pong": True}
 
     def _op_shutdown(self, frame: dict) -> dict:
-        if self.snapshotter is not None and self._degraded is None:
-            try:
-                self._op_checkpoint(frame)
-            except OSError:
-                pass  # shutting down anyway; the WAL has every epoch
+        if self.snapshotter is not None:
+            # Best effort: the WAL already has every acked epoch.
+            self.snapshotter.checkpoint(self.session)
         return {"ok": True, "shard": self.shard, "stopping": True}
 
 
@@ -653,7 +628,7 @@ def serve_frames(
                 return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(argv: list[str] | None = None) -> NoReturn:
     parser = argparse.ArgumentParser(prog="repro.shard.worker")
     parser.add_argument(
         "--shard",
@@ -662,8 +637,15 @@ def main(argv: list[str] | None = None) -> int:
         help="shard index (cosmetic: makes the process findable)",
     )
     parser.parse_args(argv)
-    return serve_frames(sys.stdin.buffer, sys.stdout.buffer)
+    status = serve_frames(sys.stdin.buffer, sys.stdout.buffer)
+    # The daemon pump thread is parked in a read that holds the
+    # buffered-stdin lock, which interpreter finalisation would abort
+    # on ("Fatal Python error: _enter_buffered_busy"): every reply is
+    # already flushed and every acked load fsynced, so flush and leave.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(status)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    main()

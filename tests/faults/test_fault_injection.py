@@ -173,7 +173,11 @@ class TestFilesystemFaults:
     def test_snapshotter_checkpoint_hits_the_snapshot_fsync_site(
         self, tmp_path
     ):
-        from repro.serve.snapshot import Snapshotter
+        from repro.serve.snapshot import (
+            SNAPSHOT_PATTERN,
+            Snapshotter,
+            numbered_files,
+        )
 
         snap = Snapshotter(str(tmp_path), "prog1")
         recorder = FaultyRecorder(
@@ -182,7 +186,49 @@ class TestFilesystemFaults:
         with recording(recorder):
             with pytest.raises(OSError):
                 snap.snapshot(1, [])
-        assert snap._snapshot_files() == []  # tmp never promoted
+        # tmp never promoted
+        assert numbered_files(str(tmp_path), SNAPSHOT_PATTERN) == []
+
+    @pytest.mark.parametrize(
+        "spec", ["write:manifest", "fsync:manifest"]
+    )
+    def test_failed_manifest_write_is_a_counted_barrier_failure(
+        self, tmp_path, spec
+    ):
+        # The coordinator writes the cluster manifest after every
+        # checkpoint barrier.  Its disk failing must not un-ack the
+        # load (every shard already WAL-acked it) nor stop service.
+        import os
+
+        from repro.lang.parser import parse_query
+        from repro.shard import ShardedEngine
+
+        engine = ShardedEngine.from_text(
+            "edge(a, b). reach(X, Y) :- edge(X, Y).",
+            2,
+            snapshot_dir=str(tmp_path),
+            snapshot_every=1,
+        )
+        coordinator = engine.coordinator
+        coordinator.recover()
+        try:
+            with recording(FaultyRecorder(FaultPlan.from_spec(spec))):
+                load = engine.add_facts("edge(b, c).")
+            assert load.ok and load.added == 1
+            assert coordinator.counters["checkpoint_failures"] == 1
+            assert coordinator.counters["checkpoints"] == 0
+            assert not any(
+                name.startswith("manifest-") and name.endswith(".json")
+                for name in os.listdir(tmp_path)
+            )
+            answer = engine.session.query(parse_query("?- reach(b, Y)."))
+            assert answer.ok and len(answer.answers) == 1
+            # The disk healed: the next barrier writes its manifest.
+            assert engine.add_facts("edge(c, d).").ok
+            assert coordinator.counters["checkpoints"] == 1
+            assert "manifest-00000002.json" in os.listdir(tmp_path)
+        finally:
+            coordinator.close(drain=False)
 
 
 class TestFaultyRecorder:

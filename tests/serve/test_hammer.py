@@ -124,3 +124,66 @@ def test_hammer_through_the_supervisor():
     assert all(response.ok for response in responses)
     final = sorted(engine.query(QUERY).answer_strings)
     assert final == _sequential_answers()
+
+
+def test_two_loaders_with_checkpoints_lose_no_acked_fact(tmp_path):
+    """Concurrent loaders, a checkpoint (and compaction) per load, a
+    crash with no drain: recovery must hold every acknowledged fact."""
+    import shutil
+    import sys
+
+    from repro.engine.facts import Fact
+    from repro.serve.supervisor import ServeConfig, Supervisor
+
+    live, crashed = str(tmp_path / "live"), str(tmp_path / "crashed")
+    config = ServeConfig(
+        workers=2, snapshot_dir=live, snapshot_every=1
+    )
+    supervisor = Supervisor(
+        Engine.from_text(PROGRAM), config, program_id="hammer"
+    ).start()
+    acked: list[int] = []
+    lock = threading.Lock()
+
+    def loader(indexes) -> None:
+        for index in indexes:
+            line = f"edge(m{index}, m{index + 1}, 1)."
+            response = supervisor.submit(line).result(timeout=60)
+            if response.ok:
+                with lock:
+                    acked.append(index)
+
+    threads = [
+        threading.Thread(target=loader, args=(range(start, 40, 2),))
+        for start in (0, 1)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=90)
+            assert not thread.is_alive(), "loader thread hung"
+        # The crash: what is on disk once every load is acknowledged.
+        shutil.copytree(live, crashed)
+    finally:
+        sys.setswitchinterval(interval)
+        supervisor.drain()
+    assert len(acked) == 40
+    assert supervisor.healthz()["durability"] == "ok"
+
+    recovered = Engine.from_text(PROGRAM)
+    report = Supervisor(
+        recovered,
+        ServeConfig(workers=1, snapshot_dir=crashed),
+        program_id="hammer",
+    ).recover()
+    assert not report["corrupt"]
+    edb = recovered.session.edb
+    lost = [
+        index for index in acked
+        if Fact.ground("edge", [f"m{index}", f"m{index + 1}", 1])
+        not in edb
+    ]
+    assert lost == []

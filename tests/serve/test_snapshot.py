@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from repro.engine.facts import Fact, make_fact
 from repro.errors import SnapshotError
 from repro.serve.snapshot import (
     Snapshotter,
+    _frame_record,
     decode_fact,
     encode_fact,
     program_sha,
@@ -163,18 +165,55 @@ class TestIntegrity:
         with pytest.raises(SnapshotError, match="crc mismatch"):
             list(snap._read_log())
 
-    def test_legacy_v1_log_lines_are_still_readable(self, tmp_path):
-        snap = Snapshotter(str(tmp_path), "prog1")
-        with open(tmp_path / "facts.log", "w") as fh:
-            fh.write(json.dumps({
-                "epoch": 1,
-                "facts": [encode_fact(Fact.ground("e", ["a"]))],
-            }) + "\n")
-        entries = list(snap._read_log())
-        assert [e["epoch"] for e in entries] == [1]
-        assert decode_fact(entries[0]["facts"][0]) == Fact.ground(
-            "e", ["a"]
+    def test_a_crc_less_log_line_is_damage_not_a_format(
+        self, tmp_path
+    ):
+        sha = program_sha(PROGRAM)
+        bare = json.dumps({
+            "epoch": 2,
+            "facts": [encode_fact(Fact.ground("edge", ["x", "y", 1]))],
+        })
+
+        def recover_with(lines):
+            with open(tmp_path / "facts.log", "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+            engine = Engine.from_text(PROGRAM)
+            return Snapshotter(str(tmp_path), sha).recover(
+                engine.session
+            )
+
+        good = _frame_record(
+            1, [encode_fact(Fact.ground("edge", ["c", "d", 5]))]
         )
+        # Last line: a torn tail -- dropped, not corruption.
+        summary = recover_with([good, bare])
+        assert summary["corrupt"] is False
+        assert summary["replayed"] == 1
+        assert summary["log_records_dropped"] == 1
+        assert summary["quarantined"] == []
+        # Mid-log: corruption -- the log is quarantined and only the
+        # prefix before the un-checksummed record is trusted.
+        later = _frame_record(
+            3, [encode_fact(Fact.ground("edge", ["d", "e", 6]))]
+        )
+        summary = recover_with([good, bare, later])
+        assert summary["corrupt"] is True
+        assert summary["replayed"] == 1
+        assert summary["log_records_dropped"] == 2
+        assert len(summary["quarantined"]) == 1
+
+    def test_a_crc_less_snapshot_is_quarantined(self, tmp_path):
+        snap = Snapshotter(str(tmp_path), "prog1")
+        snap.snapshot(1, [Fact.ground("e", ["a"])])
+        with open(tmp_path / "snapshot-00000002.json", "w") as fh:
+            json.dump({
+                "schema": "repro-snap/v1", "program_sha": "prog1",
+                "epoch": 2, "facts": [],
+            }, fh)
+        assert snap.latest()["epoch"] == 1
+        assert [os.path.basename(p) for p in snap.quarantined] == [
+            "snapshot-00000002.json"
+        ]
 
     def test_recover_quarantines_a_corrupt_mid_log_record(
         self, tmp_path
@@ -375,3 +414,47 @@ class TestRecovery:
         again = recovered.add_facts("edge(c, d, 5).")
         assert again.ok and again.added == 0
         assert recovered.session.epoch == 1
+
+
+class TestConcurrentLoaders:
+    """Compaction must not drop a record appended meanwhile."""
+
+    def test_append_during_compaction_survives_recovery(
+        self, tmp_path, monkeypatch
+    ):
+        sha = program_sha(PROGRAM)
+        engine = Engine.from_text(PROGRAM)
+        snap = Snapshotter(str(tmp_path), sha)
+        first = engine.add_facts("edge(c, d, 5).")
+        snap.append_log(first.epoch, first.loaded)
+        epoch, facts = engine.session.export_state()
+
+        compacting = threading.Event()
+        appended = threading.Event()
+        rewrite = snap._rewrite_log
+
+        def stalled_rewrite(entries):
+            # The checkpoint has read the log; hold it there (bounded)
+            # while the other loader tries to get its record in.
+            compacting.set()
+            appended.wait(0.5)
+            rewrite(entries)
+
+        monkeypatch.setattr(snap, "_rewrite_log", stalled_rewrite)
+
+        def loader():
+            assert compacting.wait(10)
+            second = engine.add_facts("edge(d, e, 6).")
+            snap.append_log(second.epoch, second.loaded)
+            appended.set()  # acknowledged
+
+        thread = threading.Thread(target=loader)
+        thread.start()
+        snap.snapshot(epoch, facts)
+        thread.join(10)
+        assert not thread.is_alive() and appended.is_set()
+
+        recovered = Engine.from_text(PROGRAM)
+        Snapshotter(str(tmp_path), sha).recover(recovered.session)
+        for acked in (["c", "d", 5], ["d", "e", 6]):
+            assert Fact.ground("edge", acked) in recovered.session.edb

@@ -211,6 +211,24 @@ def test_manifest_roundtrip_and_quarantine(tmp_path):
     )
 
 
+def test_quarantined_manifests_are_sequence_suffixed_and_kept(tmp_path):
+    # Manifests are quarantined by the serve snapshot helper: a second
+    # damaged file of the same name must not overwrite the first.
+    directory = str(tmp_path)
+    for expected in ("manifest-00000001.json", "manifest-00000001.json.1"):
+        path = write_manifest(directory, "prog1", 1, 1, {0: 1})
+        with open(path, "w") as handle:
+            handle.write('{"schema": "repro-snap/v2", "crc": "0"}')
+        manifest, quarantined = latest_manifest(directory, "prog1")
+        assert manifest is None
+        assert quarantined == [expected]
+    assert sorted(os.listdir(tmp_path / "corrupt")) == [
+        "manifest-00000001.json",
+        "manifest-00000001.json.1",
+    ]
+    assert not os.path.exists(path)
+
+
 def test_manifest_for_other_program_is_hard_error(tmp_path):
     from repro.errors import SnapshotError
 

@@ -200,3 +200,37 @@ def test_meter_clamps_to_propagated_deadline():
 def test_meter_absent_without_budget():
     worker = ShardWorker(make_hello())
     assert worker._meter({"deadline_left": 0.5}) is None
+
+
+def test_real_worker_process_exits_gracefully_and_silently():
+    # A spawned worker shut down by request must leave with status 0
+    # and an empty stderr: its pump thread is still parked in a stdin
+    # read, which interpreter finalisation used to abort on ("Fatal
+    # Python error: _enter_buffered_busy").
+    import subprocess
+    import sys
+
+    import repro
+
+    source_root = os.path.dirname(os.path.dirname(repro.__file__))
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.shard.worker", "--shard", "0"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=source_root),
+    )
+    try:
+        write_frame(process.stdin, make_hello())
+        assert read_frame(process.stdout)["ok"]
+        write_frame(process.stdin, {"op": "healthz", "id": 1})
+        assert read_frame(process.stdout)["status"] == "ok"
+        write_frame(process.stdin, {"op": "shutdown", "id": 2})
+        assert read_frame(process.stdout)["stopping"]
+        __, stderr = process.communicate(timeout=30)
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait()
+    assert process.returncode == 0
+    assert stderr == b""

@@ -93,10 +93,24 @@ def test_widening_iteration_defaults_are_consistent():
 
 
 def test_cli_defers_to_config_defaults():
-    # The CLI flags default to None and fall back to the config
-    # constants inside main(), so there is no literal to drift.
+    # Both parsers take their defaults (and the help text, through
+    # ``%(default)s``) straight from repro.config: no literal to drift.
     from repro.__main__ import build_parser
+    from repro.config import DEFAULT_CACHE_SIZE
+    from repro.serve.cli import build_parser as build_serve_parser
+    from repro.service.cache import FormCache
+    from repro.service.session import Session
 
-    parser = build_parser()
-    assert parser.get_default("max_iterations") is None
-    assert parser.get_default("eval_iterations") is None
+    for parser in (build_parser(), build_serve_parser()):
+        assert (
+            parser.get_default("max_iterations")
+            == DEFAULT_REWRITE_ITERATIONS
+        )
+        assert (
+            parser.get_default("eval_iterations")
+            == DEFAULT_EVAL_ITERATIONS
+        )
+        assert parser.get_default("cache_size") == DEFAULT_CACHE_SIZE
+        assert "default 50)" not in parser.format_help()
+    assert default_of(Session.__init__, "cache_size") == DEFAULT_CACHE_SIZE
+    assert default_of(FormCache.__init__, "capacity") == DEFAULT_CACHE_SIZE
