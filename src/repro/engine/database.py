@@ -36,9 +36,10 @@ class Database:
     def copy(self) -> "Database":
         """An independent copy."""
         clone = Database()
-        for relation in self._relations.values():
-            for fact in relation:
-                clone.insert(fact, stamp=relation.stamp(fact))
+        clone._relations = {
+            pred: relation.copy()
+            for pred, relation in self._relations.items()
+        }
         return clone
 
     # -- modification ------------------------------------------------------

@@ -159,14 +159,7 @@ def evaluate(
     with obs_span("normalize"):
         normalized = normalize_program(program)
     database = edb.copy() if edb is not None else Database()
-    evaluators = [
-        RuleEvaluator(rule, use_ranges=use_range_index)
-        for rule in normalized
-    ]
-    # Pre-create relations for every predicate so lookups are uniform.
-    for rule in normalized:
-        for literal in (rule.head, *rule.body):
-            database.relation(literal.pred, literal.arity)
+    evaluators = _evaluators(normalized, database, use_range_index)
     stats = EvalStats()
     logs: list[IterationLog] = []
     with obs_span(
@@ -182,6 +175,40 @@ def evaluate(
         fixpoint_span.set("reached_fixpoint", reached_fixpoint)
         if tripped is not None:
             fixpoint_span.set("truncated", tripped)
+    return _result(
+        database, normalized, evaluators, stats, logs,
+        reached_fixpoint, tripped,
+    )
+
+
+def _evaluators(
+    normalized: Program, database: Database, use_range_index: bool
+) -> "list[RuleEvaluator]":
+    """One run's evaluators; pre-creates every relation they look up.
+
+    An evaluator is only the run's counters over its rule's plan, which
+    is compiled once per process and shared (``ruleeval._compile``), so
+    a ``resume`` per load or per exchange round rebuilds nothing.
+    """
+    for rule in normalized:
+        for literal in (rule.head, *rule.body):
+            database.relation(literal.pred, literal.arity)
+    return [
+        RuleEvaluator(rule, use_ranges=use_range_index)
+        for rule in normalized
+    ]
+
+
+def _result(
+    database: Database,
+    normalized: Program,
+    evaluators: "list[RuleEvaluator]",
+    stats: EvalStats,
+    logs: list[IterationLog],
+    reached_fixpoint: bool,
+    tripped: str | None,
+) -> EvaluationResult:
+    """Close a run: total the probes and grade completeness."""
     stats.probes = sum(evaluator.probes for evaluator in evaluators)
     obs_count("engine.join_probes", stats.probes)
     obs_count("engine.iterations", stats.iterations)
@@ -351,13 +378,7 @@ def resume(
     meter = budget if budget is not None else governor.current_meter()
     with obs_span("normalize"):
         normalized = normalize_program(program)
-    evaluators = [
-        RuleEvaluator(rule, use_ranges=use_range_index)
-        for rule in normalized
-    ]
-    for rule in normalized:
-        for literal in (rule.head, *rule.body):
-            database.relation(literal.pred, literal.arity)
+    evaluators = _evaluators(normalized, database, use_range_index)
     stats = EvalStats()
     logs: list[IterationLog] = []
     tripped: str | None = None
@@ -390,21 +411,10 @@ def resume(
             fixpoint_span.set("reached_fixpoint", reached_fixpoint)
             if tripped is not None:
                 fixpoint_span.set("truncated", tripped)
-    stats.probes = sum(evaluator.probes for evaluator in evaluators)
-    obs_count("engine.join_probes", stats.probes)
-    obs_count("engine.iterations", stats.iterations)
     obs_count("engine.resumes")
-    if reached_fixpoint:
-        completeness = "complete"
-    else:
-        completeness = f"truncated:{tripped or 'iterations'}"
-    return EvaluationResult(
-        database=database,
-        iterations=logs,
-        reached_fixpoint=reached_fixpoint,
-        stats=stats,
-        program=normalized,
-        completeness=completeness,
+    return _result(
+        database, normalized, evaluators, stats, logs,
+        reached_fixpoint, tripped,
     )
 
 

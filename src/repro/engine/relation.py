@@ -16,6 +16,11 @@ Two indexes accelerate joins:
 
 Facts whose value at the probed position is PENDING are kept in a side
 list since they may cover any probed value or range.
+
+A probe is *sized* before anything is built: a hash bucket by two
+``len`` calls, a range by its two bisect offsets.  Only the smallest
+candidate list is then materialized (one slice copy, because
+derivations land in the relation while a join iterates it).
 """
 
 from __future__ import annotations
@@ -30,10 +35,32 @@ from repro.lang.terms import Sym
 from repro.obs.recorder import count as obs_count
 
 
-class Range:
-    """A (possibly half-open) numeric interval used for index probes."""
+# Sorts after every insertion sequence number: ``(key, _AFTER)`` lands
+# just past the entries of ``key`` and ``(key,)`` just before them.
+_AFTER = float("inf")
 
-    __slots__ = ("lower", "lower_strict", "upper", "upper_strict")
+
+def number_key(value: Fraction) -> "int | Fraction":
+    """A numeric value in its comparison-cheap form.
+
+    Integral values become the plain ``int`` (compared and multiplied
+    in C); ints and Fractions order correctly against each other.  The
+    ordered index is keyed by it.
+    """
+    return value.numerator if value.denominator == 1 else value
+
+
+class Range:
+    """A (possibly half-open) numeric interval used for index probes.
+
+    Immutable once built: the bounds are also kept as
+    :func:`number_key` forms, which is what probes compare against.
+    """
+
+    __slots__ = (
+        "lower", "lower_strict", "upper", "upper_strict",
+        "_lower_key", "_upper_key",
+    )
 
     def __init__(
         self,
@@ -46,19 +73,22 @@ class Range:
         self.lower_strict = lower_strict
         self.upper = upper
         self.upper_strict = upper_strict
+        self._lower_key = None if lower is None else number_key(lower)
+        self._upper_key = None if upper is None else number_key(upper)
 
     def admits(self, value: Fraction) -> bool:
         """Is the value inside the range?"""
-        if self.lower is not None:
-            if value < self.lower:
-                return False
-            if self.lower_strict and value == self.lower:
-                return False
-        if self.upper is not None:
-            if value > self.upper:
-                return False
-            if self.upper_strict and value == self.upper:
-                return False
+        key = number_key(value)
+        lower = self._lower_key
+        if lower is not None and (
+            key <= lower if self.lower_strict else key < lower
+        ):
+            return False
+        upper = self._upper_key
+        if upper is not None and (
+            key >= upper if self.upper_strict else key > upper
+        ):
+            return False
         return True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -83,20 +113,41 @@ class Relation:
         # The fact store: an insertion-ordered dict carrying the stamps.
         self._stamps: dict[Fact, int] = {}
         # Monotonic insertion sequence: the ordered-index tie-breaker.
-        # (A length-based tie-break would collide after remove() and
-        # make bisect compare the unorderable Fact objects.)
+        # (A length-based tie-break would collide after remove().)
         self._seqs: dict[Fact, int] = {}
         self._next_seq = 0
         # _fixed[pos][value] -> facts with that fixed value at pos;
         # _pending[pos] -> facts with PENDING at pos;
-        # _ordered[pos] -> (numeric value, insertion seq, fact), sorted.
+        # _ordered[pos] -> sorted (numeric key, insertion seq) entries,
+        # _ordered_facts[pos] -> the facts of those entries, aligned, so
+        # a range probe is one slice.
         self._fixed: list[dict[Value, list[Fact]]] = [
             {} for _ in range(arity)
         ]
         self._pending: list[list[Fact]] = [[] for _ in range(arity)]
-        self._ordered: list[list[tuple[Fraction, int, Fact]]] = [
+        self._ordered: list[list[tuple["int | Fraction", int]]] = [
             [] for _ in range(arity)
         ]
+        self._ordered_facts: list[list[Fact]] = [
+            [] for _ in range(arity)
+        ]
+
+    def copy(self) -> "Relation":
+        """An independent copy (facts are immutable and are shared)."""
+        clone = Relation(self.pred, self.arity)
+        clone._stamps = dict(self._stamps)
+        clone._seqs = dict(self._seqs)
+        clone._next_seq = self._next_seq
+        clone._fixed = [
+            {value: list(bucket) for value, bucket in index.items()}
+            for index in self._fixed
+        ]
+        clone._pending = [list(facts) for facts in self._pending]
+        clone._ordered = [list(entries) for entries in self._ordered]
+        clone._ordered_facts = [
+            list(facts) for facts in self._ordered_facts
+        ]
+        return clone
 
     # -- inspection ---------------------------------------------------
 
@@ -145,9 +196,11 @@ class Relation:
             else:
                 self._fixed[position].setdefault(value, []).append(fact)
                 if isinstance(value, Fraction):
-                    bisect.insort(
-                        self._ordered[position], (value, seq, fact)
-                    )
+                    entry = (number_key(value), seq)
+                    entries = self._ordered[position]
+                    index = bisect.bisect_left(entries, entry)
+                    entries.insert(index, entry)
+                    self._ordered_facts[position].insert(index, fact)
         return InsertOutcome.NEW
 
     def remove(self, fact: Fact) -> None:
@@ -166,12 +219,13 @@ class Relation:
                 if not bucket:
                     del self._fixed[position][value]
                 if isinstance(value, Fraction):
-                    # (value, seq) is a strict prefix of the stored
-                    # (value, seq, fact) entry, so bisect lands on it
-                    # without ever comparing Fact objects.
-                    ordered = self._ordered[position]
-                    index = bisect.bisect_left(ordered, (value, seq))
-                    ordered.pop(index)
+                    # (key, seq) is unique, so bisect lands on the entry.
+                    entries = self._ordered[position]
+                    index = bisect.bisect_left(
+                        entries, (number_key(value), seq)
+                    )
+                    entries.pop(index)
+                    self._ordered_facts[position].pop(index)
 
     def sweep_subsumed_by(self, fact: Fact) -> list[Fact]:
         """Remove stored facts the given (stored) fact subsumes.
@@ -196,46 +250,55 @@ class Relation:
                 removed.append(candidate)
         return removed
 
+    def _bucket_size(self, position: int, value: Value) -> int:
+        """Facts a hash probe of ``value`` at ``position`` would return."""
+        return len(self._fixed[position].get(value, ())) + len(
+            self._pending[position]
+        )
+
+    def _bucket(self, position: int, value: Value) -> list[Fact]:
+        """A fresh list: the hash bucket, then the PENDING facts."""
+        return (
+            self._fixed[position].get(value, [])
+            + self._pending[position]
+        )
+
     def _candidate_subsumers(self, fact: Fact) -> Iterable[Fact]:
         """Facts that could subsume ``fact`` (index-pruned superset)."""
-        best: Iterable[Fact] | None = None
+        best: int | None = None
         best_size: int | None = None
-        for position in range(self.arity):
-            value = fact.args[position]
+        for position, value in enumerate(fact.args):
             if value is PENDING:
                 continue
-            bucket = self._fixed[position].get(value, [])
-            candidates_size = len(bucket) + len(self._pending[position])
-            if best_size is None or candidates_size < best_size:
-                best_size = candidates_size
-                best = [*bucket, *self._pending[position]]
+            size = self._bucket_size(position, value)
+            if best_size is None or size < best_size:
+                best, best_size = position, size
         if best is None:
             return list(self._stamps)
-        return best
+        return self._bucket(best, fact.args[best])
 
     # -- lookups ----------------------------------------------------------
 
-    def _range_candidates(
-        self, position: int, probe: Range
-    ) -> list[Fact]:
-        """Ordered-index scan of a position for a numeric range."""
-        obs_count("relation.range_scans")
-        ordered = self._ordered[position]
+    def _span(self, position: int, probe: Range) -> tuple[int, int]:
+        """The ``[low, high)`` slice of the ordered index a range admits.
+
+        The offsets already honour strict bounds, so the slice holds
+        exactly the admitted values; an inverted range is empty.
+        """
+        entries = self._ordered[position]
         low = 0
-        high = len(ordered)
-        if probe.lower is not None:
-            low = bisect.bisect_left(ordered, (probe.lower,))
-        if probe.upper is not None:
-            # (value, seq, fact) tuples: a sentinel beyond any seq.
-            high = bisect.bisect_right(
-                ordered, (probe.upper, float("inf"))
+        high = len(entries)
+        key = probe._lower_key
+        if key is not None:
+            low = bisect.bisect_left(
+                entries, (key, _AFTER) if probe.lower_strict else (key,)
             )
-        selected = [
-            fact
-            for value, __, fact in ordered[low:high]
-            if probe.admits(value)
-        ]
-        return selected + self._pending[position]
+        key = probe._upper_key
+        if key is not None:
+            high = bisect.bisect_left(
+                entries, (key,) if probe.upper_strict else (key, _AFTER)
+            )
+        return low, max(low, high)
 
     def matching(
         self,
@@ -252,37 +315,51 @@ class Relation:
         each ranged position holds a value inside the range or PENDING.
         Stamp filters select the semi-naive views.  The probe uses
         whichever single index (hash bucket or ordered range) promises
-        the fewest candidates; remaining conditions filter.
+        the fewest candidates -- the first such on ties, bound positions
+        before ranged ones; remaining conditions filter.
         """
-        candidates: Iterable[Fact] | None = None
+        served: int | None = None  # the position whose index is used
+        span: tuple[int, int] | None = None
         best_size: int | None = None
         if bound:
-            position, value = min(
-                bound.items(),
-                key=lambda item: len(
-                    self._fixed[item[0]].get(item[1], [])
-                )
-                + len(self._pending[item[0]]),
-            )
-            candidates = [
-                *self._fixed[position].get(value, []),
-                *self._pending[position],
-            ]
-            best_size = len(candidates)  # type: ignore[arg-type]
+            for position, value in bound.items():
+                size = self._bucket_size(position, value)
+                if best_size is None or size < best_size:
+                    served, best_size = position, size
         if ranges:
             for position, probe in ranges.items():
                 if bound and position in bound:
                     continue
-                scanned = self._range_candidates(position, probe)
-                if best_size is None or len(scanned) < best_size:
-                    candidates = scanned
-                    best_size = len(scanned)
-        if candidates is None:
-            # Materialized so concurrent inserts (derivations landing
-            # while a join iterates this view) cannot invalidate it.
+                obs_count("relation.range_scans")
+                low, high = self._span(position, probe)
+                size = high - low + len(self._pending[position])
+                if best_size is None or size < best_size:
+                    served, best_size, span = position, size, (low, high)
+        # Materialized so concurrent inserts (derivations landing while
+        # a join iterates this view) cannot invalidate it.  The serving
+        # index guarantees its own condition, so the filter drops it.
+        if served is None:
             candidates = list(self._stamps)
+        elif span is None:
+            candidates = self._bucket(served, bound[served])
+            bound = {
+                position: value
+                for position, value in bound.items()
+                if position != served
+            }
+        else:
+            candidates = (
+                self._ordered_facts[served][span[0]:span[1]]
+                + self._pending[served]
+            )
+            ranges = {
+                position: probe
+                for position, probe in ranges.items()
+                if position != served
+            }
+        stamps = self._stamps
         for fact in candidates:
-            stamp = self._stamps[fact]
+            stamp = stamps[fact]
             if max_stamp is not None and stamp > max_stamp:
                 continue
             if exact_stamp is not None and stamp != exact_stamp:

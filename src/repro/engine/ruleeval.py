@@ -7,29 +7,37 @@ eliminate the non-head variables by exact quantifier elimination.
 
 This module implements that step over a database of (possibly
 constraint) facts.  Symbolic constants are handled by syntactic
-unification; numeric structure goes through the constraint solver.  Two
-optimizations keep the common all-ground case fast:
+unification; numeric structure goes through the constraint solver.
 
-* equalities between already-known constants are checked directly
-  instead of being accumulated as constraint atoms;
-* rule constraint atoms are evaluated as soon as all their variables
-  hold known constants, pruning the join early (this is the very
-  "selection pushing" effect the paper studies, applied at the tuple
-  level inside one rule application).
+Each normalized rule is compiled once into an immutable :class:`_Plan`
+(shared by every evaluator of that rule, in every thread): per body
+literal the argument actions, the static range probes, and the rule's
+constraint atoms sunk to the first literal after which all their
+variables are bound, lowered to integer dot products (this is the very
+"selection pushing" effect the paper studies, applied at the tuple
+level inside one rule application).  While every bound variable holds
+a constant -- every derivation over ground facts -- a candidate is
+joined by slot assignments and integer arithmetic alone.  A candidate
+the plan cannot decide (a PENDING position, a symbol meeting
+arithmetic) is handed, with the bindings so far, to the general
+unify / substitute / project code below, which carries that branch to
+the end.  Per-run state (``probes``, the derivation memo) lives on the
+:class:`RuleEvaluator`, never on the plan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from functools import lru_cache
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from repro.constraints.atom import Atom, Op
 from repro.constraints.conjunction import Conjunction
 from repro.constraints.linexpr import LinearExpr, as_fraction
 from repro.engine.database import Database
 from repro.engine.facts import Fact, PENDING, make_fact
-from repro.engine.relation import Range
+from repro.engine.relation import Range, number_key
 from repro.errors import ReproError
 from repro.governor import budget as governor
 from repro.lang.ast import Literal, Rule
@@ -72,11 +80,244 @@ FactView = Callable[
     Iterable[Fact],
 ]
 """Produces candidate facts for a body literal: (literal, bound
-positions with fixed values, body index, static range probes) -> facts."""
+positions with fixed values, body index, static range probes) -> facts.
+A fixed number may arrive as the equal plain ``int``."""
+
+
+# Argument actions of a compiled body literal.
+_CONST, _TEST, _BIND, _BIND_NUM = range(4)
+
+
+class _Lowered(NamedTuple):
+    """A rule-constraint atom over variable slots.
+
+    Read as the test ``constant + sum(c * env[slot]) op 0`` or, with
+    ``solves`` set, as the definition of that slot: the same sum divided
+    by ``divisor`` (the equality already solved for the slot).
+    """
+
+    terms: tuple[tuple[int, int], ...]  # (coefficient, slot)
+    constant: int
+    op: Op
+    solves: int = -1
+    divisor: int = 1
+
+    def total(self, env: list) -> "int | Fraction":
+        """The sum under the numeric constants in ``env``."""
+        total = self.constant
+        for coeff, slot in self.terms:
+            total += coeff * env[slot]
+        return total
+
+    def holds(self, env: list) -> bool:
+        """The truth of the atom under the numeric constants in ``env``."""
+        if self.op is Op.LE:
+            return self.total(env) <= 0
+        if self.op is Op.LT:
+            return self.total(env) < 0
+        return self.total(env) == 0
+
+
+class _Step(NamedTuple):
+    """One body literal of a rule plan."""
+
+    literal: Literal
+    ranges: "dict[int, Range] | None"  # static range probes; read-only
+    # (position, is_slot, slot or constant), in position order: what the
+    # index probe may fix, given that earlier literals bound constants.
+    bound: tuple[tuple[int, bool, object], ...]
+    # (position, action, slot or constant), in position order.
+    actions: tuple[tuple[int, int, object], ...]
+    checks: tuple[_Lowered, ...]  # atoms decidable after this literal,
+    atoms: tuple[Atom, ...]       # and the same atoms as written
+    names: tuple[tuple[str, int], ...]  # (variable, slot) bound earlier
+
+
+class _Plan(NamedTuple):
+    """The immutable, shareable analysis of one normalized rule."""
+
+    steps: tuple[_Step, ...]
+    slots: int
+    names: tuple[tuple[str, int], ...]  # every body variable
+    deferred: tuple[Atom, ...]  # atoms over variables the body leaves open
+    # The deferred atoms as solve/test operations, when constants for the
+    # body variables decide all of them and the head; None otherwise.
+    finish: "tuple[_Lowered, ...] | None"
+    head: tuple[tuple[bool, object], ...]  # (is_slot, slot or constant)
+
+
+def _static_ranges(rule: Rule, literal: Literal) -> dict[int, Range]:
+    """Range probes derivable from single-variable constraint atoms."""
+    ranges: dict[int, Range] = {}
+    for position, arg in enumerate(literal.args):
+        if not isinstance(arg, Var):
+            continue
+        lower = upper = None
+        lower_strict = upper_strict = False
+        for atom in rule.constraint.atoms:
+            if atom.variables() != {arg.name}:
+                continue
+            coeff = atom.expr.coeff(arg.name)
+            value = as_fraction(-atom.expr.constant) / coeff
+            if atom.op is Op.EQ:
+                lower = upper = value
+                lower_strict = upper_strict = False
+                break
+            strict = atom.op is Op.LT
+            if coeff > 0:  # upper bound
+                if upper is None or value < upper:
+                    upper, upper_strict = value, strict
+            else:  # lower bound
+                if lower is None or value > lower:
+                    lower, lower_strict = value, strict
+        if lower is not None or upper is not None:
+            ranges[position] = Range(
+                lower, lower_strict, upper, upper_strict
+            )
+    return ranges
+
+
+def _constant_of(arg: "Sym | NumTerm") -> "Sym | Fraction":
+    return arg if isinstance(arg, Sym) else arg.value
+
+
+@lru_cache(maxsize=256)
+def _compile(rule: Rule, use_ranges: bool) -> _Plan:
+    """Analyze a normalized rule once; every evaluator of it shares this.
+
+    The memo is bounded (the rules of a few dozen compiled forms): it
+    keeps its rules' interned constraint forms alive, and a miss only
+    costs the analysis every call used to pay.
+    """
+    slots: dict[str, int] = {}
+    arithmetic = rule.constraint.variables()
+
+    def lower(atom: Atom, solves: "str | None" = None) -> _Lowered:
+        terms = atom.expr.sorted_terms()
+        constant = atom.expr.constant
+        if solves is None:
+            return _Lowered(
+                tuple((coeff, slots[name]) for name, coeff in terms),
+                constant, atom.op,
+            )
+        divisor = atom.expr.coeff(solves)
+        sign = -1 if divisor > 0 else 1
+        return _Lowered(
+            tuple(
+                (sign * coeff, slots[name])
+                for name, coeff in terms
+                if name != solves
+            ),
+            sign * constant, atom.op,
+            slots.setdefault(solves, len(slots)), abs(divisor),
+        )
+
+    # Constraint atoms sink to the first literal after which all their
+    # variables are bound (assuming ground bindings; otherwise the
+    # general path keeps the undecided atom for the final conjoin).
+    waiting = list(rule.constraint.atoms)
+    steps = []
+    for literal in rule.body:
+        names = tuple(slots.items())
+        bound = []
+        actions = []
+        for position, arg in enumerate(literal.args):
+            if not isinstance(arg, Var):
+                constant = _constant_of(arg)
+                bound.append((position, False, constant))
+                actions.append((position, _CONST, constant))
+            elif arg.name in slots:
+                slot = slots[arg.name]
+                if (arg.name, slot) in names:
+                    bound.append((position, True, slot))
+                actions.append((position, _TEST, slot))
+            else:
+                slot = slots[arg.name] = len(slots)
+                numeric = arg.name in arithmetic
+                actions.append(
+                    (position, _BIND_NUM if numeric else _BIND, slot)
+                )
+        here = tuple(
+            atom for atom in waiting if atom.variables() <= slots.keys()
+        )
+        waiting = [atom for atom in waiting if atom not in here]
+        steps.append(_Step(
+            literal,
+            (_static_ranges(rule, literal) or None) if use_ranges else None,
+            tuple(bound), tuple(actions),
+            tuple(lower(atom) for atom in here), here, names,
+        ))
+    body_names = tuple(slots.items())
+    deferred = tuple(waiting)
+    # Ground constants for the body solve a deferred equality with one
+    # open variable (``T = T1 + T2 + 30``), which may close others.
+    finish: "list[_Lowered] | None" = []
+    while waiting:
+        for atom in waiting:
+            unknown = atom.variables() - slots.keys()
+            if not unknown:
+                finish.append(lower(atom))
+            elif atom.op is Op.EQ and len(unknown) == 1:
+                finish.append(lower(atom, *unknown))
+            else:
+                continue
+            waiting.remove(atom)
+            break
+        else:
+            finish = None
+            break
+    head = []
+    for arg in rule.head.args:
+        if not isinstance(arg, Var):
+            head.append((False, _constant_of(arg)))
+        elif arg.name in slots:
+            head.append((True, slots[arg.name]))
+        else:
+            finish = None  # an open head position: a constraint fact
+    return _Plan(
+        tuple(steps), len(slots), body_names, deferred,
+        None if finish is None else tuple(finish), tuple(head),
+    )
+
+
+def _advance(step: _Step, args: tuple, env: list) -> bool | None:
+    """Unify one ground candidate and run the checks it completes.
+
+    ``None`` when the plan cannot decide the candidate: a PENDING
+    position, or a symbol where the rule does arithmetic.
+    """
+    for position, action, payload in step.actions:
+        value = args[position]
+        if value is PENDING:
+            return None
+        if action == _BIND:
+            env[payload] = value
+        elif action == _BIND_NUM:
+            if not isinstance(value, Fraction):
+                return None
+            env[payload] = number_key(value)
+        elif value != (env[payload] if action == _TEST else payload):
+            return False
+    for check in step.checks:
+        if not check.holds(env):
+            return False
+    return True
+
+
+def _lift(names: tuple[tuple[str, int], ...], env: list) -> _State:
+    """The general join state equal to the constants bound so far."""
+    state = _State({}, {}, [])
+    for name, slot in names:
+        value = env[slot]
+        if isinstance(value, Sym):
+            state.sym_bind[name] = value
+        else:
+            state.num_bind[name] = LinearExpr.const(value)
+    return state
 
 
 class RuleEvaluator:
-    """Pre-analyzed applier for one normalized rule.
+    """The applier for one normalized rule: a shared plan plus run state.
 
     ``use_ranges`` enables pushing the rule's single-variable constraint
     atoms into index range probes (Section 4.6's "effective indexing"):
@@ -89,34 +330,7 @@ class RuleEvaluator:
             raise ValueError(f"rule is not normalized: {rule}")
         self.rule = rule
         self.probes = 0
-        self._ranges: list[dict[int, Range]] = [
-            self._static_ranges(literal) if use_ranges else {}
-            for literal in rule.body
-        ]
-        self._head_positions = [
-            arg_position(index) for index in range(1, rule.head.arity + 1)
-        ]
-        # Static schedule: constraint atoms checkable after body literal i
-        # (all their variables are bound by literals 0..i, assuming ground
-        # bindings; non-ground cases fall through to the final conjoin).
-        bound_after: list[set[str]] = []
-        seen: set[str] = set()
-        for literal in rule.body:
-            seen |= literal.variables()
-            bound_after.append(set(seen))
-        pending_atoms = list(rule.constraint.atoms)
-        self._checks: list[list[Atom]] = []
-        for bound in bound_after:
-            here = [
-                atom
-                for atom in pending_atoms
-                if atom.variables() <= bound
-            ]
-            pending_atoms = [
-                atom for atom in pending_atoms if atom not in here
-            ]
-            self._checks.append(here)
-        self._deferred_atoms = pending_atoms
+        self._plan = _compile(rule, use_ranges)
         # Derivation memo: the semi-naive delta split re-derives the same
         # (values, constraint) pair from different body-fact combinations
         # in a large share of derivations; the head-side canonicalization
@@ -124,36 +338,6 @@ class RuleEvaluator:
         # identical for all of them, so reuse it.  Keys are cheap to hash
         # because atoms and conjunctions are interned.
         self._fact_memo: dict[tuple, Fact | None] = {}
-
-    def _static_ranges(self, literal: Literal) -> dict[int, Range]:
-        """Range probes derivable from single-variable constraint atoms."""
-        ranges: dict[int, Range] = {}
-        for position, arg in enumerate(literal.args):
-            if not isinstance(arg, Var):
-                continue
-            lower = upper = None
-            lower_strict = upper_strict = False
-            for atom in self.rule.constraint.atoms:
-                if atom.variables() != {arg.name}:
-                    continue
-                coeff = atom.expr.coeff(arg.name)
-                value = as_fraction(-atom.expr.constant) / coeff
-                if atom.op is Op.EQ:
-                    lower = upper = value
-                    lower_strict = upper_strict = False
-                    break
-                strict = atom.op is Op.LT
-                if coeff > 0:  # upper bound
-                    if upper is None or value < upper:
-                        upper, upper_strict = value, strict
-                else:  # lower bound
-                    if lower is None or value > lower:
-                        lower, lower_strict = value, strict
-            if lower is not None or upper is not None:
-                ranges[position] = Range(
-                    lower, lower_strict, upper, upper_strict
-                )
-        return ranges
 
     # -- the join -----------------------------------------------------
 
@@ -167,58 +351,109 @@ class RuleEvaluator:
     ) -> Iterator[tuple[Fact, tuple[Fact, ...]]]:
         """Derivations with the body facts used (for provenance)."""
         obs_count("engine.rule_evals")
-        state = _State({}, {}, [])
-        counter = [0]
-        yield from self._join(0, state, counter, view, ())
+        env: list = [None] * self._plan.slots
+        yield from self._join(0, env, None, [0], view, ())
 
     def _join(
         self,
         index: int,
-        state: _State,
+        env: list,
+        state: _State | None,
         counter: list[int],
         view: FactView,
         parents: tuple[Fact, ...],
     ) -> Iterator[tuple[Fact, tuple[Fact, ...]]]:
-        if index == len(self.rule.body):
-            fact = self._finish(state)
+        """Join the body literals from ``index`` on.
+
+        ``state`` is None while every bound variable holds a constant:
+        ``env[slot]`` then has it (numbers the rule does arithmetic on
+        in their :func:`number_key` form), shared down the recursion,
+        since a literal writes only the slots it binds.  The first
+        candidate the plan cannot decide lifts the constants into a
+        general :class:`_State`, which that branch carries to the end.
+        """
+        steps = self._plan.steps
+        if index == len(steps):
+            fact = (
+                self._finish_ground(env)
+                if state is None
+                else self._finish(state)
+            )
             if fact is not None:
                 yield fact, parents
             return
-        literal = self.rule.body[index]
-        bound = self._bound_positions(literal, state)
-        ranges = self._ranges[index] or None
-        for fact in view(literal, bound, index, ranges):
+        step = steps[index]
+        literal = step.literal
+        if state is None:
+            bound = {
+                position: env[payload] if is_slot else payload
+                for position, is_slot, payload in step.bound
+            }
+        else:
+            bound = self._bound_positions(literal, state)
+        for fact in view(literal, bound, index, step.ranges):
             self.probes += 1
             # Cooperative budget checkpoint: a single rule application
             # over a large relation can run long, so the deadline is
             # polled inside the join loop too (cheap stride check).
             governor.tick("rule")
-            branch = state.copy()
-            if not self._unify(literal, fact, branch, counter):
-                continue
-            if not self._early_checks(index, branch):
+            branch = None
+            if state is not None:
+                branch = state.copy()
+            else:
+                decided = _advance(step, fact.args, env)
+                if decided is None:
+                    branch = _lift(step.names, env)
+                else:
+                    counter[0] += 1
+                    if not decided:
+                        continue
+            if branch is not None and not (
+                self._unify(literal, fact, branch, counter)
+                and self._early_checks(index, branch)
+            ):
                 continue
             yield from self._join(
-                index + 1, branch, counter, view, (*parents, fact)
+                index + 1, env, branch, counter, view, (*parents, fact)
             )
+
+    def _finish_ground(self, env: list) -> Fact | None:
+        """The head fact of an all-constant body, without the solver."""
+        plan = self._plan
+        if plan.finish is None:
+            return self._finish(_lift(plan.names, env))
+        for lowered in plan.finish:
+            if lowered.solves < 0:
+                if not lowered.holds(env):
+                    return None
+                continue
+            value = lowered.total(env)
+            if lowered.divisor != 1:
+                value = number_key(Fraction(value) / lowered.divisor)
+            env[lowered.solves] = value
+        return Fact.ground(
+            self.rule.head.pred,
+            [
+                env[payload] if is_slot else payload
+                for is_slot, payload in plan.head
+            ],
+        )
 
     def _bound_positions(
         self, literal: Literal, state: _State
     ) -> dict[int, Sym | Fraction]:
         bound: dict[int, Sym | Fraction] = {}
         for position, arg in enumerate(literal.args):
-            if isinstance(arg, Sym):
-                bound[position] = arg
-            elif isinstance(arg, NumTerm):
-                bound[position] = arg.value
-            elif isinstance(arg, Var):
-                symbol = state.sym_bind.get(arg.name)
-                if symbol is not None:
-                    bound[position] = symbol
-                    continue
-                constant = state.constant_of(arg.name)
-                if constant is not None:
-                    bound[position] = constant
+            if not isinstance(arg, Var):
+                bound[position] = _constant_of(arg)
+                continue
+            symbol = state.sym_bind.get(arg.name)
+            if symbol is not None:
+                bound[position] = symbol
+                continue
+            constant = state.constant_of(arg.name)
+            if constant is not None:
+                bound[position] = constant
         return bound
 
     def _unify(
@@ -306,7 +541,7 @@ class RuleEvaluator:
 
     def _early_checks(self, index: int, state: _State) -> bool:
         """Evaluate rule constraints whose variables are known constants."""
-        for atom in self._checks[index]:
+        for atom in self._plan.steps[index].atoms:
             substituted = self._substitute_atom(atom, state)
             if substituted is None:
                 return False
@@ -335,7 +570,7 @@ class RuleEvaluator:
     def _finish(self, state: _State) -> Fact | None:
         """Assemble the head fact: substitute, conjoin, project."""
         atoms = list(state.atoms)
-        for atom in self._deferred_atoms:
+        for atom in self._plan.deferred:
             substituted = self._substitute_atom(atom, state)
             if substituted is None:
                 return None
@@ -476,17 +711,13 @@ def database_view(
         relation = database.get(literal.pred)
         if relation is None:
             return ()
-        if exact_stamp_index is None:
+        if exact_stamp_index is None or index < exact_stamp_index:
             return relation.matching(
                 bound, max_stamp=max_stamp, ranges=ranges
             )
         if index == exact_stamp_index:
             return relation.matching(
                 bound, exact_stamp=exact_stamp, ranges=ranges
-            )
-        if index < exact_stamp_index:
-            return relation.matching(
-                bound, max_stamp=max_stamp, ranges=ranges
             )
         return relation.matching(
             bound, max_stamp=old_stamp, ranges=ranges

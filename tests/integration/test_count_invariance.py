@@ -1,0 +1,174 @@
+r"""Count invariance of the engine across index and plan changes.
+
+The paper's currency is derivations and facts computed (Tables 1/2);
+the benchmark's per-layer counts are only comparable across commits if
+an engine optimization leaves them alone.  This pins, for the Example
+1.1/4.3 flights program on a small layered network and for ``P_fib``,
+under ``none``, ``rewrite`` and ``optimal``: the run's
+``stats.derivations / new_facts / iterations / probes``, the number of
+derivations per iteration, and a digest of the full derivation log
+(iteration, rule label, fact, outcome and parent facts, in order) --
+so a rule plan that reorders, drops or duplicates a derivation fails
+here, not only in the conformance differ.
+
+The values are what commit ``1d35e4a`` (before the O(log n) range
+probes and compiled rule plans) produces; regenerate them only for a
+change that is *meant* to alter what the engine derives::
+
+    REPRO_PRINT_COUNTS=1 python -m pytest -s \
+        tests/integration/test_count_invariance.py
+"""
+
+import hashlib
+import os
+
+import pytest
+
+from repro.driver import answer_query
+from repro.engine import Database, evaluate
+from repro.engine.fixpoint import resume
+from repro.lang.parser import parse_program, parse_query
+from repro.workloads.fib import fib_program, fib_query
+from repro.workloads.flights import flight_network, flights_program
+
+
+def _flights():
+    network = flight_network(
+        n_layers=4, width=3, expensive_fraction=0.4, seed=42
+    )
+    query = parse_query(f"?- cheaporshort({network.source}, D, T, C).")
+    return flights_program(), query, network.database, 60
+
+
+def _fib(iterations):
+    return lambda: (fib_program(), fib_query(5), None, iterations)
+
+
+CASES = {
+    "flights": _flights,
+    "fib": _fib(10),
+    "fib-magic": _fib(20),
+}
+
+#: (case, strategy) -> derivations, new_facts, iterations, probes,
+#: answers, derivations per iteration, log digest.
+PINNED = {
+    ('flights', 'none'): (
+        309, 196, 5, 903, 8,
+        [27, 82, 190, 10, 0],
+        '6301e5bd8eb23cca',
+    ),
+    ('flights', 'rewrite'): (
+        174, 68, 5, 470, 8,
+        [28, 70, 62, 14, 0],
+        '0d7a65fa00eb24b1',
+    ),
+    ('flights', 'optimal'): (
+        112, 36, 10, 667, 8,
+        [1, 2, 6, 8, 12, 16, 27, 16, 24, 0],
+        'bf39febdf304217f',
+    ),
+    ('fib', 'none'): (
+        11, 11, 10, 164, 1,
+        [2, 1, 1, 1, 1, 1, 1, 1, 1, 1],
+        '590d31a67941bb6e',
+    ),
+    ('fib', 'rewrite'): (
+        11, 11, 10, 164, 1,
+        [2, 1, 1, 1, 1, 1, 1, 1, 1, 1],
+        '590d31a67941bb6e',
+    ),
+    ('fib-magic', 'optimal'): (
+        46, 27, 20, 825, 1,
+        [1, 1, 3, 2, 1, 1, 2, 1, 1, 2, 6, 2, 2, 5, 1, 2, 5, 1, 2, 5],
+        '8efdfd77b3066421',
+    ),
+}
+
+
+def _observe(case: str, strategy: str) -> tuple:
+    program, query, edb, iterations = CASES[case]()
+    outcome = answer_query(
+        program, query, edb, strategy=strategy,
+        eval_iterations=iterations,
+    )
+    digest = hashlib.sha256()
+    for log in outcome.result.iterations:
+        for derivation in log.derivations:
+            parents = " / ".join(map(str, derivation.parents))
+            digest.update(
+                f"{log.number}|{derivation}|{parents}\n".encode()
+            )
+    stats = outcome.result.stats
+    return (
+        stats.derivations, stats.new_facts, stats.iterations,
+        stats.probes, len(outcome.answers),
+        [len(log.derivations) for log in outcome.result.iterations],
+        digest.hexdigest()[:16],
+    )
+
+
+@pytest.mark.parametrize("case,strategy", sorted(PINNED))
+def test_counts_and_derivation_log_are_pinned(case, strategy):
+    observed = _observe(case, strategy)
+    if os.environ.get("REPRO_PRINT_COUNTS"):
+        print(f"    ({case!r}, {strategy!r}): {observed!r},")
+    assert observed == PINNED[(case, strategy)]
+
+
+FLIGHT_LEGS = """
+singleleg(madison, chicago, 50, 100).
+singleleg(chicago, seattle, 150, 40).
+singleleg(madison, denver, 300, 400).
+"""
+LATE_LEGS = """
+singleleg(denver, seattle, 120, 60).
+singleleg(seattle, portland, 40, 30).
+"""
+REACH = """
+reach(X, Y, C) :- edge(X, Y, C), C <= 8.
+reach(X, Z, C) :- reach(X, Y, C1), edge(Y, Z, C2), C = C1 + C2, C <= 8.
+"""
+
+
+def _facts(text: str):
+    from repro.driver import split_edb
+
+    __, edb = split_edb(parse_program(text))
+    return list(edb.all_facts())
+
+
+def _resumed_equals_cold(program, base, late):
+    """``evaluate(base)`` + ``resume(late)`` vs ``evaluate(base + late)``."""
+    edb = Database()
+    edb.insert_many(base)
+    warm = evaluate(program, edb)
+    resumed = resume(
+        program, warm.database, late, start_stamp=warm.stats.iterations
+    )
+    assert resumed.reached_fixpoint
+    edb.insert_many(late)
+    cold = evaluate(program, edb)
+    assert set(warm.database.all_facts()) == set(cold.database.all_facts())
+    return warm.stats.probes, resumed.stats.probes, cold.stats.probes
+
+
+def test_resume_equals_cold_with_plans_reused_across_programs():
+    """Plans are memoized per rule for the whole process: a ``resume``
+    reuses what ``evaluate`` compiled, and a second program's plans
+    share the memo without disturbing the first's."""
+    flights = flights_program()
+    reach = parse_program(REACH)
+    edges = [
+        fact
+        for fact in Database.from_ground(
+            {"edge": [("a", "b", 3), ("b", "c", 4), ("c", "d", 2)]}
+        ).all_facts()
+    ]
+    legs, late = _facts(FLIGHT_LEGS), _facts(LATE_LEGS)
+    first = _resumed_equals_cold(flights, legs, late)
+    other = _resumed_equals_cold(reach, edges[:2], edges[2:])
+    # Same calls again, every plan now served from the memo: the
+    # per-run probe counts must not have leaked into shared state.
+    assert _resumed_equals_cold(flights, legs, late) == first
+    assert _resumed_equals_cold(reach, edges[:2], edges[2:]) == other

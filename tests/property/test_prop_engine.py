@@ -8,15 +8,23 @@ theorems' statements as executable properties:
   a subset of the facts (Theorems 4.3/4.4);
 * ``Gen_Prop_predicate_constraints`` preserves all derived predicates
   (Theorem 4.6);
-* everything stays ground on range-restricted programs.
+* everything stays ground on range-restricted programs;
+* a compiled rule plan derives exactly what the general join does.
 """
+
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from repro.constraints.atom import Atom
+from repro.constraints.conjunction import Conjunction
+from repro.constraints.linexpr import LinearExpr
 from repro.core.predconstraints import gen_prop_predicate_constraints
 from repro.core.qrp import gen_prop_qrp_constraints
 from repro.engine import Database, evaluate, naive_evaluate
-from repro.lang.parser import parse_program
+from repro.engine.ruleeval import RuleEvaluator, _State, database_view
+from repro.lang.normalize import normalize_rule
+from repro.lang.parser import parse_program, parse_rule
 
 
 bounds = st.integers(min_value=0, max_value=8)
@@ -129,3 +137,63 @@ class TestBackwardSubsumption:
         for pred in ("q", "t"):
             assert set(plain.facts(pred)) == set(swept.facts(pred))
         assert swept.stats.swept == 0
+
+
+# -- rule plans -----------------------------------------------------------
+
+RULES = [
+    "p(X, Z) :- e(X, Y), f(Y, Z), X <= 3.",
+    "p(X, S) :- e(X, Y), f(Y, Z), S = X + Z, S < 6.",
+    "p(H, Y) :- e(X, Y), 2 * H = X + Y.",
+    "p(X) :- e(X, X).",
+    "p(Y) :- e(1, Y), f(Y, a).",
+    "p(X, W) :- e(X, Y), Y > X, f(Y, W), W >= 1.",
+    "p(X, N) :- e(X, Y), f(Z, Y), N = Z - 1, T <= 4.",
+    "p(X, Y, U) :- e(X, Y).",
+]
+
+plan_values = st.sampled_from(
+    [0, 1, 2, 3, 4, Fraction(1, 2), Fraction(5, 2), "a", "b", None]
+)
+plan_rows = st.lists(
+    st.tuples(plan_values, plan_values), min_size=0, max_size=8
+)
+
+
+def _plan_database(e_rows, f_rows):
+    database = Database()
+    for pred, rows in (("e", e_rows), ("f", f_rows)):
+        database.relation(pred, 2)
+        for row in rows:
+            # A PENDING position ranges over [1, 3]: it joins with
+            # some constants, is refuted by others.
+            atoms = []
+            for index, value in enumerate(row, start=1):
+                if value is None:
+                    position = LinearExpr.var(f"${index}")
+                    atoms.append(Atom.ge(position, LinearExpr.const(1)))
+                    atoms.append(Atom.le(position, LinearExpr.const(3)))
+            database.add_constraint_fact(pred, row, Conjunction(atoms))
+    return database
+
+
+class TestRulePlans:
+    """A candidate the compiled plan decides (constants only) must come
+    out exactly as the general unify/substitute/project code would
+    have it: same derivations, same order, same probe count."""
+
+    @given(st.sampled_from(RULES), plan_rows, plan_rows)
+    @settings(max_examples=200, deadline=None)
+    def test_plan_path_equals_general_path(self, text, e_rows, f_rows):
+        rule = normalize_rule(parse_rule(text))
+        view = database_view(_plan_database(e_rows, f_rows))
+        planned = RuleEvaluator(rule)
+        general = RuleEvaluator(rule)
+        fast = list(planned.derive_with_parents(view))
+        # Entering the join with a (vacuous) general state switches the
+        # plan's constant path off for every candidate.
+        slow = list(
+            general._join(0, [], _State({}, {}, []), [0], view, ())
+        )
+        assert fast == slow
+        assert planned.probes == general.probes

@@ -1,14 +1,18 @@
 """Unit tests for databases and query answering."""
 
+from fractions import Fraction
+
 import pytest
 
 from repro.constraints.atom import Atom
 from repro.constraints.conjunction import Conjunction
 from repro.constraints.linexpr import LinearExpr
 from repro.engine import Database, evaluate
-from repro.engine.facts import Fact
+from repro.engine.facts import Fact, make_fact
 from repro.engine.query import answers, has_answer
+from repro.engine.relation import Range
 from repro.lang.parser import parse_program, parse_query
+from repro.lang.terms import Sym
 
 
 def pos(i):
@@ -33,6 +37,43 @@ class TestDatabase:
         clone = db.copy()
         clone.add_ground("e", (2,))
         assert db.count("e") == 1
+
+    def test_mutating_a_copy_leaves_every_index_of_the_original(self):
+        db = Database.from_ground(
+            {"e": [(1, "a"), (1, "b"), (2, "a"), (3, "c")]}
+        )
+        db.add_constraint_fact(
+            "e", [None, "a"],
+            Conjunction([Atom.gt(pos(1), LinearExpr.const(10))]),
+        )
+        original = db.get("e")
+
+        def probe_all(relation):
+            """Every index of the relation, through its public probes."""
+            return (
+                list(relation),
+                [relation.stamp(fact) for fact in relation],
+                [list(relation.matching({0: Fraction(value)}))
+                 for value in (1, 2, 3, 11)],
+                [list(relation.matching({1: Sym(name)})) for name in "abc"],
+                list(relation.matching(ranges={0: Range()})),
+            )
+
+        before = probe_all(original)
+        clone = db.copy()
+        copied = clone.get("e")
+        assert probe_all(copied) == before
+        wide = make_fact("e", [None, "a"])  # subsumes every e(_, a)
+        copied.insert(Fact.ground("e", (2, "b")), stamp=4)
+        copied.remove(Fact.ground("e", (1, "b")))
+        copied.insert(wide, stamp=5)
+        assert len(copied.sweep_subsumed_by(wide)) == 3
+        assert probe_all(copied) != before
+        assert probe_all(original) == before
+        # ... and the other way round.
+        after = probe_all(copied)
+        original.remove(Fact.ground("e", (3, "c")))
+        assert probe_all(copied) == after
 
     def test_arity_conflict(self):
         db = Database.from_ground({"e": [(1,)]})
