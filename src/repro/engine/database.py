@@ -91,6 +91,11 @@ class Database:
         """The relation for a predicate, or None."""
         return self._relations.get(pred)
 
+    def stamp_count(self, pred: str, stamp: int) -> int:
+        """How many facts of the predicate carry the stamp.  O(1)."""
+        relation = self._relations.get(pred)
+        return relation.stamp_count(stamp) if relation is not None else 0
+
     def predicates(self) -> frozenset[str]:
         """The predicate names present."""
         return frozenset(self._relations)

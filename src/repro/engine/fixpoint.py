@@ -5,10 +5,14 @@ all rules in iterations until no new facts are computed (Section 2).
 Facts carry the iteration stamp at which they were derived; semi-naive
 evaluation requires each derivation to use at least one fact from the
 previous iteration's delta, using the standard non-overlapping split
-(earlier literals see the full previous view, the delta literal sees
-exactly the delta, later literals see the pre-delta view), so each
-derivation is attempted exactly once -- which is what makes the
+(literals written earlier see the full previous view, the delta literal
+sees exactly the delta, literals written later see the pre-delta view),
+so each derivation is attempted exactly once -- which is what makes the
 per-iteration derivation logs comparable with the paper's Tables 1/2.
+A delta variant is skipped outright when its delta is empty and is
+otherwise joined from its smallest literal -- the delta, unless a whole
+relation is smaller -- so an iteration costs in proportion to what the
+last one added, not to what the database holds.
 
 Programs in a CQL may not terminate (Example 1.2); the ``max_iterations``
 cap makes that a reported outcome (``reached_fixpoint=False``).
@@ -27,7 +31,7 @@ from repro.engine.ruleeval import RuleEvaluator, database_view
 from repro.engine.stats import EvalStats
 from repro.errors import BudgetExceeded
 from repro.governor import budget as governor
-from repro.lang.ast import Program
+from repro.lang.ast import Program, Rule
 from repro.lang.normalize import normalize_program
 from repro.obs.recorder import count as obs_count, span as obs_span
 
@@ -43,9 +47,9 @@ _OUTCOME_COUNTERS = {
 class Derivation:
     """One successful derivation and what became of the derived fact.
 
-    ``parents`` are the body facts used, in body-literal order --
-    enough to rebuild the derivation trees of Definition 2.2 (see
-    :mod:`repro.core.relevance`).
+    ``parents`` are the body facts used, in written body-literal order
+    (whatever order they were joined in) -- enough to rebuild the
+    derivation trees of Definition 2.2 (see :mod:`repro.core.relevance`).
     """
 
     rule_label: str | None
@@ -226,6 +230,32 @@ def _result(
     )
 
 
+def _variants(
+    database: Database, rule: Rule, stamp: int
+) -> list[tuple[int, int]]:
+    """The semi-naive variants of a rule that have a delta to join.
+
+    One ``(delta, first)`` per body literal whose predicate holds facts
+    stamped ``stamp`` (none for a fact rule, which therefore fires at
+    the first iteration only).  ``first`` is the literal the join starts
+    from, the one with the fewest facts to enumerate: the delta, unless
+    some other literal's whole relation is smaller (a magic predicate
+    guarding a large delta of flights).
+    """
+    sizes = [database.count(literal.pred) for literal in rule.body]
+    variants = []
+    for delta, literal in enumerate(rule.body):
+        size = database.stamp_count(literal.pred, stamp)
+        if size:
+            smaller = [
+                index for index in range(len(sizes)) if sizes[index] < size
+            ]
+            variants.append(
+                (delta, min(smaller, key=sizes.__getitem__, default=delta))
+            )
+    return variants
+
+
 def _run_fixpoint(
     database: Database,
     evaluators: "list[RuleEvaluator]",
@@ -266,28 +296,18 @@ def _run_fixpoint(
                     if strategy == "naive" or (
                         cold_start and iteration == first_iteration
                     ):
-                        views = [
-                            database_view(
-                                database, max_stamp=iteration - 1
-                            )
-                        ]
-                    elif rule.is_fact:
-                        continue  # fact rules fire at the first iteration
+                        variants = [(None, None)]
                     else:
-                        views = [
-                            database_view(
-                                database,
-                                max_stamp=iteration - 1,
-                                exact_stamp_index=index,
-                                exact_stamp=iteration - 1,
-                                old_stamp=iteration - 2,
-                            )
-                            for index in range(len(rule.body))
-                        ]
+                        variants = _variants(database, rule, iteration - 1)
+                        if not variants:
+                            continue
                     with obs_span("rule", label=rule.label or "?"):
-                        for view in views:
+                        for delta, first in variants:
+                            view = database_view(
+                                database, iteration - 1, delta
+                            )
                             for fact, parents in (
-                                evaluator.derive_with_parents(view)
+                                evaluator.derive_with_parents(view, first)
                             ):
                                 outcome = database.insert(
                                     fact, stamp=iteration
@@ -318,8 +338,7 @@ def _run_fixpoint(
                         stats.swept += len(
                             relation.sweep_subsumed_by(fact)
                         )
-                delta = len(log.new_facts())
-                it_span.set("delta", delta)
+                it_span.set("delta", len(log.new_facts()))
                 it_span.set("derivations", len(log.derivations))
         except BudgetExceeded as error:
             # Stop at the checkpoint and keep the partial state:
@@ -378,7 +397,9 @@ def resume(
     meter = budget if budget is not None else governor.current_meter()
     with obs_span("normalize"):
         normalized = normalize_program(program)
-    evaluators = _evaluators(normalized, database, use_range_index)
+    # Built only if the fixpoint runs: a load that adds nothing (all
+    # duplicates or subsumed) costs its inserts and no more.
+    evaluators: list[RuleEvaluator] = []
     stats = EvalStats()
     logs: list[IterationLog] = []
     tripped: str | None = None
@@ -395,6 +416,7 @@ def resume(
         tripped = error.resource
     reached_fixpoint = tripped is None
     if (added or assume_delta) and tripped is None:
+        evaluators = _evaluators(normalized, database, use_range_index)
         with obs_span(
             "fixpoint", strategy="seminaive", rules=len(normalized),
             resumed=True, delta=added,

@@ -17,9 +17,14 @@ Two indexes accelerate joins:
 Facts whose value at the probed position is PENDING are kept in a side
 list since they may cover any probed value or range.
 
-A probe is *sized* before anything is built: a hash bucket by two
-``len`` calls, a range by its two bisect offsets.  Only the smallest
-candidate list is then materialized (one slice copy, because
+The facts are also grouped by stamp, in insertion order, so the
+semi-naive delta (an ``exact_stamp`` probe) is read off its group
+rather than filtered out of the whole relation, and "how large is the
+delta, if there is one" is one dict lookup.
+
+A probe is *sized* before anything is built: a stamp group and a hash
+bucket by ``len`` calls, a range by its two bisect offsets.  Only the
+smallest candidate list is then materialized (one slice copy, because
 derivations land in the relation while a join iterates it).
 """
 
@@ -112,6 +117,9 @@ class Relation:
         self.arity = arity
         # The fact store: an insertion-ordered dict carrying the stamps.
         self._stamps: dict[Fact, int] = {}
+        # _groups[stamp] -> the facts carrying it, in insertion order;
+        # a stamp nothing carries has no entry.
+        self._groups: dict[int, list[Fact]] = {}
         # Monotonic insertion sequence: the ordered-index tie-breaker.
         # (A length-based tie-break would collide after remove().)
         self._seqs: dict[Fact, int] = {}
@@ -136,6 +144,9 @@ class Relation:
         """An independent copy (facts are immutable and are shared)."""
         clone = Relation(self.pred, self.arity)
         clone._stamps = dict(self._stamps)
+        clone._groups = {
+            stamp: list(group) for stamp, group in self._groups.items()
+        }
         clone._seqs = dict(self._seqs)
         clone._next_seq = self._next_seq
         clone._fixed = [
@@ -169,6 +180,10 @@ class Relation:
         """The iteration stamp a fact was inserted at."""
         return self._stamps[fact]
 
+    def stamp_count(self, stamp: int) -> int:
+        """How many stored facts carry the stamp.  O(1)."""
+        return len(self._groups.get(stamp, ()))
+
     # -- modification ---------------------------------------------------
 
     def insert(self, fact: Fact, stamp: int = 0) -> InsertOutcome:
@@ -186,6 +201,7 @@ class Relation:
             if existing.subsumes(fact):
                 return InsertOutcome.SUBSUMED
         self._stamps[fact] = stamp
+        self._groups.setdefault(stamp, []).append(fact)
         seq = self._next_seq
         self._next_seq += 1
         self._seqs[fact] = seq
@@ -207,7 +223,11 @@ class Relation:
         """Remove a stored fact (backward-subsumption support)."""
         if fact not in self._stamps:
             raise KeyError(f"{fact} is not stored")
-        del self._stamps[fact]
+        stamp = self._stamps.pop(fact)
+        group = self._groups[stamp]
+        group.remove(fact)
+        if not group:
+            del self._groups[stamp]
         seq = self._seqs.pop(fact)
         for position in range(self.arity):
             value = fact.args[position]
@@ -314,13 +334,21 @@ class Relation:
         value out; the join's satisfiability check decides that), and
         each ranged position holds a value inside the range or PENDING.
         Stamp filters select the semi-naive views.  The probe uses
-        whichever single index (hash bucket or ordered range) promises
-        the fewest candidates -- the first such on ties, bound positions
-        before ranged ones; remaining conditions filter.
+        whichever single index (stamp group, hash bucket or ordered
+        range) promises the fewest candidates -- the first such on ties,
+        the ``exact_stamp`` group before bound positions before ranged
+        ones; remaining conditions filter.  A result served by the
+        stamp group is in insertion order.
         """
         served: int | None = None  # the position whose index is used
         span: tuple[int, int] | None = None
         best_size: int | None = None
+        group: list[Fact] | None = None
+        if exact_stamp is not None:
+            group = self._groups.get(exact_stamp)
+            if group is None:
+                return  # an empty delta: nothing to size or build
+            best_size = len(group)
         if bound:
             for position, value in bound.items():
                 size = self._bucket_size(position, value)
@@ -339,7 +367,8 @@ class Relation:
         # a join iterates this view) cannot invalidate it.  The serving
         # index guarantees its own condition, so the filter drops it.
         if served is None:
-            candidates = list(self._stamps)
+            candidates = list(self._stamps if group is None else group)
+            exact_stamp = None
         elif span is None:
             candidates = self._bucket(served, bound[served])
             bound = {

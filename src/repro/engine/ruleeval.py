@@ -9,20 +9,25 @@ This module implements that step over a database of (possibly
 constraint) facts.  Symbolic constants are handled by syntactic
 unification; numeric structure goes through the constraint solver.
 
-Each normalized rule is compiled once into an immutable :class:`_Plan`
-(shared by every evaluator of that rule, in every thread): per body
-literal the argument actions, the static range probes, and the rule's
-constraint atoms sunk to the first literal after which all their
-variables are bound, lowered to integer dot products (this is the very
-"selection pushing" effect the paper studies, applied at the tuple
-level inside one rule application).  While every bound variable holds
-a constant -- every derivation over ground facts -- a candidate is
-joined by slot assignments and integer arithmetic alone.  A candidate
-the plan cannot decide (a PENDING position, a symbol meeting
-arithmetic) is handed, with the bindings so far, to the general
-unify / substitute / project code below, which carries that branch to
-the end.  Per-run state (``probes``, the derivation memo) lives on the
-:class:`RuleEvaluator`, never on the plan.
+Each normalized rule is compiled once into a :class:`_Plan` (shared
+by every evaluator of that rule, in every thread): per body literal the
+argument actions, the static range probes, and the rule's constraint
+atoms sunk to the first literal after which all their variables are
+bound, lowered to integer dot products (this is the very "selection
+pushing" effect the paper studies, applied at the tuple level inside
+one rule application).  The literals are joined in written order, or --
+for a semi-naive variant -- from a chosen first literal (its delta, or
+a smaller relation) and then whichever remaining literal has the most
+arguments already bound, so a variant enumerates its derivations from
+the small side; each step keeps its written index, which is what the
+stamp views and the ``parents`` order go by.  While every bound
+variable holds a constant -- every derivation over ground facts -- a
+candidate is joined by slot assignments and integer arithmetic alone.
+A candidate the plan cannot decide (a PENDING position, a symbol
+meeting arithmetic) is handed, with the bindings so far, to the
+general unify / substitute / project code below, which carries that
+branch to the end.  Per-run state (``probes``, the derivation memo)
+lives on the :class:`RuleEvaluator`, never on the plan.
 """
 
 from __future__ import annotations
@@ -80,8 +85,8 @@ FactView = Callable[
     Iterable[Fact],
 ]
 """Produces candidate facts for a body literal: (literal, bound
-positions with fixed values, body index, static range probes) -> facts.
-A fixed number may arrive as the equal plain ``int``."""
+positions with fixed values, written body index, static range probes)
+-> facts.  A fixed number may arrive as the equal plain ``int``."""
 
 
 # Argument actions of a compiled body literal.
@@ -121,6 +126,7 @@ class _Lowered(NamedTuple):
 class _Step(NamedTuple):
     """One body literal of a rule plan."""
 
+    index: int  # the literal's position in the body as written
     literal: Literal
     ranges: "dict[int, Range] | None"  # static range probes; read-only
     # (position, is_slot, slot or constant), in position order: what the
@@ -134,9 +140,16 @@ class _Step(NamedTuple):
 
 
 class _Plan(NamedTuple):
-    """The immutable, shareable analysis of one normalized rule."""
+    """The shareable analysis of one normalized rule.
 
-    steps: tuple[_Step, ...]
+    Immutable but for ``variants``, which only ever gains entries (each
+    a pure function of the rule, so a racing double fill is harmless).
+    """
+
+    # First literal (None: written order) -> the steps in that join
+    # order, compiled the first time a run starts a join there.
+    variants: "dict[int | None, tuple[_Step, ...]]"
+    ranges: "tuple[dict[int, Range] | None, ...]"  # per written literal
     slots: int
     names: tuple[tuple[str, int], ...]  # every body variable
     deferred: tuple[Atom, ...]  # atoms over variables the body leaves open
@@ -181,73 +194,51 @@ def _constant_of(arg: "Sym | NumTerm") -> "Sym | Fraction":
     return arg if isinstance(arg, Sym) else arg.value
 
 
+def _lower(
+    atom: Atom, slots: dict[str, int], solves: "str | None" = None
+) -> _Lowered:
+    terms = atom.expr.sorted_terms()
+    constant = atom.expr.constant
+    if solves is None:
+        return _Lowered(
+            tuple((coeff, slots[name]) for name, coeff in terms),
+            constant, atom.op,
+        )
+    divisor = atom.expr.coeff(solves)
+    sign = -1 if divisor > 0 else 1
+    return _Lowered(
+        tuple(
+            (sign * coeff, slots[name])
+            for name, coeff in terms
+            if name != solves
+        ),
+        sign * constant, atom.op,
+        slots.setdefault(solves, len(slots)), abs(divisor),
+    )
+
+
 @lru_cache(maxsize=256)
 def _compile(rule: Rule, use_ranges: bool) -> _Plan:
     """Analyze a normalized rule once; every evaluator of it shares this.
 
     The memo is bounded (the rules of a few dozen compiled forms): it
     keeps its rules' interned constraint forms alive, and a miss only
-    costs the analysis every call used to pay.
+    costs the analysis every call used to pay.  What depends on the join
+    order (:func:`_steps`) hangs off the same entry.
     """
+    if not rule.is_normalized():
+        raise ValueError(f"rule is not normalized: {rule}")
     slots: dict[str, int] = {}
-    arithmetic = rule.constraint.variables()
-
-    def lower(atom: Atom, solves: "str | None" = None) -> _Lowered:
-        terms = atom.expr.sorted_terms()
-        constant = atom.expr.constant
-        if solves is None:
-            return _Lowered(
-                tuple((coeff, slots[name]) for name, coeff in terms),
-                constant, atom.op,
-            )
-        divisor = atom.expr.coeff(solves)
-        sign = -1 if divisor > 0 else 1
-        return _Lowered(
-            tuple(
-                (sign * coeff, slots[name])
-                for name, coeff in terms
-                if name != solves
-            ),
-            sign * constant, atom.op,
-            slots.setdefault(solves, len(slots)), abs(divisor),
-        )
-
-    # Constraint atoms sink to the first literal after which all their
-    # variables are bound (assuming ground bindings; otherwise the
-    # general path keeps the undecided atom for the final conjoin).
-    waiting = list(rule.constraint.atoms)
-    steps = []
     for literal in rule.body:
-        names = tuple(slots.items())
-        bound = []
-        actions = []
-        for position, arg in enumerate(literal.args):
-            if not isinstance(arg, Var):
-                constant = _constant_of(arg)
-                bound.append((position, False, constant))
-                actions.append((position, _CONST, constant))
-            elif arg.name in slots:
-                slot = slots[arg.name]
-                if (arg.name, slot) in names:
-                    bound.append((position, True, slot))
-                actions.append((position, _TEST, slot))
-            else:
-                slot = slots[arg.name] = len(slots)
-                numeric = arg.name in arithmetic
-                actions.append(
-                    (position, _BIND_NUM if numeric else _BIND, slot)
-                )
-        here = tuple(
-            atom for atom in waiting if atom.variables() <= slots.keys()
-        )
-        waiting = [atom for atom in waiting if atom not in here]
-        steps.append(_Step(
-            literal,
-            (_static_ranges(rule, literal) or None) if use_ranges else None,
-            tuple(bound), tuple(actions),
-            tuple(lower(atom) for atom in here), here, names,
-        ))
+        for arg in literal.args:
+            if isinstance(arg, Var):
+                slots.setdefault(arg.name, len(slots))
     body_names = tuple(slots.items())
+    # Atoms no body literal completes wait for the head.
+    waiting = [
+        atom for atom in rule.constraint.atoms
+        if not (rule.body and atom.variables() <= slots.keys())
+    ]
     deferred = tuple(waiting)
     # Ground constants for the body solve a deferred equality with one
     # open variable (``T = T1 + T2 + 30``), which may close others.
@@ -256,9 +247,9 @@ def _compile(rule: Rule, use_ranges: bool) -> _Plan:
         for atom in waiting:
             unknown = atom.variables() - slots.keys()
             if not unknown:
-                finish.append(lower(atom))
+                finish.append(_lower(atom, slots))
             elif atom.op is Op.EQ and len(unknown) == 1:
-                finish.append(lower(atom, *unknown))
+                finish.append(_lower(atom, slots, *unknown))
             else:
                 continue
             waiting.remove(atom)
@@ -275,9 +266,90 @@ def _compile(rule: Rule, use_ranges: bool) -> _Plan:
         else:
             finish = None  # an open head position: a constraint fact
     return _Plan(
-        tuple(steps), len(slots), body_names, deferred,
+        {},
+        tuple(
+            (_static_ranges(rule, literal) or None) if use_ranges else None
+            for literal in rule.body
+        ),
+        len(slots), body_names, deferred,
         None if finish is None else tuple(finish), tuple(head),
     )
+
+
+def _join_order(rule: Rule, first: "int | None") -> list[int]:
+    """Written body indexes in the order a variant joins them.
+
+    As written when ``first`` is None.  Otherwise that literal and then,
+    repeatedly, the literal with the most arguments already fixed
+    (constants and bound variables; the earliest written on ties).
+    """
+    remaining = list(range(len(rule.body)))
+    if first is None:
+        return remaining
+    remaining.remove(first)
+    order = [first]
+    known = set(rule.body[first].variables())
+
+    def fixed(index: int) -> tuple[int, int]:
+        return sum(
+            not isinstance(arg, Var) or arg.name in known
+            for arg in rule.body[index].args
+        ), -index
+
+    while remaining:
+        chosen = max(remaining, key=fixed)
+        remaining.remove(chosen)
+        order.append(chosen)
+        known |= rule.body[chosen].variables()
+    return order
+
+
+def _steps(
+    rule: Rule, plan: _Plan, first: "int | None"
+) -> tuple[_Step, ...]:
+    """The steps of the rule's join started from ``first``."""
+    slots = dict(plan.names)
+    arithmetic = rule.constraint.variables()
+    # Constraint atoms sink to the first literal after which all their
+    # variables are bound (assuming ground bindings; otherwise the
+    # general path keeps the undecided atom for the final conjoin).
+    waiting = [
+        atom for atom in rule.constraint.atoms
+        if atom not in plan.deferred
+    ]
+    known: dict[str, int] = {}
+    steps = []
+    for index in _join_order(rule, first):
+        literal = rule.body[index]
+        names = tuple(known.items())
+        bound = []
+        actions = []
+        for position, arg in enumerate(literal.args):
+            if not isinstance(arg, Var):
+                constant = _constant_of(arg)
+                bound.append((position, False, constant))
+                actions.append((position, _CONST, constant))
+            elif arg.name in known:
+                slot = known[arg.name]
+                if (arg.name, slot) in names:
+                    bound.append((position, True, slot))
+                actions.append((position, _TEST, slot))
+            else:
+                slot = known[arg.name] = slots[arg.name]
+                numeric = arg.name in arithmetic
+                actions.append(
+                    (position, _BIND_NUM if numeric else _BIND, slot)
+                )
+        here = tuple(
+            atom for atom in waiting if atom.variables() <= known.keys()
+        )
+        waiting = [atom for atom in waiting if atom not in here]
+        steps.append(_Step(
+            index, literal, plan.ranges[index],
+            tuple(bound), tuple(actions),
+            tuple(_lower(atom, slots) for atom in here), here, names,
+        ))
+    return tuple(steps)
 
 
 def _advance(step: _Step, args: tuple, env: list) -> bool | None:
@@ -326,8 +398,6 @@ class RuleEvaluator:
     """
 
     def __init__(self, rule: Rule, use_ranges: bool = True) -> None:
-        if not rule.is_normalized():
-            raise ValueError(f"rule is not normalized: {rule}")
         self.rule = rule
         self.probes = 0
         self._plan = _compile(rule, use_ranges)
@@ -347,42 +417,55 @@ class RuleEvaluator:
             yield fact
 
     def derive_with_parents(
-        self, view: FactView
+        self, view: FactView, first: "int | None" = None
     ) -> Iterator[tuple[Fact, tuple[Fact, ...]]]:
-        """Derivations with the body facts used (for provenance)."""
+        """Derivations with the body facts used, in written body order.
+
+        ``first`` names the body literal to start the join from -- the
+        one the view shows the fewest facts of, a semi-naive delta as a
+        rule.  It only picks the join order: the derivations are those
+        of the written order over the same view.
+        """
         obs_count("engine.rule_evals")
-        env: list = [None] * self._plan.slots
-        yield from self._join(0, env, None, [0], view, ())
+        plan = self._plan
+        steps = plan.variants.get(first)
+        if steps is None:
+            steps = plan.variants[first] = _steps(self.rule, plan, first)
+        yield from self._join(
+            steps, 0, [None] * plan.slots, None, [0], view,
+            [None] * len(steps),
+        )
 
     def _join(
         self,
-        index: int,
+        steps: tuple[_Step, ...],
+        depth: int,
         env: list,
         state: _State | None,
         counter: list[int],
         view: FactView,
-        parents: tuple[Fact, ...],
+        parents: list,
     ) -> Iterator[tuple[Fact, tuple[Fact, ...]]]:
-        """Join the body literals from ``index`` on.
+        """Join the literals of ``steps`` from ``depth`` on.
 
         ``state`` is None while every bound variable holds a constant:
         ``env[slot]`` then has it (numbers the rule does arithmetic on
         in their :func:`number_key` form), shared down the recursion,
-        since a literal writes only the slots it binds.  The first
+        since a literal writes only the slots it binds -- as is
+        ``parents``, one slot per written body index.  The first
         candidate the plan cannot decide lifts the constants into a
         general :class:`_State`, which that branch carries to the end.
         """
-        steps = self._plan.steps
-        if index == len(steps):
+        if depth == len(steps):
             fact = (
                 self._finish_ground(env)
                 if state is None
                 else self._finish(state)
             )
             if fact is not None:
-                yield fact, parents
+                yield fact, tuple(parents)
             return
-        step = steps[index]
+        step = steps[depth]
         literal = step.literal
         if state is None:
             bound = {
@@ -391,7 +474,7 @@ class RuleEvaluator:
             }
         else:
             bound = self._bound_positions(literal, state)
-        for fact in view(literal, bound, index, step.ranges):
+        for fact in view(literal, bound, step.index, step.ranges):
             self.probes += 1
             # Cooperative budget checkpoint: a single rule application
             # over a large relation can run long, so the deadline is
@@ -410,11 +493,12 @@ class RuleEvaluator:
                         continue
             if branch is not None and not (
                 self._unify(literal, fact, branch, counter)
-                and self._early_checks(index, branch)
+                and self._early_checks(step, branch)
             ):
                 continue
+            parents[step.index] = fact
             yield from self._join(
-                index + 1, env, branch, counter, view, (*parents, fact)
+                steps, depth + 1, env, branch, counter, view, parents
             )
 
     def _finish_ground(self, env: list) -> Fact | None:
@@ -539,9 +623,9 @@ class RuleEvaluator:
             state.atoms.extend(renamed.atoms)
         return True
 
-    def _early_checks(self, index: int, state: _State) -> bool:
+    def _early_checks(self, step: _Step, state: _State) -> bool:
         """Evaluate rule constraints whose variables are known constants."""
-        for atom in self._plan.steps[index].atoms:
+        for atom in step.atoms:
             substituted = self._substitute_atom(atom, state)
             if substituted is None:
                 return False
@@ -689,16 +773,15 @@ def _propagate_constants(
 def database_view(
     database: Database,
     max_stamp: int | None = None,
-    exact_stamp_index: int | None = None,
-    exact_stamp: int | None = None,
-    old_stamp: int | None = None,
+    delta: int | None = None,
 ) -> FactView:
     """A fact view over a database with semi-naive stamp filtering.
 
-    With ``exact_stamp_index`` set, the literal at that body index sees
-    only facts stamped ``exact_stamp`` (the delta), literals before it
-    see facts up to ``max_stamp``, and literals after it see facts up to
-    ``old_stamp`` (the pre-delta view).
+    With ``delta`` set, the literal at that written body index sees only
+    the facts stamped ``max_stamp`` (the delta), literals written before
+    it see facts up to ``max_stamp``, and literals written after it see
+    facts below ``max_stamp`` (the pre-delta view) -- whatever order the
+    literals are joined in.
     """
 
     def view(
@@ -711,16 +794,16 @@ def database_view(
         relation = database.get(literal.pred)
         if relation is None:
             return ()
-        if exact_stamp_index is None or index < exact_stamp_index:
+        if delta is None or index < delta:
             return relation.matching(
                 bound, max_stamp=max_stamp, ranges=ranges
             )
-        if index == exact_stamp_index:
+        if index == delta:
             return relation.matching(
-                bound, exact_stamp=exact_stamp, ranges=ranges
+                bound, exact_stamp=max_stamp, ranges=ranges
             )
         return relation.matching(
-            bound, max_stamp=old_stamp, ranges=ranges
+            bound, max_stamp=max_stamp - 1, ranges=ranges
         )
 
     return view

@@ -199,6 +199,7 @@ class Program:
 
     def __init__(self, rules: Iterable[Rule]) -> None:
         self._rules: tuple[Rule, ...] = tuple(rules)
+        self._normalized: bool | None = None  # is_normalized(), once asked
         self._check_arities()
 
     def _check_arities(self) -> None:
@@ -263,7 +264,11 @@ class Program:
 
     def is_normalized(self) -> bool:
         """Are all rules normalized (plain literal args)?"""
-        return all(rule.is_normalized() for rule in self._rules)
+        if self._normalized is None:
+            self._normalized = all(
+                rule.is_normalized() for rule in self._rules
+            )
+        return self._normalized
 
     # -- dependency structure -------------------------------------------
 

@@ -59,7 +59,9 @@ def normalize_rule(rule: Rule, keep_constants: bool = True) -> Rule:
 def normalize_program(
     program: Program, keep_constants: bool = True
 ) -> Program:
-    """Normalize every rule of a program."""
+    """Normalize every rule of a program (itself, if already normal)."""
+    if keep_constants and program.is_normalized():
+        return program
     return Program(
         normalize_rule(rule, keep_constants) for rule in program
     )

@@ -192,8 +192,10 @@ class TestRulePlans:
         fast = list(planned.derive_with_parents(view))
         # Entering the join with a (vacuous) general state switches the
         # plan's constant path off for every candidate.
-        slow = list(
-            general._join(0, [], _State({}, {}, []), [0], view, ())
-        )
+        steps = general._plan.variants[None]  # shared: compiled above
+        slow = list(general._join(
+            steps, 0, [], _State({}, {}, []), [0], view,
+            [None] * len(steps),
+        ))
         assert fast == slow
         assert planned.probes == general.probes

@@ -2,12 +2,14 @@
 
 The model knows nothing of hash buckets, bisect offsets or key forms:
 it filters the stored facts in insertion order.  It does restate the
-*index choice* (smallest candidate list, first on ties, bound positions
-before ranged ones), because the chosen index fixes the order of the
-result -- bucket order is insertion order, range order is by value and
-then insertion -- and the order of a join's candidates is the order of
-its derivations, which the per-iteration logs pin.  So the results are
-compared as lists.
+*index choice* (smallest candidate list, first on ties, the
+``exact_stamp`` group before bound positions before ranged ones),
+because the chosen index fixes the order of the result -- stamp-group
+and bucket order is insertion order, range order is by value and then
+insertion -- and the order of a join's candidates is the order of its
+derivations, which the per-iteration logs pin.  So the results are
+compared as lists.  The stamp groups must survive ``remove`` and be
+independent in a ``copy``.
 
 Relations mix integers, non-integral Fractions, symbols and PENDING
 positions, and are probed after random removals (equal-valued entries
@@ -115,6 +117,11 @@ def brute_force(relation, bound, ranges, max_stamp, exact_stamp):
         return numeric + pending(position)
 
     candidates = None
+    if exact_stamp is not None:
+        # The semi-naive delta: insertion order within the stamp.
+        candidates = [
+            f for f in stored if relation.stamp(f) == exact_stamp
+        ]
     for position, value in bound.items():
         found = bucket(position, value)
         if candidates is None or len(found) < len(candidates):
@@ -183,6 +190,42 @@ class TestMatchingAgainstBruteForce:
                 fact for fact in relation
                 if fact.args[position] is PENDING
             ]
+
+
+class TestStampGroups:
+    @given(relations())
+    @settings(max_examples=100, deadline=None)
+    def test_groups_track_removes_and_copies(self, relation):
+        def by_stamp(target):
+            return {
+                stamp: list(target.matching(exact_stamp=stamp))
+                for stamp in range(5)
+            }
+
+        expected = {
+            stamp: [f for f in relation if relation.stamp(f) == stamp]
+            for stamp in range(5)
+        }
+        assert by_stamp(relation) == expected
+        for stamp, facts in expected.items():
+            assert relation.stamp_count(stamp) == len(facts)
+        clone = relation.copy()
+        assert by_stamp(clone) == expected
+        # Mutating the clone leaves the original's groups alone.
+        removed = clone.facts[::2]
+        for fact in removed:
+            clone.remove(fact)
+        extra = Fact.ground("p", (Sym("fresh"),) * ARITY)
+        clone.insert(extra, stamp=4)
+        assert by_stamp(relation) == expected
+        assert relation.stamp_count(4) == 0
+        assert by_stamp(clone) == {
+            **{
+                stamp: [f for f in facts if f not in removed]
+                for stamp, facts in expected.items()
+            },
+            4: [extra],
+        }
 
 
 class TestEqualValuedEntries:

@@ -5,9 +5,13 @@ lock, and since the rule plans became a per-process memo
 (``engine.ruleeval._compile``) those evaluations share every plan.  A
 plan must therefore carry no per-run state: were ``probes`` or the
 join's variable slots hung on it, two interleaved runs would count
-each other's candidates or read each other's bindings.  Each thread
-here must report exactly the single-threaded run's ``stats`` and
-facts, with the interpreter switching threads as often as it can.
+each other's candidates or read each other's bindings.  The one thing
+a plan does gain after it is built is the steps of a join order,
+filled in by whichever run first starts a join from that literal; the
+memo is emptied before the threads start so that they
+race to compile the plans and to fill those in.  Each thread here must
+report exactly the single-threaded run's ``stats`` and facts, with the
+interpreter switching threads as often as it can.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import threading
 
 from repro.core.rewrite import constraint_rewrite
 from repro.engine import evaluate
-from repro.engine.ruleeval import RuleEvaluator
+from repro.engine.ruleeval import RuleEvaluator, _compile
 from repro.lang.normalize import normalize_program
 from repro.workloads.flights import flight_network, flights_program
 
@@ -48,6 +52,7 @@ def test_threads_sharing_plans_report_the_single_threaded_run():
     # The plans really are shared: one object per rule, process-wide.
     rule = next(iter(normalize_program(program)))
     assert RuleEvaluator(rule)._plan is RuleEvaluator(rule)._plan
+    _compile.cache_clear()
 
     start = threading.Barrier(THREADS)
     observed: list[tuple] = []
