@@ -30,14 +30,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from repro.driver import optimize, split_edb
+from repro.driver import compile_query, grade, split_edb
 from repro.engine import evaluate
 from repro.engine.facts import Fact
-from repro.engine.query import answers as raw_answers
+from repro.engine.query import answers_as
 from repro.errors import ReproError
 from repro.governor import Budget
 from repro.governor import budget as governor
-from repro.lang.ast import Program, Query
+from repro.lang.ast import Program
 from repro.lang.positions import arg_position
 from repro.lang.terms import Sym
 from repro.obs.recorder import count as obs_count, span as obs_span
@@ -258,32 +258,19 @@ def _strategy_run(
     domain: list[Fraction],
     mutate: "Callable[[Program], Program] | None" = None,
 ) -> ConfigRun:
-    """Optimize + evaluate + extract, mirroring the driver core.
+    """The driver's compile, evaluate, grade and read-out, with a seam.
 
-    Reimplemented (rather than calling ``answer_query``) to expose the
-    post-rewrite seam where ``mutate`` injects a deliberate bug, and to
-    classify truncation per config.
+    Not ``answer_query`` itself only because ``mutate`` injects a
+    deliberate bug between compile and evaluate, and a truncated run
+    is classified inconclusive per config.
     """
-    from repro.errors import BudgetExceeded
-
     rules, edb = split_edb(case.program)
     meter = settings.budget().meter()
     with governor.governed(meter):
-        fallbacks: list[str] = []
-        try:
-            optimized, query_pred, __ = optimize(
-                rules,
-                case.query,
-                strategy,
-                settings.max_iterations,
-                fallbacks,
-                on_limit="widen",
-            )
-        except BudgetExceeded as error:
-            # An exhausted optimization is inconclusive, not a bug.
-            return ConfigRun(
-                strategy, None, f"truncated:{error.resource}"
-            )
+        optimized, query_pred, __, fallbacks = compile_query(
+            rules, case.query, strategy, settings.max_iterations,
+            on_limit="widen",
+        )
         if mutate is not None:
             optimized = mutate(optimized)
         result = evaluate(
@@ -292,16 +279,11 @@ def _strategy_run(
             max_iterations=settings.eval_iterations,
             budget=meter,
         )
-        if not result.reached_fixpoint:
-            return ConfigRun(
-                strategy, None, result.completeness
-            )
-        effective = Query(
-            case.query.literal.with_pred(query_pred),
-            case.query.constraint,
-        )
-        with meter.paused():
-            found = raw_answers(result.database, effective)
+        completeness, __ = grade(result.completeness, fallbacks)
+        if completeness.startswith("truncated"):
+            # Inconclusive, not a bug: excluded from the comparison.
+            return ConfigRun(strategy, None, completeness)
+        found = answers_as(result.database, case.query, query_pred)
     return ConfigRun(
         strategy,
         canonical_answers(found, domain),

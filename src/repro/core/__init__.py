@@ -6,6 +6,8 @@
 * :mod:`repro.core.qrp` -- generation of *query-relevant predicate (QRP)
   constraints* from predicate uses (Section 4.2, Theorem 4.2) and their
   propagation by fold/unfold (Section 4.3, Theorems 4.3/4.4).
+* :mod:`repro.core.steps` -- the ``pred`` and ``qrp`` steps every
+  strategy runs, each with its one degradation ladder.
 * :mod:`repro.core.rewrite` -- procedure ``Constraint_rewrite``
   combining the two (Section 4.5, Theorem 4.8).
 * :mod:`repro.core.pipeline` -- transformation sequences mixing the two

@@ -20,7 +20,7 @@ from typing import Callable
 
 from repro.engine.database import Database
 from repro.engine.fixpoint import evaluate
-from repro.engine.query import answers
+from repro.engine.query import answers_as
 from repro.lang.ast import Program, Query
 
 
@@ -52,11 +52,9 @@ def _answers_of(
     result = evaluate(program, edb, max_iterations=max_iterations)
     if not result.reached_fixpoint:
         return None
-    effective = Query(
-        query.literal.with_pred(query_pred), query.constraint
-    )
     return frozenset(
-        str(fact) for fact in answers(result.database, effective)
+        str(fact)
+        for fact in answers_as(result.database, query, query_pred)
     )
 
 

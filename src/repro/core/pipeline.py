@@ -26,18 +26,12 @@ from repro.config import (
     DEFAULT_EVAL_ITERATIONS,
     DEFAULT_REWRITE_ITERATIONS,
 )
-from repro.core.predconstraints import (
-    attach_constraints_to_bodies,
-    gen_prop_predicate_constraints,
-)
-from repro.core.qrp import gen_prop_qrp_constraints
-from repro.core.widening import gen_predicate_constraints_widened
+from repro.core.steps import pred_step, qrp_step
 from repro.engine.database import Database
 from repro.engine.fixpoint import EvaluationResult, evaluate
-from repro.errors import BudgetExceeded, UsageError
-from repro.lang.normalize import normalize_program
+from repro.engine.query import answers_as
+from repro.errors import UsageError
 from repro.governor import budget as governor
-from repro.engine.query import answers
 from repro.lang.ast import Program, Query
 from repro.magic.adorn import AdornedProgram, adorn_program
 from repro.magic.templates import MagicResult, constraint_magic
@@ -45,6 +39,18 @@ from repro.obs.recorder import span as obs_span
 
 
 VALID_STEPS = ("pred", "qrp", "mg")
+
+#: The named strategies and the sequence each one stands for -- the
+#: subsequences of the Theorem 7.10 optimal ordering.  The driver's
+#: ``STRATEGIES`` and the planner's candidates both derive from this.
+STRATEGY_SEQUENCES: dict[str, tuple[str, ...]] = {
+    "none": (),
+    "pred": ("pred",),
+    "qrp": ("qrp",),
+    "rewrite": ("pred", "qrp"),
+    "magic": ("mg",),
+    "optimal": ("pred", "qrp", "mg"),
+}
 
 
 @dataclass
@@ -56,6 +62,9 @@ class PipelineResult:
     sequence: tuple[str, ...]
     adorned: AdornedProgram | None = None
     notes: list[str] = field(default_factory=list)
+    #: The degradation tags of the steps that fell back
+    #: (``"pred:widened"``, ``"qrp:skipped"``, ``"qrp:widened"``).
+    fallbacks: list[str] = field(default_factory=list)
     #: The magic-seed predicate when the sequence applied ``mg``; the
     #: seed rule itself keeps its ``"seed"`` label through relabeling,
     #: so query-generic callers (the service's form cache) can strip it
@@ -82,13 +91,15 @@ def apply_sequence(
     ``adorn`` (default) the program is bf-adorned for the query before
     any step, as Section 7.5 prescribes.
 
-    ``on_budget="widen"`` (default) degrades budget-exhausted steps in
-    place -- an exhausted ``pred`` falls back to interval-hull widening
-    (keeping e.g. the fib ``$2 >= 1`` bound that magic needs to
-    terminate), an exhausted ``qrp`` is skipped -- and records the
-    fallback in ``notes``; ``on_budget="raise"`` propagates the
-    :class:`~repro.errors.BudgetExceeded`.  Deadline exhaustion always
-    propagates.
+    The ``pred`` and ``qrp`` steps are :mod:`repro.core.steps`' and
+    degrade by its ladder: a diverging ``pred`` -- and, under
+    ``on_budget="widen"`` (default), a budget-exhausted one -- falls
+    back to interval-hull widening (keeping e.g. the fib ``$2 >= 1``
+    bound that magic needs to terminate), an exhausted ``qrp`` is
+    skipped; each fallback is recorded in ``fallbacks`` and ``notes``.
+    ``on_budget="raise"`` propagates the
+    :class:`~repro.errors.BudgetExceeded`, as deadline exhaustion
+    always does.
     """
     sequence = tuple(sequence)
     for step in sequence:
@@ -106,72 +117,10 @@ def apply_sequence(
         current = program
         query_pred = query.literal.pred
     notes: list[str] = []
+    fallbacks: list[str] = []
     seed_rule = None
     for step in sequence:
         governor.checkpoint(f"pipeline.{step}")
-        if step in ("pred", "qrp") and seed_rule is not None:
-            # Appendix B creates the magic seed as a runtime *fact*; the
-            # rewriting sequence is query-generic, so post-magic steps
-            # must not specialize the seed (they would otherwise fold
-            # query-constant information into it, which is exactly what
-            # makes Theorem 7.10's optimality claim hold only for
-            # seed-as-fact semantics).
-            current = Program(
-                rule for rule in current if rule != seed_rule
-            )
-        if step == "pred":
-            with obs_span("rewrite.pred") as pred_span:
-                try:
-                    current, __, report = gen_prop_predicate_constraints(
-                        current, max_iterations=max_iterations
-                    )
-                    if not report.converged:
-                        notes.append("pred inference widened")
-                except BudgetExceeded as error:
-                    if on_budget != "widen" or error.resource == "deadline":
-                        raise
-                    # Degrade like divergence: the interval-hull
-                    # widening terminates and typically keeps the
-                    # bounds later steps rely on.
-                    pred_span.set("budget_exhausted", error.resource)
-                    constraints, __ = gen_predicate_constraints_widened(
-                        current
-                    )
-                    current = attach_constraints_to_bodies(
-                        normalize_program(current), constraints
-                    )
-                    notes.append(
-                        f"pred budget exhausted ({error.resource}); "
-                        "widened"
-                    )
-        elif step == "qrp":
-            with obs_span("rewrite.qrp") as qrp_span:
-                try:
-                    result = gen_prop_qrp_constraints(
-                        current, query_pred,
-                        max_iterations=max_iterations,
-                    )
-                except BudgetExceeded as error:
-                    if on_budget != "widen" or error.resource == "deadline":
-                        raise
-                    # Skipping qrp is sound: its trivially-correct
-                    # constraint is *true*, which rewrites nothing.
-                    qrp_span.set("budget_exhausted", error.resource)
-                    notes.append(
-                        f"qrp budget exhausted ({error.resource}); "
-                        "step skipped"
-                    )
-                    result = None
-            if result is not None:
-                current = result.program
-                if not result.report.converged:
-                    notes.append("qrp inference widened")
-                if result.unfoldable_occurrences:
-                    notes.append(
-                        f"unfoldable: {result.unfoldable_occurrences}"
-                    )
-        if step in ("pred", "qrp") and seed_rule is not None:
-            current = current.with_rules([seed_rule])
         if step == "mg":
             if adorned is None:
                 raise UsageError(
@@ -193,6 +142,34 @@ def apply_sequence(
             seed_rule = next(
                 rule for rule in current if rule.label == "seed"
             )
+            continue
+        if seed_rule is not None:
+            # Appendix B creates the magic seed as a runtime *fact*; the
+            # rewriting sequence is query-generic, so post-magic steps
+            # must not specialize the seed (they would otherwise fold
+            # query-constant information into it, which is exactly what
+            # makes Theorem 7.10's optimality claim hold only for
+            # seed-as-fact semantics).
+            current = Program(
+                rule for rule in current if rule != seed_rule
+            )
+        if step == "pred":
+            done = pred_step(
+                current, max_iterations=max_iterations,
+                on_budget=on_budget,
+            )
+        else:
+            done = qrp_step(
+                current, query_pred, max_iterations,
+                on_budget=on_budget,
+            )
+        current = done.program
+        fallbacks.extend(done.fallbacks)
+        notes.extend(done.notes)
+        if done.unfoldable:
+            notes.append(f"unfoldable: {done.unfoldable}")
+        if seed_rule is not None:
+            current = current.with_rules([seed_rule])
     if seed_rule is not None:
         # Relabel everything except the seed fact: its "seed" label is
         # the marker query-generic callers (the service's form cache)
@@ -208,6 +185,7 @@ def apply_sequence(
         sequence=sequence,
         adorned=adorned,
         notes=notes,
+        fallbacks=fallbacks,
         seed_pred=seed_rule.head.pred if seed_rule is not None else None,
     )
 
@@ -251,13 +229,13 @@ def query_answers(
     evaluation: PipelineEvaluation, query: Query
 ) -> set[str]:
     """Answers to the query, name-normalized for cross-program equality."""
-    adorned_query = Query(
-        query.literal.with_pred(evaluation.pipeline.query_pred),
-        query.constraint,
-    )
     return {
         str(fact)
-        for fact in answers(evaluation.result.database, adorned_query)
+        for fact in answers_as(
+            evaluation.result.database,
+            query,
+            evaluation.pipeline.query_pred,
+        )
     }
 
 

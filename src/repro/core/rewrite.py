@@ -11,21 +11,16 @@ When both fixpoints converge, the propagated constraints are the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.config import DEFAULT_REWRITE_ITERATIONS
 from repro.constraints.cset import ConstraintSet
-from repro.core.predconstraints import (
-    InferenceReport,
-    gen_prop_predicate_constraints,
-)
-from repro.errors import BudgetExceeded
-from repro.core.qrp import QRPPropagation, gen_prop_qrp_constraints
+from repro.core.predconstraints import InferenceReport
+from repro.core.steps import pred_step, qrp_step
 from repro.lang.ast import Literal, Program, Query, Rule
 from repro.lang.normalize import normalize_program, normalize_query
 from repro.lang.terms import FreshVars
-from repro.obs.recorder import span as obs_span
 
 
 WRAPPER_PRED = "q1"
@@ -40,6 +35,10 @@ class RewriteResult:
     qrp_constraints: dict[str, ConstraintSet]
     predicate_report: InferenceReport
     qrp_report: InferenceReport
+    #: The degradation steps taken (``"pred:widened"``, ``"qrp:skipped"``,
+    #: ``"qrp:widened"``) and what each says to a human.
+    fallbacks: list[str] = field(default_factory=list)
+    notes: list[str] = field(default_factory=list)
 
     @property
     def converged(self) -> bool:
@@ -49,20 +48,26 @@ class RewriteResult:
         )
 
 
+def _fresh_name(program: Program, name: str) -> str:
+    """``name``, underscored until no predicate of the program has it."""
+    taken = program.predicates()
+    while name in taken:
+        name += "_"
+    return name
+
+
 def wrap_query_predicate(
     program: Program, query_pred: str, wrapper: str = WRAPPER_PRED
 ) -> Program:
     """Add ``q1(X̄) :- q(X̄)`` with ``q1`` fresh (Section 4.5 step one)."""
-    taken = program.predicates()
-    name = wrapper
-    while name in taken:
-        name += "_"
     fresh = FreshVars(frozenset(), prefix="Q")
     args = tuple(
         fresh.next("Q") for _ in range(program.arity(query_pred))
     )
     rule = Rule(
-        Literal(name, args), (Literal(query_pred, args),), label="r0"
+        Literal(_fresh_name(program, wrapper), args),
+        (Literal(query_pred, args),),
+        label="r0",
     )
     return program.with_rules([rule])
 
@@ -84,131 +89,56 @@ def constraint_rewrite(
     run-time counterpart; without it the rewriting is query-independent
     as in the paper's main development).
 
-    ``on_budget`` governs resource-budget exhaustion mid-fixpoint:
-    ``"widen"`` (default) degrades like divergence -- the pred phase
-    falls back to interval-hull widening and an exhausted qrp phase is
-    skipped -- while ``"raise"`` propagates the
+    Both phases are :mod:`repro.core.steps`' and degrade by its ladder;
+    ``fallbacks`` says which rungs were taken.  ``on_budget`` governs
+    resource-budget exhaustion mid-fixpoint: ``"widen"`` (default)
+    degrades like divergence -- the pred phase falls back to
+    interval-hull widening and an exhausted qrp phase is skipped --
+    while ``"raise"`` propagates the
     :class:`~repro.errors.BudgetExceeded`.  Deadline exhaustion always
     propagates (there is no time left to degrade gracefully in).
     """
     program = normalize_program(program)
     if query is None:
         wrapped = wrap_query_predicate(program, query_pred)
-        wrapper = wrapped.rules[-1].head.pred
     else:
         query = normalize_query(query)
         if query.literal.pred != query_pred:
             raise ValueError(
                 f"query is about {query.literal.pred}, not {query_pred}"
             )
-        taken = program.predicates()
-        name = WRAPPER_PRED
-        while name in taken:
-            name += "_"
-        head_args = tuple(
-            arg for arg in query.literal.args
-        )
-        rule = Rule(
-            Literal(name, head_args),
+        wrapped = program.with_rules([Rule(
+            Literal(
+                _fresh_name(program, WRAPPER_PRED), query.literal.args
+            ),
             (query.literal,),
             query.constraint,
             label="r0",
-        )
-        wrapped = program.with_rules([rule])
-        wrapper = name
-    with obs_span("rewrite.pred") as pred_span:
-        try:
-            propagated, pred_constraints, pred_report = (
-                gen_prop_predicate_constraints(
-                    wrapped,
-                    edb_constraints=edb_constraints,
-                    given=given_predicate_constraints,
-                    max_iterations=max_iterations,
-                    on_divergence=on_divergence,
-                )
-            )
-        except BudgetExceeded as error:
-            # A resource budget tripped mid-fixpoint: treat it exactly
-            # like divergence and fall through to the terminating
-            # widening below (which only consumes deadline headroom).
-            if on_budget != "widen" or error.resource == "deadline":
-                raise
-            propagated = wrapped
-            pred_constraints = {}
-            pred_report = InferenceReport(converged=False)
-            pred_span.set("budget_exhausted", error.resource)
-        pred_span.set("iterations", pred_report.iterations)
-        pred_span.set("converged", pred_report.converged)
-    if not pred_report.converged and given_predicate_constraints is None:
-        # The exact fixpoint diverged (e.g. a fib-like predicate whose
-        # minimum constraint is infinite).  Fall back to the terminating
-        # interval-hull widening, which typically retains useful bounds
-        # (for P_fib: $1 >= 0 & $2 >= 1) instead of widening to true.
-        from repro.core.predconstraints import (
-            attach_constraints_to_bodies,
-        )
-        from repro.core.widening import (
-            gen_predicate_constraints_widened,
-        )
-        from repro.lang.normalize import normalize_program as _norm
-
-        widened, widen_report = gen_predicate_constraints_widened(
-            wrapped, edb_constraints=edb_constraints
-        )
-        nontrivial = any(
-            not cset.is_true() and not cset.is_false()
-            for pred, cset in widened.items()
-            if pred in wrapped.derived_predicates()
-        )
-        if widen_report.verified and nontrivial:
-            pred_constraints = dict(widened)
-            propagated = attach_constraints_to_bodies(
-                _norm(wrapped), widened
-            )
-            pred_report.widened_predicates |= (
-                widen_report.widened_predicates
-            )
-    with obs_span("rewrite.qrp") as qrp_span:
-        try:
-            qrp_result: QRPPropagation | None = gen_prop_qrp_constraints(
-                propagated,
-                wrapper,
-                max_iterations=max_iterations,
-                on_divergence=on_divergence,
-            )
-        except BudgetExceeded as error:
-            # Keep the pred-propagated program; skipping qrp is sound
-            # (it only prunes), so the result is still usable.
-            if on_budget != "widen" or error.resource == "deadline":
-                raise
-            qrp_result = None
-            qrp_span.set("budget_exhausted", error.resource)
-        if qrp_result is not None:
-            qrp_span.set("iterations", qrp_result.report.iterations)
-            qrp_span.set("converged", qrp_result.report.converged)
-    if qrp_result is None:
-        qrp_program = propagated
-        qrp_constraints_raw: dict[str, ConstraintSet] = {}
-        qrp_report = InferenceReport(converged=False)
-    else:
-        qrp_program = qrp_result.program
-        qrp_constraints_raw = qrp_result.constraints
-        qrp_report = qrp_result.report
+        )])
+    wrapper = wrapped.rules[-1].head.pred
+    pred = pred_step(
+        wrapped, edb_constraints, given_predicate_constraints,
+        max_iterations, on_divergence, on_budget,
+    )
+    qrp = qrp_step(
+        pred.program, wrapper, max_iterations, on_divergence, on_budget
+    )
     # Delete the wrapper rules; the query predicate is the entry again.
     final = Program(
         rule
-        for rule in qrp_program
+        for rule in qrp.program
         if rule.head.pred != wrapper
     ).restrict_to_reachable([query_pred]).relabeled()
-    qrp_constraints = {
-        pred: cset
-        for pred, cset in qrp_constraints_raw.items()
-        if pred != wrapper
-    }
     return RewriteResult(
         program=final,
-        predicate_constraints=pred_constraints,
-        qrp_constraints=qrp_constraints,
-        predicate_report=pred_report,
-        qrp_report=qrp_report,
+        predicate_constraints=pred.constraints,
+        qrp_constraints={
+            name: cset
+            for name, cset in qrp.constraints.items()
+            if name != wrapper
+        },
+        predicate_report=pred.report,
+        qrp_report=qrp.report,
+        fallbacks=[*pred.fallbacks, *qrp.fallbacks],
+        notes=[*pred.notes, *qrp.notes],
     )

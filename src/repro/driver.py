@@ -5,14 +5,18 @@ plus ground facts plus a query) and a strategy name, and it splits the
 EDB out, applies the chosen transformation pipeline, evaluates
 bottom-up, and returns the answers with full diagnostics.
 
-Strategies (Section 7's vocabulary):
+Strategies are named sequences over Section 7's three steps
+(:data:`repro.core.pipeline.STRATEGY_SEQUENCES`): ``none`` evaluates as
+written, ``pred`` / ``qrp`` run one constraint step, ``rewrite`` is
+``Constraint_rewrite`` (pred then qrp), ``magic`` the bf-adorned
+constraint magic only, ``optimal`` the Theorem 7.10 order pred, qrp, mg.
 
-* ``none``           -- evaluate as written;
-* ``pred``           -- ``Gen_Prop_predicate_constraints`` only;
-* ``qrp``            -- ``Gen_Prop_QRP_constraints`` only;
-* ``rewrite``        -- ``Constraint_rewrite`` (pred then qrp);
-* ``magic``          -- bf-adorned constraint magic only;
-* ``optimal``        -- the Theorem 7.10 order: pred, qrp, mg.
+A request is the same four moves whoever serves it -- ``answer_query``
+here, a :class:`~repro.service.session.Session`, a shard worker and its
+coordinator, the conformance differ -- and each move lives here once:
+:func:`compile_query` (``optimize`` plus the ``optimize:skipped`` rung),
+an evaluation the caller owns (cold, resumed, or in exchange rounds),
+:func:`grade`, and :func:`repro.engine.query.answers_as`.
 
 Every run can be governed by a :class:`repro.governor.Budget`
 (wall-clock deadline, iteration/fact/solver-call caps).  Exhaustion is
@@ -24,16 +28,14 @@ degradation ladder (``docs/robustness.md``):
   exhausted optimization phase is skipped (the program is evaluated as
   written), an exhausted evaluation returns its partial database and
   the outcome is marked ``truncated:<resource>``;
-* ``"widen"``    -- like ``truncate``, but an exhausted (or naturally
-  diverging) exact constraint fixpoint first falls back to the
-  terminating interval-hull widening of :mod:`repro.core.widening`,
-  and the outcome is marked ``approximated``.
+* ``"widen"``    -- like ``truncate``, but a budget-exhausted ``pred``
+  or ``qrp`` step degrades in place first, by the one ladder of
+  :mod:`repro.core.steps`, and the outcome is marked ``approximated``.
 
-Independently of any budget, when the exact predicate-constraint
-fixpoint diverges the driver falls back to the widening rather than
-giving up (the paper's widen-to-*true* is the fallback of last resort
-inside that module); the fallback is recorded in ``fallbacks`` and the
-outcome's ``completeness``.
+Independently of any budget, a ``pred`` fixpoint that diverges falls
+back to the interval-hull widening rather than to *true*, under every
+strategy; the fallback is recorded in ``fallbacks`` and the outcome's
+``completeness``.
 """
 
 from __future__ import annotations
@@ -46,26 +48,21 @@ from repro.config import (
     DEFAULT_EVAL_ITERATIONS,
     DEFAULT_REWRITE_ITERATIONS,
 )
-from repro.core.pipeline import apply_sequence
-from repro.core.predconstraints import (
-    attach_constraints_to_bodies,
-    gen_predicate_constraints,
-)
-from repro.core.qrp import gen_prop_qrp_constraints
+from repro.core.pipeline import STRATEGY_SEQUENCES, apply_sequence
 from repro.core.rewrite import constraint_rewrite
-from repro.core.widening import gen_predicate_constraints_widened
 from repro.engine import Database, EvaluationResult, evaluate
 from repro.engine.facts import Fact
-from repro.engine.query import answers as raw_answers
+from repro.engine.query import answers_as
 from repro.errors import BudgetExceeded, UsageError
 from repro.governor import Budget, BudgetMeter
 from repro.governor import budget as governor
 from repro.lang.ast import Program, Query, Rule
 from repro.lang.parser import parse_program_and_queries
+from repro.lang.terms import NumTerm, Sym
 from repro.obs.recorder import span as obs_span
 
 
-STRATEGIES = ("none", "pred", "qrp", "rewrite", "magic", "optimal")
+STRATEGIES = tuple(STRATEGY_SEQUENCES)
 
 #: The cost-based planner picks one of :data:`STRATEGIES` per query.
 AUTO_STRATEGY = "auto"
@@ -97,8 +94,8 @@ class QueryOutcome:
     skipped optimization -- was taken; answers are still sound), or
     ``"truncated:<resource>"`` (evaluation stopped early; answers are
     sound but possibly missing).  ``fallbacks`` lists the machine-
-    readable degradation steps taken (``"pred:widened"``,
-    ``"optimize:skipped"``, ...); ``budget`` is the governing meter's
+    readable degradation steps taken (``pred:widened``,
+    ``optimize:skipped``, ...); ``budget`` is the governing meter's
     consumption snapshot, when a budget governed the run.
     """
 
@@ -184,8 +181,6 @@ def split_edb(program: Program) -> tuple[Program, Database]:
             values = []
             ground = True
             for arg in rule.head.args:
-                from repro.lang.terms import NumTerm, Sym
-
                 if isinstance(arg, Sym):
                     values.append(arg)
                 elif isinstance(arg, NumTerm) and arg.is_constant():
@@ -198,47 +193,6 @@ def split_edb(program: Program) -> tuple[Program, Database]:
                 continue
         kept.append(rule)
     return Program(kept), edb
-
-
-def _widen_or_raise(error: BudgetExceeded, on_limit: str) -> None:
-    """Re-raise unless the widen policy can absorb this exhaustion."""
-    if on_limit != "widen" or error.resource == "deadline":
-        raise error
-
-
-def _pred_only(
-    program: Program,
-    notes: list[str],
-    fallbacks: list[str],
-    on_limit: str,
-) -> Program:
-    with obs_span("rewrite.pred"):
-        try:
-            constraints, report = gen_predicate_constraints(program)
-        except BudgetExceeded as error:
-            _widen_or_raise(error, on_limit)
-            notes.append(
-                f"predicate-constraint budget exhausted "
-                f"({error.resource}); falling back to widening"
-            )
-            report = None
-        if report is not None and report.converged:
-            return attach_constraints_to_bodies(program, constraints)
-        if report is not None:
-            notes.append(
-                "exact predicate-constraint fixpoint diverged; "
-                "falling back to widening"
-            )
-        fallbacks.append("pred:widened")
-        constraints, widen_report = (
-            gen_predicate_constraints_widened(program)
-        )
-        if widen_report.widened_predicates:
-            notes.append(
-                "widened: "
-                + ", ".join(sorted(widen_report.widened_predicates))
-            )
-        return attach_constraints_to_bodies(program, constraints)
 
 
 def optimize(
@@ -258,77 +212,77 @@ def optimize(
     follows the driver policy vocabulary: ``"widen"`` absorbs budget
     exhaustion inside a step, anything else propagates it.
     """
-    validate_strategy(strategy)
+    sequence = STRATEGY_SEQUENCES[validate_strategy(strategy)]
+    query_pred = query.literal.pred
+    options = {
+        "max_iterations": max_iterations,
+        "on_budget": "widen" if on_limit == "widen" else "raise",
+    }
     with obs_span("optimize", strategy=strategy):
-        return _optimize_steps(
-            program, query, strategy, max_iterations,
-            fallbacks if fallbacks is not None else [], on_limit,
-        )
+        if not sequence:
+            return program, query_pred, []
+        if strategy == "rewrite":
+            # Constraint_rewrite: the two steps under the q1 wrapper.
+            done = constraint_rewrite(program, query_pred, **options)
+        else:
+            done = apply_sequence(
+                program, query, sequence, adorn="mg" in sequence,
+                **options,
+            )
+            query_pred = done.query_pred
+    if fallbacks is not None:
+        fallbacks.extend(done.fallbacks)
+    return done.program, query_pred, list(done.notes)
 
 
-def _optimize_steps(
+def compile_query(
     program: Program,
     query: Query,
     strategy: str,
-    max_iterations: int,
-    fallbacks: list[str],
-    on_limit: str,
-) -> tuple[Program, str, list[str]]:
-    notes: list[str] = []
-    query_pred = query.literal.pred
-    if strategy == "none":
-        return program, query_pred, notes
-    if strategy == "pred":
-        return (
-            _pred_only(program, notes, fallbacks, on_limit),
-            query_pred,
-            notes,
+    max_iterations: int = DEFAULT_REWRITE_ITERATIONS,
+    on_limit: str = "truncate",
+) -> tuple[Program, str, list[str], list[str]]:
+    """The one compile entry: (program, query_pred, notes, fallbacks).
+
+    :func:`optimize`, plus the last rung of the ladder around it: when
+    a budget trips where no step could absorb it (any policy but
+    ``"fail"``), the program is evaluated as written -- sound, because
+    the rewritings only prune -- and the compile is tagged
+    ``optimize:skipped``.
+    """
+    fallbacks: list[str] = []
+    try:
+        optimized, query_pred, notes = optimize(
+            program, query, strategy, max_iterations, fallbacks,
+            on_limit,
         )
-    if strategy == "qrp":
-        with obs_span("rewrite.qrp"):
-            try:
-                outcome = gen_prop_qrp_constraints(
-                    program, query_pred, max_iterations=max_iterations
-                )
-            except BudgetExceeded as error:
-                _widen_or_raise(error, on_limit)
-                # The trivially-correct QRP constraint is *true*, which
-                # rewrites nothing: skipping the step is the widening.
-                notes.append(
-                    f"qrp budget exhausted ({error.resource}); "
-                    "step skipped (QRP constraints widened to true)"
-                )
-                fallbacks.append("qrp:skipped")
-                return program, query_pred, notes
-        if not outcome.report.converged:
-            notes.append("qrp fixpoint diverged; widened to true")
-            fallbacks.append("qrp:widened")
-        return outcome.program, query_pred, notes
-    if strategy == "rewrite":
-        outcome = constraint_rewrite(
-            program,
-            query_pred,
-            max_iterations=max_iterations,
-            on_budget=("widen" if on_limit == "widen" else "raise"),
-        )
-        if not outcome.converged:
-            notes.append("a constraint fixpoint diverged; widened")
-            fallbacks.append("rewrite:widened")
-        return outcome.program, query_pred, notes
-    sequence = ["mg"] if strategy == "magic" else ["pred", "qrp", "mg"]
-    pipeline = apply_sequence(
-        program,
-        query,
-        sequence,
-        max_iterations=max_iterations,
-        on_budget=("widen" if on_limit == "widen" else "raise"),
-    )
-    notes.extend(pipeline.notes)
-    fallbacks.extend(
-        f"pipeline:{note}" for note in pipeline.notes
-        if "widened" in note or "exhausted" in note
-    )
-    return pipeline.program, pipeline.query_pred, notes
+    except BudgetExceeded as error:
+        if on_limit == "fail":
+            raise
+        return program, query.literal.pred, [
+            f"optimization budget exhausted ({error.resource}); "
+            "evaluating the program as written"
+        ], ["optimize:skipped"]
+    return optimized, query_pred, notes, fallbacks
+
+
+def grade(
+    completeness: str,
+    fallbacks: "list[str] | tuple[str, ...]",
+    on_limit: str = "truncate",
+    exhausted: str | None = None,
+) -> tuple[str, bool]:
+    """The one grading of an answer set: (completeness, must fail).
+
+    ``completeness`` is the evaluation's own (``"complete"`` or
+    ``"truncated:<resource>"``; a truncation label wins); a complete
+    evaluation of a degraded compile is ``"approximated"``.  Under
+    ``on_limit="fail"`` a truncation that a budget caused (``exhausted``
+    names the resource) must be reported as a failure, not an answer.
+    """
+    if completeness == "complete":
+        return ("approximated" if fallbacks else "complete"), False
+    return completeness, on_limit == "fail" and exhausted is not None
 
 
 def _resolve_meter(
@@ -385,10 +339,9 @@ def _answer_query_governed(
     on_limit: str,
 ) -> QueryOutcome:
     notes: list[str] = []
-    fallbacks: list[str] = []
     plan = None
     if strategy == AUTO_STRATEGY:
-        plan, strategy = _plan_strategy(program, query, edb, meter)
+        plan, strategy = _plan_strategy(program, query, edb)
         runner_up = (
             f"; next {plan.ranking[1][0]!r}"
             if len(plan.ranking) > 1
@@ -401,64 +354,34 @@ def _answer_query_governed(
     with obs_span(
         "query", pred=query.literal.pred, strategy=strategy
     ):
-        try:
-            optimized, query_pred, opt_notes = optimize(
-                program, query, strategy, max_iterations, fallbacks,
-                on_limit,
-            )
-            notes.extend(opt_notes)
-        except BudgetExceeded as error:
-            if on_limit == "fail":
-                raise
-            # Skipping optimization is sound (the rewritings only
-            # prune); evaluate the program as written.
-            optimized, query_pred = program, query.literal.pred
-            notes.append(
-                f"optimization budget exhausted ({error.resource}); "
-                "evaluating the program as written"
-            )
-            fallbacks.append("optimize:skipped")
+        optimized, query_pred, opt_notes, fallbacks = compile_query(
+            program, query, strategy, max_iterations, on_limit
+        )
+        notes.extend(opt_notes)
         with obs_span("evaluate"):
             result = evaluate(
                 optimized, edb, max_iterations=eval_iterations,
                 budget=meter,
             )
-        if not result.reached_fixpoint:
-            if result.completeness == "truncated:iterations":
-                notes.append(
-                    "evaluation hit the iteration cap without "
-                    "reaching a fixpoint; answers may be incomplete"
-                )
-            else:
-                notes.append(
-                    f"evaluation stopped early "
-                    f"({result.completeness}); answers may be "
-                    "incomplete"
-                )
-            if (
-                on_limit == "fail"
-                and meter is not None
-                and meter.exhausted is not None
-            ):
-                raise BudgetExceeded(
-                    meter.exhausted, phase="evaluate", partial=result
-                )
-        effective_query = Query(
-            query.literal.with_pred(query_pred), query.constraint
+        if result.completeness == "truncated:iterations":
+            notes.append(
+                "evaluation hit the iteration cap without "
+                "reaching a fixpoint; answers may be incomplete"
+            )
+        elif result.truncated:
+            notes.append(
+                f"evaluation stopped early ({result.completeness}); "
+                "answers may be incomplete"
+            )
+        completeness, must_fail = grade(
+            result.completeness, fallbacks, on_limit,
+            meter.exhausted if meter is not None else None,
         )
-        # Answer extraction renders the partial state; it must not be
-        # vetoed by the already-blown budget.
-        with (
-            meter.paused() if meter is not None else _nullcontext()
-        ):
-            with obs_span("answers"):
-                found = raw_answers(result.database, effective_query)
-    if not result.reached_fixpoint:
-        completeness = result.completeness
-    elif fallbacks:
-        completeness = "approximated"
-    else:
-        completeness = "complete"
+        if must_fail:
+            raise BudgetExceeded(
+                meter.exhausted, phase="evaluate", partial=result
+            )
+        found = answers_as(result.database, query, query_pred)
     return QueryOutcome(
         answers=found,
         result=result,
@@ -477,7 +400,6 @@ def _plan_strategy(
     program: Program,
     query: Query,
     edb: Database | None,
-    meter: BudgetMeter | None,
 ):
     """Resolve ``auto``: (plan, concrete strategy) for this query.
 
@@ -487,10 +409,11 @@ def _plan_strategy(
     """
     from repro.planner import collect_stats, plan_query
 
-    with meter.paused() if meter is not None else _nullcontext():
-        with obs_span("planner.auto", pred=query.literal.pred):
-            stats = collect_stats(edb)
-            plan = plan_query(program, query, stats)
+    with governor.paused(), obs_span(
+        "planner.auto", pred=query.literal.pred
+    ):
+        stats = collect_stats(edb)
+        plan = plan_query(program, query, stats)
     return plan, plan.strategy
 
 

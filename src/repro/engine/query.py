@@ -11,8 +11,10 @@ from __future__ import annotations
 from repro.engine.database import Database
 from repro.engine.facts import Fact
 from repro.engine.ruleeval import RuleEvaluator, database_view
+from repro.governor import budget as governor
 from repro.lang.ast import Query
 from repro.lang.normalize import normalize_rule, query_as_rule
+from repro.obs.recorder import span as obs_span
 
 
 ANSWER_PRED = "_answer"
@@ -34,6 +36,22 @@ def answers(database: Database, query: Query) -> list[Fact]:
             seen.add(fact)
             results.append(fact)
     return results
+
+
+def answers_as(
+    database: Database, query: Query, query_pred: str
+) -> list[Fact]:
+    """The query's answers read off a *compiled* program's database.
+
+    A rewriting may rename the query predicate (adornment: ``fib`` ->
+    ``fib_fb``); the query is asked of ``query_pred`` instead.  Read-out
+    renders state that already exists, so it runs with the request's
+    budget meter paused: an already-blown budget must not veto the
+    answers it paid for.
+    """
+    renamed = Query(query.literal.with_pred(query_pred), query.constraint)
+    with governor.paused(), obs_span("answers"):
+        return answers(database, renamed)
 
 
 def has_answer(database: Database, query: Query) -> bool:

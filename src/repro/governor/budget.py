@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields
 from typing import Callable, Iterator
 
@@ -222,6 +222,16 @@ def governed(meter: BudgetMeter | None) -> Iterator[BudgetMeter | None]:
         yield meter
     finally:
         set_meter(previous)
+
+
+def paused():
+    """Suspend the ambient meter's enforcement for a ``with`` block.
+
+    The module-level face of :meth:`BudgetMeter.paused` (no-op when no
+    meter is installed).
+    """
+    meter = current_meter()
+    return meter.paused() if meter is not None else nullcontext()
 
 
 def charge(resource: str, n: int = 1, phase: str | None = None) -> None:

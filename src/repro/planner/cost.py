@@ -40,29 +40,17 @@ selectivities.
 
 from __future__ import annotations
 
-from contextlib import nullcontext as _nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 
 from repro.constraints.atom import Atom
 from repro.constraints.linexpr import LinearExpr
+from repro.core.pipeline import STRATEGY_SEQUENCES
 from repro.governor import budget as governor
 from repro.lang.ast import Literal, Program, Query, Rule
 from repro.lang.terms import NumTerm, Sym, Var
 from repro.obs.recorder import count as obs_count, span as obs_span
 from repro.planner.stats import EdbStats, Restriction
-
-#: Candidate strategies and the pipeline subsequence each one stands
-#: for -- exactly the subsequences of the Theorem 7.10 optimal ordering
-#: that have driver names (``repro.driver.STRATEGIES`` must match).
-STRATEGY_SEQUENCES: dict[str, tuple[str, ...]] = {
-    "none": (),
-    "pred": ("pred",),
-    "qrp": ("qrp",),
-    "rewrite": ("pred", "qrp"),
-    "magic": ("mg",),
-    "optimal": ("pred", "qrp", "mg"),
-}
 
 # -- tunable model constants (calibrated against BENCH_results.json) --
 
@@ -266,13 +254,11 @@ class CostModel:
                 f"unknown strategy {strategy!r}; "
                 f"choose from {tuple(_SHAPES)}"
             )
-        meter = governor.current_meter()
-        with (
-            meter.paused() if meter is not None else _nullcontext()
+        with governor.paused(), obs_span(
+            "planner.estimate", strategy=strategy
         ):
-            with obs_span("planner.estimate", strategy=strategy):
-                obs_count("planner.estimates")
-                return self._estimate(query, _SHAPES[strategy])
+            obs_count("planner.estimates")
+            return self._estimate(query, _SHAPES[strategy])
 
     def estimate_all(self, query: Query) -> dict[str, CostVector]:
         """Estimates for every candidate strategy, in canonical order."""

@@ -52,14 +52,15 @@ from repro.config import (
 from repro.driver import (
     AUTO_STRATEGY,
     ON_LIMIT_POLICIES,
-    optimize,
+    compile_query,
+    grade,
     render_answers,
     split_edb,
     validate_strategy,
 )
-from repro.engine import Database, EvaluationResult, evaluate, resume
+from repro.engine import Database, evaluate, resume
 from repro.engine.facts import Fact
-from repro.engine.query import answers as raw_answers
+from repro.engine.query import answers_as
 from repro.errors import BudgetExceeded, ReproError, UsageError
 from repro.governor import Budget, BudgetMeter
 from repro.governor import budget as governor
@@ -539,33 +540,17 @@ class Session:
             obs_count("service.warm_hits")
             result = None
             database = warm.database
-        truncated = result is not None and result.truncated
-        if (
-            truncated
-            and self._on_limit == "fail"
-            and meter is not None
-            and meter.exhausted is not None
-        ):
+        completeness, must_fail = grade(
+            result.completeness if result is not None else "complete",
+            compiled.fallbacks,
+            self._on_limit,
+            meter.exhausted if meter is not None else None,
+        )
+        if must_fail:
             raise BudgetExceeded(
                 meter.exhausted, phase="evaluate", partial=result
             )
-        effective_query = Query(
-            query.literal.with_pred(compiled.query_pred),
-            query.constraint,
-        )
-        # Answer extraction renders existing state; it must not be
-        # vetoed by an already-blown budget.
-        with (
-            meter.paused() if meter is not None else _nullcontext()
-        ):
-            with obs_span("answers"):
-                found = raw_answers(database, effective_query)
-        if truncated:
-            completeness = result.completeness
-        elif compiled.fallbacks:
-            completeness = "approximated"
-        else:
-            completeness = "complete"
+        found = answers_as(database, query, compiled.query_pred)
         return Response(
             kind="answers",
             query=query,
@@ -585,33 +570,16 @@ class Session:
     ) -> CompiledForm:
         """Run the strategy's rewrite once for this form."""
         obs_count("service.form_compiles")
-        notes: list[str] = []
-        fallbacks: list[str] = []
-        try:
-            with obs_span(
-                "service.compile",
-                form=str(form),
-                strategy=strategy,
-            ):
-                optimized, query_pred, notes = optimize(
-                    self._rules,
-                    query,
-                    strategy,
-                    self._max_iterations,
-                    fallbacks,
-                    self._on_limit,
-                )
-        except BudgetExceeded as error:
-            if self._on_limit == "fail":
-                raise
-            # Skipping optimization is sound (the rewritings only
-            # prune); evaluate the program as written.
-            optimized, query_pred = self._rules, query.literal.pred
-            notes = [
-                f"optimization budget exhausted ({error.resource}); "
-                "evaluating the program as written"
-            ]
-            fallbacks = ["optimize:skipped"]
+        with obs_span(
+            "service.compile", form=str(form), strategy=strategy
+        ):
+            optimized, query_pred, notes, fallbacks = compile_query(
+                self._rules,
+                query,
+                strategy,
+                self._max_iterations,
+                self._on_limit,
+            )
         seed_rule = next(
             (rule for rule in optimized if rule.label == "seed"), None
         )

@@ -50,7 +50,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
 from typing import Iterable, Mapping
 
-from repro.driver import split_edb
+from repro.driver import grade, split_edb
 from repro.engine.facts import Fact
 from repro.errors import ReproError, ShardError, UsageError
 from repro.governor import Budget
@@ -64,21 +64,12 @@ from repro.service.sync import RWLock
 from repro.shard import snapshot as cluster_snapshot
 from repro.shard.exchange import (
     WorkerReplyError,
+    check_replies,
     fact_key,
     run_exchange,
 )
 from repro.shard.partition import build_plan
 from repro.shard.protocol import FrameError, read_frame, write_frame
-
-
-def _checked(replies: Mapping[int, dict]) -> None:
-    for shard, reply in sorted(replies.items()):
-        if not reply.get("ok"):
-            raise WorkerReplyError(
-                shard,
-                reply.get("error_code", "REPRO_INTERNAL"),
-                reply.get("error_message", "shard op failed"),
-            )
 
 
 #: Slack subtracted from the remaining request deadline before it
@@ -627,7 +618,7 @@ class ShardCoordinator:
                 shard: {"op": "recover"}
                 for shard in range(self.shards)
             })
-            _checked(replies)
+            check_replies(replies)
             summaries = {}
             for shard, reply in sorted(replies.items()):
                 self._epochs[shard] = reply.get("epoch", 0)
@@ -879,7 +870,7 @@ class ShardCoordinator:
             shard: {"op": "q_start", "qid": qid, "query": text}
             for shard in participants
         })
-        _checked(starts)
+        check_replies(starts)
         all_warm = all(
             reply.get("warm") for reply in starts.values()
         )
@@ -903,7 +894,7 @@ class ShardCoordinator:
                     }
                     for shard in participants
                 })
-            _checked(gathered)
+            check_replies(gathered)
         except BaseException:
             try:
                 self._scatter({
@@ -929,7 +920,14 @@ class ShardCoordinator:
             })
         except (ShardError, WorkerReplyError):
             pass  # warm state is an optimization, never correctness
-        if truncated is not None and self.on_limit == "fail":
+        first = starts[min(starts)]
+        completeness, must_fail = grade(
+            "complete" if complete else f"truncated:{truncated}",
+            first.get("fallbacks", ()),
+            self.on_limit,
+            truncated,
+        )
+        if must_fail:
             return self._error(
                 query,
                 "REPRO_BUDGET",
@@ -943,13 +941,6 @@ class ShardCoordinator:
             decode_fact(entry)
             for __, entry in sorted(merged.items())
         ]
-        first = starts[min(starts)]
-        if truncated is not None:
-            completeness = f"truncated:{truncated}"
-        elif first.get("fallbacks"):
-            completeness = "approximated"
-        else:
-            completeness = "complete"
         return Response(
             kind="answers",
             query=query,
@@ -1052,7 +1043,7 @@ class ShardCoordinator:
                 shard: {"op": "checkpoint"}
                 for shard in range(self.shards)
             })
-            _checked(replies)
+            check_replies(replies)
             for shard, reply in sorted(replies.items()):
                 self._epochs[shard] = reply.get(
                     "epoch", self._epochs[shard]

@@ -79,7 +79,8 @@ def fact_key(entry: dict) -> str:
     return json.dumps(entry, sort_keys=True, separators=(",", ":"))
 
 
-def _checked(replies: Mapping[int, dict]) -> None:
+def check_replies(replies: Mapping[int, dict]) -> None:
+    """Raise the lowest shard's error reply as :class:`WorkerReplyError`."""
     for shard, reply in sorted(replies.items()):
         if not reply.get("ok"):
             raise WorkerReplyError(
@@ -121,7 +122,7 @@ def run_exchange(
                 }
                 for shard in participants
             })
-        _checked(replies)
+        check_replies(replies)
         rounds = number + 1
         obs_count("shard.rounds")
         fresh: dict[str, tuple[dict, set[int]]] = {}

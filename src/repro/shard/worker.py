@@ -48,11 +48,10 @@ from typing import NoReturn
 from repro import obs
 from repro.driver import split_edb
 from repro.engine import evaluate, resume
-from repro.engine.query import answers as raw_answers
+from repro.engine.query import answers_as
 from repro.errors import ReproError, SnapshotError, UsageError
 from repro.governor import Budget
 from repro.governor import budget as governor
-from repro.lang.ast import Query
 from repro.lang.parser import parse_program, parse_query
 from repro.obs.recorder import count as obs_count
 from repro.serve.snapshot import Snapshotter, decode_fact, encode_fact
@@ -377,15 +376,12 @@ class ShardWorker:
             obs_count("shard.worker_warm_hits")
         else:
             database = state.database
-        meter = state.meter
-        paused = (
-            meter.paused() if meter is not None else self._governed(None)
+        found = answers_as(
+            database,
+            parse_query(frame["query"]),
+            prepared.compiled.query_pred,
         )
-        with paused:
-            found = raw_answers(
-                database,
-                self._effective_query(frame["query"], prepared),
-            )
+        meter = state.meter
         return {
             "ok": True,
             "answers": [encode_fact(fact) for fact in found],
@@ -393,13 +389,6 @@ class ShardWorker:
                 meter.exhausted if meter is not None else None
             ),
         }
-
-    def _effective_query(self, text: str, prepared) -> Query:
-        query = parse_query(text)
-        return Query(
-            query.literal.with_pred(prepared.compiled.query_pred),
-            query.constraint,
-        )
 
     def _op_q_finish(self, frame: dict) -> dict:
         state = self._evals.pop(frame["qid"], None)

@@ -9,9 +9,21 @@ constraint shapes the paper prints.
 
 import pytest
 
+from repro.__main__ import main
+from repro.constraints.cset import ConstraintSet
+from repro.core.widening import gen_predicate_constraints_widened
+from repro.driver import answer_query, run_text
 from repro.engine import evaluate
 from repro.engine.facts import PENDING
-from repro.workloads.fib import fib_magic_program
+from repro.governor import Budget
+from repro.lang.positions import ptol
+from repro.service import Engine
+from repro.workloads.fib import (
+    FIB_PROGRAM_TEXT,
+    fib_magic_program,
+    fib_program,
+    fib_query,
+)
 
 
 @pytest.fixture(scope="module")
@@ -125,3 +137,109 @@ class TestNoAnswerQuery:
             max_iterations=12,
         )
         assert not result.reached_fixpoint
+
+
+class TestTable2ThroughTheOptimalStrategy:
+    """Table 2 with nothing asserted by hand: ``--strategy optimal``.
+
+    ``pred``'s exact fixpoint diverges on P_fib; the step's ladder
+    keeps the interval-hull bounds (``$1 >= 0 & $2 >= 1``) on every
+    path, so the magic program terminates with no budget set.  (At
+    ``df56d71`` ``apply_sequence`` widened to *true* unless a budget
+    tripped: 526 derivations, cut off at the 200-iteration cap.)
+    """
+
+    @staticmethod
+    def _text(value):
+        return f"{FIB_PROGRAM_TEXT}\n?- fib(N, {value}).\n"
+
+    def _run(self, value):
+        (outcome,) = run_text(self._text(value), strategy="optimal")
+        assert outcome.result.reached_fixpoint
+        assert outcome.completeness == "approximated"
+        assert "pred:widened" in outcome.fallbacks
+        assert outcome.budget is None
+        return outcome
+
+    def test_fib_5_terminates_on_the_answer(self):
+        outcome = self._run(5)
+        assert outcome.answer_strings == ["N = 4"]
+        assert outcome.result.stats.iterations <= 20
+        assert outcome.result.stats.derivations < 50
+        # Table 2's shape: nothing computed beyond the answer.
+        computed = {
+            fact.args[0]
+            for pred in ("fib_fb", "fib_bb")
+            for fact in outcome.result.facts(pred)
+        }
+        assert max(computed) == 4
+
+    def test_fib_6_terminates_with_no(self):
+        outcome = self._run(6)
+        assert outcome.answers == []
+        assert outcome.result.stats.iterations <= 20
+
+    def test_a_rewrite_budget_changes_nothing(self):
+        # test_degradation pins that a 1-iteration rewrite budget +
+        # widen terminates; it must be the *same* program and work.
+        free = self._run(5)
+        (tight,) = run_text(
+            self._text(5),
+            strategy="optimal",
+            budget=Budget(max_rewrite_iterations=1),
+            on_limit="widen",
+        )
+        bounds = gen_predicate_constraints_widened(fib_program())[0]
+        assert str(bounds["fib"]) == "($1 >= 0 & $2 >= 1)"
+        for outcome in (free, tight):
+            calls = [
+                (rule, literal)
+                for rule in outcome.program
+                for literal in rule.body
+                if literal.pred in ("fib_fb", "fib_bb")
+            ]
+            assert calls
+            for rule, literal in calls:
+                assert ConstraintSet.of(rule.constraint).implies(
+                    ptol(literal, bounds["fib"])
+                )
+        assert tight.result.stats.derivations == (
+            free.result.stats.derivations
+        )
+        assert tight.result.stats.iterations == (
+            free.result.stats.iterations
+        )
+
+    def test_answer_query_agrees(self):
+        outcome = answer_query(
+            fib_program(), fib_query(5), strategy="optimal"
+        )
+        assert outcome.result.reached_fixpoint
+        assert outcome.answer_strings == ["N = 4"]
+        assert outcome.fallbacks == ["pred:widened"]
+
+    def test_magic_alone_still_diverges(self):
+        # Table 1 is untouched: no pred step, no bound, no fixpoint.
+        (outcome,) = run_text(
+            self._text(5), strategy="magic", eval_iterations=12
+        )
+        assert outcome.completeness == "truncated:iterations"
+        assert outcome.fallbacks == []
+
+    def test_cli(self, tmp_path, capsys):
+        path = tmp_path / "fib.cql"
+        path.write_text(self._text(5))
+        assert main([str(path), "--strategy", "optimal"]) == 0
+        out = capsys.readouterr().out
+        assert "N = 4" in out
+        assert "completeness: approximated" in out
+
+    def test_service_engine(self):
+        engine = Engine.from_text(FIB_PROGRAM_TEXT, strategy="optimal")
+        for value, expected in ((5, ["N = 4"]), (6, [])):
+            response = engine.query(f"?- fib(N, {value}).")
+            assert response.ok
+            assert response.answer_strings == expected
+            assert response.completeness == "approximated"
+            assert any("widened" in note for note in response.notes)
+            assert response.eval_stats.iterations <= 20
