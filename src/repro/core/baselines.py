@@ -13,8 +13,13 @@ propagates nothing into ``p2`` (no explicit constraining literal on
 ``X >= 2`` into ``p1``.  Our semantic procedure derives ``Y <= 4``.
 
 This module implements the *constraint-selection* part of [1] as a
-drop-in alternative to ``gen_qrp_constraints`` so benchmarks can compare
+drop-in alternative to ``gen_qrp_constraints`` so tests can compare
 the two on equal footing (the magic phase is shared).
+
+Nothing under ``src/`` imports it: it ships because it *is* the
+Figure 1 prior-work decomposition ``docs/paper_map.md`` cites, and
+``tests/paper/test_example41.py``, ``tests/paper/test_prior_work.py``
+and ``tests/unit/test_baselines.py`` run the paper's pipeline against it.
 """
 
 from __future__ import annotations

@@ -14,13 +14,13 @@ optimized program (Section 3) would score 1.0 on every EDB whose
 irrelevant facts are constraint-irrelevant; the unoptimized flights
 program scores well below 1.0 on workloads with slow-and-expensive
 legs, and the ``Constraint_rewrite`` output scores (near) 1.0 -- see
-``benchmarks/bench_relevance.py``.
+``tests/paper/test_relevance.py``.
 
 Caveat from the definition itself: relevance quantifies over *all* EDBs
 and query patterns, so a fact irrelevant on one concrete EDB may still
 be constraint-relevant; a measured ratio below 1.0 on a rewritten
 program is therefore not by itself a bug, but ratios should move
-toward 1.0 under the rewriting -- which is exactly what the benches
+toward 1.0 under the rewriting -- which is exactly what the tests
 assert.
 """
 

@@ -21,6 +21,11 @@ constraint our fixpoint reaches, and the canonical diverging instance
 (``p(a).  p(f(X)) :- p(X).``) makes the fixpoint enumerate one new
 disjunct per iteration, never converging -- the concrete phenomenon the
 theorem is about.
+
+Nothing under ``src/`` imports it: it ships because it is the Theorem
+3.1 encoding ``docs/paper_map.md`` cites, exercised by
+``tests/unit/test_undecidable.py`` and (as the diverging input the
+widening must survive) ``tests/unit/test_widening.py``.
 """
 
 from __future__ import annotations

@@ -52,7 +52,8 @@ from repro.lang.terms import NumTerm, Sym, Var
 from repro.obs.recorder import count as obs_count, span as obs_span
 from repro.planner.stats import EdbStats, Restriction
 
-# -- tunable model constants (calibrated against BENCH_results.json) --
+# -- tunable model constants (hand-calibrated; `cold-auto`'s
+#    `planner.choice_regret` in the ruler reads how well they hold) --
 
 #: Scalarization weights; observed costs use the same weights so model
 #: and measurement stay comparable.

@@ -1,4 +1,4 @@
-"""Integration tests: obs counters vs. EvalStats, CLI flags, bench runner.
+"""Integration tests: obs counters vs. EvalStats, CLI flags.
 
 The observability layer double-counts nothing: its ``engine.*`` counters
 must agree exactly with the engine's own :class:`EvalStats` on real
@@ -10,7 +10,6 @@ evaluate -> fixpoint -> per-iteration).
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 from repro import obs
 from repro.driver import run_text
@@ -215,43 +214,3 @@ class TestCli:
         assert completed.returncode == 0
         assert "trace written" not in completed.stderr
 
-
-class TestBenchmarkRunner:
-    def test_writes_schema_valid_results(self, tmp_path):
-        path = tmp_path / "BENCH_results.json"
-        completed = subprocess.run(
-            [
-                sys.executable,
-                str(
-                    Path(__file__).resolve().parents[2]
-                    / "benchmarks"
-                    / "run_benchmarks.py"
-                ),
-                "-o",
-                str(path),
-                "--repeat",
-                "1",
-                "--only",
-                "example41,fib",
-            ],
-            capture_output=True,
-            text=True,
-            timeout=600,
-        )
-        assert completed.returncode == 0, completed.stderr
-        document = json.loads(path.read_text())
-        assert document["schema"] == "repro-bench/v1"
-        names = {
-            (row["name"], row["strategy"])
-            for row in document["results"]
-        }
-        assert ("example41", "none") in names
-        assert ("fib", "magic") in names
-        for row in document["results"]:
-            assert row["seconds"] > 0
-            # Solver counters are absent when interning and constant
-            # propagation resolve a workload without real solver work
-            # (fib, example41); engine counters always flow through.
-            assert "engine.derivations" in row["counters"]
-            assert row["stats"]["derivations"] > 0
-            assert "fixpoint" in row["phase_seconds"]

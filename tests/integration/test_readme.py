@@ -1,4 +1,12 @@
-"""The README's quickstart snippet must actually run as printed."""
+"""The README's snippets must run as printed; what the docs cite must exist."""
+
+import functools
+import glob
+import pkgutil
+import re
+from pathlib import Path
+
+import pytest
 
 from repro import (
     Database,
@@ -72,3 +80,78 @@ def test_readme_service_snippet():
     onward = engine.query("?- cheaporshort(madison, portland, T, C).")
     assert onward.resumed
     assert onward.answer_strings == ["C = 145, T = 320"]
+
+
+# -- every path, symbol and flag the docs cite must exist ------------------
+
+ROOT = Path(__file__).resolve().parents[2]
+#: benchmarks/perf/README.md is frozen with the ruler; CHANGES.md and
+#: ROADMAP.md are history.
+DOCUMENTS = sorted(
+    [ROOT / "README.md", ROOT / "EXPERIMENTS.md", ROOT / "DESIGN.md"]
+    + list((ROOT / "docs").glob("*.md"))
+)
+CITED_PATH = re.compile(
+    r"(?<![\w/.-])("
+    r"(?:src|tests|benchmarks|docs|examples)/[\w./*-]*"
+    r"|[A-Z][A-Za-z_]*\.(?:md|jsonl?)"
+    r"|pyproject\.toml|setup\.py"
+    r")"
+)
+#: ``tests/x.py::TestY::test_z`` -- each name must be defined in the file.
+CITED_NODE = re.compile(r"((?:tests|benchmarks)/[\w./-]+\.py)((?:::\w+)+)")
+CITED_SYMBOL = re.compile(r"(?<![\w/.-])repro(?:\.[A-Za-z_]\w*)+")
+CITED_FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]+")
+FLAG_LITERAL = re.compile(r"\"(--[a-z][a-z0-9-]+)\"")
+#: Cited flags of tools that are not this repository's (pip).
+FOREIGN_FLAGS = {"--no-build-isolation"}
+
+
+def _resolves(dotted: str) -> bool:
+    try:
+        pkgutil.resolve_name(dotted)
+    except (ImportError, AttributeError):
+        return False
+    return True
+
+
+@functools.cache
+def _known_flags() -> frozenset[str]:
+    """Every ``"--flag"`` literal in the repository's own programs."""
+    return frozenset(FOREIGN_FLAGS).union(*(
+        FLAG_LITERAL.findall(source.read_text())
+        for folder in ("src", "benchmarks")
+        for source in (ROOT / folder).rglob("*.py")
+    ))
+
+
+def _defines(path: str, names: str) -> bool:
+    """Does ``path`` define every name of a ``::A::b`` test id?"""
+    source = (ROOT / path).read_text()
+    return all(
+        re.search(rf"(?:class|def) {name}\b", source)
+        for name in names.split("::")[1:]
+    )
+
+
+@pytest.mark.parametrize(
+    "document", DOCUMENTS, ids=lambda path: str(path.relative_to(ROOT))
+)
+def test_cited_paths_symbols_and_flags_exist(document):
+    text = document.read_text()
+    missing = sorted(
+        {
+            path for path in CITED_PATH.findall(text)
+            if not glob.glob(str(ROOT / path.rstrip(".")))
+        }
+        | {
+            path + names for path, names in CITED_NODE.findall(text)
+            if (ROOT / path).exists() and not _defines(path, names)
+        }
+        | {
+            symbol for symbol in CITED_SYMBOL.findall(text)
+            if not _resolves(symbol)
+        }
+        | set(CITED_FLAG.findall(text)) - _known_flags()
+    )
+    assert not missing, f"{document.name} cites {missing}"

@@ -9,7 +9,7 @@ Three ways to propagate flight's 2-disjunct QRP constraint:
   original, but no pruning beyond the predicate constraint
   ($3 > 0 & $4 > 0) -- irrelevant facts come back.
 
-The trade-off triple (facts, derivations, rules) is regenerated here.
+The facts/derivations sides of the trade-off are asserted here.
 """
 
 import pytest
@@ -23,8 +23,6 @@ from repro.core.qrp import gen_prop_qrp_constraints, gen_qrp_constraints
 from repro.core.rewrite import wrap_query_predicate
 from repro.engine import evaluate
 from repro.workloads.flights import flight_network, flights_program
-
-from benchmarks.conftest import record_rows
 
 
 @pytest.fixture(scope="module")
@@ -54,42 +52,24 @@ def variants():
     }
 
 
-def test_disjunct_representation_tradeoff(benchmark, variants):
+def test_disjunct_representation_tradeoff(variants):
     network = flight_network(
         n_layers=4, width=3, expensive_fraction=0.4, seed=13
     )
-
-    def run():
-        return {
-            name: evaluate(program, network.database, max_iterations=60)
-            for name, program in variants.items()
-        }
-
-    results = benchmark(run)
-    rows = []
-    for name, result in results.items():
-        rows.append(
-            {
-                "variant": name,
-                "rules": len(variants[name]),
-                "flight_facts": result.count("flight"),
-                "derivations": result.stats.derivations,
-                "duplicates": result.stats.duplicates,
-            }
-        )
-    record_rows(benchmark, rows)
-    by_name = {row["variant"]: row for row in rows}
+    results = {
+        name: evaluate(program, network.database, max_iterations=60)
+        for name, program in variants.items()
+    }
     # Section 4.6's predictions:
     # (1) disjoint never exceeds overlapping in derivations;
     assert (
-        by_name["disjoint"]["derivations"]
-        <= by_name["overlapping"]["derivations"]
+        results["disjoint"].stats.derivations
+        <= results["overlapping"].stats.derivations
     )
     # (2) single hull computes at least as many facts (it prunes less);
-    assert (
-        by_name["single_hull"]["flight_facts"]
-        >= by_name["overlapping"]["flight_facts"]
-    )
+    assert results["single_hull"].count("flight") >= results[
+        "overlapping"
+    ].count("flight")
     # (3) all variants agree on the optimized fact subset relation:
     #     overlapping and disjoint compute the same flight facts.
     overlapping = set(results["overlapping"].facts("flight"))
@@ -97,18 +77,14 @@ def test_disjunct_representation_tradeoff(benchmark, variants):
     assert overlapping == disjoint
 
 
-def test_answers_identical_across_variants(benchmark, variants):
+def test_answers_identical_across_variants(variants):
     network = flight_network(
         n_layers=3, width=3, expensive_fraction=0.3, seed=17
     )
-
-    def run():
-        return {
-            name: evaluate(program, network.database, max_iterations=60)
-            for name, program in variants.items()
-        }
-
-    results = benchmark(run)
+    results = {
+        name: evaluate(program, network.database, max_iterations=60)
+        for name, program in variants.items()
+    }
     answer_sets = {
         name: frozenset(result.facts("cheaporshort"))
         for name, result in results.items()

@@ -11,10 +11,8 @@ from repro.core.pipeline import apply_sequence, evaluate_pipeline
 from repro.engine import Database
 from repro.lang.parser import parse_query
 
-from benchmarks.conftest import record_rows
 
-
-def test_constraint_magic_vs_plain(benchmark, example_72_program):
+def test_constraint_magic_vs_plain(example_72_program):
     query = parse_query("?- q(7, Y).")
     edb = Database.from_ground(
         {
@@ -22,36 +20,22 @@ def test_constraint_magic_vs_plain(benchmark, example_72_program):
             "b2": [(100 + i, 101 + i) for i in range(12)] + [(0, 1)],
         }
     )
-
-    def run():
-        with_constraints = evaluate_pipeline(
-            apply_sequence(
-                example_72_program, query, ["mg"],
-                include_constraints=True,
-            ),
-            edb,
-            query,
-        )
-        without = evaluate_pipeline(
-            apply_sequence(
-                example_72_program, query, ["mg"],
-                include_constraints=False,
-            ),
-            edb,
-            query,
-        )
-        return with_constraints, without
-
-    with_constraints, without = benchmark(run)
-    rows = [
-        {
-            "constraint_magic_facts": with_constraints.facts_excluding_edb(
-                edb
-            ),
-            "plain_magic_facts": without.facts_excluding_edb(edb),
-        }
-    ]
-    record_rows(benchmark, rows)
+    with_constraints = evaluate_pipeline(
+        apply_sequence(
+            example_72_program, query, ["mg"],
+            include_constraints=True,
+        ),
+        edb,
+        query,
+    )
+    without = evaluate_pipeline(
+        apply_sequence(
+            example_72_program, query, ["mg"],
+            include_constraints=False,
+        ),
+        edb,
+        query,
+    )
     # The constraints in the magic rules prune the b2 chain entirely.
     assert (
         with_constraints.facts_excluding_edb(edb)
@@ -59,9 +43,7 @@ def test_constraint_magic_vs_plain(benchmark, example_72_program):
     )
 
 
-def test_both_variants_ground_and_equivalent(
-    benchmark, example_72_program
-):
+def test_both_variants_ground_and_equivalent(example_72_program):
     from repro.core.pipeline import query_answers
 
     query = parse_query("?- q(3, Y).")
@@ -71,21 +53,17 @@ def test_both_variants_ground_and_equivalent(
             "b2": [(100, 101), (101, 102), (0, 1)],
         }
     )
-
-    def run():
-        return [
-            evaluate_pipeline(
-                apply_sequence(
-                    example_72_program, query, ["mg"],
-                    include_constraints=flag,
-                ),
-                edb,
-                query,
-            )
-            for flag in (True, False)
-        ]
-
-    evaluations = benchmark(run)
+    evaluations = [
+        evaluate_pipeline(
+            apply_sequence(
+                example_72_program, query, ["mg"],
+                include_constraints=flag,
+            ),
+            edb,
+            query,
+        )
+        for flag in (True, False)
+    ]
     answers = {
         frozenset(query_answers(evaluation, query))
         for evaluation in evaluations

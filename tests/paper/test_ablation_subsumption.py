@@ -12,8 +12,6 @@ import pytest
 from repro.engine import Database, evaluate
 from repro.lang.parser import parse_program
 
-from benchmarks.conftest import record_rows
-
 
 def build_program():
     return parse_program(
@@ -27,29 +25,13 @@ def build_program():
 
 
 @pytest.mark.parametrize("points", [20, 80, 320])
-def test_sweep_collapses_point_store(benchmark, points):
+def test_sweep_collapses_point_store(points):
     program = build_program()
     edb = Database.from_ground(
         {"e": [(value,) for value in range(1, points + 1)]}
     )
-
-    def run():
-        plain = evaluate(program, edb)
-        swept = evaluate(program, edb, backward_subsumption=True)
-        return plain, swept
-
-    plain, swept = benchmark(run)
-    record_rows(
-        benchmark,
-        [
-            {
-                "points": points,
-                "p_facts_plain": plain.count("p"),
-                "p_facts_swept": swept.count("p"),
-                "swept": swept.stats.swept,
-            }
-        ],
-    )
+    plain = evaluate(program, edb)
+    swept = evaluate(program, edb, backward_subsumption=True)
     # All point facts collapse into the single generalization; the
     # downstream keep-points (capped at 100 by keep's constraint)
     # collapse likewise.
@@ -58,18 +40,13 @@ def test_sweep_collapses_point_store(benchmark, points):
     assert swept.stats.swept == points + min(points, 100)
 
 
-def test_sweep_preserves_downstream_answers(benchmark):
+def test_sweep_preserves_downstream_answers():
     program = build_program()
     edb = Database.from_ground(
         {"e": [(value,) for value in range(1, 40)]}
     )
-
-    def run():
-        plain = evaluate(program, edb)
-        swept = evaluate(program, edb, backward_subsumption=True)
-        return plain, swept
-
-    plain, swept = benchmark(run)
+    plain = evaluate(program, edb)
+    swept = evaluate(program, edb, backward_subsumption=True)
 
     def keep_instances(result):
         instances = set()
@@ -80,8 +57,6 @@ def test_sweep_preserves_downstream_answers(benchmark):
 
     # Ground keep-instances agree; the swept run may additionally
     # represent them inside one constraint fact.
-    from repro.constraints.linexpr import LinearExpr
-
     swept_keep = swept.facts("keep")
     for value in keep_instances(plain):
         assert any(

@@ -14,10 +14,8 @@ from repro.core.baselines import c_transform
 from repro.core.qrp import gen_prop_qrp_constraints
 from repro.engine import Database, evaluate
 
-from benchmarks.conftest import record_rows
 
-
-@pytest.fixture(scope="module")
+@pytest.fixture
 def programs(example_41_program):
     return {
         "original": example_41_program,
@@ -38,21 +36,16 @@ def make_edb(size: int, seed: int) -> Database:
 
 
 @pytest.mark.parametrize("size", [10, 40, 160])
-def test_example41_three_way(benchmark, programs, size):
+def test_example41_three_way(programs, size):
     edb = make_edb(size, seed=size)
-
-    def run():
-        return {
-            name: evaluate(program, edb)
-            for name, program in programs.items()
-        }
-
-    results = benchmark(run)
+    results = {
+        name: evaluate(program, edb)
+        for name, program in programs.items()
+    }
     counts = {
         name: result.count() - edb.count()
         for name, result in results.items()
     }
-    record_rows(benchmark, [{"size": size, **counts}])
     q_facts = {
         name: set(result.facts("q")) for name, result in results.items()
     }
@@ -61,12 +54,3 @@ def test_example41_three_way(benchmark, programs, size):
     assert results["semantic"].count("p2") <= results["balbin"].count(
         "p2"
     )
-
-
-def test_qrp_generation_cost(benchmark, example_41_program):
-    from repro.core.qrp import gen_qrp_constraints
-
-    constraints, report = benchmark(
-        lambda: gen_qrp_constraints(example_41_program, "q")
-    )
-    assert report.converged

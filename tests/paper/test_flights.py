@@ -16,8 +16,6 @@ from repro.core.rewrite import constraint_rewrite
 from repro.engine import evaluate
 from repro.workloads.flights import flight_network, flights_program
 
-from benchmarks.conftest import record_rows
-
 
 @pytest.fixture(scope="module")
 def rewritten():
@@ -39,29 +37,13 @@ def irrelevant(result):
 
 
 @pytest.mark.parametrize("fraction", [0.0, 0.2, 0.4, 0.6])
-def test_irrelevant_fraction_sweep(
-    benchmark, flights_program, rewritten, fraction
-):
+def test_irrelevant_fraction_sweep(flights_program, rewritten, fraction):
     network = flight_network(
         n_layers=4, width=3, expensive_fraction=fraction, seed=7
     )
-
-    def run():
-        return evaluate_pair(flights_program, rewritten, network)
-
-    original, optimized = benchmark(run)
-    rows = [
-        {
-            "fraction": fraction,
-            "original_flight_facts": original.count("flight"),
-            "optimized_flight_facts": optimized.count("flight"),
-            "original_irrelevant": irrelevant(original),
-            "optimized_irrelevant": irrelevant(optimized),
-            "original_derivations": original.stats.derivations,
-            "optimized_derivations": optimized.stats.derivations,
-        }
-    ]
-    record_rows(benchmark, rows)
+    original, optimized = evaluate_pair(
+        flights_program, rewritten, network
+    )
     assert irrelevant(optimized) == 0
     assert set(optimized.facts("flight")) <= set(
         original.facts("flight")
@@ -71,38 +53,14 @@ def test_irrelevant_fraction_sweep(
 
 
 @pytest.mark.parametrize("layers,width", [(3, 3), (4, 3), (4, 4)])
-def test_network_size_sweep(
-    benchmark, flights_program, rewritten, layers, width
-):
+def test_network_size_sweep(flights_program, rewritten, layers, width):
     network = flight_network(
         n_layers=layers, width=width, expensive_fraction=0.4, seed=11
     )
-
-    def run():
-        return evaluate_pair(flights_program, rewritten, network)
-
-    original, optimized = benchmark(run)
-    record_rows(
-        benchmark,
-        [
-            {
-                "layers": layers,
-                "width": width,
-                "legs": len(network.legs),
-                "original_facts": original.count(),
-                "optimized_facts": optimized.count(),
-            }
-        ],
+    original, optimized = evaluate_pair(
+        flights_program, rewritten, network
     )
     assert optimized.count() <= original.count()
     assert all(
         fact.is_ground() for fact in optimized.database.all_facts()
     )
-
-
-def test_rewrite_compile_time(benchmark, flights_program):
-    """The cost of Constraint_rewrite itself on the flights program."""
-    result = benchmark(
-        lambda: constraint_rewrite(flights_program, "cheaporshort")
-    )
-    assert result.converged

@@ -1,17 +1,14 @@
 """Theorem 7.10: ``P^{pred,qrp,mg}`` is optimal (one-mg sequences).
 
-Enumerates all sensible sequences on both non-confluence programs and
-on a third program with nontrivial predicate constraints, asserting the
-prescribed order always matches the minimum fact count.
+Enumerates all sensible sequences on a program with nontrivial
+predicate constraints, asserting the prescribed order matches the
+minimum fact count.  (Both non-confluence programs are enumerated the
+same way in ``tests/integration/test_redundancy.py::TestTheorem710``.)
 """
-
-import pytest
 
 from repro.core.pipeline import apply_sequence, evaluate_pipeline
 from repro.engine import Database
 from repro.lang.parser import parse_program, parse_query
-
-from benchmarks.conftest import record_rows
 
 
 SEQUENCES = [
@@ -37,35 +34,7 @@ def sweep(program, query, edb):
     return totals
 
 
-def check_optimal(benchmark, program, query, edb):
-    totals = benchmark(lambda: sweep(program, query, edb))
-    record_rows(benchmark, [totals])
-    assert totals["pred,qrp,mg"] == min(totals.values())
-    return totals
-
-
-def test_optimal_on_example_71(
-    benchmark, example_71_program, graph_edb_71
-):
-    check_optimal(
-        benchmark, example_71_program, parse_query("?- q(X, Y)."),
-        graph_edb_71,
-    )
-
-
-def test_optimal_on_example_72(benchmark, example_72_program):
-    edb = Database.from_ground(
-        {
-            "b1": [(7, 100), (2, 0)],
-            "b2": [(100 + i, 101 + i) for i in range(8)] + [(0, 1)],
-        }
-    )
-    check_optimal(
-        benchmark, example_72_program, parse_query("?- q(7, Y)."), edb
-    )
-
-
-def test_optimal_with_predicate_constraints(benchmark):
+def test_optimal_with_predicate_constraints():
     # Example 4.2-style program: pred constraints matter here, so
     # sequences without "pred" are strictly worse.
     program = parse_program(
@@ -83,7 +52,6 @@ def test_optimal_with_predicate_constraints(benchmark):
             ]
         }
     )
-    totals = check_optimal(
-        benchmark, program, parse_query("?- q(X, Y)."), edb
-    )
+    totals = sweep(program, parse_query("?- q(X, Y)."), edb)
+    assert totals["pred,qrp,mg"] == min(totals.values())
     assert totals["pred,qrp,mg"] <= totals["qrp,mg"]

@@ -16,8 +16,6 @@ from repro.engine import Database, evaluate
 from repro.lang.parser import parse_query
 from repro.magic.templates import magic_rewrite
 
-from benchmarks.conftest import record_rows
-
 
 def make_edb(size: int, seed: int) -> Database:
     rng = random.Random(seed)
@@ -27,50 +25,23 @@ def make_edb(size: int, seed: int) -> Database:
 
 
 @pytest.mark.parametrize("size", [20, 80])
-def test_balbin_vs_ours_full_pipelines(
-    benchmark, example_41_program, size
-):
+def test_balbin_vs_ours_full_pipelines(example_41_program, size):
     query = parse_query("?- q(X).")
     edb = make_edb(size, seed=size + 1)
-
-    def run():
-        balbin = evaluate(
-            magic_rewrite(
-                c_transform(example_41_program, "q").program, query
-            ).program,
-            edb,
-        )
-        ours = evaluate(
-            magic_rewrite(
-                gen_prop_qrp_constraints(
-                    example_41_program, "q"
-                ).program,
-                query,
-            ).program,
-            edb,
-        )
-        return balbin, ours
-
-    balbin, ours = benchmark(run)
-    rows = [
-        {
-            "size": size,
-            "balbin_facts": balbin.count() - edb.count(),
-            "ours_facts": ours.count() - edb.count(),
-        }
-    ]
-    record_rows(benchmark, rows)
+    balbin = evaluate(
+        magic_rewrite(
+            c_transform(example_41_program, "q").program, query
+        ).program,
+        edb,
+    )
+    ours = evaluate(
+        magic_rewrite(
+            gen_prop_qrp_constraints(example_41_program, "q").program,
+            query,
+        ).program,
+        edb,
+    )
     assert ours.count() <= balbin.count()
     assert {fact.args for fact in ours.facts("q_f")} == {
         fact.args for fact in balbin.facts("q_f")
     }
-
-
-def test_transformation_costs(benchmark, example_41_program):
-    """Compile-time comparison of the two propagation procedures."""
-
-    def run():
-        c_transform(example_41_program, "q")
-        gen_prop_qrp_constraints(example_41_program, "q")
-
-    benchmark(run)

@@ -1,20 +1,16 @@
 """End-to-end strategy comparison through the driver (user's-eye view).
 
-One table per workload: every strategy of ``repro.driver`` on the same
-program/EDB/query, with total facts and derivations. The expected shape
-follows Section 7: ``optimal`` (pred,qrp,mg) never computes more facts
-than ``magic`` alone, and ``rewrite`` never more than ``none``.
+Per workload: every strategy of ``repro.driver`` on the same
+program/EDB/query. The expected shape follows Section 7: ``optimal``
+(pred,qrp,mg) never computes more facts than ``magic`` alone, and
+``rewrite`` never more than ``none``.
 """
-
-import pytest
 
 from repro.driver import STRATEGIES, answer_query
 from repro.engine import Database
 from repro.lang.parser import parse_query
 from repro.workloads.flights import flight_network, flights_program
 from repro.workloads.graphs import random_edges
-
-from benchmarks.conftest import record_rows
 
 
 def sweep(program, query, edb, eval_iterations=80):
@@ -25,16 +21,6 @@ def sweep(program, query, edb, eval_iterations=80):
             eval_iterations=eval_iterations,
         )
     return outcomes
-
-
-def summarize(outcomes, edb):
-    return {
-        strategy: {
-            "facts": outcome.result.count() - edb.count(),
-            "derivations": outcome.result.stats.derivations,
-        }
-        for strategy, outcome in outcomes.items()
-    }
 
 
 def check_shape(outcomes, edb):
@@ -51,7 +37,7 @@ def check_shape(outcomes, edb):
     assert counts["optimal"] <= counts["magic"]
 
 
-def test_strategies_on_flights(benchmark):
+def test_strategies_on_flights():
     network = flight_network(
         n_layers=4, width=3, expensive_fraction=0.4, seed=31
     )
@@ -60,17 +46,11 @@ def test_strategies_on_flights(benchmark):
         " T, C)."
     )
     program = flights_program()
-
-    outcomes = benchmark(
-        lambda: sweep(program, query, network.database)
-    )
-    record_rows(
-        benchmark, [summarize(outcomes, network.database)]
-    )
+    outcomes = sweep(program, query, network.database)
     check_shape(outcomes, network.database)
 
 
-def test_strategies_on_bounded_tc(benchmark):
+def test_strategies_on_bounded_tc():
     from repro.lang.parser import parse_program
 
     program = parse_program(
@@ -84,7 +64,5 @@ def test_strategies_on_bounded_tc(benchmark):
         {"e": random_edges(25, max_node=12, seed=33)}
     )
     query = parse_query("?- q(2, Y).")
-
-    outcomes = benchmark(lambda: sweep(program, query, edb))
-    record_rows(benchmark, [summarize(outcomes, edb)])
+    outcomes = sweep(program, query, edb)
     check_shape(outcomes, edb)

@@ -104,7 +104,8 @@ class TestHitMissAccounting:
         assert solver_cache.stats()["size"] == 0
 
     def test_solver_results_hit_on_reuse(self):
-        """End to end: a repeated projection is one miss then hits."""
+        """End to end: a repeated projection is one miss then hits,
+        and a hit runs no elimination (warm pass: 0 projections)."""
         x = LinearExpr({"X": 1, "Y": 1}, -3)
         conj = Conjunction(
             [Atom.make(x, "<=", LinearExpr.const(0)),
@@ -112,13 +113,19 @@ class TestHitMissAccounting:
                        LinearExpr.const(1))]
         )
         solver_cache.CACHE.reset_stats()
-        first = conj.project({"X"})
+        cold, warm = obs.Tracer(), obs.Tracer()
+        with obs.recording(cold):
+            first = conj.project({"X"})
         before = solver_cache.stats()
-        second = conj.project({"X"})
+        with obs.recording(warm):
+            second = conj.project({"X"})
         after = solver_cache.stats()
         assert second is first
         assert after["hits"] == before["hits"] + 1
         assert after["misses"] == before["misses"]
+        assert cold.metrics.counters["constraint.projections"] > 0
+        assert "constraint.projections" not in warm.metrics.counters
+        assert warm.metrics.counters["constraint.cache_hits"] == 1
 
 
 class TestEnvironmentContract:
