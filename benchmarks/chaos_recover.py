@@ -23,11 +23,11 @@ truncation), restarts against the same directory, and checks:
 * **oracle-exact answers** -- the restarted server's answers equal the
   conformance oracle's answers over exactly the surviving EDB.
 
-The harness predicts what recovery *should* do by re-parsing the
-damaged files with the snapshot module's own record parser -- the
-prediction pins down whether damage is a tolerable torn tail or
-reportable corruption, and the subprocess run proves the end-to-end
-plumbing (quarantine, fallback, report, replay) honors it.
+The harness predicts what recovery *should* do by re-verifying the
+damaged files with the codec's own ``unseal`` -- the prediction pins
+down whether damage is a tolerable torn tail or reportable corruption,
+and the subprocess run proves the end-to-end plumbing (quarantine,
+fallback, report, replay) honors it.
 
 With ``--sharded N`` each cycle instead runs ``repro serve --shards
 N`` with tight op deadlines and heartbeats, disrupts one *shard
@@ -68,15 +68,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from repro.codec import unseal  # noqa: E402
 from repro.conformance.oracle import oracle_answer_strings  # noqa: E402
 from repro.lang.parser import parse_program, parse_query  # noqa: E402
-from repro.serve.snapshot import (  # noqa: E402
-    LOG_NAME,
-    SCHEMA,
-    _canonical,
-    _crc,
-    _parse_log_line,
-)
+from repro.serve.snapshot import LOG_NAME  # noqa: E402
 
 PROGRAM = """
 reach(X, Y) :- edge(X, Y, C).
@@ -95,12 +90,6 @@ REACH_QUERY = "?- reach(n0, X)."
 #: Damage modes a cycle draws from ("none" twice: half the cycles are
 #: pure kill/recover, the acceptance path for zero acked-fact loss).
 MODES = ("none", "none", "flip_wal", "truncate_wal", "flip_snapshot")
-
-#: Snapshot files start ``{"schema": "repro-snap/v2", "crc": ...`` --
-#: a flip inside that header makes an unknown-format file, which is a
-#: declared hard error (docs/serving.md), not silent damage.  The
-#: harness targets the checksummed body past it.
-SNAPSHOT_HEADER_BYTES = 48
 
 
 def fact_line(edge: tuple[str, str, str]) -> str:
@@ -172,12 +161,12 @@ def oracle_edge_and_reach(edges: set[tuple]) -> tuple[set, set]:
 # -- damage injection and prediction ----------------------------------
 
 
-def flip_byte(path: Path, rng: random.Random, lo: int = 0) -> bool:
-    """Flip one random byte of ``path`` (past ``lo``) to a new value."""
+def flip_byte(path: Path, rng: random.Random) -> bool:
+    """Flip one random byte of ``path`` to a new value."""
     data = bytearray(path.read_bytes())
-    if len(data) <= lo:
+    if not data:
         return False
-    index = rng.randrange(lo, len(data))
+    index = rng.randrange(len(data))
     new = rng.randrange(256)
     while new == data[index]:
         new = rng.randrange(256)
@@ -197,7 +186,7 @@ def truncate(path: Path, rng: random.Random) -> bool:
 def predict_wal_damage(path: Path) -> dict:
     """What recovery should find in the (possibly damaged) WAL.
 
-    Re-runs the snapshot module's own record parser over the file:
+    Re-runs the codec's own ``unseal`` over the file's lines:
     ``{"damaged": bool, "torn_tail": bool, "dropped": N}`` with the
     same valid-prefix semantics recovery applies.
     """
@@ -212,7 +201,7 @@ def predict_wal_damage(path: Path) -> dict:
     ]
     for index, line in enumerate(lines):
         try:
-            _parse_log_line(line)
+            unseal(line)
         except ValueError:
             return {
                 "damaged": True,
@@ -225,19 +214,10 @@ def predict_wal_damage(path: Path) -> dict:
 def snapshot_is_damaged(path: Path) -> bool:
     """Whether recovery should quarantine this snapshot file."""
     try:
-        payload = json.loads(path.read_bytes().decode("utf-8"))
-    except (ValueError, UnicodeDecodeError):
+        unseal(path.read_bytes().decode("utf-8"))
+    except ValueError:
         return True
-    if not isinstance(payload, dict):
-        return True
-    if payload.get("schema") != SCHEMA:
-        return True  # header damage: recovery hard-errors, see MODES
-    body = {
-        key: value
-        for key, value in payload.items()
-        if key not in ("schema", "crc")
-    }
-    return payload.get("crc") != _crc(_canonical(body))
+    return False
 
 
 def newest_snapshot(snapdir: Path) -> Path | None:
@@ -358,9 +338,7 @@ def run_cycle(
     elif mode == "flip_snapshot":
         target = newest_snapshot(snapdir) if snapdir.is_dir() else None
         if target is not None:
-            corrupted = flip_byte(
-                target, rng, lo=SNAPSHOT_HEADER_BYTES
-            )
+            corrupted = flip_byte(target, rng)
             if corrupted:
                 expect_report = snapshot_is_damaged(target)
                 loss_bound = None if expect_report else 0

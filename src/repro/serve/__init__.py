@@ -16,12 +16,7 @@ circuit breakers, and crash-safe snapshot/restore.  Entry points:
 
 from repro.serve.breaker import BreakerRegistry, CircuitBreaker
 from repro.serve.retry import RetryPolicy, is_transient
-from repro.serve.snapshot import (
-    Snapshotter,
-    decode_fact,
-    encode_fact,
-    program_sha,
-)
+from repro.serve.snapshot import Snapshotter, program_sha
 from repro.serve.supervisor import PendingRequest, ServeConfig, Supervisor
 
 __all__ = [
@@ -32,8 +27,6 @@ __all__ = [
     "ServeConfig",
     "Snapshotter",
     "Supervisor",
-    "decode_fact",
-    "encode_fact",
     "is_transient",
     "program_sha",
 ]

@@ -5,16 +5,16 @@ every ``add_facts`` epoch since startup.  Losing the process loses
 those epochs -- unless they are durable.  This module implements the
 classic checkpoint + write-ahead-log pair:
 
-* **Snapshots** are full JSON dumps of the session's EDB at a fact
-  epoch, written to ``snapshot-<epoch>.json`` via a temporary file and
+* **Snapshots** are full dumps of the session's EDB at a fact epoch,
+  one sealed line (:func:`repro.codec.seal`) written to
+  ``snapshot-<epoch>.json`` via a temporary file and
   :func:`os.replace`, so a crash mid-write can never leave a torn
   snapshot under the final name.  A small trailing window of old
   snapshots is retained as fallback against a corrupt latest file.
-* The **fact log** (``facts.log``) is an append-only JSON-lines file
-  with one checksummed record per *acknowledged* fact load, so an
-  acked load survives a crash even between snapshots.  After each
-  snapshot the log is compacted down to the entries the snapshot does
-  not cover.
+* The **fact log** (``facts.log``) is an append-only file with one
+  sealed line per *acknowledged* fact load, so an acked load survives
+  a crash even between snapshots.  After each snapshot the log is
+  compacted down to the entries the snapshot does not cover.
 * **Recovery** loads the newest *verifiable* snapshot whose program
   hash matches the running program, restores it into a fresh session
   (including any persisted planner records -- see below), and replays
@@ -22,9 +22,9 @@ classic checkpoint + write-ahead-log pair:
   through :meth:`Session.add_facts`, so replayed state is *exactly*
   the state a warm database would have been resumed against.
 
-**Integrity.**  Every WAL record and snapshot carries a CRC32 over its
-canonical JSON body plus a format version, so recovery distinguishes
-three kinds of damage:
+**Integrity.**  Every WAL record and snapshot is sealed -- the CRC32
+of its bytes as written, covering all of them -- so recovery
+distinguishes three kinds of damage:
 
 * a *torn tail* -- a truncated final log line, the expected residue of
   a crash mid-append.  The partial line was never acknowledged (the
@@ -37,11 +37,14 @@ three kinds of damage:
   ``corrupt/`` sidecar (evidence for the operator), rewrites the valid
   prefix in place, and reports :class:`~repro.errors.CorruptionError`'s
   ``REPRO_CORRUPT`` code in the recovery summary;
-* a *corrupt snapshot* -- unreadable JSON or a CRC mismatch.  The file
-  is quarantined and recovery falls back to the next-newest verifiable
-  snapshot (that is what the retention window is for).
+* a *corrupt snapshot* -- a file that fails :func:`repro.codec.unseal`,
+  wherever the damage sits (its ``schema`` value is inside the seal).
+  The file is quarantined and recovery falls back to the next-newest
+  verifiable snapshot (that is what the retention window is for).
 
-An un-checksummed record or snapshot is damage, never an older format.
+A record or snapshot that does not unseal is damage, never an older
+format; only an *intact* file can be of an unknown schema, and that
+is a hard error.
 
 **The durability policy** lives here once, for the single-process
 supervisor and every shard worker alike -- they decide only *when* to
@@ -88,36 +91,25 @@ EDB, so the fingerprint check is meaningful: matching records are
 reinstalled as converged (the restarted session skips the probe
 phase), stale ones are discarded and counted in the summary.
 
-Facts round-trip through an explicit codec (symbols, exact
-:class:`~fractions.Fraction` numbers, PENDING positions, and the
-linear-constraint conjunction), so a recovered constraint fact is
-bit-identical to the original -- the paper's finitely-represented
-infinite relations survive the crash too.
+Facts are written in :mod:`repro.codec`'s encoding, so a recovered
+constraint fact is bit-identical to the original -- the paper's
+finitely-represented infinite relations survive the crash too.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import re
 import threading
-import zlib
-from fractions import Fraction
 from typing import Iterable, Iterator
 
-from repro.constraints.atom import Atom, Op
-from repro.constraints.conjunction import Conjunction
-from repro.constraints.linexpr import LinearExpr
-from repro.engine.facts import Fact, PENDING
+from repro.codec import SCHEMA, decode_fact, encode_fact, seal, unseal
+from repro.engine.facts import Fact
 from repro.errors import CorruptionError, SnapshotError
-from repro.lang.terms import Sym
 from repro.obs.recorder import count as obs_count, span as obs_span
 from repro.service.session import Response, Session
 
-SCHEMA = "repro-snap/v2"
-#: Checksummed WAL record format version.
-LOG_VERSION = 2
 LOG_NAME = "facts.log"
 #: Sidecar directory quarantined (damaged) files are moved into.
 CORRUPT_DIR = "corrupt"
@@ -130,139 +122,6 @@ RETAIN_SNAPSHOTS = 3
 def program_sha(text: str) -> str:
     """The identity of a program text, for snapshot compatibility."""
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-
-
-# -- integrity framing ------------------------------------------------
-
-
-def _canonical(payload: object) -> str:
-    """The canonical JSON rendering checksums are computed over.
-
-    Sorted keys and fixed separators: two semantically equal payloads
-    always serialize to the same bytes, so a CRC match means the body
-    decoded is the body written.
-    """
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def _crc(text: str) -> str:
-    return format(zlib.crc32(text.encode("utf-8")) & 0xFFFFFFFF, "08x")
-
-
-def _frame_record(epoch: int, facts: list) -> str:
-    """One checksummed WAL line for an acknowledged epoch."""
-    body = {"epoch": epoch, "facts": facts}
-    return json.dumps({
-        "v": LOG_VERSION,
-        "crc": _crc(_canonical(body)),
-        "epoch": epoch,
-        "facts": facts,
-    })
-
-
-def _parse_log_line(line: str) -> dict:
-    """Decode one checksummed WAL line.
-
-    Returns the ``{"epoch": ..., "facts": [...]}`` body; raises
-    :class:`ValueError` with a reason on any damage (malformed JSON,
-    missing or unknown version, CRC mismatch) -- the caller decides
-    whether the damage is a tolerable torn tail or corruption.
-    """
-    record = json.loads(line)
-    if not isinstance(record, dict):
-        raise ValueError("record is not an object")
-    if record.get("v") != LOG_VERSION:
-        raise ValueError(
-            f"unknown record version {record.get('v')!r}"
-        )
-    body = {
-        "epoch": record.get("epoch"),
-        "facts": record.get("facts"),
-    }
-    expected = _crc(_canonical(body))
-    if record.get("crc") != expected:
-        raise ValueError(
-            f"crc mismatch (stored {record.get('crc')!r}, "
-            f"computed {expected})"
-        )
-    return body
-
-
-# -- the fact codec ---------------------------------------------------
-
-
-def _encode_fraction(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
-
-
-def _decode_fraction(text: str) -> Fraction:
-    numerator, _, denominator = text.partition("/")
-    return Fraction(int(numerator), int(denominator))
-
-
-def encode_fact(fact: Fact) -> dict:
-    """A JSON-ready rendering of one (possibly constraint) fact."""
-    args: list[list] = []
-    for arg in fact.args:
-        if isinstance(arg, Sym):
-            args.append(["sym", arg.name])
-        elif isinstance(arg, Fraction):
-            args.append(["num", _encode_fraction(arg)])
-        else:
-            args.append(["pending"])
-    atoms = [
-        {
-            "op": atom.op.value,
-            "coeffs": {
-                var: _encode_fraction(coeff)
-                for var, coeff in sorted(atom.expr.coeffs.items())
-            },
-            "const": _encode_fraction(atom.expr.constant),
-        }
-        for atom in fact.constraint.atoms
-    ]
-    return {"pred": fact.pred, "args": args, "constraint": atoms}
-
-
-def decode_fact(payload: dict) -> Fact:
-    """Rebuild a fact the codec produced.
-
-    The encoded fact was canonical (it came out of a live database),
-    so the direct :class:`Fact` constructor is sound here -- running
-    ``make_fact`` again would only re-derive the same normal form.
-    """
-    try:
-        args: list = []
-        for entry in payload["args"]:
-            tag = entry[0]
-            if tag == "sym":
-                args.append(Sym(entry[1]))
-            elif tag == "num":
-                args.append(_decode_fraction(entry[1]))
-            elif tag == "pending":
-                args.append(PENDING)
-            else:
-                raise ValueError(f"unknown argument tag {tag!r}")
-        atoms = [
-            Atom(
-                LinearExpr(
-                    {
-                        var: _decode_fraction(coeff)
-                        for var, coeff in atom["coeffs"].items()
-                    },
-                    _decode_fraction(atom["const"]),
-                ),
-                Op(atom["op"]),
-            )
-            for atom in payload["constraint"]
-        ]
-        return Fact(
-            payload["pred"], tuple(args), Conjunction(atoms)
-        )
-    except (KeyError, IndexError, TypeError, ValueError) as error:
-        raise SnapshotError(
-            f"malformed fact in snapshot data: {error}"
-        ) from error
 
 
 # -- file discipline (shared with repro.shard.snapshot) ----------------
@@ -351,34 +210,25 @@ def newest_verifiable(
     pattern: re.Pattern,
     program_id: str,
     quarantined: list[str],
-    unsigned: tuple[str, ...] = ("crc",),
     kind: str | None = None,
 ) -> tuple[int, str, dict] | None:
     """The newest intact ``(number, name, payload)``, or ``None``.
 
-    Walks backward through the retained files.  One that is not a JSON
-    object, or whose ``crc`` does not match its canonical body (every
-    key but the ``unsigned`` ones), is damaged: it is quarantined
-    (its new path appended to ``quarantined``) and the walk falls back
-    to the next-newest.  An intact file of an unknown schema/``kind``,
-    or taken for a *different program*, is an error and not a fallback
-    candidate -- restoring another program's (or format's) state would
-    silently corrupt the session.
+    Walks backward through the retained files.  One that does not
+    :func:`~repro.codec.unseal` to a JSON object is damaged: it is
+    quarantined (its new path appended to ``quarantined``) and the
+    walk falls back to the next-newest.  An intact file of an unknown
+    schema/``kind``, or taken for a *different program*, is an error
+    and not a fallback candidate -- restoring another program's (or
+    format's) state would silently corrupt the session.
     """
     for number, name in reversed(numbered_files(directory, pattern)):
         path = os.path.join(directory, name)
         try:
-            with open(path) as handle:
-                payload = json.load(handle)
+            with open(path, "rb") as handle:
+                payload = unseal(handle.read().decode("utf-8"))
             if not isinstance(payload, dict):
                 raise ValueError("payload is not an object")
-            body = {
-                key: value
-                for key, value in payload.items()
-                if key not in unsigned
-            }
-            if payload.get("crc") != _crc(_canonical(body)):
-                raise ValueError("crc mismatch")
         except OSError:
             obs_count("serve.snapshot_skipped")
             continue
@@ -501,20 +351,16 @@ class Snapshotter:
         planner's exported converged records (JSON-ready), embedded
         for :meth:`Session.restore_planner` at recovery.
         """
-        body = {
+        text = seal({
+            "schema": SCHEMA,
             "program_sha": self.program_id,
             "epoch": epoch,
             "facts": [encode_fact(fact) for fact in facts],
             "planner": list(planner_records or []),
-        }
-        payload = {
-            "schema": SCHEMA,
-            "crc": _crc(_canonical(body)),
-            **body,
-        }
+        })
         path = os.path.join(self.directory, f"snapshot-{epoch:08d}.json")
         with self._mutex, obs_span("serve.snapshot", epoch=epoch):
-            atomic_write(path, json.dumps(payload), "snapshot")
+            atomic_write(path, text, "snapshot")
             self._rewrite_log([
                 entry
                 for entry in self._read_log()
@@ -526,9 +372,10 @@ class Snapshotter:
 
     def append_log(self, epoch: int, facts: Iterable[Fact]) -> None:
         """Durably record one acknowledged fact-load epoch."""
-        line = _frame_record(
-            epoch, [encode_fact(fact) for fact in facts]
-        )
+        line = seal({
+            "epoch": epoch,
+            "facts": [encode_fact(fact) for fact in facts],
+        })
         with self._mutex:
             obs_count("fs.write.wal")
             with open(self._log_path, "a") as handle:
@@ -542,10 +389,7 @@ class Snapshotter:
         """Atomically replace the log with ``entries`` (mutex held)."""
         atomic_write(
             self._log_path,
-            "".join(
-                _frame_record(entry["epoch"], entry["facts"]) + "\n"
-                for entry in entries
-            ),
+            "".join(seal(entry) + "\n" for entry in entries),
             "compact",
         )
 
@@ -567,9 +411,9 @@ class Snapshotter:
         if not os.path.exists(self._log_path):
             return [], None
         # Binary read + replacing decode: every legitimately-written
-        # byte is ASCII (json with ensure_ascii), so an undecodable
-        # byte is disk damage -- it must land in the per-line damage
-        # path below, not escape as a UnicodeDecodeError.
+        # byte is ASCII (repro.codec.dumps), so an undecodable byte is
+        # disk damage -- it must land in the per-line damage path
+        # below, not escape as a UnicodeDecodeError.
         with open(self._log_path, "rb") as handle:
             raw = handle.read()
         lines = raw.decode("utf-8", errors="replace").splitlines()
@@ -578,7 +422,10 @@ class Snapshotter:
             if not line.strip():
                 continue
             try:
-                entries.append(_parse_log_line(line))
+                record = unseal(line)
+                if not isinstance(record, dict):
+                    raise ValueError("record is not an object")
+                entries.append(record)
             except ValueError as error:
                 dropped = sum(
                     1 for later in lines[index:] if later.strip()
@@ -621,7 +468,6 @@ class Snapshotter:
             SNAPSHOT_PATTERN,
             self.program_id,
             self.quarantined,
-            unsigned=("schema", "crc"),
         )
         if found is None:
             return None

@@ -33,8 +33,15 @@ from repro.service.cache import DEFAULT_CACHE_SIZE
 from repro.service.session import Response, Session
 
 
-def _facts_from_program(program: Program) -> list[Fact]:
-    """Ground facts from a parsed fact-only program text."""
+def parse_facts(text: str) -> list[Fact]:
+    """Ground facts from fact-only source text; anything else (a parse
+    failure, a rule, a non-ground fact) raises ``ReproError``."""
+    try:
+        program = parse_program(text)
+    except ReproError:
+        raise
+    except ValueError as error:
+        raise UsageError(str(error)) from None
     facts = []
     for rule in program:
         if not (
@@ -114,11 +121,9 @@ class Engine:
         """Load new EDB facts (source text or :class:`Fact` objects)."""
         if isinstance(facts, str):
             try:
-                facts = _facts_from_program(parse_program(facts))
+                facts = parse_facts(facts)
             except ReproError as error:
                 return self.session._error_response(error)
-            except ValueError as error:
-                return self.session._error_response(UsageError(str(error)))
         return self.session.add_facts(facts)
 
     def add_ground(self, pred: str, values: Iterable[object]) -> Response:

@@ -19,7 +19,6 @@ from repro.shard.coordinator import (
     ShardClient,
     ShardCoordinator,
     ShardedEngine,
-    ShardedSession,
 )
 from repro.shard.exchange import ExchangeOutcome, run_exchange
 from repro.shard.partition import (
@@ -39,7 +38,6 @@ __all__ = [
     "ShardCoordinator",
     "ShardPlan",
     "ShardedEngine",
-    "ShardedSession",
     "build_plan",
     "parse_partition_keys",
     "run_exchange",

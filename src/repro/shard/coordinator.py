@@ -4,11 +4,11 @@
 (:mod:`repro.shard.worker`), hands each the program text plus the
 routing plan (:func:`repro.shard.partition.build_plan`), and then
 presents the whole cluster behind the single-session surface the
-serve supervisor already speaks: :class:`ShardedEngine` /
-:class:`ShardedSession` duck-type ``Engine``/``Session`` closely
-enough that :class:`repro.serve.supervisor.Supervisor` needs no
-changes -- admission queue, retries, and the per-form circuit breaker
-wrap the sharded engine exactly as they wrap a local one.
+serve supervisor already speaks: :class:`ShardedEngine` and the
+coordinator itself duck-type ``Engine``/``Session`` closely enough
+that :class:`repro.serve.supervisor.Supervisor` needs no changes --
+admission queue, retries, and the per-form circuit breaker wrap the
+sharded engine exactly as they wrap a local one.
 
 Request discipline mirrors the session's reader-writer rules
 (:class:`~repro.service.sync.RWLock`): queries scatter under the
@@ -50,6 +50,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
 from typing import Iterable, Mapping
 
+from repro.codec import decode_fact, encode_fact, frozen
 from repro.driver import grade, split_edb
 from repro.engine.facts import Fact
 from repro.errors import ReproError, ShardError, UsageError
@@ -58,14 +59,14 @@ from repro.lang.ast import Query
 from repro.lang.parser import parse_program_and_queries
 from repro.obs.recorder import count as obs_count
 from repro.obs.recorder import span as obs_span
-from repro.serve.snapshot import decode_fact, encode_fact, program_sha
+from repro.serve.snapshot import program_sha
+from repro.service.engine import parse_facts
 from repro.service.session import Response
 from repro.service.sync import RWLock
 from repro.shard import snapshot as cluster_snapshot
 from repro.shard.exchange import (
     WorkerReplyError,
     check_replies,
-    fact_key,
     run_exchange,
 )
 from repro.shard.partition import build_plan
@@ -498,6 +499,9 @@ class ShardCoordinator:
         self.eval_iterations = eval_iterations
         self.cache_size = cache_size
         self.on_limit = on_limit
+        #: The supervisor surfaces planner stats when present; shard
+        #: planners live inside the workers (see per-shard stats).
+        self.planner = None
         self.budget = budget
         self.op_timeout = op_timeout
         self.heartbeat_interval = heartbeat_interval
@@ -933,14 +937,14 @@ class ShardCoordinator:
                 "REPRO_BUDGET",
                 f"{truncated} budget exhausted during evaluate",
             )
-        merged: dict[str, dict] = {}
-        for shard in sorted(gathered):
-            for entry in gathered[shard].get("answers", ()):
-                merged.setdefault(fact_key(entry), entry)
-        answers = [
-            decode_fact(entry)
-            for __, entry in sorted(merged.items())
-        ]
+        answers = sorted(
+            {
+                decode_fact(entry)
+                for reply in gathered.values()
+                for entry in reply.get("answers", ())
+            },
+            key=str,
+        )
         return Response(
             kind="answers",
             query=query,
@@ -962,7 +966,7 @@ class ShardCoordinator:
         self._ensure_alive()
         facts = list(facts)
         with self._rw.write_locked(), obs_span("shard.load"):
-            targets: dict[int, list[dict]] = {}
+            targets: dict[int, list[list]] = {}
             for fact in facts:
                 owner = self.plan.route(fact)
                 shards = (
@@ -1000,12 +1004,11 @@ class ShardCoordinator:
                     reply.get("error_code", "REPRO_INTERNAL"),
                     f"shard {shard}: {reply.get('error_message')}",
                 )
-            new_keys: set[str] = set()
-            for reply in replies.values():
-                new_keys.update(
-                    fact_key(entry)
-                    for entry in reply.get("new", ())
-                )
+            new = {
+                frozen(entry)
+                for reply in replies.values()
+                for entry in reply.get("new", ())
+            }
             self._loads += 1
             self.counters["loads"] += 1
             self.counters["load_facts"] += len(facts)
@@ -1018,7 +1021,7 @@ class ShardCoordinator:
                 self._barrier_locked()
             return Response(
                 kind="facts",
-                added=len(new_keys),
+                added=len(new),
                 epoch=self.epoch,
             )
 
@@ -1134,40 +1137,13 @@ class ShardCoordinator:
         }
 
 
-class ShardedSession:
-    """The ``Session`` face of the cluster (what the supervisor sees)."""
-
-    def __init__(
-        self, coordinator: ShardCoordinator, on_limit: str
-    ) -> None:
-        self._coordinator = coordinator
-        self.on_limit = on_limit
-        #: The supervisor surfaces planner stats when present; shard
-        #: planners live inside the workers (see per-shard stats).
-        self.planner = None
-
-    @property
-    def epoch(self) -> int:
-        return self._coordinator.epoch
-
-    def query(self, query: Query) -> Response:
-        return self._coordinator.query(query)
-
-    def add_facts(self, facts: Iterable[Fact]) -> Response:
-        return self._coordinator.add_facts(facts)
-
-    def stats(self) -> dict:
-        return self._coordinator.stats()
-
-
 class ShardedEngine:
     """The ``Engine`` face of the cluster (drop-in for serve)."""
 
     def __init__(self, coordinator: ShardCoordinator) -> None:
         self.coordinator = coordinator
-        self.session = ShardedSession(
-            coordinator, coordinator.on_limit
-        )
+        #: The ``Session`` face the supervisor sees is the coordinator.
+        self.session = coordinator
 
     @classmethod
     def from_text(
@@ -1177,22 +1153,11 @@ class ShardedEngine:
 
     def add_facts(self, facts: "str | Iterable[Fact]") -> Response:
         if isinstance(facts, str):
-            from repro.lang.parser import parse_program
-            from repro.service.engine import _facts_from_program
-
             try:
-                facts = _facts_from_program(parse_program(facts))
+                facts = parse_facts(facts)
             except ReproError as error:
-                return Response(
-                    kind="error",
-                    error_code=error.code,
-                    error_message=str(error),
-                )
-            except ValueError as error:
-                return Response(
-                    kind="error",
-                    error_code="REPRO_USAGE",
-                    error_message=str(error),
+                return self.coordinator._error(
+                    None, error.code, str(error)
                 )
         return self.coordinator.add_facts(facts)
 

@@ -12,8 +12,9 @@ derivations as a single session, just interleaved.
 
 Between rounds the coordinator plays switchboard: it collects every
 shard's newly derived tuples, drops the ones already exchanged in an
-earlier round (a global ``seen`` set over the canonical fact
-encoding), and forwards each genuinely fresh tuple to every
+earlier round (a global ``seen`` set of :func:`repro.codec.frozen`
+encoded facts -- the encoding is canonical, so the entry is its own
+identity), and forwards each genuinely fresh tuple to every
 participant that did not itself derive it this round.  The round
 barrier declares *global fixpoint* only when no shard derived
 anything new -- at that point every shard's local delta has been
@@ -43,10 +44,10 @@ failure surfaces as transient ``REPRO_SHARD``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
+from repro.codec import frozen
 from repro.obs.recorder import count as obs_count
 from repro.obs.recorder import span as obs_span
 
@@ -74,11 +75,6 @@ class ExchangeOutcome:
         return self.truncated is None
 
 
-def fact_key(entry: dict) -> str:
-    """The canonical identity of an encoded fact (dedup key)."""
-    return json.dumps(entry, sort_keys=True, separators=(",", ":"))
-
-
 def check_replies(replies: Mapping[int, dict]) -> None:
     """Raise the lowest shard's error reply as :class:`WorkerReplyError`."""
     for shard, reply in sorted(replies.items()):
@@ -104,8 +100,8 @@ def run_exchange(
     error replies surface here as :class:`WorkerReplyError`.
     """
     participants = list(participants)
-    seen: set[str] = set()
-    deltas: dict[int, list[dict]] = {s: [] for s in participants}
+    seen: set[tuple] = set()
+    deltas: dict[int, list[list]] = {s: [] for s in participants}
     exchanged = 0
     truncated: str | None = None
     rounds = 0
@@ -125,7 +121,7 @@ def run_exchange(
         check_replies(replies)
         rounds = number + 1
         obs_count("shard.rounds")
-        fresh: dict[str, tuple[dict, set[int]]] = {}
+        fresh: dict[tuple, tuple[list, set[int]]] = {}
         any_new = False
         for shard, reply in sorted(replies.items()):
             if reply.get("exhausted") and truncated is None:
@@ -133,7 +129,7 @@ def run_exchange(
             if reply.get("count"):
                 any_new = True
             for entry in reply.get("new", ()):
-                key = fact_key(entry)
+                key = frozen(entry)
                 if key in seen:
                     continue
                 record = fresh.setdefault(key, (entry, set()))

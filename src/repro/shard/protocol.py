@@ -3,10 +3,12 @@ shard workers.
 
 One frame is an 8-byte big-endian header -- a 4-byte payload length
 followed by the CRC32 of the payload -- and then that many bytes of
-UTF-8 JSON.  The explicit length (rather than line framing) makes a
-half-written frame detectable: a worker killed mid-write leaves a
-short read, which surfaces as :class:`FrameError` instead of a parse
-of garbage.  The CRC makes *damaged* frames detectable: a bit flipped
+JSON.  The bytes and the checksum are :mod:`repro.codec`'s, the same
+ones behind a sealed log line; only the framing differs, because a
+pipe needs a length where a log needs a line end.  The explicit
+length makes a half-written frame detectable: a worker killed
+mid-write leaves a short read, which surfaces as :class:`FrameError`
+instead of a parse of garbage.  The CRC makes *damaged* frames detectable: a bit flipped
 anywhere in the stream (a garbling transport fault, a worker that
 scribbled on its own stdout) fails verification instead of parsing to
 a plausible-but-wrong payload.  Frames are capped at
@@ -19,17 +21,16 @@ reply, so a multiplexed reader can route concurrent calls -- the
 heartbeat ``ping`` rides the same pipe as a long-running op) and the
 worker incarnation ``nonce`` (echoed so replies from a killed
 incarnation are fenced instead of being credited to its successor).
-Fact payloads ride the snapshot codec
-(:func:`repro.serve.snapshot.encode_fact`) so constraint facts
-round-trip exactly.
+Fact payloads ride :func:`repro.codec.encode_fact` so constraint
+facts round-trip exactly.
 """
 
 from __future__ import annotations
 
-import json
 import struct
-import zlib
 from typing import BinaryIO
+
+from repro import codec
 
 #: Upper bound on one frame's JSON payload (64 MiB).
 MAX_FRAME = 64 * 1024 * 1024
@@ -41,14 +42,20 @@ class FrameError(Exception):
     """The stream ended mid-frame or carried an invalid frame."""
 
 
-def write_frame(stream: BinaryIO, payload: dict) -> None:
-    """Serialize one frame and flush it."""
-    data = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+def _encode(payload: dict) -> tuple[bytes, bytes]:
+    """One frame's ``(header, body)``."""
+    data = codec.dumps(payload)
     if len(data) > MAX_FRAME:
         raise FrameError(
             f"frame of {len(data)} bytes exceeds cap {MAX_FRAME}"
         )
-    stream.write(_HEADER.pack(len(data), zlib.crc32(data)) + data)
+    return _HEADER.pack(len(data), codec.crc32(data)), data
+
+
+def write_frame(stream: BinaryIO, payload: dict) -> None:
+    """Serialize one frame and flush it."""
+    header, data = _encode(payload)
+    stream.write(header + data)
     stream.flush()
 
 
@@ -82,13 +89,13 @@ def read_frame(stream: BinaryIO) -> dict | None:
             f"frame length {length} exceeds cap {MAX_FRAME}"
         )
     data = _read_exact(stream, length)
-    if zlib.crc32(data) != crc:
+    if codec.crc32(data) != crc:
         raise FrameError(
             f"frame checksum mismatch over {length} bytes"
         )
     try:
-        payload = json.loads(data.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as error:
+        payload = codec.loads(data)
+    except ValueError as error:
         raise FrameError(f"undecodable frame: {error}") from None
     if not isinstance(payload, dict):
         raise FrameError(
@@ -105,7 +112,7 @@ def garbled_frame(payload: dict) -> bytes:
     check must reject it -- exercising exactly the detection path a
     real scribbled pipe would take.
     """
-    data = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    header, data = _encode(payload)
     flipped = bytearray(data)
     flipped[len(flipped) // 2] ^= 0xFF
-    return _HEADER.pack(len(data), zlib.crc32(data)) + bytes(flipped)
+    return header + bytes(flipped)

@@ -20,10 +20,10 @@ epoch -- a shard's WAL may legitimately carry it past the barrier
 (loads acked after the last checkpoint), but falling short means that
 shard lost acknowledged, manifest-covered loads.  Manifests follow
 the snapshot file discipline exactly, because they use the very same
-helpers (:mod:`repro.serve.snapshot`): canonical-JSON CRC, atomic
-write + directory fsync (fault site ``manifest``), three retained
-generations, corrupt files quarantined to ``corrupt/`` rather than
-trusted or deleted.
+helpers: one sealed line (:func:`repro.codec.seal`), atomic write +
+directory fsync (fault site ``manifest``), three retained generations,
+corrupt files quarantined to ``corrupt/`` rather than trusted or
+deleted (:mod:`repro.serve.snapshot`).
 """
 
 from __future__ import annotations
@@ -32,11 +32,9 @@ import os
 import re
 from typing import Mapping
 
+from repro.codec import SCHEMA, seal
 from repro.obs.recorder import count as obs_count
 from repro.serve.snapshot import (
-    SCHEMA,
-    _canonical,
-    _crc,
     atomic_write,
     newest_verifiable,
     prune_numbered,
@@ -59,8 +57,8 @@ def build_manifest(
     shard_count: int,
     epochs: Mapping[int, int],
 ) -> dict:
-    """The manifest payload (CRC over everything but the CRC field)."""
-    payload = {
+    """The manifest payload (sealed whole by :func:`write_manifest`)."""
+    return {
         "schema": SCHEMA,
         "kind": MANIFEST_KIND,
         "program_sha": program_id,
@@ -72,8 +70,6 @@ def build_manifest(
         },
         "global_epoch": sum(int(e) for e in epochs.values()),
     }
-    payload["crc"] = _crc(_canonical(payload))
-    return payload
 
 
 def write_manifest(
@@ -89,7 +85,7 @@ def write_manifest(
         program_id, generation, shard_count, epochs
     )
     path = os.path.join(directory, f"manifest-{generation:08d}.json")
-    atomic_write(path, _canonical(payload), "manifest")
+    atomic_write(path, seal(payload), "manifest")
     prune_numbered(directory, _MANIFEST_RE)
     obs_count("shard.manifests_written")
     return path

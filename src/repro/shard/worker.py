@@ -46,6 +46,7 @@ from dataclasses import replace
 from typing import NoReturn
 
 from repro import obs
+from repro.codec import decode_fact, encode_fact
 from repro.driver import split_edb
 from repro.engine import evaluate, resume
 from repro.engine.query import answers_as
@@ -54,7 +55,7 @@ from repro.governor import Budget
 from repro.governor import budget as governor
 from repro.lang.parser import parse_program, parse_query
 from repro.obs.recorder import count as obs_count
-from repro.serve.snapshot import Snapshotter, decode_fact, encode_fact
+from repro.serve.snapshot import Snapshotter
 from repro.service.session import Session
 from repro.shard.partition import ShardPlan
 from repro.shard.protocol import (

@@ -1,20 +1,20 @@
-"""Property tests for the snapshot codec and WAL integrity framing.
+"""Property tests for :mod:`repro.codec`: the fact encoding and the seal.
 
 Durability is only as good as the codec: a fact that does not survive
 ``encode_fact``/``decode_fact`` bit-identically is a fact recovery
 silently alters.  Facts here are drawn adversarially -- exact
-:class:`~fractions.Fraction` numbers with large numerators, negative
-and degenerate intervals, symbolic constants, PENDING positions --
-and every one must round-trip to an *equal* fact with an *equal*
-constraint, including through a JSON serialize/parse cycle (what the
-files actually store).
+:class:`~fractions.Fraction` numbers with large numerators, integers
+past 2^64, negative and degenerate intervals, symbols spelled like
+numbers and JSON literals (the compact form tells a symbol from a
+number from a pending slot by JSON type alone), several coupled
+PENDING positions -- and every one must round-trip to an *equal* fact
+with an *equal* constraint, including through a JSON serialize/parse
+cycle (what the files and the pipe actually carry).
 
-The framing half covers the recovery contract under random damage:
-any single-byte corruption of a WAL record's payload is either caught
-by the CRC or leaves the decoded body identical (flipping a character
-inside ``"crc": ...`` itself, say, can only *cause* a mismatch), and
-multi-record logs damaged at a random mid-file record always recover
-exactly the valid prefix.
+The seal half covers the recovery contract under random damage: any
+single-byte corruption or truncation of a sealed line is either caught
+or leaves the decoded payload identical, and multi-record logs damaged
+at a random mid-file record always recover exactly the valid prefix.
 """
 
 from __future__ import annotations
@@ -24,31 +24,33 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from repro.codec import decode_fact, encode_fact, frozen, seal, unseal
 from repro.constraints.atom import Atom
 from repro.constraints.conjunction import Conjunction
 from repro.constraints.linexpr import LinearExpr
 from repro.engine.facts import make_fact
-from repro.serve.snapshot import (
-    _frame_record,
-    _parse_log_line,
-    decode_fact,
-    encode_fact,
-)
 
 
 def pos(i):
     return LinearExpr.var(f"${i}")
 
 
-fractions = st.builds(
-    Fraction,
-    st.integers(min_value=-10**9, max_value=10**9),
-    st.integers(min_value=1, max_value=10**6),
+fractions = st.one_of(
+    st.builds(
+        Fraction,
+        st.integers(min_value=-10**9, max_value=10**9),
+        st.integers(min_value=1, max_value=10**6),
+    ),
+    st.integers(min_value=-(2**80), max_value=2**80).map(Fraction),
 )
 
-symbols = st.text(
-    alphabet="abcdefgxyz_", min_size=1, max_size=8
-).map(lambda name: name)
+symbols = st.one_of(
+    st.text(alphabet="abcdefgxyz_", min_size=1, max_size=8),
+    # Spelled like the other three argument kinds.
+    st.sampled_from(
+        ["3", "3/2", "-1", "null", "true", "[1,2]", "$1", ""]
+    ),
+)
 
 
 @st.composite
@@ -85,6 +87,11 @@ def mixed_facts(draw):
         atoms.append(
             high(pos(position), LinearExpr.const(lower + width))
         )
+    if len(pending_positions) > 1 and draw(st.booleans()):
+        # Couple two pending positions, so neither interval alone
+        # describes the fact.
+        first, second = pending_positions[:2]
+        atoms.append(Atom.le(pos(first), pos(second)))
     return make_fact("p", args, Conjunction(atoms))
 
 
@@ -113,10 +120,13 @@ class TestCodecRoundTrip:
         if fact is None:
             return
         assert encode_fact(fact) == encode_fact(fact)
+        # ... and canonical: a parsed copy has the same identity.
+        wire = json.loads(json.dumps(encode_fact(fact)))
+        assert frozen(wire) == frozen(encode_fact(fact))
 
     @given(mixed_facts())
     @settings(max_examples=150, deadline=None)
-    def test_decoded_forms_reintern_to_canonical_instances(self, fact):
+    def test_decoded_forms_reintern_to_one_instance(self, fact):
         """Constraint forms survive the process boundary *canonically*.
 
         A shard worker receives facts through this codec (over JSON),
@@ -140,10 +150,9 @@ class TestFramingIntegrity:
     @settings(max_examples=100, deadline=None)
     def test_framed_record_parses_back(self, fact, epoch):
         facts = [] if fact is None else [encode_fact(fact)]
-        line = _frame_record(epoch, facts)
-        body = _parse_log_line(line)
-        assert body["epoch"] == epoch
-        assert body["facts"] == facts
+        line = seal({"epoch": epoch, "facts": facts})
+        assert "\n" not in line
+        assert unseal(line) == {"epoch": epoch, "facts": facts}
 
     @given(
         mixed_facts(),
@@ -154,25 +163,46 @@ class TestFramingIntegrity:
     def test_single_byte_damage_never_changes_the_body(
         self, fact, epoch, data
     ):
-        facts = [] if fact is None else [encode_fact(fact)]
-        line = _frame_record(epoch, facts)
+        payload = {
+            "epoch": epoch,
+            "facts": [] if fact is None else [encode_fact(fact)],
+        }
+        line = seal(payload)
         index = data.draw(
             st.integers(min_value=0, max_value=len(line) - 1)
         )
         replacement = data.draw(
-            st.sampled_from('x7"}{:,')
+            st.one_of(
+                st.sampled_from('x7"}{:, 0af'),
+                st.characters(max_codepoint=255),
+            )
         )
         damaged = line[:index] + replacement + line[index + 1:]
         if damaged == line:
             return
         try:
-            body = _parse_log_line(damaged)
+            body = unseal(damaged)
         except ValueError:
             return  # caught: damage detected, record dropped
-        # Undetected damage must be a no-op (e.g. the flip landed in
-        # the crc field and happened to still verify -- impossible --
-        # or produced the identical body another way).
-        assert body == {"epoch": epoch, "facts": facts}
+        # Undetected damage must be a no-op.
+        assert body == payload
+
+    @given(mixed_facts(), st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=50, deadline=None)
+    def test_no_truncation_of_a_sealed_line_changes_the_payload(
+        self, fact, epoch
+    ):
+        payload = {
+            "epoch": epoch,
+            "facts": [] if fact is None else [encode_fact(fact)],
+        }
+        line = seal(payload)
+        for cut in range(len(line)):
+            try:
+                body = unseal(line[:cut])
+            except ValueError:
+                continue
+            assert body == payload
 
     @given(
         st.lists(mixed_facts(), min_size=2, max_size=6),
@@ -194,7 +224,9 @@ class TestFramingIntegrity:
         ]
         with open(snap._log_path, "w") as handle:
             for epoch, payload in enumerate(encoded, start=1):
-                handle.write(_frame_record(epoch, payload) + "\n")
+                handle.write(
+                    seal({"epoch": epoch, "facts": payload}) + "\n"
+                )
         victim = data.draw(
             st.integers(min_value=0, max_value=len(encoded) - 2)
         )

@@ -1,10 +1,11 @@
 """Snapshots and the fact log: codec fidelity, atomicity, recovery.
 
 The crash-safety claim rests on three properties proved here: facts
-round-trip the JSON codec bit-identically (symbols, exact fractions,
-PENDING positions, constraint conjunctions), snapshots appear
-atomically under their final name, and recovery = newest snapshot +
-ordered log replay reproduces exactly the pre-crash session state.
+round-trip :mod:`repro.codec` bit-identically (symbols, exact
+fractions, PENDING positions, constraint conjunctions), snapshots
+appear atomically under their final name, and recovery = newest
+snapshot + ordered log replay reproduces exactly the pre-crash session
+state.
 """
 
 from __future__ import annotations
@@ -12,22 +13,18 @@ from __future__ import annotations
 import json
 import os
 import threading
+import zlib
 from fractions import Fraction
 
 import pytest
 
+from repro.codec import SCHEMA, decode_fact, encode_fact, seal
 from repro.constraints.atom import Atom
 from repro.constraints.conjunction import Conjunction
 from repro.constraints.linexpr import LinearExpr
 from repro.engine.facts import Fact, make_fact
 from repro.errors import SnapshotError
-from repro.serve.snapshot import (
-    Snapshotter,
-    _frame_record,
-    decode_fact,
-    encode_fact,
-    program_sha,
-)
+from repro.serve.snapshot import Snapshotter, program_sha
 from repro.service.engine import Engine
 
 PROGRAM = """
@@ -70,11 +67,38 @@ class TestFactCodec:
         assert decode_fact(json.loads(payload)) == _constraint_fact()
 
     def test_malformed_payload_is_a_snapshot_error(self):
-        with pytest.raises(SnapshotError):
-            decode_fact({"pred": "p", "args": [["wat", 1]],
-                         "constraint": []})
-        with pytest.raises(SnapshotError):
-            decode_fact({"pred": "p"})
+        for entry in (
+            ["p", [["wat", 1]], []],  # a tagged argument: the v2 way
+            ["p", [[1, 0]], []],  # zero denominator
+            ["p", [True], []],
+            ["p", [1.5], []],
+            ["p", [{"sym": "a"}], []],
+            ["p", [None], [["<>", 0, [["$1", 1]]]]],  # unknown op
+            ["p", [None], [["<", 0, [[1, 1]]]]],  # not a variable name
+            ["p", [None], [["<", 0]]],
+            ["p", "ab", []],
+            [7, [], []],
+            ["p"],
+            "pxy",
+            None,
+            {"pred": "p", "args": [["sym", "a"]], "constraint": []},
+        ):
+            with pytest.raises(SnapshotError):
+                decode_fact(entry)
+
+    def test_an_int_argument_is_a_number_never_pending(self):
+        # A plain int reaching Fact(...) directly used to fall through
+        # the argument dispatch and be written as PENDING.
+        fact = Fact("p", (3,), Conjunction.true())
+        assert encode_fact(fact) == ["p", [3], []]
+        rebuilt = decode_fact(encode_fact(fact))
+        assert rebuilt == Fact.ground("p", [3])
+        assert rebuilt.is_ground()
+
+    @pytest.mark.parametrize("value", ["a", 1.5, True, object()])
+    def test_an_unknown_argument_type_is_refused(self, value):
+        with pytest.raises(TypeError):
+            encode_fact(Fact("p", (value,), Conjunction.true()))
 
 
 class TestSnapshotter:
@@ -143,14 +167,16 @@ class TestIntegrity:
     def test_log_records_carry_a_verified_checksum(self, tmp_path):
         snap = Snapshotter(str(tmp_path), "prog1")
         snap.append_log(1, [Fact.ground("e", ["a"])])
-        with open(tmp_path / "facts.log") as fh:
-            record = json.loads(fh.read())
-        assert record["v"] == 2
-        assert len(record["crc"]) == 8
+        with open(tmp_path / "facts.log", "rb") as fh:
+            stored, body = fh.read().rstrip(b"\n").split(b" ", 1)
+        # The checksum is over the payload bytes exactly as written.
+        assert len(stored) == 8
+        assert int(stored, 16) == zlib.crc32(body)
+        assert json.loads(body)["epoch"] == 1
         # The body decodes back through the normal reader.
         assert [e["epoch"] for e in snap._read_log()] == [1]
 
-    def test_a_bit_flip_in_a_record_fails_its_crc(self, tmp_path):
+    def test_a_bit_flip_in_a_record_fails_its_checksum(self, tmp_path):
         snap = Snapshotter(str(tmp_path), "prog1")
         snap.append_log(1, [Fact.ground("e", ["a"])])
         snap.append_log(2, [Fact.ground("e", ["b"])])
@@ -182,9 +208,10 @@ class TestIntegrity:
                 engine.session
             )
 
-        good = _frame_record(
-            1, [encode_fact(Fact.ground("edge", ["c", "d", 5]))]
-        )
+        good = seal({
+            "epoch": 1,
+            "facts": [encode_fact(Fact.ground("edge", ["c", "d", 5]))],
+        })
         # Last line: a torn tail -- dropped, not corruption.
         summary = recover_with([good, bare])
         assert summary["corrupt"] is False
@@ -193,9 +220,10 @@ class TestIntegrity:
         assert summary["quarantined"] == []
         # Mid-log: corruption -- the log is quarantined and only the
         # prefix before the un-checksummed record is trusted.
-        later = _frame_record(
-            3, [encode_fact(Fact.ground("edge", ["d", "e", 6]))]
-        )
+        later = seal({
+            "epoch": 3,
+            "facts": [encode_fact(Fact.ground("edge", ["d", "e", 6]))],
+        })
         summary = recover_with([good, bare, later])
         assert summary["corrupt"] is True
         assert summary["replayed"] == 1
@@ -310,6 +338,54 @@ class TestIntegrity:
         answers = recovered.query("?- edge(X, Y, C).").answer_strings
         assert any("c" in answer for answer in answers)
 
+    @pytest.mark.parametrize("where", ["first byte", "crc", "schema"])
+    def test_a_flip_anywhere_in_a_snapshot_falls_back(
+        self, tmp_path, where
+    ):
+        # The seal covers every byte, the schema value included: header
+        # damage is damage (quarantine + fallback), not a future format.
+        sha = program_sha(PROGRAM)
+        first = Engine.from_text(PROGRAM)
+        snap = Snapshotter(str(tmp_path), sha)
+        for spec in ("edge(c, d, 5).", "edge(d, e, 6)."):
+            first.add_facts(spec)
+            path = snap.snapshot(*first.session.export_state())
+        with open(path, "rb") as fh:
+            data = bytearray(fh.read())
+        offset = {
+            "first byte": 0,
+            "crc": 5,
+            "schema": data.index(SCHEMA.encode()) + len(SCHEMA) - 1,
+        }[where]
+        data[offset] ^= 0x01
+        with open(path, "wb") as fh:
+            fh.write(bytes(data))
+
+        recovered = Engine.from_text(PROGRAM)
+        summary = Snapshotter(str(tmp_path), sha).recover(
+            recovered.session
+        )
+        assert summary["corrupt"] is True
+        assert summary["code"] == "REPRO_CORRUPT"
+        assert summary["snapshot_epoch"] == 1  # fell back
+        assert [os.path.basename(p) for p in summary["quarantined"]] == [
+            "snapshot-00000002.json"
+        ]
+
+    def test_an_intact_snapshot_of_an_unknown_schema_is_refused(
+        self, tmp_path
+    ):
+        snap = Snapshotter(str(tmp_path), "prog1")
+        snap.snapshot(1, [])
+        with open(tmp_path / "snapshot-00000002.json", "w") as fh:
+            fh.write(seal({
+                "schema": "repro-snap/v9", "program_sha": "prog1",
+                "epoch": 2, "facts": [], "planner": [],
+            }))
+        with pytest.raises(SnapshotError, match="unknown schema"):
+            snap.latest()
+        assert snap.quarantined == []
+
     def test_torn_tail_is_rewritten_away_not_flagged_corrupt(
         self, tmp_path
     ):
@@ -319,7 +395,7 @@ class TestIntegrity:
         response = first.add_facts("edge(c, d, 5).")
         snap.append_log(response.epoch, response.loaded)
         with open(tmp_path / "facts.log", "a") as fh:
-            fh.write('{"v": 2, "crc": "00')  # crash mid-append
+            fh.write('0badc0de {"epoch":2,"fa')  # crash mid-append
 
         recovered = Engine.from_text(PROGRAM)
         summary = Snapshotter(str(tmp_path), sha).recover(

@@ -21,6 +21,7 @@ import sys
 import pytest
 
 from repro.lang.parser import parse_program, parse_query
+from repro.service.engine import parse_facts
 from repro.service.session import Session
 from repro.shard import ShardedEngine
 from repro.shard.snapshot import (
@@ -109,9 +110,7 @@ def test_load_reaches_owner_and_queries_see_it():
         # exactly as in the single session.
         again = engine.add_facts("edge(n7, n8, 1).")
         assert again.ok and again.added == 0
-        single.add_facts(
-            [f for f in _parse_facts("edge(n7, n8, 1).")]
-        )
+        single.add_facts(parse_facts("edge(n7, n8, 1)."))
         query = parse_query("?- reach(n1, Y).")
         assert answers_of(engine.session.query(query)) == answers_of(
             single.query(query)
@@ -121,12 +120,6 @@ def test_load_reaches_owner_and_queries_see_it():
         assert not bad.ok and bad.error_code == "REPRO_USAGE"
     finally:
         engine.coordinator.close(drain=False)
-
-
-def _parse_facts(text):
-    from repro.service.engine import _facts_from_program
-
-    return _facts_from_program(parse_program(text))
 
 
 def test_durable_cycle_recovers_cluster(tmp_path):
@@ -213,7 +206,8 @@ def test_manifest_roundtrip_and_quarantine(tmp_path):
 
 def test_quarantined_manifests_are_sequence_suffixed_and_kept(tmp_path):
     # Manifests are quarantined by the serve snapshot helper: a second
-    # damaged file of the same name must not overwrite the first.
+    # damaged file of the same name must not overwrite the first.  An
+    # unsealed pre-v3 manifest is damage, never an older format.
     directory = str(tmp_path)
     for expected in ("manifest-00000001.json", "manifest-00000001.json.1"):
         path = write_manifest(directory, "prog1", 1, 1, {0: 1})

@@ -11,26 +11,28 @@ the round cap reports ``truncated:iterations``-style outcomes.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
-from repro.shard.exchange import (
-    ExchangeOutcome,
-    WorkerReplyError,
-    fact_key,
-    run_exchange,
-)
+from repro import codec
+from repro.constraints.atom import Atom
+from repro.constraints.conjunction import Conjunction
+from repro.constraints.linexpr import LinearExpr
+from repro.engine.facts import make_fact
+from repro.shard.exchange import WorkerReplyError, run_exchange
 
 
-def enc(name: str) -> dict:
-    return {"pred": "t", "args": [["sym", name]]}
+def enc(name: str) -> list:
+    return ["t", [name], []]
 
 
 class ScriptedShards:
     """Shards that derive a scripted sequence of facts per round."""
 
-    def __init__(self, script: dict[int, list[list[dict]]]) -> None:
+    def __init__(self, script: dict[int, list[list[list]]]) -> None:
         self.script = script
-        self.delivered: dict[int, list[list[dict]]] = {
+        self.delivered: dict[int, list[list[list]]] = {
             shard: [] for shard in script
         }
 
@@ -152,8 +154,32 @@ def test_error_reply_raises_worker_reply_error():
     assert info.value.code == "REPRO_BUDGET"
 
 
-def test_fact_key_is_order_insensitive():
-    assert fact_key({"a": 1, "b": 2}) == fact_key({"b": 2, "a": 1})
-    assert isinstance(
-        ExchangeOutcome(1, 0, None).fixpoint, bool
+def test_same_constraint_fact_from_two_shards_is_exchanged_once():
+    # t(a, $2; 1/2 <= $2 < 10) derived by shards 0 and 2 in the same
+    # round arrives as two separately parsed (equal, not identical)
+    # arrays; the encoding is canonical, so they are one fact and
+    # shard 1 receives it exactly once.
+    fact = make_fact(
+        "t",
+        ["a", None],
+        Conjunction([
+            Atom.le(
+                LinearExpr.const(Fraction(1, 2)), LinearExpr.var("$2")
+            ),
+            Atom.lt(LinearExpr.var("$2"), LinearExpr.const(10)),
+        ]),
     )
+    wire = codec.dumps(codec.encode_fact(fact))
+    first, second = codec.loads(wire), codec.loads(wire)
+    assert first is not second
+    shards = ScriptedShards({
+        0: [[first], [], []],
+        1: [[], [], []],
+        2: [[second], [], []],
+    })
+    outcome = run_exchange(shards.scatter, [0, 1, 2], "q1", 10)
+    assert outcome.fixpoint
+    assert outcome.exchanged == 1
+    [delivered] = shards.delivered[1][1]
+    assert codec.decode_fact(delivered) == fact
+    assert shards.delivered[0][1] == shards.delivered[2][1] == []

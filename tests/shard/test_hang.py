@@ -21,6 +21,7 @@ import pytest
 
 from repro.errors import ShardError
 from repro.lang.parser import parse_query
+from repro.service.engine import parse_facts
 from repro.shard import ShardedEngine
 from repro.shard.coordinator import ShardClient
 
@@ -213,12 +214,7 @@ def test_load_on_hung_worker_fails_fast_and_is_never_retried(
         # Stop the shard that *owns* the incoming fact, so the load
         # must touch the wedged worker (a broadcast fact touches
         # every shard; shard 0 is then as good a victim as any).
-        from repro.lang.parser import parse_program
-        from repro.service.engine import _facts_from_program
-
-        fact = _facts_from_program(
-            parse_program("edge(b1, b2, 1).")
-        )[0]
+        fact = parse_facts("edge(b1, b2, 1).")[0]
         owner = engine.coordinator.plan.route(fact) or 0
         os.kill(engine.coordinator.pids()[owner], signal.SIGSTOP)
         started = time.monotonic()
@@ -252,12 +248,7 @@ def test_nondurable_respawn_invalidates_cached_answers():
     )
     engine.coordinator.start()
     try:
-        from repro.lang.parser import parse_program
-        from repro.service.engine import _facts_from_program
-
-        fact = _facts_from_program(
-            parse_program("edge(z1, z2, 1).")
-        )[0]
+        fact = parse_facts("edge(z1, z2, 1).")[0]
         assert engine.coordinator.add_facts([fact]).ok
         question = parse_query("?- edge(z1, Y, C).")
         first = engine.session.query(question)
