@@ -6,7 +6,10 @@ strategy the driver offers -- ``none`` (evaluate as written), ``pred``,
 ``qrp``, ``rewrite`` (pred+qrp), ``magic``, ``optimal`` (the Theorem
 7.10 order, which exercises the fold/unfold machinery end to end) --
 plus the compile-once warm-cache path of :class:`repro.service.Session`
-(queried twice: the second, warm answer must match the first).  All
+(queried twice: the second, warm answer must match the first) and its
+accumulating one (``warm-magic``: sibling queries of the case's form
+and held-out fact loads interleaved through one magic session, each
+answer checked against the oracle on the EDB as of that request).  All
 complete runs must produce identical answer sets; any difference is a
 :class:`Mismatch` carrying both sides.
 
@@ -32,20 +35,21 @@ from typing import Callable
 
 from repro.driver import compile_query, grade, split_edb
 from repro.engine import evaluate
-from repro.engine.facts import Fact
+from repro.engine.facts import Fact, fact_of_rule
 from repro.engine.query import answers_as
 from repro.errors import ReproError
 from repro.governor import Budget
 from repro.governor import budget as governor
-from repro.lang.ast import Program
+from repro.lang.ast import Literal, Program, Query
 from repro.lang.positions import arg_position
-from repro.lang.terms import Sym
+from repro.lang.terms import NumTerm, Sym
 from repro.obs.recorder import count as obs_count, span as obs_span
 
 from repro.conformance.generator import GeneratedCase
 from repro.conformance.oracle import (
     OracleBudgetError,
     numeric_domain,
+    oracle_answer_strings,
     oracle_answers,
 )
 
@@ -64,6 +68,7 @@ DEFAULT_CONFIGS = (
     "optimal",
     "auto",
     "service",
+    "warm-magic",
 )
 
 #: Opt-in configurations, valid for ``--configs`` but excluded from
@@ -98,13 +103,17 @@ class ConfigRun:
 
     ``completeness`` is ``"complete"``, a ``"truncated:<resource>"``
     marker (inconclusive -- the config is excluded from comparison), or
-    ``"error:<CODE>"`` when the config raised.
+    ``"error:<CODE>"`` when the config raised.  ``expected`` is what a
+    run that did not answer the case's own query over its whole EDB
+    must equal (a ``warm-magic`` step); the others are compared with
+    the case's shared reference run.
     """
 
     name: str
     answers: frozenset[str] | None
     completeness: str = "complete"
     detail: str = ""
+    expected: frozenset[str] | None = None
 
     @property
     def complete(self) -> bool:
@@ -317,6 +326,24 @@ def _auto_run(
     )
 
 
+def _response_run(
+    name: str, response, domain: list[Fraction], **extra
+) -> ConfigRun:
+    """A session response as a run: error, inconclusive, or answers."""
+    if response.kind == "error":
+        return ConfigRun(
+            name,
+            None,
+            f"error:{response.error_code}",
+            detail=response.error_message or "",
+        )
+    if response.completeness.startswith("truncated"):
+        return ConfigRun(name, None, response.completeness)
+    return ConfigRun(
+        name, canonical_answers(response.answers, domain), **extra
+    )
+
+
 def _service_runs(
     case: GeneratedCase,
     settings: CheckSettings,
@@ -328,7 +355,7 @@ def _service_runs(
     The second request must hit the form cache and the warm database;
     its answers must equal the cold ones (run name ``service-warm``).
     The magic strategy is used because it exercises the most service
-    machinery (seed-stripped template, per-seed warm states) at a
+    machinery (seed-stripped template, seed re-attached per call) at a
     fraction of the ``optimal`` pipeline's rewrite cost.
     """
     from repro.service.session import Session
@@ -341,25 +368,135 @@ def _service_runs(
         budget=settings.budget(),
         on_limit="truncate",
     )
-    runs: list[ConfigRun] = []
-    for name in ("service", "service-warm"):
-        response = session.query(case.query)
-        if response.kind == "error":
-            runs.append(
-                ConfigRun(
-                    name, None, f"error:{response.error_code}",
-                    detail=response.error_message or "",
-                )
-            )
-        elif response.completeness.startswith("truncated"):
-            runs.append(ConfigRun(name, None, response.completeness))
+    return [
+        _response_run(name, session.query(case.query), domain)
+        for name in ("service", "service-warm")
+    ]
+
+
+def sibling_queries(case: GeneratedCase, limit: int = 5) -> list[Query]:
+    """Up to ``limit`` other queries of the case query's form.
+
+    Each swaps one constant of the query literal for another constant
+    of the same sort occurring in the program, taking the positions in
+    turn -- under a magic strategy, the same compiled form asked with
+    a different seed.
+    """
+    symbols: set[Sym] = set()
+    numbers: set[NumTerm] = set()
+    for rule in case.program:
+        for literal in (rule.head, *rule.body):
+            for arg in literal.args:
+                if isinstance(arg, Sym):
+                    symbols.add(arg)
+                elif isinstance(arg, NumTerm) and arg.is_constant():
+                    numbers.add(arg)
+    literal = case.query.literal
+    swaps = []
+    for position, arg in enumerate(literal.args):
+        if isinstance(arg, Sym):
+            pool = symbols
+        elif isinstance(arg, NumTerm) and arg.is_constant():
+            pool = numbers
         else:
-            runs.append(
-                ConfigRun(
-                    name,
-                    canonical_answers(response.answers, domain),
-                )
+            continue
+        swaps.append([
+            Query(
+                Literal(
+                    literal.pred,
+                    (
+                        *literal.args[:position],
+                        other,
+                        *literal.args[position + 1:],
+                    ),
+                ),
+                case.query.constraint,
             )
+            for other in sorted(pool - {arg}, key=str)
+        ])
+    return [
+        query
+        for group in itertools.zip_longest(*swaps)
+        for query in group
+        if query is not None
+    ][:limit]
+
+
+def _warm_magic_runs(
+    case: GeneratedCase,
+    settings: CheckSettings,
+    strategy: str,
+    mutate: "Callable[[Program], Program] | None" = None,
+) -> list[ConfigRun]:
+    """Seeds and fact loads interleaved through one magic Session.
+
+    The session starts without a few held-out EDB facts and is asked
+    the case's query and its :func:`sibling_queries`, a held-out fact
+    loaded after every second one, then every query once more: new
+    seeds and loads reach the form's one warm database as deltas, in
+    either order and together.  Each answer is a run of its own,
+    ``expected`` to equal the oracle's over the EDB as of that request.
+    """
+    from repro.service.session import Session
+
+    proper = {id(rule) for rule in split_edb(case.program)[0]}
+    held = [
+        rule for rule in case.program if id(rule) not in proper
+    ][1::3][:3]
+    current = [rule for rule in case.program if rule not in held]
+    session = Session(
+        Program(current),
+        strategy=strategy,
+        max_iterations=settings.max_iterations,
+        eval_iterations=settings.eval_iterations,
+        budget=settings.budget(),
+        on_limit="truncate",
+    )
+    if mutate is not None:
+        compile_form = session._compile
+
+        def corrupted(*args):
+            compiled = compile_form(*args)
+            compiled.template = mutate(compiled.template)
+            return compiled
+
+        session._compile = corrupted
+    queries = [case.query, *sibling_queries(case)]
+    loads = list(held)
+    steps: list = []
+    for index, query in enumerate(queries):
+        steps.append(query)
+        if index % 2 and loads:
+            steps.append(loads.pop(0))
+    steps += [*loads, *queries]
+    runs: list[ConfigRun] = []
+    for step in steps:
+        name = f"warm-{strategy}[{len(runs)}]"
+        if not isinstance(step, Query):
+            current.append(step)
+            loaded = session.add_facts([fact_of_rule(step)])
+            if loaded.kind == "error":
+                runs.append(_response_run(name, loaded, []))
+            continue
+        program = Program(current)
+        try:
+            expected = oracle_answer_strings(
+                program, step, settings.oracle_max_facts
+            )
+        except OracleBudgetError as error:
+            runs.append(
+                ConfigRun(name, None, f"truncated:{error.resource}")
+            )
+            continue
+        runs.append(
+            _response_run(
+                name,
+                session.query(step),
+                numeric_domain(program, step),
+                detail=str(step),
+                expected=expected,
+            )
+        )
     return runs
 
 
@@ -396,18 +533,7 @@ def _sharded_run(
         response = engine.session.query(case.query)
     finally:
         engine.coordinator.close(drain=False)
-    if response.kind == "error":
-        return ConfigRun(
-            "sharded",
-            None,
-            f"error:{response.error_code}",
-            detail=response.error_message or "",
-        )
-    if response.completeness.startswith("truncated"):
-        return ConfigRun("sharded", None, response.completeness)
-    return ConfigRun(
-        "sharded", canonical_answers(response.answers, domain)
-    )
+    return _response_run("sharded", response, domain)
 
 
 def check_case(
@@ -419,7 +545,8 @@ def check_case(
     """Run one case through every configuration and compare answers.
 
     ``inject`` is an optional ``(strategy, mutation)`` pair applied to
-    that strategy's optimized program before evaluation -- the
+    that strategy's optimized program before evaluation (for
+    ``warm-magic``, to every template its sessions compile) -- the
     harness's own fault injection, used to prove a rewrite bug would
     be caught (and by the shrinker tests).
     """
@@ -430,6 +557,9 @@ def check_case(
     with obs_span("conformance.case", query=case.query.literal.pred):
         for config in configs:
             obs_count("conformance.configs_run")
+            mutate = None
+            if inject is not None and inject[0] == config:
+                mutate = inject[1]
             try:
                 if config == "oracle":
                     runs = [_oracle_run(case, settings)]
@@ -439,10 +569,15 @@ def check_case(
                     runs = _service_runs(case, settings, domain)
                 elif config == "sharded":
                     runs = [_sharded_run(case, settings, domain)]
+                elif config == "warm-magic":
+                    runs = [
+                        run
+                        for strategy in ("magic", "optimal")
+                        for run in _warm_magic_runs(
+                            case, settings, strategy, mutate
+                        )
+                    ]
                 else:
-                    mutate = None
-                    if inject is not None and inject[0] == config:
-                        mutate = inject[1]
                     runs = [
                         _strategy_run(
                             case, config, settings, domain, mutate
@@ -499,27 +634,24 @@ def _compare(result: CaseResult) -> None:
             )
         elif not run.complete:
             result.skipped.append(run.name)
-    if not complete:
-        return
     reference = next(
-        (run for run in complete if run.name == "oracle"), complete[0]
+        (run for run in complete if run.name == "oracle"),
+        next((run for run in complete if run.expected is None), None),
     )
     for run in complete:
-        if run.name == reference.name:
+        if run.expected is not None:
+            left, expected = "oracle", run.expected
+        elif run is not reference:
+            left, expected = reference.name, reference.answers
+        else:
             continue
-        if run.answers != reference.answers:
-            assert run.answers is not None
-            assert reference.answers is not None
+        if run.answers != expected:
             result.mismatches.append(
                 Mismatch(
-                    left=reference.name,
+                    left=left,
                     right=run.name,
-                    only_left=tuple(
-                        sorted(reference.answers - run.answers)
-                    ),
-                    only_right=tuple(
-                        sorted(run.answers - reference.answers)
-                    ),
+                    only_left=tuple(sorted(expected - run.answers)),
+                    only_right=tuple(sorted(run.answers - expected)),
                 )
             )
 

@@ -28,8 +28,9 @@ from typing import Iterable, Sequence, Union
 from repro.constraints.atom import Atom
 from repro.constraints.conjunction import Conjunction
 from repro.constraints.linexpr import LinearExpr
+from repro.lang.ast import Rule
 from repro.lang.positions import arg_position
-from repro.lang.terms import Sym
+from repro.lang.terms import Sym, Var
 
 
 class _Pending:
@@ -257,3 +258,31 @@ def make_fact(
                 changed = True
     conjunction = conjunction.canonical()
     return Fact(pred, tuple(args), conjunction)
+
+
+def fact_of_rule(rule: Rule) -> Fact | None:
+    """The canonical fact a body-less rule derives; ``None`` if it cannot.
+
+    What the rule evaluator emits for the rule at a cold start, built
+    the same way: variable head arguments become pending positions tied
+    to the rule's constraint, which :func:`make_fact` projects and
+    freezes.  A magic seed ``m_p(X) :- X <= 5`` comes out as the
+    constraint fact ``m_p($1; $1 <= 5)`` whether the seed *rule* fires
+    or the session injects it into a warm database as a delta.
+    """
+    if rule.body:
+        raise ValueError(f"not a fact rule: {rule}")
+    values: list[object] = []
+    atoms = list(rule.constraint.atoms)
+    for index, arg in enumerate(rule.head.args, start=1):
+        if isinstance(arg, Sym):
+            values.append(arg)
+        elif isinstance(arg, Var) or not arg.is_constant():
+            values.append(PENDING)
+            expr = arg.to_expr() if isinstance(arg, Var) else arg.expr
+            atoms.append(
+                Atom.eq(LinearExpr.var(arg_position(index)), expr)
+            )
+        else:
+            values.append(arg.value)
+    return make_fact(rule.head.pred, values, Conjunction(atoms))

@@ -68,7 +68,9 @@ def normalize_program(
 
 
 def normalize_query(query: Query, keep_constants: bool = True) -> Query:
-    """Flatten arithmetic terms in the query literal."""
+    """Flatten arithmetic terms in the query literal (itself, if plain)."""
+    if keep_constants and query.literal.is_normalized():
+        return query
     fresh = FreshVars(query.variables())
     extra: list[Atom] = []
     literal = _flatten_literal(query.literal, fresh, extra, keep_constants)

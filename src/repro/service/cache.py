@@ -24,20 +24,17 @@ from repro.service.forms import QueryForm
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.service.session import CompiledForm, WarmState
 
-#: Warm databases kept per form.  Seed-less strategies only ever need
-#: one (their evaluated database is constant-independent); the magic
-#: strategies get one per recently seen seed, so a rotation of popular
-#: constants stays warm without unbounded retention.
-MAX_WARM_PER_ENTRY = 8
+#: Derived facts a form's warm database may hold once it has absorbed
+#: more than one magic seed (:meth:`CacheEntry.trim`).  A stored fact
+#: measures 0.8-1.0 KiB (flights under ``optimal``, tracemalloc over 24
+#: and 36 accumulated seeds), so a form stays under ~20 MiB; the
+#: ruler's ``session-seeds`` form holds 320 for its 24 seed pairs.
+MAX_WARM_DERIVED_FACTS = 20_000
 
 
 @dataclass
 class CacheEntry:
-    """A cached compiled form plus its warm evaluation states.
-
-    ``warm_states`` maps the specialized seed rule (``None`` for the
-    seed-less strategies) to the :class:`WarmState` evaluated with it,
-    in LRU order, capped at :data:`MAX_WARM_PER_ENTRY`.
+    """A cached compiled form plus its one warm state (or ``None``).
 
     ``lock`` serializes *evaluation* against this entry: concurrent
     requests for the same form take it around their warm-state lookup,
@@ -47,10 +44,7 @@ class CacheEntry:
     """
 
     compiled: "CompiledForm"
-    warm_states: "OrderedDict[object, WarmState]" = field(
-        default_factory=OrderedDict
-    )
-    hits: int = field(default=0)
+    warm: "WarmState | None" = None
     lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -61,23 +55,20 @@ class CacheEntry:
         default=None, repr=False, compare=False
     )
 
-    def get_warm(self, seed: object) -> "WarmState | None":
-        """The warm state for a seed, refreshing its recency."""
-        state = self.warm_states.get(seed)
-        if state is not None:
-            self.warm_states.move_to_end(seed)
-        return state
+    def trim(self, base_facts: int) -> None:
+        """Drop a state past the ceiling; the next request rebuilds cold.
 
-    def put_warm(self, seed: object, state: "WarmState") -> None:
-        """Store a seed's warm state, evicting the LRU beyond the cap."""
-        self.warm_states[seed] = state
-        self.warm_states.move_to_end(seed)
-        while len(self.warm_states) > MAX_WARM_PER_ENTRY:
-            self.warm_states.popitem(last=False)
-
-    def drop_warm(self, seed: object) -> None:
-        """Forget a seed's warm state (e.g. after a truncated resume)."""
-        self.warm_states.pop(seed, None)
+        ``base_facts`` is the EDB's share of the stored facts.
+        Generational: without provenance no fact can be attributed to
+        the seed that needed it, so nothing partial can go.  At most
+        one seed (every seed-less strategy) is exempt: a rebuild would
+        reproduce the same database.
+        """
+        state = self.warm
+        if state is not None and state.seeds > 1 and (
+            state.database.count() - base_facts > MAX_WARM_DERIVED_FACTS
+        ):
+            self.warm = None
 
 
 class FormCache:
@@ -119,7 +110,6 @@ class FormCache:
             obs_count("service.cache_misses")
             return None
         self._entries.move_to_end(form)
-        entry.hits += 1
         self.hits += 1
         obs_count("service.cache_hits")
         return entry
@@ -138,9 +128,9 @@ class FormCache:
     def min_warm_epoch(self, default: int) -> int:
         """The oldest fact epoch any warm state still needs."""
         epochs = [
-            state.epoch
+            entry.warm.epoch
             for entry in self._entries.values()
-            for state in entry.warm_states.values()
+            if entry.warm is not None
         ]
         return min(epochs, default=default)
 
@@ -153,7 +143,7 @@ class FormCache:
             "misses": self.misses,
             "evictions": self.evictions,
             "warm_states": sum(
-                len(entry.warm_states)
+                entry.warm is not None
                 for entry in self._entries.values()
             ),
         }

@@ -12,14 +12,17 @@ fact loads against the same state:
   :meth:`CompiledForm.specialize`.  The constraint-propagation
   strategies depend only on the query predicate, so their cached
   program is reused verbatim.
-* The first evaluation of a form leaves a **warm**
+* The first evaluation of a form leaves its one **warm**
   :class:`WarmState` -- the evaluated database and its final iteration
-  stamp.  A repeat query with the same seed answers straight from the
-  warm database; new EDB facts are folded in incrementally with
-  :func:`repro.engine.fixpoint.resume`, re-seeding the semi-naive delta
-  instead of recomputing from scratch (sound for these negation-free
-  programs).  Truncated (budget-cut) evaluations are *never* kept warm,
-  and degraded (fallback) compiles are never cached: cached state must
+  stamp.  A later request folds what that database lacks -- EDB facts
+  loaded since and, under a magic strategy, this call's seed *as a
+  fact* -- into it with one :func:`repro.engine.fixpoint.resume` of the
+  template, as the semi-naive delta (sound: negation-free programs are
+  monotone in their facts, seeds included); the seed's insert outcome
+  says whether it is new, and with nothing to fold in the answer is
+  read straight off.  Truncated evaluations are *never* kept warm -- a
+  truncated resume drops the form's whole accumulated database -- and
+  degraded (fallback) compiles are never cached: cached state must
   reproduce exactly what a cold run would.
 * Every request runs under its own fresh budget meter (from the
   session's :class:`~repro.governor.Budget` spec) and every failure is
@@ -59,7 +62,7 @@ from repro.driver import (
     validate_strategy,
 )
 from repro.engine import Database, evaluate, resume
-from repro.engine.facts import Fact
+from repro.engine.facts import Fact, fact_of_rule
 from repro.engine.query import answers_as
 from repro.errors import BudgetExceeded, ReproError, UsageError
 from repro.governor import Budget, BudgetMeter
@@ -101,10 +104,10 @@ class CompiledForm:
         """Safe to reuse for other instances of the form?"""
         return not self.fallbacks
 
-    def specialize(self, query: Query) -> tuple[Program, Rule | None]:
-        """The template specialized with the call's constants.
+    def seed_rule(self, query: Query) -> Rule | None:
+        """This call's magic seed (``None`` for seed-less strategies).
 
-        Rebuilds the magic seed exactly as
+        Rebuilt exactly as
         :func:`repro.magic.templates.constraint_magic` would for this
         query: the normalized query literal's arguments at the bound
         (per the form's adornment) positions, under the normalized
@@ -113,19 +116,25 @@ class CompiledForm:
         cannot mis-bind.
         """
         if self.seed_pred is None:
-            return self.template, None
+            return None
         normalized = normalize_query(query)
         seed_args = tuple(
             normalized.literal.args[position]
             for position, letter in enumerate(self.form.adornment)
             if letter == "b"
         )
-        seed = Rule(
+        return Rule(
             Literal(self.seed_pred, seed_args),
             (),
             normalized.constraint,
             label="seed",
         )
+
+    def specialize(self, query: Query) -> tuple[Program, Rule | None]:
+        """The template with this call's seed re-attached, and the seed."""
+        seed = self.seed_rule(query)
+        if seed is None:
+            return self.template, None
         return self.template.with_rules([seed]), seed
 
 
@@ -156,17 +165,16 @@ class WarmState:
     """A form's evaluated database, reusable across requests.
 
     ``last_stamp`` is the highest iteration stamp stored, so the next
-    incremental load enters at ``last_stamp + 1``; ``epoch`` is the
-    session fact epoch the database is current to; ``seed`` is the
-    specialized seed evaluated with (``None`` for seed-less
-    strategies) -- a request with a different seed cannot reuse the
-    state.
+    delta (loaded facts, a new seed) enters at ``last_stamp + 1``;
+    ``epoch`` is the session fact epoch the database is current to.
+    ``seeds`` counts the magic seeds it has absorbed (0 for seed-less
+    strategies; see :meth:`~repro.service.cache.CacheEntry.trim`).
     """
 
     database: Database
     last_stamp: int
     epoch: int
-    seed: Rule | None
+    seeds: int
 
 
 @dataclass
@@ -438,7 +446,8 @@ class Session:
     def _answer(
         self, query: Query, meter: BudgetMeter | None
     ) -> Response:
-        form, params = canonicalize(query)
+        normalized = normalize_query(query)
+        form, params = canonicalize(normalized)
         strategy = self._strategy
         form_key = None
         if self._planner is not None:
@@ -447,16 +456,13 @@ class Session:
             form_key = str(form)
             strategy = self._planner.decide(form_key, query)
         entry, cached = self._lookup_or_compile(query, form, strategy)
-        compiled = entry.compiled
-        specialized, seed = compiled.specialize(query)
         # Evaluation against one entry is serialized by its lock, so a
         # warm database is never resumed by two threads at once;
         # different forms evaluate in parallel.
         started = time.perf_counter()
         with entry.lock:
             response = self._evaluate_entry(
-                query, form, params, entry, compiled, specialized,
-                seed, cached, meter,
+                query, normalized, form, params, entry, cached, meter
             )
         if self._planner is not None:
             # The first run after a (re)compile pays the compile bill;
@@ -473,21 +479,17 @@ class Session:
     def _evaluate_entry(
         self,
         query: Query,
+        normalized: Query,
         form: QueryForm,
         params: tuple[str, ...],
         entry: CacheEntry,
-        compiled: CompiledForm,
-        specialized: Program,
-        seed: Rule | None,
         cached: bool,
         meter: BudgetMeter | None,
     ) -> Response:
-        # Warm states are keyed by the specialized seed: a different
-        # seed (new constants under a magic strategy) answers a
-        # different selection, so it gets its own warm slot.
-        warm = entry.get_warm(seed)
-        resumed = False
+        compiled = entry.compiled
+        warm = entry.warm
         if warm is None:
+            specialized, seed = compiled.specialize(normalized)
             with obs_span("service.evaluate", mode="cold"):
                 result = evaluate(
                     specialized,
@@ -497,49 +499,56 @@ class Session:
                 )
             database = result.database
             if not result.truncated and compiled.cacheable:
-                entry.put_warm(seed, WarmState(
+                entry.warm = WarmState(
                     database=database,
                     last_stamp=result.stats.iterations,
                     epoch=self._epoch,
-                    seed=seed,
-                ))
-        elif warm.epoch < self._epoch:
-            # Fold the facts loaded since the warm state was current
-            # into it as the semi-naive delta, then continue to the new
-            # fixpoint -- nothing already derived is recomputed.
+                    seeds=int(seed is not None),
+                )
+        else:
+            # What the warm database lacks enters as one semi-naive
+            # delta: the facts loaded since it was current and this
+            # call's seed, unless it already holds or subsumes it.
+            database = warm.database
+            start_stamp = warm.last_stamp + 1
             pending = [
                 fact
                 for epoch, facts in self._fact_log
                 if epoch > warm.epoch
                 for fact in facts
-            ]
-            start_stamp = warm.last_stamp + 1
-            with obs_span(
-                "service.evaluate", mode="resume", delta=len(pending)
-            ):
-                result = resume(
-                    specialized,
-                    warm.database,
-                    pending,
-                    start_stamp=start_stamp,
-                    max_iterations=self._eval_iterations,
-                    budget=meter,
-                )
-            obs_count("service.resumes")
-            resumed = True
-            database = warm.database
-            if result.truncated:
-                # The warm database now holds a partial delta closure;
-                # serve the (sound, possibly incomplete) answer but
-                # never reuse the poisoned state.
-                entry.drop_warm(seed)
+            ] if warm.epoch < self._epoch else []
+            seed = compiled.seed_rule(normalized)
+            seed_fact = fact_of_rule(seed) if seed is not None else None
+            seeded = seed_fact is not None and bool(
+                database.insert_many([seed_fact], start_stamp)
+            )
+            if seeded or pending:
+                with obs_span(
+                    "service.evaluate", mode="resume", delta=len(pending)
+                ):
+                    result = resume(
+                        compiled.template,
+                        database,
+                        pending,
+                        start_stamp=start_stamp,
+                        max_iterations=self._eval_iterations,
+                        budget=meter,
+                        assume_delta=seeded,
+                    )
+                obs_count("service.resumes")
+                if result.truncated:
+                    # The database now holds a partial delta closure;
+                    # serve the (sound, possibly incomplete) answer but
+                    # never reuse the poisoned state, all seeds of it.
+                    entry.warm = None
+                else:
+                    warm.last_stamp = start_stamp + result.stats.iterations
+                    warm.epoch = self._epoch
+                    warm.seeds += seeded
+                    entry.trim(self._edb.count())
             else:
-                warm.last_stamp = start_stamp + result.stats.iterations
-                warm.epoch = self._epoch
-        else:
-            obs_count("service.warm_hits")
-            result = None
-            database = warm.database
+                obs_count("service.warm_hits")
+                result = None
         completeness, must_fail = grade(
             result.completeness if result is not None else "complete",
             compiled.fallbacks,
@@ -560,7 +569,7 @@ class Session:
             params=params,
             cached=cached,
             warm=warm is not None,
-            resumed=resumed,
+            resumed=warm is not None and result is not None,
             notes=list(compiled.notes),
             eval_stats=result.stats if result is not None else None,
         )

@@ -23,7 +23,11 @@ from repro.conformance import (
     generate_case,
     shrink,
 )
-from repro.conformance.differ import CheckSettings, INJECTIONS
+from repro.conformance.differ import (
+    CheckSettings,
+    INJECTIONS,
+    sibling_queries,
+)
 from repro.conformance.generator import GeneratorConfig
 from repro.conformance.oracle import numeric_domain, oracle_answers
 from repro.conformance.shrinker import (
@@ -37,6 +41,9 @@ CORPUS_CASES = sorted(CORPUS.glob("*.cql"))
 
 #: Strategy configs only -- no service -- for the fast self-tests.
 FAST_CONFIGS = ("oracle", "none", "rewrite")
+
+#: The accumulating magic session against the oracle alone.
+WARM_CONFIGS = ("oracle", "warm-magic")
 
 
 def _assert_agrees(result):
@@ -130,6 +137,49 @@ class TestOracle:
         assert 3 in domain and 7 in domain
 
 
+class TestWarmMagicConfig:
+    """``warm-magic`` drives what it says: sibling seeds of one form
+    and fact loads through one session, every step held to the oracle
+    as of that step."""
+
+    def test_siblings_share_the_form_and_differ_in_constants(self):
+        from repro.service.forms import canonicalize
+
+        seen = 0
+        for seed in range(20):
+            case = generate_case(seed)
+            form, params = canonicalize(case.query)
+            siblings = sibling_queries(case)
+            assert len(siblings) <= 5
+            for sibling in siblings:
+                sibling_form, sibling_params = canonicalize(sibling)
+                assert sibling_form == form
+                assert sibling_params != params
+            seen += len(siblings)
+        assert seen
+
+    def test_steps_resume_and_hit_one_database_per_session(self):
+        from repro import obs
+
+        tracer = obs.Tracer()
+        with obs.recording(tracer):
+            for seed in range(12):
+                result = check_case(
+                    generate_case(seed), configs=WARM_CONFIGS
+                )
+                _assert_agrees(result)
+                steps = [
+                    run for run in result.runs.values()
+                    if run.expected is not None
+                ]
+                assert len(steps) >= 4  # both sessions, asked twice
+        counters = tracer.metrics.counters
+        # One compile per session; seeds and loads entered as deltas.
+        assert counters["service.form_compiles"] == 24
+        assert counters["service.resumes"] > 24
+        assert counters["service.warm_hits"] > 24
+
+
 class TestInjectedBugIsCaught:
     """The harness's reason to exist: a deliberately corrupted rewrite
     must produce a mismatch, and the shrinker must reduce the witness
@@ -138,29 +188,35 @@ class TestInjectedBugIsCaught:
     # Seed windows known to contain catching cases per injection; the
     # tighten bug needs a case whose answers straddle the moved bound,
     # which is rarer than losing a whole rule.
-    @pytest.mark.parametrize(
+    WINDOWS = pytest.mark.parametrize(
         "name, seeds",
         [("drop-rule", range(0, 30)), ("tighten", range(170, 190))],
         ids=["drop-rule", "tighten"],
     )
-    def test_some_seed_catches_injection(self, name, seeds):
-        inject = ("rewrite", INJECTIONS[name])
+
+    @staticmethod
+    def assert_caught(name, seeds, config, configs):
+        inject = (config, INJECTIONS[name])
         settings = CheckSettings()
-        caught = None
-        for seed in seeds:
-            case = generate_case(seed)
-            result = check_case(
-                case,
-                configs=FAST_CONFIGS,
+        assert any(
+            not check_case(
+                generate_case(seed),
+                configs=configs,
                 settings=settings,
                 inject=inject,
-            )
-            if not result.ok:
-                caught = (case, result)
-                break
-        assert caught is not None, (
-            f"no seed in {seeds} caught injected bug {name!r}"
-        )
+            ).ok
+            for seed in seeds
+        ), f"no seed in {seeds} caught injected bug {name!r}"
+
+    @WINDOWS
+    def test_some_seed_catches_injection(self, name, seeds):
+        self.assert_caught(name, seeds, "rewrite", FAST_CONFIGS)
+
+    @WINDOWS
+    def test_warm_magic_catches_injection(self, name, seeds):
+        # The same corruption, applied to the templates the
+        # accumulating sessions compile.
+        self.assert_caught(name, seeds, "warm-magic", WARM_CONFIGS)
 
     def test_caught_bug_shrinks_small(self, tmp_path):
         inject = ("rewrite", INJECTIONS["drop-rule"])

@@ -19,12 +19,20 @@ compared through one spelling per class of mutually subsuming facts.
 (b) *Monotone resume* (ROADMAP 8(d)).  Loading the EDB in any number
 of ``resume`` calls, in any order, ends in the database one cold
 ``evaluate`` on the union computes.
+
+(c) *Monotone in seeds too.*  A magic session asked sibling queries of
+one form and loaded its EDB piecewise, in any interleaving, ends with
+one warm database equal -- mutual subsumption, predicate by predicate
+-- to the cold fixpoint of the form's template plus *all* the seeds
+over the final EDB: a seed injected as a delta derives what its seed
+rule would have.
 """
 
 import itertools
 
 from hypothesis import example, given, settings, strategies as st
 
+from repro.conformance.differ import facts_equivalent, sibling_queries
 from repro.conformance.generator import GeneratorConfig, generate_case
 from repro.constraints.atom import Atom
 from repro.constraints.conjunction import Conjunction
@@ -37,6 +45,7 @@ from repro.engine.relation import InsertOutcome
 from repro.engine.ruleeval import RuleEvaluator, database_view
 from repro.lang.normalize import normalize_program
 from repro.lang.terms import Sym
+from repro.service.session import Session
 
 MAX_ITERATIONS = 8
 #: The written-order join of a three-literal body is a cross product;
@@ -200,3 +209,50 @@ class TestMonotoneResume:
         assert set(warm.database.all_facts()) == set(
             cold.database.all_facts()
         )
+
+
+class TestMonotoneSeeds:
+    @given(seeds, st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_any_interleaving_of_seeds_and_loads_equals_cold(
+        self, seed, data
+    ):
+        case = generate_case(seed, CONFIG)
+        rules, edb = split_edb(case.program)
+        facts = list(edb.all_facts())
+        cuts = sorted(data.draw(st.lists(
+            st.integers(0, len(facts)), max_size=3
+        )))
+        loads = [
+            facts[low:high]
+            for low, high in zip([0, *cuts], [*cuts, len(facts)])
+        ]
+        queries = [case.query, *sibling_queries(case)]
+        # Asked last, the case's query folds any trailing loads in.
+        steps = [
+            *data.draw(st.permutations([*queries, *queries, *loads])),
+            case.query,
+        ]
+
+        session = Session(rules, strategy="magic")
+        for step in steps:
+            if isinstance(step, list):
+                assert session.add_facts(step).ok
+            else:
+                response = session.query(step)
+                assert response.completeness == "complete"
+        (entry,) = session.cache.entries()
+        compiled = entry.compiled
+        cold = evaluate(
+            compiled.template.with_rules(
+                compiled.seed_rule(query) for query in queries
+            ),
+            edb,
+        )
+        assert cold.reached_fixpoint
+        warm = entry.warm.database
+        assert warm.predicates() >= cold.database.predicates()
+        for pred in warm.predicates():
+            assert facts_equivalent(
+                list(warm.facts(pred)), list(cold.database.facts(pred))
+            ), pred

@@ -7,7 +7,10 @@ import pytest
 from repro.constraints.atom import Atom
 from repro.constraints.conjunction import Conjunction
 from repro.constraints.linexpr import LinearExpr
-from repro.engine.facts import Fact, PENDING, make_fact
+from repro.engine.facts import Fact, PENDING, fact_of_rule, make_fact
+from repro.engine.ruleeval import RuleEvaluator
+from repro.lang.normalize import normalize_rule
+from repro.lang.parser import parse_program
 from repro.lang.terms import Sym
 
 
@@ -141,3 +144,40 @@ class TestSubsumption:
         assert not fact.is_ground()
         with pytest.raises(ValueError):
             fact.ground_tuple()
+
+
+class TestFactOfRule:
+    """A body-less rule as the fact the rule evaluator derives from it
+    -- what lets a magic seed enter a warm database as a delta."""
+
+    @pytest.mark.parametrize(
+        "text, rendered",
+        [
+            ("m_p(madison, seattle).", "m_p(madison, seattle)"),
+            ("m_p(X) :- X <= 5.", "m_p($1; $1 <= 5)"),
+            ("m_p(X, 3, a) :- X <= 5, X >= 5.", "m_p(5, 3, a)"),
+            ("m_p(X, Y).", "m_p($1, $2)"),
+            ("m_p(X, X) :- X >= 0.", None),
+            ("m_p(X, Y) :- X <= Y, Y <= 4.", None),
+            ("m_p(X + 1, 2) :- X = 3.", "m_p(4, 2)"),
+            ("m_p(madison) :- T <= 3.", "m_p(madison)"),
+        ],
+    )
+    def test_equals_what_the_rule_derives(self, text, rendered):
+        (rule,) = parse_program(text)
+        fact = fact_of_rule(rule)
+        (derived,) = RuleEvaluator(normalize_rule(rule)).derive(
+            lambda *literal: ()
+        )
+        assert fact == derived and hash(fact) == hash(derived)
+        if rendered is not None:
+            assert str(fact) == rendered
+
+    def test_unsatisfiable_rule_has_no_fact(self):
+        (rule,) = parse_program("m_p(X) :- X <= 1, X >= 2.")
+        assert fact_of_rule(rule) is None
+
+    def test_rejects_proper_rules(self):
+        (rule,) = parse_program("p(X) :- q(X).")
+        with pytest.raises(ValueError):
+            fact_of_rule(rule)

@@ -6,7 +6,7 @@ from repro.lang.parser import parse_query
 from repro.service.cache import (
     CacheEntry,
     FormCache,
-    MAX_WARM_PER_ENTRY,
+    MAX_WARM_DERIVED_FACTS,
 )
 from repro.service.forms import canonicalize
 from repro.service.session import WarmState
@@ -54,41 +54,69 @@ class TestLRU:
             FormCache(capacity=0)
 
 
+class _Facts:
+    """A stand-in warm database holding ``count()`` facts."""
+
+    def __init__(self, stored: int) -> None:
+        self.stored = stored
+
+    def count(self) -> int:
+        return self.stored
+
+
 class TestWarmStates:
-    def make_state(self, epoch=0):
+    def make_state(self, epoch=0, seeds=0, stored=10):
         return WarmState(
-            database=None, last_stamp=3, epoch=epoch, seed=None
+            database=_Facts(stored), last_stamp=3, epoch=epoch,
+            seeds=seeds,
         )
 
-    def test_per_seed_slots_capped(self):
-        cached = CacheEntry(compiled=None)
-        for index in range(MAX_WARM_PER_ENTRY + 3):
-            cached.put_warm(f"seed{index}", self.make_state())
-        assert len(cached.warm_states) == MAX_WARM_PER_ENTRY
-        assert cached.get_warm("seed0") is None          # evicted
-        assert cached.get_warm(f"seed{MAX_WARM_PER_ENTRY + 2}")
+    def test_one_state_per_entry(self):
+        cache = FormCache(capacity=4)
+        cached = cache.put(form("?- p(a, X)."), entry())
+        assert cached.warm is None
+        assert cache.stats()["warm_states"] == 0
+        first, second = self.make_state(), self.make_state(epoch=1)
+        cached.warm = first
+        assert cache.stats()["warm_states"] == 1
+        cached.warm = second                     # replaces, never adds
+        assert cached.warm is second
+        assert cache.stats()["warm_states"] == 1
 
     def test_drop_warm(self):
         cached = CacheEntry(compiled=None)
-        cached.put_warm("s", self.make_state())
-        cached.drop_warm("s")
-        assert cached.get_warm("s") is None
-        cached.drop_warm("missing")  # idempotent
+        cached.trim(base_facts=0)                # nothing to drop
+        base = 7                                 # the EDB's share
+        big = base + MAX_WARM_DERIVED_FACTS + 1
+        # Under the ceiling, or holding at most one seed: kept.
+        for state in (
+            self.make_state(seeds=5, stored=big - 1),
+            self.make_state(seeds=0, stored=big),
+            self.make_state(seeds=1, stored=big),
+        ):
+            cached.warm = state
+            cached.trim(base)
+            assert cached.warm is state
+        cached.warm = self.make_state(seeds=2, stored=big)
+        cached.trim(base)
+        assert cached.warm is None
+        cached.trim(base)                        # idempotent
 
     def test_min_warm_epoch(self):
         cache = FormCache(capacity=4)
         e1 = cache.put(form("?- p(a, X)."), entry())
         e2 = cache.put(form("?- q(a, X)."), entry())
-        e1.put_warm(None, self.make_state(epoch=2))
-        e2.put_warm(None, self.make_state(epoch=5))
+        cache.put(form("?- r(a, X)."), entry())  # no state: no floor
+        e1.warm = self.make_state(epoch=2)
+        e2.warm = self.make_state(epoch=5)
         assert cache.min_warm_epoch(default=9) == 2
+        e1.warm = None
+        assert cache.min_warm_epoch(default=9) == 5
         assert FormCache(2).min_warm_epoch(default=9) == 9
 
     def test_stats_shape(self):
         cache = FormCache(capacity=4)
-        cache.put(form("?- p(a, X)."), entry()).put_warm(
-            None, self.make_state()
-        )
+        cache.put(form("?- p(a, X)."), entry()).warm = self.make_state()
         stats = cache.stats()
         assert stats["entries"] == 1
         assert stats["warm_states"] == 1

@@ -74,6 +74,83 @@ class TestCompileOnce:
         assert warm.answer_strings == cold.answer_strings
 
 
+@pytest.mark.parametrize("strategy", ("magic", "optimal"))
+class TestSeedsAsDeltas:
+    """A magic form keeps one database; new seeds enter it as deltas."""
+
+    PAIRS = ("madison, seattle", "madison, dallas", "chicago, dallas")
+
+    @staticmethod
+    def cold(constants, strategy, extra=""):
+        return run_text(
+            FLIGHTS_TEXT + extra
+            + f"?- cheaporshort({constants}, T, C).",
+            strategy=strategy,
+        )[0].answer_strings
+
+    def test_second_seed_resumes_the_one_warm_database(self, strategy):
+        engine, tracer = tracked_engine(strategy)
+        with obs.recording(tracer):
+            first, *later = [
+                engine.query(f"?- cheaporshort({pair}, T, C).")
+                for pair in self.PAIRS
+            ]
+            repeats = [
+                engine.query(f"?- cheaporshort({pair}, T, C).")
+                for pair in self.PAIRS
+            ]
+        assert not first.warm
+        for response, pair in zip(later, self.PAIRS[1:]):
+            assert response.warm and response.resumed
+            assert response.answer_strings == self.cold(pair, strategy)
+        # Asked again, every seed is a pure hit on the same database:
+        # nothing evaluated, and no other seed's answers leak in.
+        for response, pair in zip(repeats, self.PAIRS):
+            assert response.warm and not response.resumed
+            assert response.eval_stats is None
+            assert response.answer_strings == self.cold(pair, strategy)
+        counters = tracer.metrics.counters
+        assert counters.get("service.resumes") == 2
+        assert counters.get("service.warm_hits") == 3
+        assert engine.stats()["cache"]["warm_states"] == 1
+
+    def test_seed_and_load_fold_in_together(self, strategy):
+        engine, __ = tracked_engine(strategy)
+        engine.query("?- cheaporshort(madison, seattle, T, C).")
+        extra = "singleleg(dallas, reno, 10, 20).\n"
+        engine.add_facts(extra)
+        response = engine.query("?- cheaporshort(chicago, reno, T, C).")
+        assert response.warm and response.resumed
+        assert response.answer_strings
+        assert response.answer_strings == self.cold(
+            "chicago, reno", strategy, extra
+        )
+        # The earlier seed sees the load too, with nothing left to do.
+        again = engine.query("?- cheaporshort(madison, reno, T, C).")
+        assert again.answer_strings == self.cold(
+            "madison, reno", strategy, extra
+        )
+
+    def test_truncated_injection_drops_the_accumulated_state(
+        self, strategy
+    ):
+        engine, __ = tracked_engine(strategy, on_limit="truncate")
+        engine.query("?- cheaporshort(madison, seattle, T, C).")
+        engine.query("?- cheaporshort(madison, dallas, T, C).")
+        engine.session._budget = Budget(max_facts=0)
+        starved = engine.query("?- cheaporshort(chicago, dallas, T, C).")
+        assert starved.ok and starved.resumed
+        assert starved.completeness.startswith("truncated:")
+        assert engine.stats()["cache"]["warm_states"] == 0
+        engine.session._budget = None
+        # Every earlier seed went with it: the rebuild is cold.
+        healthy = engine.query("?- cheaporshort(madison, seattle, T, C).")
+        assert not healthy.warm and healthy.completeness == "complete"
+        assert healthy.answer_strings == self.cold(
+            "madison, seattle", strategy
+        )
+
+
 class TestIncrementalFacts:
     def test_add_facts_reaches_existing_warm_database(self):
         engine, __ = tracked_engine()
