@@ -43,7 +43,7 @@ from fractions import Fraction
 from repro.constraints.atom import Atom, Op
 from repro.constraints.conjunction import Conjunction
 from repro.constraints.linexpr import LinearExpr
-from repro.engine.facts import PENDING, Fact
+from repro.engine.facts import PENDING, Fact, number_key
 from repro.errors import SnapshotError
 from repro.lang.terms import Sym
 
@@ -101,16 +101,17 @@ def _encode_number(value: object) -> "int | list[int]":
     raise TypeError(f"cannot encode {value!r} as a fact value")
 
 
-def _decode_number(entry: object) -> Fraction:
+def _decode_number(entry: object) -> "int | Fraction":
+    """The int-first value of an encoded number (``int`` if integral)."""
     if type(entry) is int:
-        return Fraction(entry)
+        return entry
     if (
         type(entry) is list
         and len(entry) == 2
         and type(entry[0]) is int
         and type(entry[1]) is int
     ):
-        return Fraction(entry[0], entry[1])
+        return number_key(Fraction(entry[0], entry[1]))
     raise ValueError(f"not a number: {entry!r}")
 
 

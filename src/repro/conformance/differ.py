@@ -35,7 +35,7 @@ from typing import Callable
 
 from repro.driver import compile_query, grade, split_edb
 from repro.engine import evaluate
-from repro.engine.facts import Fact, fact_of_rule
+from repro.engine.facts import Fact, fact_of_rule, is_number
 from repro.engine.query import answers_as
 from repro.errors import ReproError
 from repro.governor import Budget
@@ -183,7 +183,7 @@ def canonical_value(value: object) -> str:
     """One answer component in the harness's canonical spelling."""
     if isinstance(value, Sym):
         return value.name
-    if isinstance(value, Fraction):
+    if is_number(value):
         return f"#{value}"
     if isinstance(value, str):
         return value

@@ -49,7 +49,7 @@ def _atom_holds(atom: Atom, assignment: dict[str, Fraction]) -> bool:
     total = atom.expr.constant
     for name, coefficient in atom.expr.sorted_terms():
         value = assignment[name]
-        if not isinstance(value, Fraction):
+        if isinstance(value, str):
             # A numeric constraint over a symbol-valued variable can
             # never hold (sorts are disjoint).
             return False

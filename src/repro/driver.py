@@ -130,8 +130,6 @@ def render_answers(query: Query, facts: list[Fact]) -> list[str]:
     non-ground answer positions (constraint answers) render as
     ``constrained`` with the fact's constraint appended.
     """
-    from fractions import Fraction
-
     from repro.engine.facts import PENDING
 
     variables = sorted(query.variables())
@@ -141,15 +139,8 @@ def render_answers(query: Query, facts: list[Fact]) -> list[str]:
         for name, value in zip(variables, fact.args):
             if value is PENDING:
                 parts.append(f"{name}: constrained")
-            elif isinstance(value, Fraction):
-                shown = (
-                    value.numerator
-                    if value.denominator == 1
-                    else value
-                )
-                parts.append(f"{name} = {shown}")
             else:
-                parts.append(f"{name} = {value.name}")
+                parts.append(f"{name} = {value}")
         suffix = ""
         if not fact.constraint.is_true():
             suffix = f"  [{fact.constraint}]"

@@ -4,10 +4,22 @@ A :class:`Fact` for an ``n``-ary predicate stores one *value* per
 argument position:
 
 * a :class:`~repro.lang.terms.Sym` -- a symbolic constant,
-* a :class:`fractions.Fraction` -- a fixed numeric value,
+* a fixed numeric value, *int-first*: a plain ``int`` when it is
+  integral and a :class:`fractions.Fraction` only when it is not (its
+  :func:`number_key` form, as :mod:`repro.constraints.linexpr` keeps
+  coefficients),
 * :data:`PENDING` -- a numerically constrained position, governed by the
   fact's :class:`~repro.constraints.conjunction.Conjunction` over the
   position variables ``$1 .. $n``.
+
+``Fraction(3) == 3`` and the two hash alike, so a caller may hand in
+either; every constructor here stores the ``int``, which is what makes
+hashing and comparing a fact's arguments cheap.  :func:`is_number` is
+the one "is this value numeric" test (``int`` or ``Fraction``, never
+``bool``).  On canonical facts a ground fact is subsumed only by an
+equal one, so a relation holding no non-ground fact inserts by the
+duplicate test alone (:mod:`repro.engine.relation`); neither changes
+what is derived, nor the derivation count.
 
 Canonicalization performed by :func:`make_fact` guarantees that
 
@@ -49,16 +61,37 @@ class _Pending:
 
 PENDING = _Pending()
 
-Value = Union[Sym, Fraction, _Pending]
+Value = Union[Sym, int, Fraction, _Pending]
+
+
+def number_key(value: "int | Fraction") -> "int | Fraction":
+    """A numeric value in its canonical, comparison-cheap form.
+
+    Integral values become the plain ``int`` (hashed, compared and
+    multiplied in C); ints and Fractions order correctly against each
+    other.  Every numeric fact argument is already in this form.
+    """
+    return value.numerator if value.denominator == 1 else value
+
+
+def is_number(value: object) -> bool:
+    """Is the value numeric -- an ``int`` (not a ``bool``) or a Fraction?
+
+    The ``int`` test goes first: ``isinstance`` against ``Fraction`` (an
+    ABC) takes the slow path for anything that is not one.
+    """
+    return type(value) is int or isinstance(value, Fraction)
 
 
 def _coerce_value(value: object) -> Value:
-    if isinstance(value, (_Pending, Sym, Fraction)):
+    if type(value) is int or value is PENDING or isinstance(value, Sym):
         return value
+    if isinstance(value, Fraction):
+        return number_key(value)
     if isinstance(value, bool):
         raise TypeError("booleans are not CQL values")
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     if isinstance(value, str):
         return Sym(value)
     if value is None:
@@ -88,7 +121,7 @@ class Fact:
 
     @staticmethod
     def ground(pred: str, values: Iterable[object]) -> "Fact":
-        """A ground fact; ints become Fractions, strings become Syms."""
+        """A ground fact; numbers go int-first, strings become Syms."""
         args = tuple(_coerce_value(value) for value in values)
         if any(isinstance(arg, _Pending) for arg in args):
             raise ValueError("ground facts cannot have pending positions")
@@ -113,7 +146,7 @@ class Fact:
             if isinstance(arg, _Pending)
         )
 
-    def ground_tuple(self) -> tuple[Sym | Fraction, ...]:
+    def ground_tuple(self) -> tuple[Sym | int | Fraction, ...]:
         """The argument values; raises unless ground."""
         if not self.is_ground():
             raise ValueError(f"{self} is not ground")
@@ -130,7 +163,7 @@ class Fact:
             return self._full
         atoms: list[Atom] = list(self.constraint.atoms)
         for index, arg in enumerate(self.args, start=1):
-            if isinstance(arg, Fraction):
+            if is_number(arg):
                 atoms.append(
                     Atom.eq(
                         LinearExpr.var(arg_position(index)),
@@ -157,17 +190,13 @@ class Fact:
             zip(self.args, other.args), start=1
         ):
             position = arg_position(index)
-            if isinstance(mine, Sym):
+            if mine is not PENDING:  # a symbol or a number
                 if mine != theirs:
                     return False
-            elif isinstance(mine, Fraction):
-                if mine != theirs:
+            elif isinstance(theirs, Sym):
+                if position in my_vars:
                     return False
-            else:  # mine is PENDING
-                if isinstance(theirs, Sym):
-                    if position in my_vars:
-                        return False
-                # Fraction / PENDING handled by implication below.
+            # Number / PENDING handled by implication below.
         return other.full_conjunction().implies(self.full_conjunction())
 
     # -- comparisons ----------------------------------------------------
@@ -195,12 +224,8 @@ class Fact:
             if isinstance(arg, _Pending):
                 rendered.append(arg_position(index))
                 pending_index += 1
-            elif isinstance(arg, Fraction):
-                rendered.append(
-                    str(arg) if arg.denominator != 1 else str(arg.numerator)
-                )
             else:
-                rendered.append(arg.name)
+                rendered.append(str(arg))
         inner = ", ".join(rendered)
         if self.constraint.is_true():
             return f"{self.pred}({inner})"
@@ -227,7 +252,7 @@ def make_fact(
     }
     fixed_atoms: list[Atom] = []
     for index, arg in enumerate(args, start=1):
-        if isinstance(arg, Fraction) and arg_position(index) in (
+        if is_number(arg) and arg_position(index) in (
             constraint.variables()
         ):
             fixed_atoms.append(
@@ -251,7 +276,7 @@ def make_fact(
                 continue
             forced = conjunction.forced_value(position)
             if forced is not None:
-                args[index - 1] = forced
+                args[index - 1] = number_key(forced)
                 conjunction = conjunction.substitute(
                     {position: LinearExpr.const(forced)}
                 )

@@ -4,18 +4,27 @@ A relation stores the facts of one predicate.  Each fact carries the
 iteration *stamp* at which it was added, which is what the semi-naive
 evaluator filters on (delta vs. old vs. full views).  Insertion rejects
 facts subsumed by an existing fact (the paper's "subsumed facts ... are
-discarded, and are not used to make new derivations").
+discarded, and are not used to make new derivations").  The relation
+counts its non-ground facts (with a PENDING position).  While there
+are none -- on most programs always (Theorem 6.2) -- an insert is one
+set-membership test: only an equal fact covers a ground one, and a
+canonical non-ground fact covers at least two points, so no ground
+fact covers it.  What is derived, and so the derivation count, does
+not change.
 
 Two indexes accelerate joins:
 
-* a per-position hash index on fixed (Sym/Fraction) values, and
+* a per-position hash index on fixed (Sym / number) values, and
 * a per-position *ordered* index on numeric values, supporting the
   range probes that Section 4.6 points out constraint selections
   enable ("the constraints Cost <= 150 and Time <= 240 could be used
   to efficiently retrieve (via B trees, etc.) singleleg tuples").
 
 Facts whose value at the probed position is PENDING are kept in a side
-list since they may cover any probed value or range.
+list since they may cover any probed value or range.  Numeric fact
+arguments are int-first (:mod:`repro.engine.facts`), already the
+:func:`~repro.engine.facts.number_key` form the ordered index is keyed
+by; only ``Range`` bounds are converted.
 
 The facts are also grouped by stamp, in insertion order, so the
 semi-naive delta (an ``exact_stamp`` probe) is read off its group
@@ -35,7 +44,7 @@ import enum
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from repro.engine.facts import Fact, PENDING, Value
+from repro.engine.facts import Fact, PENDING, Value, number_key
 from repro.lang.terms import Sym
 from repro.obs.recorder import count as obs_count
 
@@ -43,16 +52,6 @@ from repro.obs.recorder import count as obs_count
 # Sorts after every insertion sequence number: ``(key, _AFTER)`` lands
 # just past the entries of ``key`` and ``(key,)`` just before them.
 _AFTER = float("inf")
-
-
-def number_key(value: Fraction) -> "int | Fraction":
-    """A numeric value in its comparison-cheap form.
-
-    Integral values become the plain ``int`` (compared and multiplied
-    in C); ints and Fractions order correctly against each other.  The
-    ordered index is keyed by it.
-    """
-    return value.numerator if value.denominator == 1 else value
 
 
 class Range:
@@ -81,17 +80,16 @@ class Range:
         self._lower_key = None if lower is None else number_key(lower)
         self._upper_key = None if upper is None else number_key(upper)
 
-    def admits(self, value: Fraction) -> bool:
-        """Is the value inside the range?"""
-        key = number_key(value)
+    def admits(self, value: "int | Fraction") -> bool:
+        """Is the (numeric) value inside the range?"""
         lower = self._lower_key
         if lower is not None and (
-            key <= lower if self.lower_strict else key < lower
+            value <= lower if self.lower_strict else value < lower
         ):
             return False
         upper = self._upper_key
         if upper is not None and (
-            key >= upper if self.upper_strict else key > upper
+            value >= upper if self.upper_strict else value > upper
         ):
             return False
         return True
@@ -124,6 +122,8 @@ class Relation:
         # (A length-based tie-break would collide after remove().)
         self._seqs: dict[Fact, int] = {}
         self._next_seq = 0
+        # How many stored facts have a PENDING position.
+        self._nonground = 0
         # _fixed[pos][value] -> facts with that fixed value at pos;
         # _pending[pos] -> facts with PENDING at pos;
         # _ordered[pos] -> sorted (numeric key, insertion seq) entries,
@@ -149,6 +149,7 @@ class Relation:
         }
         clone._seqs = dict(self._seqs)
         clone._next_seq = self._next_seq
+        clone._nonground = self._nonground
         clone._fixed = [
             {value: list(bucket) for value, bucket in index.items()}
             for index in self._fixed
@@ -187,7 +188,9 @@ class Relation:
     # -- modification ---------------------------------------------------
 
     def insert(self, fact: Fact, stamp: int = 0) -> InsertOutcome:
-        """Insert unless a syntactic duplicate or semantically subsumed."""
+        """Insert unless a syntactic duplicate or semantically subsumed
+        (by the duplicate test alone while no non-ground fact is stored).
+        """
         if fact.pred != self.pred or fact.arity != self.arity:
             raise ValueError(
                 f"fact {fact} does not belong to relation "
@@ -196,27 +199,31 @@ class Relation:
         obs_count("relation.inserts")
         if fact in self._stamps:
             return InsertOutcome.DUPLICATE
-        for existing in self._candidate_subsumers(fact):
-            obs_count("constraint.subsumption_tests")
-            if existing.subsumes(fact):
-                return InsertOutcome.SUBSUMED
+        if self._nonground:
+            for existing in self._candidate_subsumers(fact):
+                obs_count("constraint.subsumption_tests")
+                if existing.subsumes(fact):
+                    return InsertOutcome.SUBSUMED
         self._stamps[fact] = stamp
         self._groups.setdefault(stamp, []).append(fact)
         seq = self._next_seq
         self._next_seq += 1
         self._seqs[fact] = seq
-        for position in range(self.arity):
-            value = fact.args[position]
+        ground = True
+        for position, value in enumerate(fact.args):
             if value is PENDING:
                 self._pending[position].append(fact)
-            else:
-                self._fixed[position].setdefault(value, []).append(fact)
-                if isinstance(value, Fraction):
-                    entry = (number_key(value), seq)
-                    entries = self._ordered[position]
-                    index = bisect.bisect_left(entries, entry)
-                    entries.insert(index, entry)
-                    self._ordered_facts[position].insert(index, fact)
+                ground = False
+                continue
+            self._fixed[position].setdefault(value, []).append(fact)
+            if type(value) is not Sym:  # a number, in number_key form
+                entry = (value, seq)
+                entries = self._ordered[position]
+                index = bisect.bisect_left(entries, entry)
+                entries.insert(index, entry)
+                self._ordered_facts[position].insert(index, fact)
+        if not ground:
+            self._nonground += 1
         return InsertOutcome.NEW
 
     def remove(self, fact: Fact) -> None:
@@ -229,23 +236,24 @@ class Relation:
         if not group:
             del self._groups[stamp]
         seq = self._seqs.pop(fact)
-        for position in range(self.arity):
-            value = fact.args[position]
+        ground = True
+        for position, value in enumerate(fact.args):
             if value is PENDING:
                 self._pending[position].remove(fact)
-            else:
-                bucket = self._fixed[position][value]
-                bucket.remove(fact)
-                if not bucket:
-                    del self._fixed[position][value]
-                if isinstance(value, Fraction):
-                    # (key, seq) is unique, so bisect lands on the entry.
-                    entries = self._ordered[position]
-                    index = bisect.bisect_left(
-                        entries, (number_key(value), seq)
-                    )
-                    entries.pop(index)
-                    self._ordered_facts[position].pop(index)
+                ground = False
+                continue
+            bucket = self._fixed[position][value]
+            bucket.remove(fact)
+            if not bucket:
+                del self._fixed[position][value]
+            if type(value) is not Sym:
+                # (value, seq) is unique, so bisect lands on the entry.
+                entries = self._ordered[position]
+                index = bisect.bisect_left(entries, (value, seq))
+                entries.pop(index)
+                self._ordered_facts[position].pop(index)
+        if not ground:
+            self._nonground -= 1
 
     def sweep_subsumed_by(self, fact: Fact) -> list[Fact]:
         """Remove stored facts the given (stored) fact subsumes.

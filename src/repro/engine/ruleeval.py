@@ -41,8 +41,8 @@ from repro.constraints.atom import Atom, Op
 from repro.constraints.conjunction import Conjunction
 from repro.constraints.linexpr import LinearExpr, as_fraction
 from repro.engine.database import Database
-from repro.engine.facts import Fact, PENDING, make_fact
-from repro.engine.relation import Range, number_key
+from repro.engine.facts import Fact, PENDING, is_number, make_fact, number_key
+from repro.engine.relation import Range
 from repro.errors import ReproError
 from repro.governor import budget as governor
 from repro.lang.ast import Literal, Rule
@@ -72,11 +72,11 @@ class _State:
             dict(self.sym_bind), dict(self.num_bind), list(self.atoms)
         )
 
-    def constant_of(self, name: str) -> Fraction | None:
-        """The constant a variable is bound to, if any."""
+    def constant_of(self, name: str) -> "int | Fraction | None":
+        """The constant a variable is bound to (int-first), if any."""
         expr = self.num_bind.get(name)
         if expr is not None and expr.is_constant():
-            return as_fraction(expr.constant)
+            return expr.constant
         return None
 
 
@@ -86,11 +86,13 @@ FactView = Callable[
 ]
 """Produces candidate facts for a body literal: (literal, bound
 positions with fixed values, written body index, static range probes)
--> facts.  A fixed number may arrive as the equal plain ``int``."""
+-> facts.  A fixed number arrives int-first, as fact values are."""
 
 
 # Argument actions of a compiled body literal.
 _CONST, _TEST, _BIND, _BIND_NUM = range(4)
+
+_TRUE = Conjunction.true()
 
 
 class _Lowered(NamedTuple):
@@ -190,8 +192,8 @@ def _static_ranges(rule: Rule, literal: Literal) -> dict[int, Range]:
     return ranges
 
 
-def _constant_of(arg: "Sym | NumTerm") -> "Sym | Fraction":
-    return arg if isinstance(arg, Sym) else arg.value
+def _constant_of(arg: "Sym | NumTerm") -> "Sym | int | Fraction":
+    return arg if isinstance(arg, Sym) else number_key(arg.value)
 
 
 def _lower(
@@ -365,9 +367,9 @@ def _advance(step: _Step, args: tuple, env: list) -> bool | None:
         if action == _BIND:
             env[payload] = value
         elif action == _BIND_NUM:
-            if not isinstance(value, Fraction):
+            if type(value) is Sym:
                 return None
-            env[payload] = number_key(value)
+            env[payload] = value
         elif value != (env[payload] if action == _TEST else payload):
             return False
     for check in step.checks:
@@ -449,8 +451,8 @@ class RuleEvaluator:
         """Join the literals of ``steps`` from ``depth`` on.
 
         ``state`` is None while every bound variable holds a constant:
-        ``env[slot]`` then has it (numbers the rule does arithmetic on
-        in their :func:`number_key` form), shared down the recursion,
+        ``env[slot]`` then has it (numbers in their :func:`number_key`
+        form, as fact values already are), shared down the recursion,
         since a literal writes only the slots it binds -- as is
         ``parents``, one slot per written body index.  The first
         candidate the plan cannot decide lifts the constants into a
@@ -513,14 +515,17 @@ class RuleEvaluator:
                 continue
             value = lowered.total(env)
             if lowered.divisor != 1:
-                value = number_key(Fraction(value) / lowered.divisor)
-            env[lowered.solves] = value
-        return Fact.ground(
+                value = Fraction(value) / lowered.divisor
+            # Fractional constants may sum to an integral Fraction.
+            env[lowered.solves] = number_key(value)
+        # Syms and number_key forms: already canonical fact values.
+        return Fact(
             self.rule.head.pred,
-            [
+            tuple([
                 env[payload] if is_slot else payload
                 for is_slot, payload in plan.head
-            ],
+            ]),
+            _TRUE,
         )
 
     def _bound_positions(
@@ -572,7 +577,7 @@ class RuleEvaluator:
                     return False
             elif isinstance(arg, NumTerm):
                 constant = arg.value
-                if isinstance(value, Fraction):
+                if is_number(value):
                     if value != constant:
                         return False
                 elif value is PENDING:
@@ -598,7 +603,7 @@ class RuleEvaluator:
                 if known is not None:
                     if isinstance(value, Sym):
                         return False
-                    if isinstance(value, Fraction):
+                    if is_number(value):
                         if known.is_constant():
                             if known.constant != value:
                                 return False
@@ -614,7 +619,7 @@ class RuleEvaluator:
                 # Unbound variable.
                 if isinstance(value, Sym):
                     state.sym_bind[name] = value
-                elif isinstance(value, Fraction):
+                elif is_number(value):
                     state.num_bind[name] = LinearExpr.const(value)
                 else:
                     state.num_bind[name] = fact_expr(position)

@@ -41,11 +41,11 @@ selectivities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from repro.constraints.atom import Atom
 from repro.constraints.linexpr import LinearExpr
 from repro.core.pipeline import STRATEGY_SEQUENCES
+from repro.engine.facts import is_number
 from repro.governor import budget as governor
 from repro.lang.ast import Literal, Program, Query, Rule
 from repro.lang.terms import NumTerm, Sym, Var
@@ -781,7 +781,7 @@ def _interval_atoms(
 ) -> list[Atom]:
     """Constraint atoms encoding an interval restriction on ``expr``."""
     if restriction.equal is not None:
-        if isinstance(restriction.equal, Fraction):
+        if is_number(restriction.equal):
             constant = LinearExpr.const(restriction.equal)
             return [Atom.eq(expr, constant)]
         return []  # a symbolic equality has no interval content

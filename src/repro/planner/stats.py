@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from repro.engine.database import Database
+from repro.engine.facts import is_number
 from repro.lang.terms import Sym
 from repro.obs.recorder import count as obs_count, span as obs_span
 
@@ -74,7 +75,7 @@ class Restriction:
         """Could a fact with this column value satisfy the restriction?"""
         if self.equal is not None:
             return value == self.equal
-        if not isinstance(value, Fraction):
+        if not is_number(value):
             # A symbolic value never satisfies a numeric interval.
             return self.lower is None and self.upper is None
         if self.lower is not None:
@@ -154,7 +155,7 @@ class ColumnStats:
         count is the (monotone) upper estimate -- per-symbol counts are
         not retained.
         """
-        if isinstance(value, Fraction):
+        if is_number(value):
             return self.count_in_range(value, False, value, False)
         return self.mode_count
 
@@ -284,7 +285,7 @@ class EdbStats:
 
 
 def _column_stats(values: list[object]) -> ColumnStats:
-    numeric = sorted(v for v in values if isinstance(v, Fraction))
+    numeric = sorted(v for v in values if is_number(v))
     symbolic = sum(1 for v in values if isinstance(v, Sym))
     counts: dict[object, int] = {}
     for value in values:

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from repro.engine.database import Database
-from repro.engine.facts import Fact
+from repro.engine.facts import Fact, is_number
 from repro.errors import UsageError
 from repro.lang.ast import Program, Query
 from repro.lang.normalize import normalize_query
@@ -83,7 +83,7 @@ def _key_bytes(value: object) -> bytes | None:
     """A canonical, process-stable byte rendering of a key value."""
     if isinstance(value, Sym):
         return b"s:" + value.name.encode("utf-8")
-    if isinstance(value, Fraction):
+    if is_number(value):
         return (
             b"n:"
             + str(value.numerator).encode()
@@ -123,7 +123,7 @@ class ShardPlan:
         spec = self.spec_for(pred)
         if spec.kind == "broadcast":
             return None
-        if spec.kind == "range" and isinstance(value, Fraction):
+        if spec.kind == "range" and is_number(value):
             return bisect_right(
                 [Fraction(b) for b in spec.bounds], value
             ) % self.shards

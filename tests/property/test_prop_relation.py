@@ -13,7 +13,15 @@ independent in a ``copy``.
 
 Relations mix integers, non-integral Fractions, symbols and PENDING
 positions, and are probed after random removals (equal-valued entries
-included: the ordered index must drop exactly the removed one).
+included: the ordered index must drop exactly the removed one).  An
+integral value is drawn both as ``3`` and as ``Fraction(3)``: the two
+must make one stored fact.
+
+The insert outcome itself is checked against a second model --
+"a duplicate, else subsumed when any stored fact subsumes it" -- over
+random interleavings of inserts, removes, backward sweeps and copies of
+ground and constraint facts, together with the relation's count of
+non-ground facts that selects the ground-only path.
 """
 
 from fractions import Fraction
@@ -26,11 +34,13 @@ from repro.constraints.linexpr import LinearExpr
 from repro.engine.facts import Fact, PENDING, make_fact
 from repro.engine.relation import InsertOutcome, Range, Relation
 from repro.lang.terms import Sym
+from repro.obs import Tracer, recording
 
 ARITY = 3
 
 numbers = st.sampled_from(
-    [Fraction(n) for n in range(-2, 5)]
+    list(range(-2, 5))
+    + [Fraction(n) for n in range(-2, 5)]
     + [Fraction(1, 2), Fraction(7, 3), Fraction(-3, 2), Fraction(5, 2)]
 )
 symbols = st.sampled_from([Sym("a"), Sym("b")])
@@ -83,6 +93,11 @@ probes = st.fixed_dictionaries(
 )
 
 
+def numeric(value) -> bool:
+    """The engine's sorts: every fixed value not a symbol is a number."""
+    return value is not PENDING and not isinstance(value, Sym)
+
+
 def inside(value: Fraction, probe: Range) -> bool:
     if probe.lower is not None and (
         value < probe.lower
@@ -108,13 +123,13 @@ def brute_force(relation, bound, ranges, max_stamp, exact_stamp):
         return same + pending(position)
 
     def scan(position, probe):
-        numeric = [
+        found = [
             f for f in stored
-            if isinstance(f.args[position], Fraction)
+            if numeric(f.args[position])
             and inside(f.args[position], probe)
         ]
-        numeric.sort(key=lambda f: f.args[position])  # stable
-        return numeric + pending(position)
+        found.sort(key=lambda f: f.args[position])  # stable
+        return found + pending(position)
 
     candidates = None
     if exact_stamp is not None:
@@ -147,7 +162,7 @@ def brute_force(relation, bound, ranges, max_stamp, exact_stamp):
                 return False
         for position, probe in ranges.items():
             actual = fact.args[position]
-            if isinstance(actual, Fraction) and not inside(actual, probe):
+            if numeric(actual) and not inside(actual, probe):
                 return False
         return True
 
@@ -171,14 +186,14 @@ class TestMatchingAgainstBruteForce:
     @settings(max_examples=100, deadline=None)
     def test_ordered_index_tracks_inserts_and_removes(self, relation):
         for position in range(ARITY):
-            numeric = [
+            ordered = [
                 fact for fact in relation
-                if isinstance(fact.args[position], Fraction)
+                if numeric(fact.args[position])
             ]
-            numeric.sort(key=lambda fact: fact.args[position])
+            ordered.sort(key=lambda fact: fact.args[position])
             assert list(
                 relation.matching(ranges={position: Range()})
-            ) == numeric + [
+            ) == ordered + [
                 fact for fact in relation
                 if fact.args[position] is PENDING
             ]
@@ -190,6 +205,36 @@ class TestMatchingAgainstBruteForce:
                 fact for fact in relation
                 if fact.args[position] is PENDING
             ]
+
+    @given(st.lists(rows, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_int_and_fraction_spellings_store_one_fact(self, batch):
+        relation = Relation("p", ARITY)
+        for row in batch:
+            fact, twin = build_fact(row), build_fact(respelled(row))
+            assert fact == twin and hash(fact) == hash(twin)
+            assert not any(map(integral_fraction, fact.args + twin.args))
+            first = relation.insert(fact)
+            assert relation.insert(twin) is (
+                InsertOutcome.DUPLICATE
+                if first is InsertOutcome.NEW
+                else first
+            )
+        assert len(relation) == len({build_fact(row) for row in batch})
+
+
+def respelled(row) -> tuple:
+    """The row with each integral number in its other spelling."""
+    return tuple(
+        Fraction(value) if type(value) is int
+        else value.numerator if integral_fraction(value)
+        else value
+        for value in row
+    )
+
+
+def integral_fraction(value) -> bool:
+    return isinstance(value, Fraction) and value.denominator == 1
 
 
 class TestStampGroups:
@@ -253,3 +298,106 @@ class TestEqualValuedEntries:
         assert list(relation.matching(ranges=below)) == [
             facts[0], facts[2], facts[1]
         ]
+
+
+def bounded(index: int, kind: str | None) -> list[Atom]:
+    """No atom (a wildcard PENDING position) or one bound at 1."""
+    var, one = LinearExpr.var(f"${index}"), LinearExpr.const(1)
+    if kind is None:
+        return []
+    return [Atom.le(var, one) if kind == "le" else Atom.ge(var, one)]
+
+
+@st.composite
+def mixed_facts(draw) -> Fact:
+    """Arity-2 facts, ground or not, over a pool small enough that
+    wildcards and bounds cover the ground facts often."""
+    values, atoms = [], []
+    for index in (1, 2):
+        if draw(st.integers(0, 2)):
+            values.append(draw(st.sampled_from(
+                [0, 1, 2, Fraction(2), Fraction(1, 2), Sym("a")]
+            )))
+        else:
+            values.append(PENDING)
+            atoms += bounded(
+                index, draw(st.sampled_from([None, "le", "ge"]))
+            )
+    return make_fact("q", values, Conjunction(atoms))
+
+
+steps = st.one_of(
+    st.tuples(st.just("insert"), mixed_facts()),
+    st.tuples(st.just("insert"), mixed_facts()),
+    st.tuples(st.just("remove"), st.integers(0, 20)),
+    st.tuples(st.just("sweep"), st.integers(0, 20)),
+    st.tuples(st.just("copy"), st.none()),
+)
+
+
+def expected_outcome(stored: list[Fact], fact: Fact) -> InsertOutcome:
+    """The paper's rule, with no index: a duplicate, else subsumed when
+    any stored fact subsumes it."""
+    if fact in stored:
+        return InsertOutcome.DUPLICATE
+    if any(other.subsumes(fact) for other in stored):
+        return InsertOutcome.SUBSUMED
+    return InsertOutcome.NEW
+
+
+def nonground(facts) -> int:
+    return sum(PENDING in fact.args for fact in facts)
+
+
+class TestGroundOnlyInsert:
+    @given(st.lists(steps, max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_outcomes_match_the_brute_force_rule(self, script):
+        relation = Relation("q", 2)
+        model: list[Fact] = []
+        for op, payload in script:
+            if op == "insert":
+                expected = expected_outcome(model, payload)
+                ground_only = relation._nonground == 0
+                with recording(Tracer()) as tracer:
+                    assert relation.insert(payload) is expected
+                if ground_only:
+                    assert not tracer.metrics.counters[
+                        "constraint.subsumption_tests"
+                    ]
+                if expected is InsertOutcome.NEW:
+                    model.append(payload)
+            elif op == "remove" and model:
+                doomed = model.pop(payload % len(model))
+                relation.remove(doomed)
+            elif op == "sweep" and model:
+                general = model[payload % len(model)]
+                covered = [
+                    fact for fact in model
+                    if fact is not general and general.subsumes(fact)
+                ]
+                removed = relation.sweep_subsumed_by(general)
+                assert sorted(map(str, removed)) == sorted(
+                    map(str, covered)
+                )
+                model = [fact for fact in model if fact not in covered]
+            elif op == "copy":
+                relation = relation.copy()
+            assert list(relation) == model
+            assert relation._nonground == nonground(model)
+
+    def test_count_returns_to_zero_after_a_remove(self):
+        relation = Relation("q", 2)
+        wildcard = make_fact("q", [PENDING, Sym("a")])
+        point = Fact.ground("q", (1, "a"))
+        assert relation.insert(wildcard) is InsertOutcome.NEW
+        assert relation._nonground == 1
+        assert relation.insert(point) is InsertOutcome.SUBSUMED
+        clone = relation.copy()
+        relation.remove(wildcard)
+        assert relation._nonground == 0
+        assert clone._nonground == 1
+        with recording(Tracer()) as tracer:
+            assert relation.insert(point) is InsertOutcome.NEW
+            assert clone.insert(point) is InsertOutcome.SUBSUMED
+        assert tracer.metrics.counters["constraint.subsumption_tests"] == 1
