@@ -255,10 +255,50 @@ def eliminate_variables(
     return sorted(set(final), key=Atom.sort_key)
 
 
+def _box_decides(atoms: Sequence[Atom]) -> bool | None:
+    """Decide satisfiability by interval intersection, where that is exact.
+
+    ``k*x + c op 0`` bounds ``x`` at ``-c/k`` (``=`` from both sides).
+    An empty interval or a false ground atom decides ``False`` for any
+    conjunction.  When every atom is such a bound or a true ground atom
+    the variables are independent, so non-empty intervals decide
+    ``True``; an atom coupling two variables otherwise leaves ``None``.
+    """
+    # A bound is keyed (value, flag): the tightest upper bound is the
+    # min with 0 = strict, 1 = closed; the tightest lower bound the max
+    # with 1 = strict, 0 = closed.  An interval is empty iff lower >= upper.
+    lower: dict[str, tuple[Fraction, int]] = {}
+    upper: dict[str, tuple[Fraction, int]] = {}
+    coupled = False
+    for atom in atoms:
+        terms, coeff = atom.direction()
+        if len(terms) != 1:
+            if not terms and not atom.truth_value():
+                return False
+            coupled = coupled or bool(terms)
+            continue
+        var, strict = terms[0][0], atom.op is Op.LT
+        value = Fraction(-atom.expr.constant, coeff)
+        if atom.op is Op.EQ or coeff > 0:
+            bound = (value, 0 if strict else 1)
+            upper[var] = min(upper.get(var, bound), bound)
+        if atom.op is Op.EQ or coeff < 0:
+            bound = (value, 1 if strict else 0)
+            lower[var] = max(lower.get(var, bound), bound)
+    if any(var in upper and low >= upper[var] for var, low in lower.items()):
+        return False
+    return None if coupled else True
+
+
 def is_satisfiable(atoms: Iterable[Atom]) -> bool:
     """Exact satisfiability over the rationals/reals."""
     obs_count("constraint.sat_checks")
     atoms = list(atoms)
+    decided = _box_decides(atoms)
+    if decided is not None:
+        obs_count("constraint.sat_box")
+        governor.charge("solver_calls", phase="solver")
+        return decided
     variables: set[str] = set()
     for atom in atoms:
         variables |= atom.variables()

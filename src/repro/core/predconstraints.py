@@ -6,7 +6,9 @@ the EDB contents.  ``Gen_predicate_constraints`` (Appendix C) infers the
 minimum such constraint by iterating ``Single_step`` to a fixpoint:
 starting from *false* for derived predicates, each step pushes the body
 literals' current constraints through each rule (conjoin with the rule's
-constraints, project onto the head).  The procedure may not terminate
+constraints, project onto the head); a rule's contributions are
+recomputed only when its input -- its body predicates' constraints --
+changed since an earlier step.  The procedure may not terminate
 (Theorem 3.1 shows finiteness of the minimum is undecidable); an
 iteration cap turns non-termination into either a *widened* sound result
 or an exception, at the caller's choice.
@@ -49,10 +51,33 @@ class InferenceReport:
     widened_predicates: set[str] = field(default_factory=set)
 
 
+def _rule_contributions(
+    rule: Rule, current: Mapping[str, ConstraintSet]
+) -> list[ConstraintSet]:
+    """The head constraints ``rule`` infers, one per choice of disjuncts."""
+    body_choices = []
+    for literal in rule.body:
+        options = ptol(literal, current[literal.pred]).disjuncts
+        if not options:
+            return []
+        body_choices.append(options)
+    contributions = []
+    for choice in product(*body_choices):
+        conjunction = rule.constraint
+        for disjunct in choice:
+            conjunction = conjunction.conjoin(disjunct)
+        if conjunction.is_satisfiable():
+            contributions.append(
+                ltop(rule.head, ConstraintSet.of(conjunction))
+            )
+    return contributions
+
+
 def single_step(
     program: Program,
     current: Mapping[str, ConstraintSet],
     max_disjuncts: int = 64,
+    memo: dict | None = None,
 ) -> dict[str, ConstraintSet]:
     """One application of the paper's ``Single_step`` (Appendix C).
 
@@ -60,30 +85,20 @@ def single_step(
     of one disjunct from each body predicate's current constraint, the
     inferred head constraint is ``LTOP(p(X̄), C_r & ∧_i PTOL(p_i(X̄i), d_i))``
     (the projection onto the head is inside LTOP).  Results are unioned
-    per head predicate.
+    per head predicate.  ``memo``, kept by the caller across the steps
+    of one fixpoint, holds each rule's contributions keyed on the rule
+    and its body predicates' constraints.
     """
     inferred: dict[str, ConstraintSet] = {
         pred: ConstraintSet.false() for pred in program.derived_predicates()
     }
+    memo = {} if memo is None else memo
     for rule in program:
-        body_choices = []
-        feasible = True
-        for literal in rule.body:
-            options = ptol(literal, current[literal.pred]).disjuncts
-            if not options:
-                feasible = False
-                break
-            body_choices.append(options)
-        if not feasible:
-            continue
+        key = (rule, tuple(current[lit.pred] for lit in rule.body))
+        if key not in memo:
+            memo[key] = _rule_contributions(rule, current)
         head_pred = rule.head.pred
-        for choice in product(*body_choices):
-            conjunction = rule.constraint
-            for disjunct in choice:
-                conjunction = conjunction.conjoin(disjunct)
-            if not conjunction.is_satisfiable():
-                continue
-            contribution = ltop(rule.head, ConstraintSet.of(conjunction))
+        for contribution in memo[key]:
             inferred[head_pred] = inferred[head_pred].or_(contribution)
             if len(inferred[head_pred]) > max_disjuncts:
                 inferred[head_pred] = inferred[head_pred].simplify()
@@ -124,6 +139,7 @@ def gen_predicate_constraints(
             constraints[pred] = cset
     report = InferenceReport()
     relaxed: set[str] = set()
+    memo: dict = {}
     for iteration in range(1, max_iterations + 1):
         report.iterations = iteration
         obs_count("rewrite.pred.iterations")
@@ -132,7 +148,7 @@ def gen_predicate_constraints(
         # degradation ladder falls back to widening (see repro.driver).
         governor.checkpoint("rewrite.pred")
         governor.charge("rewrite_iterations", phase="rewrite.pred")
-        stepped = single_step(program, constraints)
+        stepped = single_step(program, constraints, memo=memo)
         changed: set[str] = set()
         for pred, contribution in stepped.items():
             if contribution.implies(constraints[pred]):

@@ -9,7 +9,9 @@ and *false* elsewhere, each iteration computes, for every body literal
 
     C_{p_i(X̄i)} = Π_{X̄i}( PTOL(p(X̄), C_p) & C_r )
 
-and unions the LTOPs of these into the approximation for ``p_i``.
+and unions the LTOPs of these into the approximation for ``p_i``.  A
+rule's contributions are recomputed only when its input -- the head
+predicate's constraint -- changed since an earlier iteration.
 
 ``Gen_Prop_QRP_constraints`` (Section 4.3) propagates the result with
 genuine Tamaki-Sato steps: a definition step introducing ``p'`` (one
@@ -60,25 +62,13 @@ def gen_qrp_constraints(
     for pred in query_preds:
         constraints[pred] = ConstraintSet.true()
     report = InferenceReport()
+    uses: dict[tuple[Rule, ConstraintSet], list] = {}
     for iteration in range(1, max_iterations + 1):
         report.iterations = iteration
         obs_count("rewrite.qrp.iterations")
         governor.checkpoint("rewrite.qrp")
         governor.charge("rewrite_iterations", phase="rewrite.qrp")
-        inferred: dict[str, ConstraintSet] = {
-            pred: ConstraintSet.false() for pred in constraints
-        }
-        for rule in program:
-            head_cset = constraints[rule.head.pred]
-            for head_disjunct in ptol(rule.head, head_cset).disjuncts:
-                base = rule.constraint.conjoin(head_disjunct)
-                if not base.is_satisfiable():
-                    continue
-                for literal in rule.body:
-                    contribution = ltop(literal, ConstraintSet.of(base))
-                    inferred[literal.pred] = inferred[
-                        literal.pred
-                    ].or_(contribution)
+        inferred = _infer_from_uses(program, constraints, uses)
         changed: set[str] = set()
         for pred, contribution in inferred.items():
             if contribution.implies(constraints[pred]):
@@ -107,24 +97,42 @@ def gen_qrp_constraints(
     # Widen the still-changing predicates to the trivially-correct true
     # (Section 4.2: "our procedure can return true ... as the QRP
     # constraint for program predicates").
-    final: dict[str, ConstraintSet] = {
-        pred: ConstraintSet.false() for pred in constraints
-    }
-    for rule in program:
-        head_cset = constraints[rule.head.pred]
-        for head_disjunct in ptol(rule.head, head_cset).disjuncts:
-            base = rule.constraint.conjoin(head_disjunct)
-            if not base.is_satisfiable():
-                continue
-            for literal in rule.body:
-                final[literal.pred] = final[literal.pred].or_(
-                    ltop(literal, ConstraintSet.of(base))
-                )
+    final = _infer_from_uses(program, constraints, uses)
     for pred, contribution in final.items():
         if not contribution.implies(constraints[pred]):
             constraints[pred] = ConstraintSet.true()
             report.widened_predicates.add(pred)
     return constraints, report
+
+
+def _infer_from_uses(
+    program: Program,
+    constraints: Mapping[str, ConstraintSet],
+    uses: dict[tuple[Rule, ConstraintSet], list],
+) -> dict[str, ConstraintSet]:
+    """One ``Gen_QRP_constraints`` step: the union of every use's LTOP.
+
+    A rule's uses depend only on the rule and its head's constraint;
+    ``uses``, local to one fixpoint, keeps each rule's
+    ``(body predicate, contribution)`` pairs under that key.
+    """
+    inferred = {pred: ConstraintSet.false() for pred in constraints}
+    for rule in program:
+        key = (rule, constraints[rule.head.pred])
+        pairs = uses.get(key)
+        if pairs is None:
+            pairs = uses[key] = []
+            for head_disjunct in ptol(rule.head, key[1]).disjuncts:
+                base = rule.constraint.conjoin(head_disjunct)
+                if not base.is_satisfiable():
+                    continue
+                for literal in rule.body:
+                    pairs.append(
+                        (literal.pred, ltop(literal, ConstraintSet.of(base)))
+                    )
+        for pred, contribution in pairs:
+            inferred[pred] = inferred[pred].or_(contribution)
+    return inferred
 
 
 @dataclass
@@ -227,6 +235,7 @@ def gen_prop_qrp_constraints(
     # ``p`` restricted to the union of the disjuncts.
     for pred, prime in primes.items():
         cset = qrp[pred]
+        failed: set[tuple[Rule, int]] = set()
         changed = True
         while changed:
             changed = False
@@ -235,12 +244,13 @@ def gen_prop_qrp_constraints(
                 if rule in state.definitions:
                     continue
                 for index, literal in enumerate(rule.body):
-                    if literal.pred != pred:
+                    if literal.pred != pred or (rule, index) in failed:
                         continue
                     required = ptol(literal, cset)
                     if not ConstraintSet.of(rule.constraint).implies(
                         required
                     ):
+                        failed.add((rule, index))
                         continue
                     body = (
                         rule.body[:index]

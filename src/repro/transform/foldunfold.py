@@ -254,21 +254,36 @@ class FoldUnfold:
                 "single-literal fold requires a one-literal definition; "
                 "use fold_multi"
             )
+        return self._fold(rule, definition, body_index, explain=True)
+
+    def _fold(
+        self, rule: Rule, definition: Rule, body_index: int,
+        explain: bool = False,
+    ) -> "FoldUnfold | None":
+        """:meth:`fold` past its definition checks; ``None`` when the fold
+        is inapplicable, or with ``explain`` a :class:`TransformError`
+        saying why."""
         literal = rule.body[body_index]
         def_literal = definition.body[0]
         theta = _match(def_literal, literal)
         if theta is None:
-            raise TransformError(
-                f"{literal} is not an instance of {def_literal}"
-            )
+            if explain:
+                raise TransformError(
+                    f"{literal} is not an instance of {def_literal}"
+                )
+            return None
+        if not explain and _sort_conflict(definition.constraint, theta):
+            return None  # ``_apply`` would refuse the symbol binding
         moved = _apply(
             Rule(definition.head, (), definition.constraint), theta
         )
         if not rule.constraint.implies(moved.constraint):
-            raise TransformError(
-                f"rule constraints {rule.constraint} do not imply "
-                f"{moved.constraint}; fold inapplicable"
-            )
+            if explain:
+                raise TransformError(
+                    f"rule constraints {rule.constraint} do not imply "
+                    f"{moved.constraint}; fold inapplicable"
+                )
+            return None
         body = (
             rule.body[:body_index]
             + (moved.head,)
@@ -354,9 +369,14 @@ class FoldUnfold:
 
         Occurrences inside the definition rules themselves are skipped
         (a rule must not be folded by itself, Appendix A's caveat).
+        Whether a fold applies depends only on the rule, the index and
+        the definition, so an occurrence that failed is not retried.
         """
+        if definition not in self.definitions or len(definition.body) != 1:
+            return self
         state = self
         target_pred = definition.body[0].pred
+        failed: set[tuple[Rule, int]] = set()
         changed = True
         while changed:
             changed = False
@@ -365,12 +385,13 @@ class FoldUnfold:
                 if rule in state.definitions:
                     continue
                 for index, literal in enumerate(rule.body):
-                    if literal.pred != target_pred:
+                    if literal.pred != target_pred or (rule, index) in failed:
                         continue
-                    try:
-                        state = state.fold(rule, definition, index)
-                    except TransformError:
+                    folded = state._fold(rule, definition, index)
+                    if folded is None:
+                        failed.add((rule, index))
                         continue
+                    state = folded
                     changed = True
                     break
                 if changed:

@@ -12,18 +12,27 @@ Three surfaces are differenced -- ``project``, ``satisfiable`` and
 ``implies_set`` -- each both with the global solver memo enabled and
 with it force-disabled, so a divergence introduced *by the cache
 layer* (rather than by the arithmetic) would also surface here.
+Satisfiability is differenced a second time on conjunctions built for
+the interval pre-check (single-variable bounds with ties, ``=`` and
+ground atoms, alone and mixed with general atoms).
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.constraints import _reference as ref
 from repro.constraints import cache as solver_cache
+from repro.constraints import project
 from repro.constraints.atom import Atom
 from repro.constraints.conjunction import Conjunction
 from repro.constraints.cset import ConstraintSet
 from repro.constraints.linexpr import LinearExpr
+from repro.errors import BudgetExceeded
+from repro.governor import Budget
+from repro.governor.budget import governed
 
 VARS = ["X", "Y", "Z"]
 
@@ -49,6 +58,48 @@ def random_atoms(draw):
 def random_conjunctions(draw, max_atoms: int = 4):
     n = draw(st.integers(min_value=0, max_value=max_atoms))
     return Conjunction([draw(random_atoms()) for _ in range(n)])
+
+
+@st.composite
+def bound_atoms(draw):
+    """``k*V op c``: one variable, so the interval pre-check applies."""
+    coeff = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    return Atom.make(
+        LinearExpr.var(draw(st.sampled_from(VARS)), coeff),
+        draw(operators),
+        LinearExpr.const(draw(st.integers(min_value=-3, max_value=3))),
+    )
+
+
+@st.composite
+def ground_atoms(draw):
+    return Atom.make(
+        LinearExpr.const(draw(st.integers(min_value=-2, max_value=2))),
+        draw(operators),
+        LinearExpr.const(draw(st.integers(min_value=-2, max_value=2))),
+    )
+
+
+@st.composite
+def tied_bounds(draw):
+    """Two bounds on one variable at one value: strict/non-strict ties."""
+    var = LinearExpr.var(draw(st.sampled_from(VARS)))
+    value = LinearExpr.const(draw(st.integers(min_value=-2, max_value=2)))
+    return [
+        Atom.make(var, draw(operators), value),
+        Atom.make(var, draw(operators), value),
+    ]
+
+
+@st.composite
+def box_conjunctions(draw, mixed: bool = False):
+    pieces = [bound_atoms(), ground_atoms(), tied_bounds()]
+    if mixed:
+        pieces.append(random_atoms())
+    atoms = []
+    for piece in draw(st.lists(st.one_of(*pieces), max_size=5)):
+        atoms.extend(piece if isinstance(piece, list) else [piece])
+    return atoms
 
 
 def _both_cache_modes(check):
@@ -86,6 +137,50 @@ class TestSatisfiable:
             assert Conjunction(atoms).is_satisfiable() == expected
 
         _both_cache_modes(check)
+
+
+class TestBoxPreCheck:
+    """The interval pre-check decides exactly what elimination does."""
+
+    @staticmethod
+    def _check_against_reference(atoms):
+        expected = ref.satisfiable(atoms)
+        variables = set().union(*(atom.variables() for atom in atoms))
+
+        def check():
+            assert project.is_satisfiable(atoms) == expected
+            assert (
+                project.eliminate_variables(atoms, variables) is not None
+            ) == expected
+
+        _both_cache_modes(check)
+
+    @given(box_conjunctions())
+    @settings(max_examples=300, deadline=None)
+    def test_bounds_only_match_reference(self, atoms):
+        self._check_against_reference(atoms)
+
+    @given(box_conjunctions(mixed=True))
+    @settings(max_examples=300, deadline=None)
+    def test_mixed_conjunctions_match_reference(self, atoms):
+        self._check_against_reference(atoms)
+
+    def test_box_decided_check_charges_one_solver_call(self):
+        x = LinearExpr.var("X")
+        atoms = [Atom.le(x, LinearExpr.const(3)),
+                 Atom.gt(x, LinearExpr.const(1))]
+        tracer = obs.Tracer()
+        meter = Budget(max_solver_calls=10).meter()
+        with governed(meter), obs.recording(tracer):
+            assert project.is_satisfiable(atoms)
+        assert meter.spent["solver_calls"] == 1
+        counters = tracer.metrics.counters
+        assert counters["constraint.sat_box"] == 1
+        assert counters["constraint.sat_checks"] == 1
+        assert "constraint.projections" not in counters
+        with governed(Budget(max_solver_calls=0).meter()):
+            with pytest.raises(BudgetExceeded):
+                project.is_satisfiable(atoms)
 
 
 class TestProject:

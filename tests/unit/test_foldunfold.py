@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.conformance.generator import generate_case
 from repro.constraints.conjunction import Conjunction
+from repro.driver import optimize
 from repro.engine import Database, evaluate
 from repro.lang.ast import Literal, Program
 from repro.lang.parser import parse_program, parse_rule
@@ -208,6 +210,78 @@ class TestFold:
         state = state.fold_multi(target, definition, [0, 1])
         (folded,) = state.program.rules_for("q")
         assert [lit.pred for lit in folded.body] == ["s", "h"]
+
+
+class TestFoldFailures:
+    """A failed fold is a probe result, not an error, and is not retried."""
+
+    def test_symbol_binding_into_definition_constraint_is_a_failed_fold(
+        self,
+    ):
+        # Case 346's disjunctive fold: ``p0(2, s0, V0)`` matches a
+        # definition whose constraint mentions the symbol's position.
+        case = generate_case(346)
+        program, __, __ = optimize(case.program, case.query, "qrp")
+        assert str(program) == (
+            "r1: p2(V0) :- p0(V0, V1, V1), e0(V2, 0, V0), V0 < 1.\n"
+            "r2: p2(V1) :- e0(V0, V1, V2), p0(2, s0, V0), "
+            "V1 - 2*V2 <= 2.\n"
+            "r3: p0(V1_2, V0_1, V0_1) :- e0(V0_1, 1, V1_2), "
+            "p0(V1_2, V0_1, s1), V1_2 > 1, V1_2 = 2."
+        )
+
+    def test_fold_everywhere_tries_each_occurrence_once(self, monkeypatch):
+        program = parse_program(
+            """
+            q1(X) :- p(X), X <= 3.
+            q2(X) :- p(X), X <= 10.
+            q3(X, Y) :- p(X), p(Y), X <= 2, Y <= 9.
+            q4(X) :- p(X), X <= 5.
+            q5(X) :- p(madison), e(X), X <= 1.
+            """
+        ).relabeled()
+        state = FoldUnfold(program).define(
+            "p1", Literal("p", (var("A"),)), [conj("A <= 6")]
+        )
+        calls = []
+        implies = Conjunction.implies
+
+        def counting(self, other):
+            calls.append((self, other))
+            return implies(self, other)
+
+        monkeypatch.setattr(Conjunction, "implies", counting)
+        state = state.fold_everywhere(state.definitions[0])
+        # q1.0, q2.0, q3.0, q3.1 and q4.0 -- each asked exactly once,
+        # though the scan restarts after each of the three folds; q5's
+        # symbol never reaches the implication test.
+        assert len(calls) == len(set(calls)) == 5
+        bodies = {
+            rule.head.pred: [lit.pred for lit in rule.body]
+            for rule in state.program
+            if rule.head.pred.startswith("q")
+        }
+        assert bodies == {
+            "q1": ["p1"], "q2": ["p"], "q3": ["p1", "p"], "q4": ["p1"],
+            "q5": ["p", "e"],
+        }
+
+    def test_direct_fold_failures_keep_their_messages(self, simple_state):
+        base = Literal("p", (var("A"), var("B")))
+        state = simple_state.define("p1", base, [conj("A <= 5")])
+        definition = state.definitions[0]
+        target = state.program.rules_for("q")[0]
+        with pytest.raises(TransformError, match="do not imply"):
+            state.fold(target, definition, 0)
+        other = parse_rule("r(X) :- p(madison, X), X <= 1.")
+        state = FoldUnfold(
+            state.program.with_rules([other]), state.definitions
+        )
+        with pytest.raises(TransformError, match="substituting symbol"):
+            state.fold(other, definition, 0)
+        (p_rule,) = state.program.rules_for("p")
+        with pytest.raises(TransformError, match="not an instance"):
+            state.fold(p_rule, definition, 0)
 
 
 class TestRoundTrip:
