@@ -22,12 +22,18 @@ arguments already bound, so a variant enumerates its derivations from
 the small side; each step keeps its written index, which is what the
 stamp views and the ``parents`` order go by.  While every bound
 variable holds a constant -- every derivation over ground facts -- a
-candidate is joined by slot assignments and integer arithmetic alone.
-A candidate the plan cannot decide (a PENDING position, a symbol
-meeting arithmetic) is handed, with the bindings so far, to the
-general unify / substitute / project code below, which carries that
-branch to the end.  Per-run state (``probes``, the derivation memo)
-lives on the :class:`RuleEvaluator`, never on the plan.
+candidate is joined by slot assignments and integer arithmetic, in one
+of two tiers: the *interpreter* (:meth:`RuleEvaluator._join`) walks the
+steps; the *generated join* (:func:`_generate`, Brass & Stephan's
+compiled rules) is the same steps as straight-line Python.  A variant is
+interpreted until it has enumerated :data:`_HOT` candidates in this
+process: generating one costs about as much, and generating every
+variant made workloads of many one-off programs twice as slow.  A
+candidate neither can decide (a PENDING position, a symbol meeting
+arithmetic) goes, with the bindings so far, to the *general* unify /
+substitute / project code below for the rest of its branch.  Per-run
+state (``probes``, the derivation memo) lives on the
+:class:`RuleEvaluator`, never on the plan.
 """
 
 from __future__ import annotations
@@ -94,6 +100,11 @@ _CONST, _TEST, _BIND, _BIND_NUM = range(4)
 
 _TRUE = Conjunction.true()
 
+#: Candidates a variant enumerates interpreted before it is generated:
+#: the break-even of generating one (about 0.45 ms) against what the
+#: generated join saves per candidate (about 2.4 us).  Not a knob.
+_HOT = 200
+
 
 class _Lowered(NamedTuple):
     """A rule-constraint atom over variable slots.
@@ -141,6 +152,16 @@ class _Step(NamedTuple):
     names: tuple[tuple[str, int], ...]  # (variable, slot) bound earlier
 
 
+class _Variant:
+    """A join order's steps, candidates enumerated and generated join
+    (racing fills are pure and lost counts only delay generation)."""
+
+    __slots__ = ("steps", "seen", "join")
+
+    def __init__(self, steps: "tuple[_Step, ...]") -> None:
+        self.steps, self.seen, self.join = steps, 0, None
+
+
 class _Plan(NamedTuple):
     """The shareable analysis of one normalized rule.
 
@@ -148,9 +169,9 @@ class _Plan(NamedTuple):
     a pure function of the rule, so a racing double fill is harmless).
     """
 
-    # First literal (None: written order) -> the steps in that join
-    # order, compiled the first time a run starts a join there.
-    variants: "dict[int | None, tuple[_Step, ...]]"
+    # First literal (None: written order) -> that join order, compiled
+    # the first time a run starts a join there.
+    variants: "dict[int | None, _Variant]"
     ranges: "tuple[dict[int, Range] | None, ...]"  # per written literal
     slots: int
     names: tuple[tuple[str, int], ...]  # every body variable
@@ -390,6 +411,111 @@ def _lift(names: tuple[tuple[str, int], ...], env: list) -> _State:
     return state
 
 
+_COMPARE = {Op.LE: "<=", Op.LT: "<", Op.EQ: "=="}
+
+
+def _generate(
+    rule: Rule, plan: _Plan, steps: tuple[_Step, ...], first: "int | None"
+) -> Callable:
+    """:meth:`RuleEvaluator._join` over ``steps`` as one compiled
+    generator ``join(evaluator, view)``: the same yields, order and
+    probes, each action returning where :func:`_advance` does and an
+    undecided candidate going to :meth:`RuleEvaluator._general`."""
+    scope: dict[str, object] = dict(
+        PENDING=PENDING, Sym=Sym, Fact=Fact, TRUE=_TRUE, Fraction=Fraction,
+        number_key=number_key, lift=_lift, STEPS=steps, NAMES=plan.names,
+        current_meter=governor.current_meter,
+    )
+
+    def const(value: object) -> str:
+        if value is None or type(value) is int:
+            return repr(value)
+        scope[f"K{len(scope)}"] = value
+        return f"K{len(scope) - 1}"
+
+    def total(lowered: _Lowered) -> str:  # the slot terms of the sum
+        return " + ".join(
+            f"s{slot}" if coeff == 1 else f"{const(coeff)} * s{slot}"
+            for coeff, slot in lowered.terms
+        ) or "0"
+
+    def holds(lowered: _Lowered) -> str:
+        op = _COMPARE[lowered.op]
+        return f"{total(lowered)} {op} {const(-lowered.constant)}"
+
+    def listed(items: Iterable[str]) -> str:  # a display's items
+        return "".join(f"{item}, " for item in items)
+
+    lines = ["def join(self, view):",
+             "    meter, counter, probes = current_meter(), [0], 0",
+             "    try:"]
+    pad = " " * 8
+    for depth, step in enumerate(steps):
+        fact, known = f"f{step.index}", dict(step.names).values()
+        joined = [earlier.index for earlier in steps[:depth]]
+        env = listed(f"s{slot}" if slot in known else "None"
+                     for slot in range(plan.slots))
+        parents = listed(f"f{index}" if index in joined else "None"
+                         for index in range(len(steps)))
+        general = (f"yield from self._general(STEPS, {depth}, [{env}], "
+                   f"{fact}, counter, view, [{parents}]); continue")
+        bound = listed(f"{position}: s{payload}" if is_slot else
+                       f"{position}: {const(payload)}"
+                       for position, is_slot, payload in step.bound)
+        targets = [f"s{payload}" if action in (_BIND, _BIND_NUM) else
+                   f"v{position}"
+                   for position, action, payload in step.actions]
+        lines += [f"{pad}for {fact} in view({const(step.literal)}, "
+                  f"{{{bound}}}, {step.index}, {const(step.ranges)}):",
+                  f"{pad}    probes += 1",
+                  f"{pad}    if meter is not None: meter.tick('rule')",
+                  f"{pad}    [{listed(targets)}] = {fact}.args"]
+        pad += "    "
+        for (position, action, payload), arg in zip(step.actions, targets):
+            if action in (_BIND, _BIND_NUM):
+                sym = f" or type({arg}) is Sym" if action == _BIND_NUM else ""
+                lines.append(f"{pad}if {arg} is PENDING{sym}: {general}")
+                continue
+            expected = f"s{payload}" if action == _TEST else const(payload)
+            differs = "is not" if type(payload) is Sym else "!="
+            lines += [f"{pad}if {arg} {differs} {expected}:",
+                      f"{pad}    if {arg} is PENDING: {general}",
+                      f"{pad}    counter[0] += 1; continue"]
+        lines.append(f"{pad}counter[0] += 1")
+        lines += [f"{pad}if not ({holds(check)}): continue"
+                  for check in step.checks]
+    parents = listed(f"f{index}" for index in range(len(steps)))
+    if plan.finish is None:
+        body = dict(plan.names).values()
+        env = listed(f"s{slot}" if slot in body else "None"
+                     for slot in range(plan.slots))
+        lines += [f"{pad}head = self._finish(lift(NAMES, [{env}]))",
+                  f"{pad}if head is not None: yield head, ({parents})"]
+    else:
+        for lowered in plan.finish:
+            slot = f"s{lowered.solves}"
+            value = f"{total(lowered)} + {const(lowered.constant)}"
+            if lowered.solves < 0:
+                lines.append(f"{pad}if {holds(lowered)}:")
+                pad += "    "
+            elif lowered.divisor != 1:
+                lines.append(f"{pad}{slot} = number_key(Fraction({value})"
+                             f" / {lowered.divisor})")
+            else:  # a sum of Fractions may be integral: int-first
+                lines += [f"{pad}{slot} = {value}",
+                          f"{pad}if type({slot}) is not int: "
+                          f"{slot} = number_key({slot})"]
+        head = listed(f"s{payload}" if is_slot else const(payload)
+                      for is_slot, payload in plan.head)
+        lines.append(f"{pad}yield Fact({const(rule.head.pred)}, ({head}), "
+                     f"TRUE), ({parents})")
+    lines += ["    finally:", "        self.probes += probes"]
+    name = f"<join {rule.label or '?'} first={first}>"
+    exec(compile("\n".join(lines), name, "exec"), scope)
+    return scope["join"]
+
+
+
 class RuleEvaluator:
     """The applier for one normalized rule: a shared plan plus run state.
 
@@ -430,13 +556,28 @@ class RuleEvaluator:
         """
         obs_count("engine.rule_evals")
         plan = self._plan
-        steps = plan.variants.get(first)
-        if steps is None:
-            steps = plan.variants[first] = _steps(self.rule, plan, first)
-        yield from self._join(
-            steps, 0, [None] * plan.slots, None, [0], view,
-            [None] * len(steps),
+        variant = plan.variants.get(first) or plan.variants.setdefault(
+            first, _Variant(_steps(self.rule, plan, first))
         )
+        if variant.seen < _HOT:
+            return self._interpret(variant, view)
+        if variant.join is None:
+            variant.join = _generate(self.rule, plan, variant.steps, first)
+            obs_count("engine.joins_generated")
+        return variant.join(self, view)
+
+    def _interpret(
+        self, variant: _Variant, view: FactView
+    ) -> Iterator[tuple[Fact, tuple[Fact, ...]]]:
+        """The interpreted join, counting the candidates it enumerates."""
+        steps, before = variant.steps, self.probes
+        try:
+            yield from self._join(
+                steps, 0, [None] * self._plan.slots, None, [0], view,
+                [None] * len(steps),
+            )
+        finally:
+            variant.seen += self.probes - before
 
     def _join(
         self,
@@ -482,22 +623,33 @@ class RuleEvaluator:
             # over a large relation can run long, so the deadline is
             # polled inside the join loop too (cheap stride check).
             governor.tick("rule")
-            branch = None
-            if state is not None:
-                branch = state.copy()
-            else:
+            if state is None:
                 decided = _advance(step, fact.args, env)
-                if decided is None:
-                    branch = _lift(step.names, env)
-                else:
+                if decided is not None:
                     counter[0] += 1
-                    if not decided:
-                        continue
-            if branch is not None and not (
-                self._unify(literal, fact, branch, counter)
-                and self._early_checks(step, branch)
-            ):
-                continue
+                    if decided:
+                        parents[step.index] = fact
+                        yield from self._join(steps, depth + 1, env,
+                                              None, counter, view, parents)
+                    continue
+            yield from self._general(
+                steps, depth, env, fact, counter, view, parents,
+                None if state is None else state.copy(),
+            )
+
+    def _general(
+        self, steps: tuple[_Step, ...], depth: int, env: list, fact: Fact,
+        counter: list[int], view: FactView, parents: list,
+        branch: _State | None = None,
+    ) -> Iterator[tuple[Fact, tuple[Fact, ...]]]:
+        """One candidate for ``steps[depth]`` through the general arm, in
+        state ``branch`` or else the constants ``env`` holds so far."""
+        step = steps[depth]
+        if branch is None:
+            branch = _lift(step.names, env)
+        if self._unify(step.literal, fact, branch, counter) and (
+            self._early_checks(step, branch)
+        ):
             parents[step.index] = fact
             yield from self._join(
                 steps, depth + 1, env, branch, counter, view, parents

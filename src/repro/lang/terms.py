@@ -15,6 +15,8 @@ what lets bottom-up evaluation manipulate *constraint facts*.
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
@@ -36,14 +38,39 @@ class Var:
         return LinearExpr.var(self.name)
 
 
-@dataclass(frozen=True)
 class Sym:
-    """An uninterpreted (symbolic, non-numeric) constant."""
+    """An uninterpreted (symbolic, non-numeric) constant.
 
-    name: str
+    Interned per name in a weak-value table, so equality is ``object``'s
+    identity test and the hash, ``hash((name,))``, is computed once;
+    pickling and copying re-intern through the constructor.
+    """
+
+    __slots__ = ("name", "_hash", "__weakref__")
+
+    def __new__(cls, name: str) -> "Sym":
+        with _SYMS_LOCK:
+            self = _SYMS.get(name)
+            if self is None:
+                self = _SYMS[name] = object.__new__(cls)
+                self.name, self._hash = name, hash((name,))
+        return self
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        return (Sym, (self.name,))
+
+    def __repr__(self) -> str:
+        return f"Sym(name={self.name!r})"
 
     def __str__(self) -> str:
         return self.name
+
+
+_SYMS: "weakref.WeakValueDictionary[str, Sym]" = weakref.WeakValueDictionary()
+_SYMS_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,91 @@
+"""Both join tiers under the budget and under an outside tracer.
+
+A variant's generated join must keep what the interpreter does around
+each candidate: the cooperative deadline tick inside the join loop,
+the probe count, and every call through ``Relation.matching`` and
+``Relation.insert`` as looked up on the class at call time -- which is
+where ``benchmarks/perf/trace.py`` installs its probes.
+"""
+
+import functools
+from collections import Counter
+from unittest.mock import patch
+
+import pytest
+
+from repro import obs
+from repro.engine import Database, evaluate, ruleeval
+from repro.engine.relation import Relation
+from repro.governor import Budget
+from repro.governor import budget as governor
+from repro.lang.parser import parse_program
+from repro.workloads.flights import flight_network, flights_program
+
+#: ``_HOT`` for each tier: generated from the first call, or never.
+TIERS = pytest.mark.parametrize(
+    "hot", [0, 10**9], ids=["generated", "interpreted"]
+)
+
+
+@TIERS
+def test_deadline_stops_a_single_long_join(monkeypatch, hot):
+    monkeypatch.setattr(ruleeval, "_HOT", hot)
+    size = 4 * governor.BudgetMeter.TICK_STRIDE
+    edb = Database.from_ground({
+        "a": [(number,) for number in range(size)],
+        "b": [(number,) for number in range(size)],
+    })
+    now = [0.0]
+    meter = Budget(deadline=1.0).meter(clock=lambda: now[0])
+    candidates = 0
+    matching = Relation.matching
+
+    def expiring(self, *args, **kwargs):
+        nonlocal candidates
+        now[0] = 10.0  # the deadline passes once the join has started
+        for fact in matching(self, *args, **kwargs):
+            candidates += 1
+            yield fact
+
+    monkeypatch.setattr(Relation, "matching", expiring)
+    with governor.governed(meter):
+        result = evaluate(parse_program("p(X, Y) :- a(X), b(Y)."), edb)
+    assert result.completeness == "truncated:deadline"
+    assert 0 < result.stats.derivations < size * size
+    assert result.stats.probes == candidates
+
+
+def _observed(hot):
+    """Class-level call counts, probes and generations of one run."""
+    ruleeval._compile.cache_clear()
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(Relation, name)
+
+        @functools.wraps(original)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return patch.object(Relation, name, wrapper)
+
+    network = flight_network(
+        n_layers=4, width=3, expensive_fraction=0.4, seed=42
+    )
+    tracer = obs.Tracer()
+    with patch.object(ruleeval, "_HOT", hot), counting("matching"), (
+        counting("insert")
+    ), obs.recording(tracer):
+        result = evaluate(flights_program(), network.database)
+    generated = tracer.metrics.counters.get("engine.joins_generated", 0)
+    return calls, result.stats.probes, generated
+
+
+def test_generated_joins_call_the_class_probes_like_the_interpreter():
+    calls, probes, generated = _observed(0)
+    interpreted_calls, interpreted_probes, none = _observed(10**9)
+    assert calls["matching"] and calls["insert"]
+    assert calls == interpreted_calls
+    assert probes == interpreted_probes
+    assert generated > 0 and none == 0

@@ -13,6 +13,7 @@ theorems' statements as executable properties:
 """
 
 from fractions import Fraction
+from unittest.mock import patch
 
 from hypothesis import given, settings, strategies as st
 
@@ -21,7 +22,8 @@ from repro.constraints.conjunction import Conjunction
 from repro.constraints.linexpr import LinearExpr
 from repro.core.predconstraints import gen_prop_predicate_constraints
 from repro.core.qrp import gen_prop_qrp_constraints
-from repro.engine import Database, evaluate, naive_evaluate
+from repro.engine import Database, evaluate, naive_evaluate, ruleeval
+from repro.engine.facts import make_fact
 from repro.engine.ruleeval import RuleEvaluator, _State, database_view
 from repro.lang.normalize import normalize_rule
 from repro.lang.parser import parse_program, parse_rule
@@ -150,6 +152,8 @@ RULES = [
     "p(X, W) :- e(X, Y), Y > X, f(Y, W), W >= 1.",
     "p(X, N) :- e(X, Y), f(Z, Y), N = Z - 1, T <= 4.",
     "p(X, Y, U) :- e(X, Y).",
+    "p(X, W) :- e(X, Y), f(Y, Z), e(Z, W), X < W.",
+    "p(X, Y) :- e(X, Y), X < Y, 2 * Y <= 5.",
 ]
 
 plan_values = st.sampled_from(
@@ -161,10 +165,11 @@ plan_rows = st.lists(
 
 
 def _plan_database(e_rows, f_rows):
+    """The rows as facts, stamped 0 and 1 alternately (two deltas)."""
     database = Database()
     for pred, rows in (("e", e_rows), ("f", f_rows)):
         database.relation(pred, 2)
-        for row in rows:
+        for number, row in enumerate(rows):
             # A PENDING position ranges over [1, 3]: it joins with
             # some constants, is refuted by others.
             atoms = []
@@ -173,29 +178,53 @@ def _plan_database(e_rows, f_rows):
                     position = LinearExpr.var(f"${index}")
                     atoms.append(Atom.ge(position, LinearExpr.const(1)))
                     atoms.append(Atom.le(position, LinearExpr.const(3)))
-            database.add_constraint_fact(pred, row, Conjunction(atoms))
+            fact = make_fact(pred, list(row), Conjunction(atoms))
+            if fact is not None:
+                database.insert(fact, stamp=number % 2)
     return database
 
 
+def _through_plan(rule, view, first, hot):
+    """(derivations, probes) of one plan join, with ``_HOT`` at ``hot``."""
+    evaluator = RuleEvaluator(rule)
+    with patch.object(ruleeval, "_HOT", hot):
+        derived = list(evaluator.derive_with_parents(view, first))
+    if hot == 0:
+        assert evaluator._plan.variants[first].join is not None
+    return derived, evaluator.probes
+
+
+def _through_general(rule, view, first):
+    """The same join entered with a (vacuous) general state, which
+    switches the plan's constant path off for every candidate."""
+    evaluator = RuleEvaluator(rule)
+    steps = ruleeval._steps(rule, evaluator._plan, first)
+    derived = list(evaluator._join(
+        steps, 0, [], _State({}, {}, []), [0], view, [None] * len(steps),
+    ))
+    return derived, evaluator.probes
+
+
 class TestRulePlans:
-    """A candidate the compiled plan decides (constants only) must come
-    out exactly as the general unify/substitute/project code would
-    have it: same derivations, same order, same probe count."""
+    """A variant joins through generated code once hot, the
+    interpreter's constant arm before, and the general unify /
+    substitute / project arm for what neither decides.  All three must
+    come out the same -- derivations, order, parents and probe count --
+    from every first literal, over the full view and every delta view.
+    """
 
     @given(st.sampled_from(RULES), plan_rows, plan_rows)
     @settings(max_examples=200, deadline=None)
     def test_plan_path_equals_general_path(self, text, e_rows, f_rows):
         rule = normalize_rule(parse_rule(text))
-        view = database_view(_plan_database(e_rows, f_rows))
-        planned = RuleEvaluator(rule)
-        general = RuleEvaluator(rule)
-        fast = list(planned.derive_with_parents(view))
-        # Entering the join with a (vacuous) general state switches the
-        # plan's constant path off for every candidate.
-        steps = general._plan.variants[None]  # shared: compiled above
-        slow = list(general._join(
-            steps, 0, [], _State({}, {}, []), [0], view,
-            [None] * len(steps),
-        ))
-        assert fast == slow
-        assert planned.probes == general.probes
+        database = _plan_database(e_rows, f_rows)
+        views = [database_view(database)] + [
+            database_view(database, 1, delta)
+            for delta in range(len(rule.body))
+        ]
+        for view in views:
+            for first in (None, *range(len(rule.body))):
+                generated = _through_plan(rule, view, first, 0)
+                interpreted = _through_plan(rule, view, first, 10**9)
+                general = _through_general(rule, view, first)
+                assert generated == interpreted == general

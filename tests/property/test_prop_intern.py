@@ -1,4 +1,4 @@
-"""Property tests of the hash-consing layer (atoms and conjunctions).
+"""Property tests of the hash-consing layer (atoms, conjunctions, symbols).
 
 The invariants the engine leans on:
 
@@ -22,11 +22,15 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from repro.codec import decode_fact, encode_fact
 from repro.constraints import _reference as ref
 from repro.constraints.atom import Atom
 from repro.constraints.conjunction import Conjunction
 from repro.constraints.intern import TABLES
 from repro.constraints.linexpr import LinearExpr
+from repro.engine.facts import Fact
+from repro.lang import terms
+from repro.lang.terms import Sym
 
 VARS = ["X", "Y", "Z"]
 
@@ -148,6 +152,54 @@ class TestReinterning:
         assert copy.deepcopy(conjunction) is conjunction
         for atom in conjunction.atoms:
             assert copy.deepcopy(atom) is atom
+
+
+sym_names = st.text(min_size=1, max_size=6)
+
+
+class TestSymInterning:
+    """Symbolic constants are interned per name, outside ``TABLES``
+    (``constraints.interned_forms`` counts constraint forms only)."""
+
+    @given(sym_names)
+    @settings(max_examples=100, deadline=None)
+    def test_one_instance_per_name(self, name):
+        assert Sym(name) is Sym(name)
+        assert hash(Sym(name)) == hash((name,))
+
+    @given(sym_names)
+    @settings(max_examples=100, deadline=None)
+    def test_copies_and_codec_return_the_canonical_instance(self, name):
+        symbol = Sym(name)
+        clone = pickle.loads(pickle.dumps(symbol))
+        assert clone is symbol
+        assert hash(clone) == hash(symbol)
+        assert copy.copy(symbol) is symbol
+        assert copy.deepcopy(symbol) is symbol
+        fact = Fact.ground("p", (symbol, 1))
+        decoded = decode_fact(encode_fact(fact))
+        assert decoded == fact
+        assert decoded.args[0] is symbol
+
+    def test_never_equal_to_a_plain_value(self):
+        assert Sym("a") != "a"
+        assert "a" != Sym("a")
+        assert Sym("1") != 1
+        assert 1 != Sym("1")
+
+    def test_dropped_syms_are_collected(self):
+        gc.collect()
+        baseline = len(terms._SYMS)
+        unique = [Sym(f"only-here-{number}") for number in range(500)]
+        assert len(terms._SYMS) >= baseline + 500
+        del unique
+        gc.collect()
+        assert len(terms._SYMS) <= baseline + 50
+
+    def test_not_a_constraint_intern_table(self):
+        Sym("x")
+        assert "syms" not in TABLES
+        assert set(TABLES) == {"atoms", "conjunctions"}
 
 
 class TestBoundedness:
