@@ -9,9 +9,10 @@ plus the compile-once warm-cache path of :class:`repro.service.Session`
 (queried twice: the second, warm answer must match the first) and its
 accumulating one (``warm-magic``: sibling queries of the case's form
 and held-out fact loads interleaved through one magic session, each
-answer checked against the oracle on the EDB as of that request).  All
-complete runs must produce identical answer sets; any difference is a
-:class:`Mismatch` carrying both sides.
+answer checked against the oracle on the EDB as of that request; the
+opt-in ``sharded`` config runs the same schedule through a shard
+cluster).  All complete runs must produce identical answer sets; any
+difference is a :class:`Mismatch` carrying both sides.
 
 Comparison is modulo constraint representation: ground answers compare
 as value tuples, and a non-ground (constraint) answer fact is
@@ -73,8 +74,8 @@ DEFAULT_CONFIGS = (
 
 #: Opt-in configurations, valid for ``--configs`` but excluded from
 #: the default sweep: ``sharded`` spawns a 2-shard worker-subprocess
-#: cluster per case (:func:`_sharded_run`), far too heavy to run on
-#: every seed by default.
+#: cluster per case and strategy (:func:`_sharded_runs`), far too
+#: heavy to run on every seed by default.
 EXTRA_CONFIGS = ("sharded",)
 
 #: A program-mutating bug injection: (strategy to corrupt, mutation).
@@ -105,8 +106,8 @@ class ConfigRun:
     marker (inconclusive -- the config is excluded from comparison), or
     ``"error:<CODE>"`` when the config raised.  ``expected`` is what a
     run that did not answer the case's own query over its whole EDB
-    must equal (a ``warm-magic`` step); the others are compared with
-    the case's shared reference run.
+    must equal (a ``warm-magic`` or ``sharded`` step); the others are
+    compared with the case's shared reference run.
     """
 
     name: str
@@ -422,28 +423,87 @@ def sibling_queries(case: GeneratedCase, limit: int = 5) -> list[Query]:
     ][:limit]
 
 
+def _held_out_schedule(case: GeneratedCase) -> tuple[list, list]:
+    """The case's program less a few EDB facts, and the steps to run.
+
+    The steps ask the case's query and its :func:`sibling_queries`,
+    load a held-out fact (a fact rule) after every second one, then
+    the remaining loads and every query once more: new seeds and loads
+    reach a form's one warm database as deltas, in either order and
+    together.
+    """
+    proper = {id(rule) for rule in split_edb(case.program)[0]}
+    held = [
+        rule for rule in case.program if id(rule) not in proper
+    ][1::3][:3]
+    current = [rule for rule in case.program if rule not in held]
+    queries = [case.query, *sibling_queries(case)]
+    loads = list(held)
+    steps: list = []
+    for index, query in enumerate(queries):
+        steps.append(query)
+        if index % 2 and loads:
+            steps.append(loads.pop(0))
+    steps += [*loads, *queries]
+    return current, steps
+
+
+def _schedule_runs(
+    name: str,
+    session,
+    current: list,
+    steps: list,
+    settings: CheckSettings,
+) -> list[ConfigRun]:
+    """Run :func:`_held_out_schedule` steps through one session.
+
+    ``session`` is anything with ``query`` and ``add_facts``: a
+    :class:`~repro.service.session.Session` or a shard coordinator.
+    Each answer is a run of its own, ``expected`` to equal the
+    oracle's over the EDB as of that request.
+    """
+    current = list(current)
+    runs: list[ConfigRun] = []
+    for step in steps:
+        label = f"{name}[{len(runs)}]"
+        if not isinstance(step, Query):
+            current.append(step)
+            loaded = session.add_facts([fact_of_rule(step)])
+            if loaded.kind == "error":
+                runs.append(_response_run(label, loaded, []))
+            continue
+        program = Program(current)
+        try:
+            expected = oracle_answer_strings(
+                program, step, settings.oracle_max_facts
+            )
+        except OracleBudgetError as error:
+            runs.append(
+                ConfigRun(label, None, f"truncated:{error.resource}")
+            )
+            continue
+        runs.append(
+            _response_run(
+                label,
+                session.query(step),
+                numeric_domain(program, step),
+                detail=str(step),
+                expected=expected,
+            )
+        )
+    return runs
+
+
 def _warm_magic_runs(
     case: GeneratedCase,
     settings: CheckSettings,
     strategy: str,
     mutate: "Callable[[Program], Program] | None" = None,
 ) -> list[ConfigRun]:
-    """Seeds and fact loads interleaved through one magic Session.
-
-    The session starts without a few held-out EDB facts and is asked
-    the case's query and its :func:`sibling_queries`, a held-out fact
-    loaded after every second one, then every query once more: new
-    seeds and loads reach the form's one warm database as deltas, in
-    either order and together.  Each answer is a run of its own,
-    ``expected`` to equal the oracle's over the EDB as of that request.
-    """
+    """The :func:`_held_out_schedule` through one magic Session."""
     from repro.service.session import Session
 
-    proper = {id(rule) for rule in split_edb(case.program)[0]}
-    held = [
-        rule for rule in case.program if id(rule) not in proper
-    ][1::3][:3]
-    current = [rule for rule in case.program if rule not in held]
+    current, steps = _held_out_schedule(case)
     session = Session(
         Program(current),
         strategy=strategy,
@@ -461,68 +521,32 @@ def _warm_magic_runs(
             return compiled
 
         session._compile = corrupted
-    queries = [case.query, *sibling_queries(case)]
-    loads = list(held)
-    steps: list = []
-    for index, query in enumerate(queries):
-        steps.append(query)
-        if index % 2 and loads:
-            steps.append(loads.pop(0))
-    steps += [*loads, *queries]
-    runs: list[ConfigRun] = []
-    for step in steps:
-        name = f"warm-{strategy}[{len(runs)}]"
-        if not isinstance(step, Query):
-            current.append(step)
-            loaded = session.add_facts([fact_of_rule(step)])
-            if loaded.kind == "error":
-                runs.append(_response_run(name, loaded, []))
-            continue
-        program = Program(current)
-        try:
-            expected = oracle_answer_strings(
-                program, step, settings.oracle_max_facts
-            )
-        except OracleBudgetError as error:
-            runs.append(
-                ConfigRun(name, None, f"truncated:{error.resource}")
-            )
-            continue
-        runs.append(
-            _response_run(
-                name,
-                session.query(step),
-                numeric_domain(program, step),
-                detail=str(step),
-                expected=expected,
-            )
-        )
-    return runs
+    return _schedule_runs(
+        f"warm-{strategy}", session, current, steps, settings
+    )
 
 
-def _sharded_run(
+def _sharded_runs(
     case: GeneratedCase,
     settings: CheckSettings,
-    domain: list[Fraction],
+    strategy: str,
     shards: int = 2,
-) -> ConfigRun:
-    """One query through a real multi-process shard cluster.
+) -> list[ConfigRun]:
+    """The :func:`_held_out_schedule` through a real shard cluster.
 
-    Spawns ``shards`` worker subprocesses over the case's program,
-    runs the distributed delta-exchange fixpoint, and canonicalizes
-    the gathered answers exactly like every other config -- the differ
-    then proves the sharded evaluation answer-identical to the oracle
-    and the single-session runs.  Not in :data:`DEFAULT_CONFIGS`
-    (subprocess spawns per case are expensive); opt in with
-    ``--configs ...,sharded``.
+    Spawns ``shards`` worker subprocesses over the case's program less
+    its held-out facts; the workers' warm databases then take each
+    sibling seed and each routed load as a delta, round by round.
+    Not in :data:`DEFAULT_CONFIGS` (subprocess spawns per case are
+    expensive); opt in with ``--configs ...,sharded``.
     """
     from repro.shard import ShardedEngine
 
-    text = "\n".join(str(rule) for rule in case.program)
+    current, steps = _held_out_schedule(case)
     engine = ShardedEngine.from_text(
-        text,
+        "\n".join(str(rule) for rule in current),
         shards,
-        strategy="rewrite",
+        strategy=strategy,
         max_iterations=settings.max_iterations,
         eval_iterations=settings.eval_iterations,
         budget=settings.budget(),
@@ -530,10 +554,15 @@ def _sharded_run(
     )
     try:
         engine.coordinator.start()
-        response = engine.session.query(case.query)
+        return _schedule_runs(
+            f"sharded-{strategy}",
+            engine.session,
+            current,
+            steps,
+            settings,
+        )
     finally:
         engine.coordinator.close(drain=False)
-    return _response_run("sharded", response, domain)
 
 
 def check_case(
@@ -568,7 +597,11 @@ def check_case(
                 elif config == "service":
                     runs = _service_runs(case, settings, domain)
                 elif config == "sharded":
-                    runs = [_sharded_run(case, settings, domain)]
+                    runs = [
+                        run
+                        for strategy in ("rewrite", "optimal")
+                        for run in _sharded_runs(case, settings, strategy)
+                    ]
                 elif config == "warm-magic":
                     runs = [
                         run

@@ -7,8 +7,8 @@ cheaporshort(chicago, dallas, T, C), C <= 90`` share one form.  Every
 rewriting strategy's output is reusable across a form's instances: the
 constraint-propagation strategies depend only on the query predicate,
 and the magic strategies embed the constants solely in the seed fact,
-which :meth:`repro.service.session.CompiledForm.specialize` rebuilds
-per call.
+which :meth:`repro.service.session.CompiledForm.seed_rule` rebuilds
+per call (:meth:`~repro.service.session.Session.prepare`).
 
 The canonical key is
 
@@ -65,10 +65,8 @@ class QueryForm:
 def canonicalize(query: Query) -> tuple[QueryForm, tuple[str, ...]]:
     """The query's form plus its parameters (the generalized constants).
 
-    The parameters are informational -- specialization rebuilds the
-    magic seed from the actual query rather than substituting them
-    back -- but they are reported in responses and exercised by the
-    benchmark's hit-rate workload.
+    The parameters are informational -- the magic seed is rebuilt from
+    the actual query rather than by substituting them back.
     """
     normalized = normalize_query(query)
     renaming: dict[str, str] = {}

@@ -5,22 +5,22 @@ and splits a program **once**, then answers any number of queries and
 fact loads against the same state:
 
 * Each query is canonicalized to a :class:`~repro.service.forms.QueryForm`
-  and compiled at most once per form (LRU-bounded).  For the magic
-  strategies the cached artifact is the *seed-less* template; the seed
-  fact -- the only place query constants appear (Appendix B builds it
-  as a runtime fact) -- is rebuilt from the actual call by
-  :meth:`CompiledForm.specialize`.  The constraint-propagation
-  strategies depend only on the query predicate, so their cached
-  program is reused verbatim.
+  and compiled at most once per form (LRU-bounded, :meth:`prepare`).
+  For the magic strategies the cached artifact is the *seed-less*
+  template; the seed fact -- the only place query constants appear
+  (Appendix B builds it as a runtime fact) -- is rebuilt from the
+  actual call by :meth:`CompiledForm.seed_rule`.  The
+  constraint-propagation strategies depend only on the query
+  predicate, so their cached program is reused verbatim.
 * The first evaluation of a form leaves its one **warm**
   :class:`WarmState` -- the evaluated database and its final iteration
-  stamp.  A later request folds what that database lacks -- EDB facts
-  loaded since and, under a magic strategy, this call's seed *as a
-  fact* -- into it with one :func:`repro.engine.fixpoint.resume` of the
-  template, as the semi-naive delta (sound: negation-free programs are
-  monotone in their facts, seeds included); the seed's insert outcome
-  says whether it is new, and with nothing to fold in the answer is
-  read straight off.  Truncated evaluations are *never* kept warm -- a
+  stamp.  A later request folds what that database lacks
+  (:meth:`warm_delta`) into it with one
+  :func:`repro.engine.fixpoint.resume` of the template, as the
+  semi-naive delta (sound: negation-free programs are monotone in their
+  facts, seeds included), or reads the answer straight off; so does a
+  shard worker (:mod:`repro.shard.worker`), one round at a time.
+  Truncated evaluations are *never* kept warm -- a
   truncated resume drops the form's whole accumulated database -- and
   degraded (fallback) compiles are never cached: cached state must
   reproduce exactly what a cold run would.
@@ -139,28 +139,6 @@ class CompiledForm:
 
 
 @dataclass
-class PreparedQuery:
-    """A query compiled and specialized, evaluation left to the caller.
-
-    What :meth:`Session.prepare` returns: the shard worker
-    (:mod:`repro.shard.worker`) uses the session's compile-once cache
-    and seed specialization but drives the fixpoint itself, one
-    exchange round at a time, so the evaluation can be interleaved
-    with remote shards' deltas.  ``specialized`` is the optimized
-    program with the magic seed (if any) re-attached for this call's
-    constants; ``seed`` identifies the warm slot the evaluation may be
-    cached under.
-    """
-
-    form: QueryForm
-    params: tuple[str, ...]
-    compiled: CompiledForm
-    specialized: Program
-    seed: Rule | None
-    cached: bool
-
-
-@dataclass
 class WarmState:
     """A form's evaluated database, reusable across requests.
 
@@ -169,12 +147,15 @@ class WarmState:
     ``epoch`` is the session fact epoch the database is current to.
     ``seeds`` counts the magic seeds it has absorbed (0 for seed-less
     strategies; see :meth:`~repro.service.cache.CacheEntry.trim`).
+    ``origin`` names the distributed query that left the state (shard
+    workers only; :func:`repro.shard.exchange.warm_start`).
     """
 
     database: Database
     last_stamp: int
     epoch: int
     seeds: int
+    origin: str | None = None
 
 
 @dataclass
@@ -194,7 +175,6 @@ class Response:
     answers: list[Fact] = field(default_factory=list)
     completeness: str = "complete"
     form: str | None = None
-    params: tuple[str, ...] = ()
     cached: bool = False
     warm: bool = False
     resumed: bool = False
@@ -412,17 +392,24 @@ class Session:
                 form, threading.Lock()
             )
 
-    def _lookup_or_compile(
-        self, query: Query, form: QueryForm, strategy: str
-    ) -> tuple[CacheEntry, bool]:
-        """The form's cache entry, compiling at most once per form.
+    def prepare(self, query: Query) -> tuple[CacheEntry, bool]:
+        """The query form's cache entry, and whether it was a hit.
 
-        Concurrent first requests for one form are single-flight: the
-        race winner compiles while the others wait on the form's lock
-        and then reuse the cached artifact.  An entry compiled under a
-        different strategy (the adaptive planner switched) is replaced
-        the same single-flight way.
+        Compiles at most once per form: concurrent first requests are
+        single-flight (the race winner compiles, the others wait on the
+        form's lock and reuse the artifact), and an entry compiled
+        under another strategy (the adaptive planner switched) is
+        replaced the same way.  Evaluation is the caller's --
+        :meth:`query`, or a shard worker stepping exchange rounds
+        (:mod:`repro.shard.worker`); so is converting the
+        :class:`~repro.errors.ReproError` of a failed compile.
         """
+        form, __ = canonicalize(query)
+        strategy = self._strategy
+        if self._planner is not None:
+            # Planner state has its own lock; safe under the shared
+            # (reader) side of the session's RW discipline.
+            strategy = self._planner.decide(str(form), query)
         with self._mutex:
             entry = self._cache.get(form)
         if entry is not None and entry.compiled.strategy == strategy:
@@ -443,33 +430,50 @@ class Session:
                 entry = CacheEntry(compiled)  # serve-once, never stored
             return entry, False
 
+    def warm_delta(
+        self, compiled: CompiledForm, warm: WarmState, query: Query
+    ) -> tuple[list[Fact], bool]:
+        """What ``warm`` lacks for ``query``: one semi-naive delta.
+
+        Returns the EDB facts loaded since the state's epoch, to fold
+        in at ``warm.last_stamp + 1``, and whether this call's seed was
+        new -- inserted as a fact at that stamp right here, unless the
+        database holds or subsumes it.  The state now counts as current
+        and seeded: the caller must ``resume`` it (``assume_delta`` when
+        seeded) or drop it.
+        """
+        pending = [
+            fact
+            for epoch, facts in self._fact_log
+            if epoch > warm.epoch
+            for fact in facts
+        ] if warm.epoch < self._epoch else []
+        seed = compiled.seed_rule(query)
+        seeded = seed is not None and bool(
+            warm.database.insert_many(
+                [fact_of_rule(seed)], warm.last_stamp + 1
+            )
+        )
+        warm.epoch = self._epoch
+        warm.seeds += seeded
+        return pending, seeded
+
     def _answer(
         self, query: Query, meter: BudgetMeter | None
     ) -> Response:
-        normalized = normalize_query(query)
-        form, params = canonicalize(normalized)
-        strategy = self._strategy
-        form_key = None
-        if self._planner is not None:
-            # Planner state has its own lock; safe under the shared
-            # (reader) side of the session's RW discipline.
-            form_key = str(form)
-            strategy = self._planner.decide(form_key, query)
-        entry, cached = self._lookup_or_compile(query, form, strategy)
+        entry, cached = self.prepare(query)
         # Evaluation against one entry is serialized by its lock, so a
         # warm database is never resumed by two threads at once;
         # different forms evaluate in parallel.
         started = time.perf_counter()
         with entry.lock:
-            response = self._evaluate_entry(
-                query, normalized, form, params, entry, cached, meter
-            )
+            response = self._evaluate_entry(query, entry, cached, meter)
         if self._planner is not None:
             # The first run after a (re)compile pays the compile bill;
             # the planner records it but keeps it out of warm means.
             entry.plan_record = self._planner.observe(
-                form_key,
-                strategy,
+                str(entry.compiled.form),
+                entry.compiled.strategy,
                 response.eval_stats,
                 time.perf_counter() - started,
                 cold=not cached,
@@ -479,9 +483,6 @@ class Session:
     def _evaluate_entry(
         self,
         query: Query,
-        normalized: Query,
-        form: QueryForm,
-        params: tuple[str, ...],
         entry: CacheEntry,
         cached: bool,
         meter: BudgetMeter | None,
@@ -489,7 +490,7 @@ class Session:
         compiled = entry.compiled
         warm = entry.warm
         if warm is None:
-            specialized, seed = compiled.specialize(normalized)
+            specialized, seed = compiled.specialize(query)
             with obs_span("service.evaluate", mode="cold"):
                 result = evaluate(
                     specialized,
@@ -511,17 +512,7 @@ class Session:
             # call's seed, unless it already holds or subsumes it.
             database = warm.database
             start_stamp = warm.last_stamp + 1
-            pending = [
-                fact
-                for epoch, facts in self._fact_log
-                if epoch > warm.epoch
-                for fact in facts
-            ] if warm.epoch < self._epoch else []
-            seed = compiled.seed_rule(normalized)
-            seed_fact = fact_of_rule(seed) if seed is not None else None
-            seeded = seed_fact is not None and bool(
-                database.insert_many([seed_fact], start_stamp)
-            )
+            pending, seeded = self.warm_delta(compiled, warm, query)
             if seeded or pending:
                 with obs_span(
                     "service.evaluate", mode="resume", delta=len(pending)
@@ -543,8 +534,6 @@ class Session:
                     entry.warm = None
                 else:
                     warm.last_stamp = start_stamp + result.stats.iterations
-                    warm.epoch = self._epoch
-                    warm.seeds += seeded
                     entry.trim(self._edb.count())
             else:
                 obs_count("service.warm_hits")
@@ -565,8 +554,7 @@ class Session:
             query=query,
             answers=found,
             completeness=completeness,
-            form=str(form),
-            params=params,
+            form=str(compiled.form),
             cached=cached,
             warm=warm is not None,
             resumed=warm is not None and result is not None,
@@ -617,34 +605,6 @@ class Session:
             for epoch, facts in self._fact_log
             if epoch > floor
         ]
-
-    # -- sharded evaluation hook (see repro.shard.worker) -------------
-
-    def prepare(self, query: Query) -> PreparedQuery:
-        """Compile and specialize a query without evaluating it.
-
-        Same single-flight form cache as :meth:`query` (a repeat call
-        for the form reuses the compiled template), but evaluation is
-        the caller's job -- the sharded worker steps the fixpoint in
-        exchange rounds instead of running it to completion locally.
-        Raises :class:`~repro.errors.ReproError` on compile failures;
-        the caller owns the error-to-response conversion.
-        """
-        form, params = canonicalize(query)
-        strategy = self._strategy
-        if self._planner is not None:
-            strategy = self._planner.decide(str(form), query)
-        entry, cached = self._lookup_or_compile(query, form, strategy)
-        compiled = entry.compiled
-        specialized, seed = compiled.specialize(query)
-        return PreparedQuery(
-            form=form,
-            params=params,
-            compiled=compiled,
-            specialized=specialized,
-            seed=seed,
-            cached=cached,
-        )
 
     # -- snapshot hooks (see repro.serve.snapshot) --------------------
 

@@ -68,6 +68,7 @@ from repro.shard.exchange import (
     WorkerReplyError,
     check_replies,
     run_exchange,
+    warm_start,
 )
 from repro.shard.partition import build_plan
 from repro.shard.protocol import FrameError, read_frame, write_frame
@@ -771,7 +772,9 @@ class ShardCoordinator:
                     self._answers.move_to_end(text)
                     self.counters["warm_hits"] += 1
                     obs_count("shard.warm_hits")
-                    return replace(hit[1], cached=True, warm=True)
+                    return replace(
+                        hit[1], cached=True, warm=True, resumed=False
+                    )
             try:
                 response = self._query_locked(query, text, started)
             except WorkerReplyError as error:
@@ -870,22 +873,21 @@ class ShardCoordinator:
             self.counters["scatter_pruned"] += 1
             obs_count("shard.scatter_pruned")
         qid = f"q{next(self._qids)}"
-        starts = send({
-            shard: {"op": "q_start", "qid": qid, "query": text}
-            for shard in participants
-        })
-        check_replies(starts)
-        all_warm = all(
-            reply.get("warm") for reply in starts.values()
-        )
         try:
+            starts = send({
+                shard: {"op": "q_start", "qid": qid, "query": text}
+                for shard in participants
+            })
+            check_replies(starts)
+            warm, rounds = warm_start(starts)
             outcome = None
-            if not all_warm:
+            if rounds:
                 outcome = run_exchange(
                     send,
                     participants,
                     qid,
                     self.eval_iterations,
+                    warm=warm,
                 )
                 self.counters["rounds"] += outcome.rounds
                 self.counters["exchanged"] += outcome.exchanged
@@ -954,7 +956,8 @@ class ShardCoordinator:
             cached=all(
                 reply.get("cached") for reply in starts.values()
             ),
-            warm=all_warm,
+            warm=warm,
+            resumed=warm and outcome is not None,
             notes=list(first.get("notes", ())),
             epoch=self.epoch,
         )

@@ -3,8 +3,13 @@
 One distributed evaluation advances every participating shard one
 semi-naive iteration per *round*.  In round 0 each shard runs a cold
 iteration over its own EDB partition (the specialized seed rule fires
-there); in round ``r`` each shard folds the tuples other shards
-derived in round ``r-1`` into its database as an external delta
+there) or, when the frame carries ``warm`` (:func:`warm_start`),
+resumes the form's warm state with its delta: the EDB facts loaded
+since and the call's seed as a fact.  All or none, because rounds
+forward only *new* facts: a cold shard next to warm ones would never
+receive what they derived before.  In round ``r`` each shard folds
+the tuples other shards derived in round ``r-1`` into its database as
+an external delta
 (:func:`repro.engine.fixpoint.resume` with ``assume_delta``) and runs
 exactly one more iteration, so a tuple derived anywhere is visible
 everywhere one round later -- the distributed run explores the same
@@ -86,11 +91,27 @@ def check_replies(replies: Mapping[int, dict]) -> None:
             )
 
 
+def warm_start(starts: Mapping[int, dict]) -> tuple[bool, bool]:
+    """``(warm, rounds)`` for a query, from its ``q_start`` replies.
+
+    Warm when every reply names the same earlier run as its state's
+    origin.  Not when a shard has none (respawned, evicted, trimmed,
+    beaten to the checkout) or two concurrent runs checked theirs back
+    in in different orders.  Rounds run unless warm with no delta.
+    """
+    origins = {reply.get("warm") for reply in starts.values()}
+    warm = len(origins) == 1 and None not in origins
+    return warm, not warm or any(
+        reply.get("delta") for reply in starts.values()
+    )
+
+
 def run_exchange(
     scatter: Callable[[Mapping[int, dict]], Mapping[int, dict]],
     participants: Sequence[int],
     qid: str,
     max_rounds: int,
+    warm: bool = False,
 ) -> ExchangeOutcome:
     """Drive one query's rounds to global fixpoint (module docstring).
 
@@ -98,6 +119,7 @@ def run_exchange(
     the replies keyed the same way; transport failures are its
     problem (the coordinator raises ``ShardError``), ``REPRO_*``
     error replies surface here as :class:`WorkerReplyError`.
+    ``warm`` tells round 0 to resume every participant's warm state.
     """
     participants = list(participants)
     seen: set[tuple] = set()
@@ -109,13 +131,11 @@ def run_exchange(
         with obs_span(
             "shard.round", round=number, participants=len(participants)
         ):
+            frame = {"op": "q_round", "qid": qid, "round": number}
+            if warm and number == 0:
+                frame["warm"] = True
             replies = scatter({
-                shard: {
-                    "op": "q_round",
-                    "qid": qid,
-                    "round": number,
-                    "facts": deltas[shard],
-                }
+                shard: dict(frame, facts=deltas[shard])
                 for shard in participants
             })
         check_replies(replies)

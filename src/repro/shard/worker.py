@@ -25,6 +25,19 @@ Each query runs under its own per-shard budget meter built from the
 handshake's budget spec, and every request is error-isolated: a
 ``REPRO_*`` failure becomes an error reply, never a dead worker.
 
+Warm state is the session's, one database per compiled form: at
+``q_start`` the worker checks the form's
+:class:`~repro.service.session.WarmState` out to the query, builds its
+delta (:meth:`~repro.service.session.Session.warm_delta`: the EDB
+facts loaded since, plus the call's seed as a fact) and replies with
+the run that left the state and the delta's size.  Round 0 resumes
+the state only when every participant's is that one run's, all or
+none (:mod:`repro.shard.exchange`, :func:`warm_start
+<repro.shard.exchange.warm_start>`).  A complete run's
+``q_finish(keep_warm)`` checks the database back in; any other finish
+drops it.  Loads never land mid-query: the coordinator holds its read
+lock from ``q_start`` to ``q_finish``.
+
 Durability is the serve machinery's, policy included: the worker owns
 a :class:`~repro.serve.snapshot.Snapshotter` over its per-shard
 directory and loads through :meth:`Snapshotter.load
@@ -56,7 +69,7 @@ from repro.governor import budget as governor
 from repro.lang.parser import parse_program, parse_query
 from repro.obs.recorder import count as obs_count
 from repro.serve.snapshot import Snapshotter
-from repro.service.session import Session
+from repro.service.session import Session, WarmState
 from repro.shard.partition import ShardPlan
 from repro.shard.protocol import (
     FrameError,
@@ -81,29 +94,24 @@ _BUDGET_FIELDS = (
 
 
 class _EvalState:
-    """One in-flight query's evaluation on this shard."""
+    """One in-flight query's evaluation on this shard.
 
-    __slots__ = (
-        "prepared", "meter", "database", "stamp", "warm_ok", "rounds",
-    )
+    ``warm`` holds the query's database: the form's warm state checked
+    out at ``q_start`` -- with ``pending`` loaded facts and, when
+    ``seeded``, a new seed at ``last_stamp + 1`` still to fold in --
+    or the state a cold round 0 starts.  Its ``last_stamp`` is the
+    stamp the next round's incoming facts enter at.
+    """
 
-    def __init__(self, prepared, meter, warm_ok: bool) -> None:
-        self.prepared = prepared
+    __slots__ = ("entry", "query", "meter", "warm", "pending", "seeded")
+
+    def __init__(self, entry, query, meter, warm) -> None:
+        self.entry = entry
+        self.query = query
         self.meter = meter
-        self.database = None
-        self.stamp = 0
-        self.warm_ok = warm_ok
-        self.rounds = 0
-
-
-class _WarmSlot:
-    """A completed distributed evaluation kept for repeat queries."""
-
-    __slots__ = ("database", "epoch")
-
-    def __init__(self, database, epoch: int) -> None:
-        self.database = database
-        self.epoch = epoch
+        self.warm = warm
+        self.pending: list = []
+        self.seeded = False
 
 
 class ShardWorker:
@@ -139,14 +147,12 @@ class ShardWorker:
             cache_size=int(hello.get("cache_size", 64)),
         )
         self.session.restore_state(owned, 0)
-        self.eval_iterations = int(hello.get("eval_iterations", 200))
         self.snapshotter: Snapshotter | None = None
         if hello.get("snapshot_dir"):
             self.snapshotter = Snapshotter(
                 hello["snapshot_dir"], hello.get("program_id", "?")
             )
         self._evals: dict[str, _EvalState] = {}
-        self._warm: dict[tuple[str, str], _WarmSlot] = {}
         self.counters = {
             "queries": 0,
             "rounds": 0,
@@ -284,24 +290,29 @@ class ShardWorker:
         query = parse_query(frame["query"])
         meter = self._meter(frame)
         with self._governed(meter):
-            prepared = self.session.prepare(query)
-        key = (str(prepared.form), str(prepared.seed or ""))
-        slot = self._warm.get(key)
-        warm_ok = (
-            slot is not None and slot.epoch == self.session.epoch
-        )
-        self._evals[frame["qid"]] = _EvalState(
-            prepared, meter, warm_ok
-        )
+            entry, cached = self.session.prepare(query)
+        # Check the form's one warm state out to this query: a
+        # concurrent query of the form finds none and runs cold.
+        warm, entry.warm = entry.warm, None
+        state = _EvalState(entry, query, meter, warm)
+        if warm is not None:
+            state.pending, state.seeded = self.session.warm_delta(
+                entry.compiled, warm, query
+            )
+            self.counters["warm_hits"] += 1
+            obs_count("shard.worker_warm_hits")
+        self._evals[frame["qid"]] = state
         self.counters["queries"] += 1
         obs_count("shard.worker_queries")
+        compiled = entry.compiled
         return {
             "ok": True,
-            "warm": warm_ok,
-            "form": str(prepared.form),
-            "cached": prepared.cached,
-            "notes": list(prepared.compiled.notes),
-            "fallbacks": list(prepared.compiled.fallbacks),
+            "warm": warm.origin if warm is not None else None,
+            "delta": len(state.pending) + state.seeded,
+            "form": str(compiled.form),
+            "cached": cached,
+            "notes": list(compiled.notes),
+            "fallbacks": list(compiled.fallbacks),
         }
 
     def _state(self, frame: dict) -> _EvalState:
@@ -321,30 +332,42 @@ class ShardWorker:
         ]
         self.counters["received"] += len(incoming)
         self.counters["rounds"] += 1
-        state.rounds += 1
+        compiled = state.entry.compiled
         with self._governed(state.meter):
-            if number == 0 or state.database is None:
-                # Round 0: one cold iteration over the local
-                # partition; the specialized seed rule fires here.
+            if number == 0 and not frame.get("warm"):
+                # Not all warm: drop the state, one cold iteration over
+                # the local partition (the seed rule fires here).
+                specialized, seed = compiled.specialize(state.query)
                 result = evaluate(
-                    state.prepared.specialized,
+                    specialized,
                     self.session.edb,
                     max_iterations=1,
                     budget=state.meter,
                 )
-                state.database = result.database
-                state.stamp = 1
+                seeds = int(seed is not None)
+                state.warm = WarmState(
+                    result.database, 1, self.session.epoch, seeds
+                )
             else:
+                # Round 0 on warm states: the checked-out delta enters
+                # at last_stamp + 1.  Later rounds: the facts other
+                # shards derived join this shard's last round's delta.
+                warm = state.warm
+                if number == 0:
+                    facts, start = state.pending, warm.last_stamp + 1
+                    delta = state.seeded
+                else:
+                    facts, start, delta = incoming, warm.last_stamp, True
                 result = resume(
-                    state.prepared.specialized,
-                    state.database,
-                    incoming,
-                    start_stamp=state.stamp,
+                    compiled.template,
+                    warm.database,
+                    facts,
+                    start_stamp=start,
                     max_iterations=1,
                     budget=state.meter,
-                    assume_delta=True,
+                    assume_delta=delta,
                 )
-                state.stamp += 1
+                warm.last_stamp = start + 1
         fresh = [
             fact
             for log in result.iterations
@@ -363,24 +386,15 @@ class ShardWorker:
 
     def _op_q_answers(self, frame: dict) -> dict:
         state = self._state(frame)
-        prepared = state.prepared
-        if state.database is None:
-            key = (str(prepared.form), str(prepared.seed or ""))
-            slot = self._warm.get(key)
-            if not state.warm_ok or slot is None:
-                raise UsageError(
-                    f"q_answers before any round on shard "
-                    f"{self.shard} (no warm state)"
-                )
-            database = slot.database
-            self.counters["warm_hits"] += 1
-            obs_count("shard.worker_warm_hits")
-        else:
-            database = state.database
+        if state.warm is None:
+            raise UsageError(
+                f"q_answers before any round on shard "
+                f"{self.shard} (no warm state)"
+            )
         found = answers_as(
-            database,
+            state.warm.database,
             parse_query(frame["query"]),
-            prepared.compiled.query_pred,
+            state.entry.compiled.query_pred,
         )
         meter = state.meter
         return {
@@ -395,19 +409,12 @@ class ShardWorker:
         state = self._evals.pop(frame["qid"], None)
         if (
             state is not None
-            and state.database is not None
+            and state.warm is not None
             and frame.get("keep_warm")
         ):
-            key = (
-                str(state.prepared.form),
-                str(state.prepared.seed or ""),
-            )
-            self._warm[key] = _WarmSlot(
-                state.database, self.session.epoch
-            )
-            # Bound the slot table: warm states are per (form, seed).
-            while len(self._warm) > 4 * self.session.cache.capacity:
-                self._warm.pop(next(iter(self._warm)))
+            state.warm.origin = frame["qid"]
+            state.entry.warm = state.warm
+            state.entry.trim(self.session.edb.count())
         return {"ok": True}
 
     # -- inspection ---------------------------------------------------

@@ -69,6 +69,25 @@ class TestCorpusReplay:
         assert CORPUS_CASES
 
 
+class TestShardedConfig:
+    """The opt-in ``sharded`` config over the corpus: the held-out
+    schedule through one 2-shard cluster per strategy, each step held
+    to the oracle over the EDB as of that request."""
+
+    @pytest.mark.parametrize(
+        "path", CORPUS_CASES, ids=lambda path: path.stem
+    )
+    def test_corpus_case_agrees_sharded(self, path):
+        case = case_from_text(path.read_text(), label=path.name)
+        result = check_case(case, configs=("oracle", "sharded"))
+        _assert_agrees(result)
+        assert {
+            run.name.split("[")[0]
+            for run in result.runs.values()
+            if run.complete and run.expected is not None
+        } == {"sharded-rewrite", "sharded-optimal"}
+
+
 class TestFreshBatch:
     @pytest.mark.parametrize("seed", range(0, 40))
     def test_generated_case_agrees(self, seed):

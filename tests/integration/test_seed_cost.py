@@ -63,8 +63,10 @@ def test_one_evaluation_then_deltas(stream):
         assert frozenset(response.answer_strings) == op.expected
         responses.append(response)
         # What a per-seed policy pays for a seed it holds no state for.
-        prepared = reference.session.prepare(parse_query(op.text))
-        cold = evaluate(prepared.specialized, reference.session.edb)
+        query = parse_query(op.text)
+        entry, __ = reference.session.prepare(query)
+        specialized, __ = entry.compiled.specialize(query)
+        cold = evaluate(specialized, reference.session.edb)
         cold_derivations += cold.stats.derivations
         if op.text in asked:
             # A repeated seed: nothing probed, nothing derived.
@@ -107,9 +109,7 @@ def test_subsumed_seed_is_a_pure_hit():
     assert engine.query("?- reach(7, Y).").answer_strings == ["Y = 8"]
     entry = next(session.cache.entries())
     general = parse_query("?- reach(X, Y), X <= 3.")
-    planted = session._evaluate_entry(
-        general, general, entry.compiled.form, (), entry, True, None
-    )
+    planted = session._evaluate_entry(general, entry, True, None)
     assert planted.resumed and len(planted.answers) == 9
     seed_pred = entry.compiled.seed_pred
     assert f"{seed_pred}($1; $1 <= 3)" in map(

@@ -17,6 +17,8 @@ import os
 import signal
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -119,6 +121,115 @@ def test_load_reaches_owner_and_queries_see_it():
         bad = engine.add_facts("reach(n1, n9).")
         assert not bad.ok and bad.error_code == "REPRO_USAGE"
     finally:
+        engine.coordinator.close(drain=False)
+
+
+#: A chain long enough for twenty sibling seeds of ``reach(nK, Y)``.
+#: Right-recursive, so under ``optimal`` the seeds' magic closures
+#: overlap: a seed downstream of an earlier one is already held.
+CHAIN = "\n".join(
+    [f"edge(n{i}, n{i + 1}, 1)." for i in range(24)]
+    + [f"edge(n{i}, n{i + 3}, 2)." for i in range(0, 24, 4)]
+    + [
+        "reach(X, Y) :- edge(X, Y, C).",
+        "reach(X, Z) :- edge(X, Y, C), reach(Y, Z).",
+    ]
+)
+
+
+def _wait_until(predicate, timeout=15.0):
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return predicate()
+
+
+@pytest.mark.parametrize("strategy", ["rewrite", "optimal"])
+def test_warm_states_take_seeds_and_loads_as_deltas(strategy):
+    engine = ShardedEngine.from_text(
+        CHAIN, 2, strategy=strategy, heartbeat_interval=0.0
+    )
+    engine.coordinator.start()
+    single = Session(parse_program(CHAIN), strategy=strategy)
+
+    def ask(text, reference=single):
+        query = parse_query(text)
+        response = engine.session.query(query)
+        assert response.ok, response.error_message
+        assert answers_of(response) == answers_of(reference.query(query))
+        return response
+
+    try:
+        assert not ask("?- reach(n3, Y).").warm
+        sibling = ask("?- reach(n1, Y).")
+        # Under optimal the upstream sibling's seed is new and folded
+        # in; the seed-less rewrite has nothing to fold and reads the
+        # state.
+        assert sibling.warm
+        assert sibling.resumed == (strategy == "optimal")
+        fact = parse_facts("edge(n24, n25, 1).")[0]
+        owner = engine.coordinator.plan.route(fact)
+        assert owner is not None  # the load lands on one shard only
+        assert engine.add_facts("edge(n24, n25, 1).").added == 1
+        single.add_facts([fact])
+        loaded = ask("?- reach(n1, Y).")
+        assert loaded.warm and loaded.resumed
+        assert "Y = n25" in loaded.answer_strings
+        os.kill(engine.coordinator.pids()[owner], signal.SIGKILL)
+        client = engine.coordinator._clients[owner]
+        assert _wait_until(lambda: not client.alive)
+        # The respawned owner lost the load and holds no state, so the
+        # survivor's state (which derived from the load) is dropped
+        # too: the answer is the program's own, computed cold.
+        amnesiac = ask(
+            "?- reach(n2, Y).",
+            Session(parse_program(CHAIN), strategy=strategy),
+        )
+        assert not amnesiac.warm and not amnesiac.resumed
+    finally:
+        engine.coordinator.close(drain=False)
+
+
+@pytest.mark.parametrize("strategy", ["rewrite", "optimal"])
+def test_concurrent_sibling_seeds_share_one_form(strategy):
+    engine = ShardedEngine.from_text(
+        CHAIN, 2, strategy=strategy, heartbeat_interval=0.0
+    )
+    engine.coordinator.start()
+    single = Session(parse_program(CHAIN), strategy=strategy)
+    expected = {
+        index: answers_of(
+            single.query(parse_query(f"?- reach(n{index}, Y)."))
+        )
+        for index in range(20)
+    }
+    wrong: list = []
+
+    def asker(variable, order):
+        # Distinct query text per thread, same seeds: the coordinator's
+        # answer cache cannot serve one thread from the other's run.
+        for index in order:
+            response = engine.session.query(
+                parse_query(f"?- reach(n{index}, {variable}).")
+            )
+            if not response.ok or answers_of(response) != expected[index]:
+                wrong.append((variable, index, response.error_message))
+
+    threads = [
+        threading.Thread(target=asker, args=("Y", range(20))),
+        threading.Thread(target=asker, args=("Z", range(19, -1, -1))),
+    ]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the two threads' frames
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+    finally:
+        sys.setswitchinterval(switch)
         engine.coordinator.close(drain=False)
 
 

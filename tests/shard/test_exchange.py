@@ -20,7 +20,11 @@ from repro.constraints.atom import Atom
 from repro.constraints.conjunction import Conjunction
 from repro.constraints.linexpr import LinearExpr
 from repro.engine.facts import make_fact
-from repro.shard.exchange import WorkerReplyError, run_exchange
+from repro.shard.exchange import (
+    WorkerReplyError,
+    run_exchange,
+    warm_start,
+)
 
 
 def enc(name: str) -> list:
@@ -136,6 +140,40 @@ def test_round_cap_reports_iteration_truncation():
     outcome = run_exchange(endless.scatter, [0], "q1", 5)
     assert outcome.truncated == "iterations"
     assert outcome.rounds == 5
+
+
+def test_warm_bit_rides_round_zero_only():
+    shards = ScriptedShards({0: [[enc("a")], []], 1: [[], []]})
+    frames: list = []
+
+    def scatter(payloads):
+        frames.extend(payloads.values())
+        return shards.scatter(payloads)
+
+    run_exchange(scatter, [0, 1], "q1", 10, warm=True)
+    assert [frame.get("warm") for frame in frames] == [
+        True, True, None, None,
+    ]
+
+
+@pytest.mark.parametrize(
+    "starts, expected",
+    [
+        # One run left every participant's state: resume, or read.
+        ({0: {"warm": "q1", "delta": 0}, 1: {"warm": "q1"}},
+         (True, False)),
+        ({0: {"warm": "q1", "delta": 2}, 1: {"warm": "q1"}},
+         (True, True)),
+        # A cold participant, or states from two runs: all cold.
+        ({0: {"warm": "q1", "delta": 0}, 1: {"warm": None}},
+         (False, True)),
+        ({0: {"warm": "q2", "delta": 0}, 1: {"warm": "q3"}},
+         (False, True)),
+        ({0: {"warm": None}}, (False, True)),
+    ],
+)
+def test_warm_start_is_all_or_none(starts, expected):
+    assert warm_start(starts) == expected
 
 
 def test_error_reply_raises_worker_reply_error():

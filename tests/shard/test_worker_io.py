@@ -22,6 +22,7 @@ from repro.driver import split_edb
 from repro.governor import FaultPlan, FaultyRecorder
 from repro.lang.parser import parse_program
 from repro.shard import protocol
+from repro.shard.exchange import run_exchange, warm_start
 from repro.shard.partition import build_plan
 from repro.shard.protocol import FrameError, read_frame, write_frame
 from repro.shard.worker import ShardWorker, _write_reply, serve_frames
@@ -200,6 +201,51 @@ def test_meter_clamps_to_propagated_deadline():
 def test_meter_absent_without_budget():
     worker = ShardWorker(make_hello())
     assert worker._meter({"deadline_left": 0.5}) is None
+
+
+def test_interleaved_check_ins_are_never_resumed_together():
+    # Two runs of one form finish in opposite orders on two shards.
+    # Each shard keeps its last check-in, so the states come from
+    # different runs -- the exchange would never re-send what one of
+    # them derived -- and the next query of the form must run cold.
+    rules, edb = split_edb(parse_program(PROGRAM))
+    plan = build_plan(rules, edb, 2)[0].describe()
+    workers = [
+        ShardWorker(make_hello(shard=shard, plan=plan))
+        for shard in (0, 1)
+    ]
+
+    def scatter(payloads):
+        return {
+            shard: workers[shard].handle(payload)
+            for shard, payload in payloads.items()
+        }
+
+    def start(qid, text):
+        return scatter({
+            shard: {"op": "q_start", "qid": qid, "query": text}
+            for shard in (0, 1)
+        })
+
+    def finish(qid, shard):
+        workers[shard].handle(
+            {"op": "q_finish", "qid": qid, "keep_warm": True}
+        )
+
+    assert warm_start(start("q1", "?- reach(n1, Y).")) == (False, True)
+    run_exchange(scatter, [0, 1], "q1", 20)
+    finish("q1", 0)
+    finish("q1", 1)
+    # q2 checks both states out; q3, concurrent, finds none.
+    assert warm_start(start("q2", "?- reach(n2, Y).")) == (True, False)
+    assert warm_start(start("q3", "?- reach(n3, Y).")) == (False, True)
+    run_exchange(scatter, [0, 1], "q3", 20)
+    for shard, order in ((0, ("q2", "q3")), (1, ("q3", "q2"))):
+        for qid in order:
+            finish(qid, shard)
+    starts = start("q4", "?- reach(n1, Y).")
+    assert {reply["warm"] for reply in starts.values()} == {"q2", "q3"}
+    assert warm_start(starts) == (False, True)
 
 
 def test_real_worker_process_exits_gracefully_and_silently():
