@@ -73,13 +73,14 @@ def build_parser() -> argparse.ArgumentParser:
         choices=STRATEGY_CHOICES,
         default="rewrite",
         help="transformation pipeline to apply (default: rewrite = "
-        "the paper's Constraint_rewrite; auto = cost-based planner)",
+        "the paper's Constraint_rewrite; auto = pick by the "
+        "program's shape)",
     )
     parser.add_argument(
         "--explain",
         action="store_true",
-        help="with --strategy auto, print the planner's full ranking "
-        "and chosen plan for each query",
+        help="with --strategy auto, print the planner's pick, its "
+        "reason and the candidates for each query",
     )
     parser.add_argument(
         "--max-iterations",

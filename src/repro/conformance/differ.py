@@ -55,10 +55,9 @@ from repro.conformance.oracle import (
 )
 
 #: The configurations every case is pushed through, in report order.
-#: ``auto`` runs the cost-based planner end to end: collect EDB stats,
-#: rank the paper-ordered strategy sequences, then execute the chosen
-#: one -- whatever it picks must agree with the oracle like any fixed
-#: strategy.
+#: ``auto`` runs the planner end to end: pick a paper-ordered strategy
+#: sequence by the program's shape, then execute it -- whatever it
+#: picks must agree with the oracle like any fixed strategy.
 DEFAULT_CONFIGS = (
     "oracle",
     "none",
@@ -306,18 +305,16 @@ def _auto_run(
     settings: CheckSettings,
     domain: list[Fraction],
 ) -> ConfigRun:
-    """The planner path: stats + bounded search pick the strategy.
+    """The planner path: the program's shape picks the strategy.
 
     The chosen strategy then runs exactly like a fixed config, so a
-    planner that picks an unsound sequence (or a cost model that
-    steers into a broken rewrite) surfaces as an ordinary mismatch.
-    The pick is recorded in ``detail`` for triage.
+    planner that picks an unsound sequence surfaces as an ordinary
+    mismatch.  The pick is recorded in ``detail`` for triage.
     """
-    from repro.planner import collect_stats, plan_query
+    from repro.planner import plan_query
 
-    rules, edb = split_edb(case.program)
-    stats = collect_stats(edb)
-    plan = plan_query(rules, case.query, stats)
+    rules, __ = split_edb(case.program)
+    plan = plan_query(rules, case.query)
     run = _strategy_run(case, plan.strategy, settings, domain)
     detail = f"plan={plan.strategy}"
     if run.detail:

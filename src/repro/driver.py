@@ -64,7 +64,7 @@ from repro.obs.recorder import span as obs_span
 
 STRATEGIES = tuple(STRATEGY_SEQUENCES)
 
-#: The cost-based planner picks one of :data:`STRATEGIES` per query.
+#: The planner picks one of :data:`STRATEGIES` per query.
 AUTO_STRATEGY = "auto"
 STRATEGY_CHOICES = STRATEGIES + (AUTO_STRATEGY,)
 
@@ -332,15 +332,10 @@ def _answer_query_governed(
     notes: list[str] = []
     plan = None
     if strategy == AUTO_STRATEGY:
-        plan, strategy = _plan_strategy(program, query, edb)
-        runner_up = (
-            f"; next {plan.ranking[1][0]!r}"
-            if len(plan.ranking) > 1
-            else ""
-        )
+        plan = _plan_strategy(program, query)
+        strategy = plan.strategy
         notes.append(
-            f"auto: planner chose {strategy!r} "
-            f"(stats {plan.fingerprint}{runner_up})"
+            f"auto: planner chose {strategy!r} ({plan.reason})"
         )
     with obs_span(
         "query", pred=query.literal.pred, strategy=strategy
@@ -387,25 +382,19 @@ def _answer_query_governed(
     )
 
 
-def _plan_strategy(
-    program: Program,
-    query: Query,
-    edb: Database | None,
-):
-    """Resolve ``auto``: (plan, concrete strategy) for this query.
+def _plan_strategy(program: Program, query: Query):
+    """Resolve ``auto``: the :class:`~repro.planner.plan.Plan`.
 
     Planning is advisory work, not query work: it runs with the
     request budget paused so an exhausted meter can still pick a
     strategy for the fallback path.
     """
-    from repro.planner import collect_stats, plan_query
+    from repro.planner import plan_query
 
     with governor.paused(), obs_span(
         "planner.auto", pred=query.literal.pred
     ):
-        stats = collect_stats(edb)
-        plan = plan_query(program, query, stats)
-    return plan, plan.strategy
+        return plan_query(program, query)
 
 
 def run_text(

@@ -1,24 +1,23 @@
-"""The feedback loop: observed executions correct the cost model.
+"""The feedback loop: a session measures the candidates and keeps the fastest.
 
-The model in :mod:`repro.planner.cost` is calibrated but still a model;
-the obs layer records what actually happened.  An
+The pick of :func:`~repro.planner.plan.plan_query` reads only the
+program's shape; what a strategy costs on this EDB is measured.  An
 :class:`AdaptivePlanner` closes the loop per *query form* (the same
 normalized key the service's ``FormCache`` uses):
 
-1. **Plan** -- on first sight of a form, run the bounded search and
-   keep the top-``k`` candidates as worth measuring.
-2. **Probe** -- serve the next requests with each candidate in ranked
+1. **Plan** -- on first sight of a form, take the plan's fixed
+   candidate list (the pick first).
+2. **Probe** -- serve the next requests with each candidate in that
    order until every candidate has ``probe_runs`` *warm* observations
    (the first post-compile run of each strategy is recorded but
    excluded from the comparison -- it pays the compile bill the cache
    amortizes away).
 3. **Converge** -- switch to the candidate with the lowest mean
-   observed scalar (:func:`~repro.planner.cost.observed_scalar`) and
-   stay there.
+   wall-clock seconds and stay there.
 4. **Re-plan** -- if the converged strategy's EWMA drifts past
    ``divergence`` times its at-convergence baseline, or the EDB grows
    past ``growth`` times the planned-against snapshot, mark the record
-   stale: the next ``decide`` re-collects stats and re-plans.
+   stale: the next ``decide`` re-collects stats and re-probes.
 
 All state lives behind one lock, so the planner is safe under the
 serve supervisor's reader--writer locking (readers of different forms
@@ -33,37 +32,24 @@ from dataclasses import dataclass, field
 from repro.engine.database import Database
 from repro.lang.ast import Program, Query
 from repro.obs.recorder import count as obs_count, span as obs_span
-from repro.planner.cost import CostModel, observed_scalar
 from repro.planner.plan import Plan, plan_query
 from repro.planner.stats import EdbStats, collect_stats
 
 #: Warm observations each candidate gets before the comparison.
 PROBE_RUNS = 2
-#: Candidates (by model ranking) worth measuring at all.
-TOP_K = 3
 #: Converged-EWMA drift (vs. the at-convergence baseline) that forces
 #: a re-plan.
 DIVERGENCE_FACTOR = 4.0
 #: EDB growth (vs. the planned-against snapshot) that forces a re-plan.
 GROWTH_REPLAN_FACTOR = 2.0
-#: Smoothing of the converged strategy's observed scalar.
+#: Smoothing of the converged strategy's observed seconds.
 EWMA_ALPHA = 0.4
-#: Sessions reuse compiled forms, so compile cost is spread over this
-#: many expected executions when planning.
-SESSION_AMORTIZATION = 8.0
-#: A candidate whose *unamortized* (cold) scalar exceeds this multiple
-#: of the cheapest candidate's is never probed: amortization may rank
-#: it competitive eventually, but the one compile needed to find out
-#: would dwarf anything the probe could save (generator recursion can
-#: make a single ``pred`` pass take seconds).
-PROBE_PRUNE_FACTOR = 3.0
-#: Divergence is judged against at least this baseline (scalar units;
-#: ~5 ms of pure wall clock).  A sub-millisecond warm hit's EWMA
-#: crosses ``DIVERGENCE_FACTOR`` times its baseline on any scheduler
-#: hiccup or GC pause, and the re-plan it would trigger re-probes
-#: every candidate -- orders of magnitude more expensive than anything
-#: the re-plan could recover at that scale.
-REPLAN_NOISE_FLOOR = 50.0
+#: Divergence is judged against at least this baseline (seconds).  A
+#: sub-millisecond warm hit's EWMA crosses ``DIVERGENCE_FACTOR`` times
+#: its baseline on any scheduler hiccup or GC pause, and the re-plan it
+#: would trigger re-probes every candidate -- orders of magnitude more
+#: expensive than anything the re-plan could recover at that scale.
+REPLAN_NOISE_FLOOR = 0.005
 
 
 @dataclass
@@ -72,22 +58,17 @@ class StrategyObservation:
 
     runs: int = 0
     cold_runs: int = 0
-    total_scalar: float = 0.0
     total_seconds: float = 0.0
 
     @property
     def mean(self) -> float:
-        return self.total_scalar / self.runs if self.runs else 0.0
+        return self.total_seconds / self.runs if self.runs else 0.0
 
     def as_dict(self) -> dict:
         return {
             "runs": self.runs,
             "cold_runs": self.cold_runs,
-            "mean_scalar": round(self.mean, 1),
-            "mean_seconds": round(
-                self.total_seconds / self.runs if self.runs else 0.0,
-                6,
-            ),
+            "mean_seconds": round(self.mean, 6),
         }
 
 
@@ -114,11 +95,7 @@ class PlanRecord:
             "state": self.state,
             "chosen": self.chosen,
             "candidates": list(self.candidates),
-            "model_choice": self.plan.strategy,
-            "ranking": [
-                {"strategy": name, "scalar": round(scalar, 1)}
-                for name, scalar in self.plan.ranking
-            ],
+            "plan": self.plan.as_dict(),
             "observations": {
                 name: observation.as_dict()
                 for name, observation in sorted(
@@ -126,12 +103,12 @@ class PlanRecord:
                 )
             },
             "baseline": (
-                round(self.baseline, 1)
+                round(self.baseline, 6)
                 if self.baseline is not None
                 else None
             ),
             "ewma": (
-                round(self.ewma, 1) if self.ewma is not None else None
+                round(self.ewma, 6) if self.ewma is not None else None
             ),
             "replans": self.replans,
             "stale": self.stale,
@@ -145,25 +122,17 @@ class AdaptivePlanner:
         self,
         program: Program,
         database: Database | None = None,
-        stats: EdbStats | None = None,
         *,
         probe_runs: int = PROBE_RUNS,
-        top_k: int = TOP_K,
         divergence: float = DIVERGENCE_FACTOR,
         growth: float = GROWTH_REPLAN_FACTOR,
-        amortization: float = SESSION_AMORTIZATION,
     ) -> None:
         self._program = program
         self._database = database
-        self._stats = (
-            stats if stats is not None else collect_stats(database)
-        )
-        self._model = CostModel(program, self._stats)
+        self._stats = collect_stats(database)
         self._probe_runs = max(1, probe_runs)
-        self._top_k = max(1, top_k)
         self._divergence = divergence
         self._growth = growth
-        self._amortization = amortization
         self._records: dict[str, PlanRecord] = {}
         self._pending_facts = 0
         self._refreshes = 0
@@ -194,23 +163,16 @@ class AdaptivePlanner:
         self,
         form: str,
         strategy: str,
-        eval_stats: object | None,
         seconds: float,
         cold: bool,
     ) -> PlanRecord | None:
-        """Fold one real execution back into the form's record.
+        """Fold one real execution's wall-clock seconds into the record.
 
-        ``eval_stats`` is the evaluation's
-        :class:`~repro.engine.fixpoint.EvalStats` (or ``None`` for a
-        warm cache hit with no evaluation); ``cold`` marks the first
-        run after a (re)compile, which is recorded but kept out of the
-        warm comparison.  Returns the form's record so callers on the
-        hot path do not need a second lookup.
+        ``cold`` marks the first run after a (re)compile, which is
+        recorded but kept out of the warm comparison.  Returns the
+        form's record so callers on the hot path do not need a second
+        lookup.
         """
-        derivations = float(
-            getattr(eval_stats, "derivations", 0) or 0
-        )
-        scalar = observed_scalar(derivations, seconds)
         with self._lock:
             record = self._records.get(form)
             if record is None:
@@ -222,17 +184,16 @@ class AdaptivePlanner:
                 observation.cold_runs += 1
                 return record
             observation.runs += 1
-            observation.total_scalar += scalar
             observation.total_seconds += seconds
             if (
                 record.state == "converged"
                 and strategy == record.chosen
             ):
                 previous = (
-                    record.ewma if record.ewma is not None else scalar
+                    record.ewma if record.ewma is not None else seconds
                 )
                 record.ewma = (
-                    EWMA_ALPHA * scalar
+                    EWMA_ALPHA * seconds
                     + (1.0 - EWMA_ALPHA) * previous
                 )
                 baseline = record.baseline
@@ -289,7 +250,6 @@ class AdaptivePlanner:
                         name: {
                             "runs": observation.runs,
                             "cold_runs": observation.cold_runs,
-                            "total_scalar": observation.total_scalar,
                             "total_seconds": observation.total_seconds,
                         }
                         for name, observation in sorted(
@@ -309,10 +269,11 @@ class AdaptivePlanner:
         snapshot is from another lineage) is discarded rather than
         trusted.  Restored records re-enter as converged -- the
         session serves their strategy immediately, skipping the probe
-        phase -- with the plan re-ranked against fresh statistics so
-        ``explain`` output stays honest.  Malformed records are
-        discarded, never fatal: planner state is an optimization, not
-        correctness.
+        phase.  Malformed records are discarded, never fatal: planner
+        state is an optimization, not correctness.  So are records
+        whose observations carry ``total_scalar``: they were measured
+        in the units of a cost model this planner no longer has, and
+        their form re-probes.
         """
         from repro.lang.parser import parse_query
 
@@ -322,7 +283,6 @@ class AdaptivePlanner:
                 # The EDB just changed under us (restore_state); later
                 # decisions must plan against what was restored.
                 self._stats = collect_stats(self._database)
-                self._model = CostModel(self._program, self._stats)
                 self._pending_facts = 0
             current = self._stats.fingerprint()
             for payload in records:
@@ -333,24 +293,8 @@ class AdaptivePlanner:
                         discarded += 1
                         continue
                     query = parse_query(payload["query"])
-                    plan = plan_query(
-                        self._program,
-                        query,
-                        self._stats,
-                        amortization=self._amortization,
-                        model=self._model,
-                    )
                     observations = {
-                        name: StrategyObservation(
-                            runs=int(entry.get("runs", 0)),
-                            cold_runs=int(entry.get("cold_runs", 0)),
-                            total_scalar=float(
-                                entry.get("total_scalar", 0.0)
-                            ),
-                            total_seconds=float(
-                                entry.get("total_seconds", 0.0)
-                            ),
-                        )
+                        name: _restored_observation(entry)
                         for name, entry in dict(
                             payload.get("observations") or {}
                         ).items()
@@ -360,7 +304,7 @@ class AdaptivePlanner:
                     self._records[form] = PlanRecord(
                         form=form,
                         query=query,
-                        plan=plan,
+                        plan=plan_query(self._program, query),
                         state="converged",
                         candidates=(strategy,),
                         chosen=strategy,
@@ -427,31 +371,13 @@ class AdaptivePlanner:
         previous: PlanRecord | None,
     ) -> PlanRecord:
         with obs_span("planner.adapt", form=form):
-            plan = plan_query(
-                self._program,
-                query,
-                self._stats,
-                amortization=self._amortization,
-                model=self._model,
-            )
-        cold = {
-            name: self._model.estimate(query, name).scalar(1.0)
-            for name, __ in plan.ranking
-        }
-        cutoff = PROBE_PRUNE_FACTOR * min(
-            cold.values(), default=0.0
-        )
-        candidates = tuple(
-            name
-            for name, __ in plan.ranking[: self._top_k]
-            if name == plan.strategy or cold[name] <= cutoff
-        )
+            plan = plan_query(self._program, query)
         record = PlanRecord(
             form=form,
             query=query,
             plan=plan,
             state="probing",
-            candidates=candidates,
+            candidates=plan.candidates,
             chosen=plan.strategy,
             replans=previous.replans if previous is not None else 0,
         )
@@ -484,9 +410,18 @@ class AdaptivePlanner:
         ):
             return
         self._stats = collect_stats(self._database)
-        self._model = CostModel(self._program, self._stats)
         self._pending_facts = 0
         self._refreshes += 1
         obs_count("planner.stats_refresh")
         for record in self._records.values():
             record.stale = True
+
+
+def _restored_observation(entry: dict) -> StrategyObservation:
+    if "total_scalar" in entry:
+        raise ValueError("observation in cost-model units")
+    return StrategyObservation(
+        runs=int(entry.get("runs", 0)),
+        cold_runs=int(entry.get("cold_runs", 0)),
+        total_seconds=float(entry.get("total_seconds", 0.0)),
+    )

@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=STRATEGY_CHOICES,
         default="rewrite",
         help="transformation pipeline, or 'auto' for the adaptive "
-        "cost-based planner (default: rewrite)",
+        "planner (default: rewrite)",
     )
     parser.add_argument(
         "--max-iterations", type=int, metavar="N",

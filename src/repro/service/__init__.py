@@ -3,8 +3,8 @@
 The paper's rewritings specialize a program to *one* query's constraint
 selection; a deployment serving many queries must amortize that cost
 across queries that share a *form* and differ only in constants (the
-parameterized constraint selections of Section 4).  This package is
-that amortization layer:
+parameterized constraint selections of Section 4).  This package
+spreads it so:
 
 * :mod:`repro.service.forms` canonicalizes a query into a
   :class:`QueryForm` -- predicate, adornment, and constraint shape with

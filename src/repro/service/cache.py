@@ -48,7 +48,7 @@ class CacheEntry:
     lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
-    #: The adaptive planner's per-form cost record
+    #: The adaptive planner's per-form measurements
     #: (:class:`repro.planner.adaptive.PlanRecord`), when the session
     #: runs with the ``auto`` strategy.
     plan_record: object = field(

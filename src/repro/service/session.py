@@ -192,7 +192,7 @@ class Response:
     budget: dict | None = None
     #: The raw :class:`~repro.engine.EvalStats` of the evaluation that
     #: produced the answer (``None`` on a warm hit -- nothing was
-    #: evaluated).  Feeds the adaptive planner's observed-cost loop.
+    #: evaluated).
     eval_stats: object = field(default=None, repr=False, compare=False)
 
     @property
@@ -474,7 +474,6 @@ class Session:
             entry.plan_record = self._planner.observe(
                 str(entry.compiled.form),
                 entry.compiled.strategy,
-                response.eval_stats,
                 time.perf_counter() - started,
                 cold=not cached,
             )

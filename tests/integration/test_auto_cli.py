@@ -2,7 +2,7 @@
 
 The automatic strategy must be reachable (and sound) from every
 surface that accepts a strategy name: the batch CLI (including the
-``--explain`` plan dump), the service engine, and the conformance
+``--explain`` pick, reason and candidates), the service engine, and the conformance
 differ's config list.
 """
 
@@ -61,10 +61,13 @@ class TestCliAuto:
             tmp_path, "--strategy", "auto", "--explain"
         )
         assert result.returncode == 0, result.stderr
-        assert "plan: strategy=" in result.stdout
-        assert "ranking:" in result.stdout
-        for name in ("none", "qrp", "magic", "optimal"):
-            assert name in result.stdout
+        # The pick, its reason and the candidates a session probes.
+        assert "plan: strategy=none" in result.stdout
+        assert "reason: the query binds no argument" in result.stdout
+        assert (
+            "candidates: none (-), rewrite (pred+qrp), "
+            "optimal (pred+qrp+mg)" in result.stdout
+        )
         # The chosen strategy is surfaced as a note too.
         assert "planner chose" in result.stderr
 

@@ -149,12 +149,14 @@ class TestTable2ThroughTheOptimalStrategy:
     tripped: 526 derivations, cut off at the 200-iteration cap.)
     """
 
+    strategy = "optimal"
+
     @staticmethod
     def _text(value):
         return f"{FIB_PROGRAM_TEXT}\n?- fib(N, {value}).\n"
 
     def _run(self, value):
-        (outcome,) = run_text(self._text(value), strategy="optimal")
+        (outcome,) = run_text(self._text(value), strategy=self.strategy)
         assert outcome.result.reached_fixpoint
         assert outcome.completeness == "approximated"
         assert "pred:widened" in outcome.fallbacks
@@ -185,7 +187,7 @@ class TestTable2ThroughTheOptimalStrategy:
         free = self._run(5)
         (tight,) = run_text(
             self._text(5),
-            strategy="optimal",
+            strategy=self.strategy,
             budget=Budget(max_rewrite_iterations=1),
             on_limit="widen",
         )
@@ -212,7 +214,7 @@ class TestTable2ThroughTheOptimalStrategy:
 
     def test_answer_query_agrees(self):
         outcome = answer_query(
-            fib_program(), fib_query(5), strategy="optimal"
+            fib_program(), fib_query(5), strategy=self.strategy
         )
         assert outcome.result.reached_fixpoint
         assert outcome.answer_strings == ["N = 4"]
@@ -229,13 +231,15 @@ class TestTable2ThroughTheOptimalStrategy:
     def test_cli(self, tmp_path, capsys):
         path = tmp_path / "fib.cql"
         path.write_text(self._text(5))
-        assert main([str(path), "--strategy", "optimal"]) == 0
+        assert main([str(path), "--strategy", self.strategy]) == 0
         out = capsys.readouterr().out
         assert "N = 4" in out
         assert "completeness: approximated" in out
 
     def test_service_engine(self):
-        engine = Engine.from_text(FIB_PROGRAM_TEXT, strategy="optimal")
+        engine = Engine.from_text(
+            FIB_PROGRAM_TEXT, strategy=self.strategy
+        )
         for value, expected in ((5, ["N = 4"]), (6, [])):
             response = engine.query(f"?- fib(N, {value}).")
             assert response.ok
@@ -243,3 +247,15 @@ class TestTable2ThroughTheOptimalStrategy:
             assert response.completeness == "approximated"
             assert any("widened" in note for note in response.notes)
             assert response.eval_stats.iterations <= 20
+
+
+class TestTable2ThroughAuto(TestTable2ThroughTheOptimalStrategy):
+    """Table 2 again under ``--strategy auto``.
+
+    P_fib recurses through ``fib(N - 1, X1)``: value-generating
+    recursion, so the planner picks ``optimal`` and a session probes
+    nothing else.  A pick of ``magic`` would stop at the iteration cap
+    (Table 1).
+    """
+
+    strategy = "auto"

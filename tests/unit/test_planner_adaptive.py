@@ -1,19 +1,17 @@
 """Unit tests for the adaptive planner's probe/converge/re-plan loop.
 
 The loop is driven here two ways: synthetically (``decide``/``observe``
-called directly with fabricated measurements, so convergence and
+called directly with fabricated wall-clock seconds, so convergence and
 divergence are exact) and through a real ``Session(strategy="auto")``
 (so the service integration -- per-form records on cache entries,
 ``note_facts`` refresh, the ``planner`` stats block -- is covered end
 to end).
 """
 
-from types import SimpleNamespace
-
 from repro.driver import split_edb
 from repro.engine import Database
 from repro.lang.parser import parse_program, parse_query
-from repro.planner import AdaptivePlanner, collect_stats
+from repro.planner import AdaptivePlanner
 from repro.service.session import Session
 from repro.workloads.graphs import chain_edges
 
@@ -30,36 +28,27 @@ def chain_setup():
     return rules, edb, parse_query("?- path(0, Y).")
 
 
-def eval_stats(derivations: int) -> SimpleNamespace:
-    return SimpleNamespace(derivations=derivations)
-
-
 def drive_to_convergence(
     planner: AdaptivePlanner,
     query,
-    costs: dict[str, float],
+    seconds: dict[str, float],
     form: str = "f",
     limit: int = 64,
 ) -> str:
-    """Feed fabricated warm observations until the form converges."""
+    """Feed fabricated warm seconds until the form converges."""
     for __ in range(limit):
         strategy = planner.decide(form, query)
         record = planner.record(form)
         if record.state == "converged":
             return strategy
-        planner.observe(
-            form, strategy, eval_stats(0),
-            costs[strategy], cold=False,
-        )
+        planner.observe(form, strategy, seconds[strategy], cold=False)
     raise AssertionError("planner never converged")
 
 
 class TestSyntheticLoop:
     def planner(self, **options) -> tuple[AdaptivePlanner, object]:
         rules, edb, query = chain_setup()
-        planner = AdaptivePlanner(
-            rules, edb, probe_runs=2, top_k=3, **options
-        )
+        planner = AdaptivePlanner(rules, edb, probe_runs=2, **options)
         return planner, query
 
     def test_probes_every_candidate_then_converges_to_cheapest(self):
@@ -67,12 +56,14 @@ class TestSyntheticLoop:
         first = planner.decide("f", query)
         record = planner.record("f")
         assert record.state == "probing"
-        assert first == record.plan.strategy  # model choice probes first
-        costs = {
+        # The pick probes first, then the fixed strategies.
+        assert first == record.plan.strategy == "magic"
+        assert record.candidates == ("magic", "none", "rewrite")
+        seconds = {
             name: 0.01 if name == record.candidates[-1] else 0.5
             for name in record.candidates
         }
-        chosen = drive_to_convergence(planner, query, costs)
+        chosen = drive_to_convergence(planner, query, seconds)
         assert chosen == record.candidates[-1]
         record = planner.record("f")
         assert record.state == "converged"
@@ -82,7 +73,7 @@ class TestSyntheticLoop:
     def test_cold_runs_are_recorded_but_not_compared(self):
         planner, query = self.planner()
         strategy = planner.decide("f", query)
-        planner.observe("f", strategy, eval_stats(10), 99.0, cold=True)
+        planner.observe("f", strategy, 99.0, cold=True)
         record = planner.record("f")
         observation = record.observations[strategy]
         assert observation.cold_runs == 1
@@ -92,17 +83,15 @@ class TestSyntheticLoop:
     def test_divergence_marks_stale_and_replans(self):
         planner, query = self.planner(divergence=2.0)
         planner.decide("f", query)
-        costs = dict.fromkeys(
+        seconds = dict.fromkeys(
             planner.record("f").candidates, 0.01
         )
-        chosen = drive_to_convergence(planner, query, costs)
+        chosen = drive_to_convergence(planner, query, seconds)
         baseline_record = planner.record("f")
         assert baseline_record.state == "converged"
         # The converged strategy suddenly runs far over its baseline.
         for __ in range(16):
-            planner.observe(
-                "f", chosen, eval_stats(0), 10.0, cold=False
-            )
+            planner.observe("f", chosen, 10.0, cold=False)
             if planner.record("f").stale:
                 break
         record = planner.record("f")
@@ -116,21 +105,19 @@ class TestSyntheticLoop:
         assert record.replans == 1  # carried across the re-plan
 
     def test_sub_millisecond_noise_never_triggers_replan(self):
-        # A warm cache hit's baseline is a few scalar units; scheduler
-        # hiccups routinely multiply that by far more than the
-        # divergence factor.  Below REPLAN_NOISE_FLOOR those spikes
+        # A warm cache hit's baseline is a fraction of a millisecond;
+        # scheduler hiccups routinely multiply that by far more than
+        # the divergence factor.  Below REPLAN_NOISE_FLOOR those spikes
         # must not trip a re-plan -- re-probing would cost orders of
         # magnitude more than any re-plan could recover.
         planner, query = self.planner(divergence=2.0)
         planner.decide("f", query)
-        costs = dict.fromkeys(
+        seconds = dict.fromkeys(
             planner.record("f").candidates, 0.0002
         )
-        chosen = drive_to_convergence(planner, query, costs)
+        chosen = drive_to_convergence(planner, query, seconds)
         for __ in range(32):
-            planner.observe(
-                "f", chosen, eval_stats(0), 0.002, cold=False
-            )
+            planner.observe("f", chosen, 0.002, cold=False)
         record = planner.record("f")
         assert not record.stale
         assert record.replans == 0
@@ -249,15 +236,15 @@ class TestPersistence:
 
     def converged_planner(self) -> tuple[AdaptivePlanner, object]:
         rules, edb, query = chain_setup()
-        planner = AdaptivePlanner(rules, edb, probe_runs=1, top_k=2)
+        planner = AdaptivePlanner(rules, edb, probe_runs=1)
         planner.decide("f", query)
-        costs = dict.fromkeys(planner.record("f").candidates, 0.2)
-        drive_to_convergence(planner, query, costs)
+        seconds = dict.fromkeys(planner.record("f").candidates, 0.2)
+        drive_to_convergence(planner, query, seconds)
         return planner, query
 
     def fresh_planner(self) -> AdaptivePlanner:
         rules, edb, __ = chain_setup()
-        return AdaptivePlanner(rules, edb, probe_runs=1, top_k=2)
+        return AdaptivePlanner(rules, edb, probe_runs=1)
 
     def test_only_converged_records_export(self):
         planner, query = self.converged_planner()
@@ -311,10 +298,20 @@ class TestPersistence:
             {"form": "y", "strategy": "rewrite",
              "fingerprint": current, "query": "not a query"},
             "not even a dict",
+            # Exported by the cost-model planner: its baseline is in
+            # model units, not seconds, so the form must re-probe.
+            {"form": "z", "query": "?- path(0, Y).",
+             "strategy": "magic", "fingerprint": current,
+             "baseline": 83.4, "ewma": 83.4, "replans": 0,
+             "observations": {
+                 "magic": {"runs": 2, "cold_runs": 1,
+                           "total_scalar": 166.8,
+                           "total_seconds": 0.004}}},
         ]
         restored, discarded = restarted.restore_records(mangled)
         assert restored == 0
-        assert discarded == 3
+        assert discarded == 4
+        assert restarted.record("z") is None
         assert fingerprint() == []
 
     def test_restored_ewma_still_drives_divergence(self):
@@ -330,9 +327,7 @@ class TestPersistence:
         # Feed observations far above the restored baseline: the
         # divergence watchdog must still fire on persisted state.
         for __ in range(64):
-            restarted.observe(
-                "f", chosen, eval_stats(0), 1000.0, cold=False
-            )
+            restarted.observe("f", chosen, 1000.0, cold=False)
             if restarted.record("f").stale:
                 break
         assert restarted.record("f").stale

@@ -1,20 +1,37 @@
-"""Unit tests for the bounded plan search and the cost model surface.
+"""Unit tests for the ``auto`` pick by program shape.
 
 The search space is closed (Theorems 7.8/7.10: subsequences of
-``pred, qrp, mg`` with driver names), so the tests can insist on a
-full deterministic ranking rather than spot-check a heuristic.
+``pred, qrp, mg`` with driver names), and the pick is a function of
+the program and the query alone, so the tests pin it per input.
 """
+
+import pytest
 
 from repro.driver import STRATEGIES, split_edb
 from repro.lang.parser import parse_program, parse_query
-from repro.engine import Database
-from repro.planner import (
-    CostModel,
-    STRATEGY_SEQUENCES,
-    collect_stats,
-    plan_query,
-)
+from repro.planner import STRATEGY_SEQUENCES, plan_query
+from repro.workloads.fib import fib_program, fib_query
 from repro.workloads.flights import flight_network, flights_program
+
+PATH = """
+path(X, Y) :- edge(X, Y).
+path(X, Y) :- edge(X, Z), path(Z, Y).
+"""
+
+EXAMPLE_41 = """
+q(X) :- p1(X, Y), p2(Y), X + Y <= 6, X >= 2.
+p1(X, Y) :- b1(X, Y).
+p2(X) :- b2(X).
+"""
+
+EXAMPLE_51 = """
+q(X, Y) :- a(X, Y), X <= 10, Y <= X.
+a(X, Y) :- p(X, Y), Y <= X.
+a(X, Y) :- a(X, Z), Z <= X, a(Z, Y), Y <= Z.
+"""
+
+SEEDED = ("magic", "none", "rewrite")
+AS_WRITTEN = ("none", "rewrite", "optimal")
 
 
 def flights_inputs():
@@ -24,22 +41,21 @@ def flights_inputs():
         f"?- cheaporshort({network.source}, "
         f"{network.destination}, T, C)."
     )
-    return rules, query, collect_stats(network.database)
+    return rules, query
 
 
-def example51_inputs():
-    program = parse_program(
-        """
-        q(X, Y) :- a(X, Y), X <= 10, Y <= X.
-        a(X, Y) :- p(X, Y), Y <= X.
-        a(X, Y) :- a(X, Z), Z <= X, a(Z, Y), Y <= Z.
-        """
-    ).relabeled()
-    edb = Database.from_ground(
-        {"p": [(x, x - 1) for x in range(1, 25)]}
-    )
-    rules, __ = split_edb(program)
-    return rules, parse_query("?- q(X, Y)."), collect_stats(edb)
+def text_inputs(text, query):
+    return parse_program(text).relabeled(), parse_query(query)
+
+
+INPUTS = {
+    "flights with a bound city": flights_inputs,
+    "chain path(0, Y)": lambda: text_inputs(PATH, "?- path(0, Y)."),
+    "path(X, Y)": lambda: text_inputs(PATH, "?- path(X, Y)."),
+    "example 4.1": lambda: text_inputs(EXAMPLE_41, "?- q(X)."),
+    "example 5.1": lambda: text_inputs(EXAMPLE_51, "?- q(X, Y)."),
+    "P_fib": lambda: (fib_program(), fib_query(5)),
+}
 
 
 class TestStrategySequences:
@@ -54,81 +70,48 @@ class TestStrategySequences:
 
 
 class TestPlanQuery:
-    def test_ranking_covers_every_candidate(self):
-        rules, query, stats = flights_inputs()
-        plan = plan_query(rules, query, stats)
-        assert {name for name, __ in plan.ranking} == set(STRATEGIES)
-        scalars = [scalar for __, scalar in plan.ranking]
-        assert scalars == sorted(scalars)
-        assert plan.strategy == plan.ranking[0][0]
-        assert plan.sequence == STRATEGY_SEQUENCES[plan.strategy]
-        assert plan.fingerprint == stats.fingerprint()
+    @pytest.mark.parametrize(
+        "name, pick, candidates",
+        [
+            ("flights with a bound city", "magic", SEEDED),
+            ("chain path(0, Y)", "magic", SEEDED),
+            ("path(X, Y)", "none", AS_WRITTEN),
+            ("example 4.1", "none", AS_WRITTEN),
+            ("example 5.1", "none", AS_WRITTEN),
+            ("P_fib", "optimal", ("optimal",)),
+        ],
+    )
+    def test_pick_and_candidates_by_shape(self, name, pick, candidates):
+        plan = plan_query(*INPUTS[name]())
+        assert plan.strategy == pick
+        assert plan.sequence == STRATEGY_SEQUENCES[pick]
+        assert plan.candidates == candidates
+        assert plan.reason
 
     def test_search_is_deterministic(self):
-        rules, query, stats = flights_inputs()
-        first = plan_query(rules, query, stats)
-        second = plan_query(rules, query, stats)
-        assert first == second
-
-    def test_shared_model_matches_fresh_model(self):
-        rules, query, stats = flights_inputs()
-        model = CostModel(rules, stats)
-        shared = plan_query(rules, query, stats, model=model)
-        fresh = plan_query(rules, query, stats)
-        assert shared.ranking == fresh.ranking
+        rules, query = flights_inputs()
+        assert plan_query(rules, query) == plan_query(rules, query)
 
     def test_unbound_recursive_query_avoids_magic(self):
-        # Measured ground truth (BENCH): on Example 5.1's unbound
-        # query, magic evaluates 5029 derivations against none's 2379
-        # and qrp's 230 -- the planner must not pick a seeded strategy.
-        rules, query, stats = example51_inputs()
-        plan = plan_query(rules, query, stats)
-        assert plan.strategy in ("qrp", "rewrite")
-
-    def test_amortization_discounts_compile_cost(self):
-        rules, query, stats = flights_inputs()
-        one_shot = plan_query(rules, query, stats, amortization=1.0)
-        amortized = plan_query(rules, query, stats, amortization=64.0)
-        one_shot_costs = dict(one_shot.ranking)
-        amortized_costs = dict(amortized.ranking)
-        for name in STRATEGIES:
-            assert amortized_costs[name] <= one_shot_costs[name]
-        # "none" compiles nothing, so amortization changes nothing.
-        assert amortized_costs["none"] == one_shot_costs["none"]
+        # Example 5.1's query binds nothing: magic has no constant to
+        # pass sideways and only adds its own predicates.
+        plan = plan_query(*INPUTS["example 5.1"]())
+        assert plan.strategy != "magic"
+        assert "magic" not in plan.candidates
 
     def test_explain_mentions_every_candidate(self):
-        rules, query, stats = flights_inputs()
-        plan = plan_query(rules, query, stats)
+        rules, query = flights_inputs()
+        plan = plan_query(rules, query)
         text = plan.explain()
         assert f"strategy={plan.strategy}" in text
-        assert stats.fingerprint() in text
-        for name in STRATEGIES:
+        assert plan.reason in text
+        for name in plan.candidates:
             assert name in text
-        assert "->" in text
 
     def test_as_dict_is_json_ready(self):
         import json
 
-        rules, query, stats = flights_inputs()
-        document = plan_query(rules, query, stats).as_dict()
+        rules, query = flights_inputs()
+        document = plan_query(rules, query).as_dict()
         json.dumps(document)
-        assert document["strategy"] == document["ranking"][0]["strategy"]
-
-
-class TestCostModel:
-    def test_unknown_strategy_raises(self):
-        import pytest
-
-        rules, query, stats = flights_inputs()
-        model = CostModel(rules, stats)
-        with pytest.raises(KeyError):
-            model.estimate(query, "bogus")
-
-    def test_vector_components_nonnegative(self):
-        rules, query, stats = flights_inputs()
-        model = CostModel(rules, stats)
-        for name in STRATEGIES:
-            vector = model.estimate(query, name)
-            document = vector.as_dict()
-            assert all(value >= 0 for value in document.values())
-            assert vector.scalar() >= 0
+        assert document["strategy"] == document["candidates"][0]
