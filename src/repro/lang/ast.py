@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-import networkx as nx
-
 from repro.constraints.conjunction import Conjunction
 from repro.lang.terms import (
     FreshVars,
@@ -200,6 +198,8 @@ class Program:
     def __init__(self, rules: Iterable[Rule]) -> None:
         self._rules: tuple[Rule, ...] = tuple(rules)
         self._normalized: bool | None = None  # is_normalized(), once asked
+        self._graph: dict[str, dict[str, None]] | None = None
+        self._components: dict[str, frozenset[str]] | None = None
         self._check_arities()
 
     def _check_arities(self) -> None:
@@ -272,14 +272,37 @@ class Program:
 
     # -- dependency structure -------------------------------------------
 
-    def dependency_graph(self) -> "nx.DiGraph":
-        """Edges point from a head predicate to each body predicate."""
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self.predicates())
-        for rule in self._rules:
-            for literal in rule.body:
-                graph.add_edge(rule.head.pred, literal.pred)
-        return graph
+    def dependency_graph(self) -> dict[str, dict[str, None]]:
+        """Each predicate's body predicates: head -> body edges, ordered.
+
+        Computed once; callers must not mutate the result.
+        """
+        if self._graph is None:
+            graph: dict[str, dict[str, None]] = {
+                pred: {} for pred in self.predicates()
+            }
+            for rule in self._rules:
+                successors = graph[rule.head.pred]
+                for literal in rule.body:
+                    successors[literal.pred] = None
+            self._graph = graph
+        return self._graph
+
+    def components(self) -> dict[str, frozenset[str]]:
+        """Each predicate's strongly connected component (computed once).
+
+        Insertion order is the components' order from
+        :func:`strongly_connected_components`: callees first.
+        """
+        if self._components is None:
+            self._components = {
+                pred: component
+                for component in strongly_connected_components(
+                    self.dependency_graph()
+                )
+                for pred in component
+            }
+        return self._components
 
     def sccs_topological(
         self, roots: Iterable[str] | None = None
@@ -289,33 +312,21 @@ class Program:
         With ``roots`` given, only SCCs reachable from them are returned.
         The first SCC is the one containing the roots (or a source SCC).
         """
-        graph = self.dependency_graph()
-        condensation = nx.condensation(graph)
-        order = list(nx.topological_sort(condensation))
-        members = condensation.nodes(data="members")
-        sccs = [frozenset(members[node]) for node in order]
+        sccs = list(dict.fromkeys(self.components().values()))[::-1]
         if roots is None:
             return sccs
-        reachable: set[str] = set()
-        for root in roots:
-            if root in graph:
-                reachable.add(root)
-                reachable |= nx.descendants(graph, root)
+        reachable = descendants(self.dependency_graph(), roots)
         return [scc for scc in sccs if scc & reachable]
 
     def recursive_with(self, pred_a: str, pred_b: str) -> bool:
         """Are the two predicates mutually recursive (same SCC)?"""
-        graph = self.dependency_graph()
-        if pred_a == pred_b:
-            if graph.has_edge(pred_a, pred_a):
-                return True
-            return any(
-                pred_a in scc and len(scc) > 1
-                for scc in nx.strongly_connected_components(graph)
-            )
-        return any(
-            pred_a in scc and pred_b in scc
-            for scc in nx.strongly_connected_components(graph)
+        component = self.components().get(pred_a)
+        if component is None or pred_b not in component:
+            return False
+        return (
+            pred_a != pred_b
+            or len(component) > 1
+            or pred_a in self.dependency_graph()[pred_a]
         )
 
     # -- construction -----------------------------------------------------
@@ -339,12 +350,7 @@ class Program:
 
     def restrict_to_reachable(self, roots: Iterable[str]) -> "Program":
         """Drop rules for predicates unreachable from the roots."""
-        graph = self.dependency_graph()
-        keep: set[str] = set()
-        for root in roots:
-            if root in graph:
-                keep.add(root)
-                keep |= nx.descendants(graph, root)
+        keep = descendants(self.dependency_graph(), roots)
         return Program(
             rule for rule in self._rules if rule.head.pred in keep
         )
@@ -381,6 +387,67 @@ class Program:
             prefix = f"{rule.label}: " if rule.label else ""
             lines.append(f"{prefix}{rule}")
         return "\n".join(lines)
+
+
+def strongly_connected_components(
+    graph: Mapping[str, Iterable[str]],
+) -> list[frozenset[str]]:
+    """Tarjan's strongly connected components, sinks first.
+
+    Iterative (Nuutila's variant: only non-root nodes wait on the
+    stack), so a long dependency chain needs no recursion.  Every
+    successor must be a key of ``graph``.  Each component is emitted
+    after every component it reaches, so the reversed list is a
+    topological order.
+    """
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    assigned: set[str] = set()
+    waiting: list[str] = []
+    components: list[frozenset[str]] = []
+    for root in graph:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        path = [(root, iter(graph[root]))]
+        while path:
+            node, successors = path[-1]
+            for succ in successors:
+                if succ not in index:
+                    index[succ] = low[succ] = len(index)
+                    path.append((succ, iter(graph[succ])))
+                    break
+                if succ not in assigned and index[succ] < low[node]:
+                    low[node] = index[succ]
+            else:
+                path.pop()
+                if low[node] == index[node]:
+                    component = {node}
+                    while waiting and index[waiting[-1]] > index[node]:
+                        component.add(waiting.pop())
+                    assigned |= component
+                    components.append(frozenset(component))
+                else:
+                    waiting.append(node)
+                if path:
+                    parent = path[-1][0]
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
+    return components
+
+
+def descendants(
+    graph: Mapping[str, Iterable[str]], roots: Iterable[str]
+) -> set[str]:
+    """The roots present in ``graph`` and every node they reach."""
+    seen = {root for root in roots if root in graph}
+    stack = list(seen)
+    while stack:
+        for succ in graph[stack.pop()]:
+            if succ not in seen:
+                seen.add(succ)
+                stack.append(succ)
+    return seen
 
 
 def _canonical_rule_key(rule: Rule) -> tuple:

@@ -48,6 +48,7 @@ class _Token(NamedTuple):
     text: str
     line: int
     column: int
+    rule: Rule | None = None  # the finished rule of a ``fact`` token
 
 
 _TOKEN_RE = re.compile(
@@ -65,11 +66,45 @@ _TOKEN_RE = re.compile(
 )
 
 
+_ARG = r"[ \t]*(?:[a-z][A-Za-z0-9_']*|\d+)[ \t]*"
+
+#: One ground fact on one line: ``name(arg, ...).``, each ``arg`` a
+#: lower-case symbol or an unsigned integer.
+_FACT_RE = re.compile(
+    rf"([a-z][A-Za-z0-9_']*)\(((?:{_ARG},)*{_ARG})\)[ \t]*\."
+)
+
+
+def _fact_rule(match: re.Match) -> Rule:
+    """The rule the full parser builds for a :data:`_FACT_RE` match."""
+    args: list[Term] = []
+    for arg in match.group(2).split(","):
+        arg = arg.strip(" \t")
+        if arg[0].isdigit():
+            args.append(NumTerm(LinearExpr.const(Fraction(int(arg)))))
+        else:
+            args.append(Sym(arg))
+    return Rule(Literal(match.group(1), tuple(args)), (), Conjunction.true())
+
+
 def _tokenize(text: str) -> Iterator[_Token]:
     line = 1
     line_start = 0
     position = 0
+    boundary = True  # at the start of a statement
     while position < len(text):
+        if boundary:
+            fact = _FACT_RE.match(text, position)
+            if fact is not None:
+                yield _Token(
+                    "fact",
+                    fact.group(),
+                    line,
+                    position - line_start + 1,
+                    _fact_rule(fact),
+                )
+                position = fact.end()
+                continue
         match = _TOKEN_RE.match(text, position)
         if match is None:
             raise ParseError(
@@ -88,6 +123,7 @@ def _tokenize(text: str) -> Iterator[_Token]:
                 line_start = position - len(value.rsplit("\n", 1)[-1])
             continue
         assert kind is not None
+        boundary = value == "."
         yield _Token(kind, value, line, column)
     yield _Token("eof", "", line, position - line_start + 1)
 
@@ -141,6 +177,8 @@ class _Parser:
 
     def rule(self) -> Rule:
         """Parse one rule (with optional label)."""
+        if self._at("fact"):
+            return self._next().rule
         label = None
         if (
             self._peek().kind == "ident"

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.constraints.atom import Atom
 from repro.constraints.conjunction import Conjunction
 from repro.errors import ReproError
@@ -138,22 +136,12 @@ def is_groundable(gmt: GmtProgram) -> bool:
 
 
 def _check_groundable(gmt: GmtProgram) -> None:
-    graph = gmt.program.dependency_graph()
-    sccs = {
-        pred: component
-        for component in nx.strongly_connected_components(graph)
-        for pred in component
-    }
+    components = gmt.program.components()
     for rule in gmt.program:
         adornment = gmt.adornments[rule.head.pred]
         if "c" not in adornment:
             continue
-        recursive = frozenset(
-            pred
-            for pred in gmt.program.predicates()
-            if sccs.get(pred) is sccs.get(rule.head.pred)
-        )
-        _grounding_subgoals(rule, adornment, recursive)
+        _grounding_subgoals(rule, adornment, components[rule.head.pred])
 
 
 def _reorder_grounding_first(
@@ -182,18 +170,14 @@ def gmt_magic(gmt: GmtProgram, query: Query) -> Program:
     """
     program = gmt.program
     derived = program.derived_predicates()
-    graph = program.dependency_graph()
-    scc_of = {
-        pred: frozenset(component)
-        for component in nx.strongly_connected_components(graph)
-        for pred in component
-    }
+    components = program.components()
     rules: list[Rule] = []
     for rule in program:
         head = rule.head
         adornment = gmt.adornments[head.pred]
-        recursive = scc_of.get(head.pred, frozenset())
-        ordered = _reorder_grounding_first(rule, adornment, recursive)
+        ordered = _reorder_grounding_first(
+            rule, adornment, components[head.pred]
+        )
         magic_head = Literal(
             magic_name(head.pred),
             tuple(head.args[i] for i in carried_positions(adornment)),
@@ -254,12 +238,6 @@ def ground_fold_unfold(gmt: GmtProgram, magic_program: Program) -> Program:
     definition/unfold/fold sequence that eliminates the (possibly
     non-range-restricted) rules of the SCC's magic predicates.
     """
-    graph = gmt.program.dependency_graph()
-    scc_of = {
-        pred: frozenset(component)
-        for component in nx.strongly_connected_components(graph)
-        for pred in component
-    }
     sccs = gmt.program.sccs_topological(roots=[gmt.query_pred])
     state = FoldUnfold(magic_program)
     supplementary = 0
@@ -277,16 +255,13 @@ def ground_fold_unfold(gmt: GmtProgram, magic_program: Program) -> Program:
         definitions: list[tuple[Rule, Rule]] = []  # (target rule, def)
         for pred in defined:
             adornment = gmt.adornments[pred]
-            recursive = scc_of.get(pred, frozenset())
             for rule in state.program.rules_for(pred):
                 magic_literal = rule.body[0]
                 assert magic_literal.pred == magic_name(pred)
                 source = Rule(
                     rule.head, rule.body[1:], rule.constraint, rule.label
                 )
-                indexes, atoms = _grounding_subgoals(
-                    source, adornment, recursive
-                )
+                indexes, atoms = _grounding_subgoals(source, adornment, scc)
                 grounding = [source.body[i] for i in indexes]
                 supplementary += 1
                 s_pred = f"s_{supplementary}_{pred}"

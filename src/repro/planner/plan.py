@@ -118,19 +118,11 @@ def plan_query(program: Program, query: Query) -> Plan:
 
 def _recursive_components(program: Program) -> dict[str, frozenset[str]]:
     """Each recursive predicate's strongly connected component."""
-    components: dict[str, frozenset[str]] = {}
-    for component in program.sccs_topological():
-        if len(component) == 1:
-            (pred,) = component
-            if not any(
-                literal.pred == pred
-                for rule in program.rules_for(pred)
-                for literal in rule.body
-            ):
-                continue
-        for pred in component:
-            components[pred] = component
-    return components
+    return {
+        pred: component
+        for pred, component in program.components().items()
+        if program.recursive_with(pred, pred)
+    }
 
 
 def _generates_values(

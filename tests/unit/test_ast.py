@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.conformance.generator import generate_case
 from repro.constraints.conjunction import Conjunction
 from repro.lang.ast import Literal, Program, Rule, make_rule
 from repro.lang.parser import parse_program, parse_rule
@@ -91,9 +92,16 @@ class TestProgram:
             """
         )
         assert program.recursive_with("a", "b")
+        assert program.recursive_with("b", "a")
+        assert program.recursive_with("a", "a")
         assert program.recursive_with("c", "c")
         assert not program.recursive_with("a", "c")
         assert not program.recursive_with("d", "d")
+        assert not program.recursive_with("absent", "absent")
+        components = program.components()
+        assert components["a"] == {"a", "b"}
+        assert components["c"] == {"c"}
+        assert program.components() is components
 
     def test_restrict_to_reachable(self):
         program = parse_program(
@@ -105,6 +113,9 @@ class TestProgram:
         )
         restricted = program.restrict_to_reachable(["q"])
         assert restricted.derived_predicates() == {"q", "a"}
+        assert program.restrict_to_reachable(["q", "nowhere"]) == restricted
+        assert len(program.restrict_to_reachable(["nowhere"])) == 0
+        assert program.sccs_topological(roots=["nowhere"]) == []
 
     def test_deduplicated_renaming_invariant(self):
         program = Program(
@@ -127,6 +138,47 @@ class TestProgram:
         replaced = program.replace_rules([old], [new])
         assert new in replaced.rules
         assert old not in replaced.rules
+
+
+class TestDependencyStructure:
+    def test_long_chain_needs_no_recursion(self):
+        length = 5000
+        chain = [
+            Rule(
+                Literal(f"p{i}", (var("X"),)),
+                (Literal(f"p{i + 1}", (var("X"),)),),
+            )
+            for i in range(length)
+        ]
+        program = Program(chain)
+        sccs = program.sccs_topological()
+        assert len(sccs) == length + 1
+        assert sccs[0] == {"p0"}
+        assert sccs[-1] == {f"p{length}"}
+        assert len(program.restrict_to_reachable(["p0"])) == length
+        assert len(program.sccs_topological(roots=["p4000"])) == 1001
+        back = Rule(
+            Literal(f"p{length}", (var("X"),)), (Literal("p0", (var("X"),)),)
+        )
+        cycle = Program([*chain, back])
+        assert cycle.sccs_topological() == [
+            frozenset(f"p{i}" for i in range(length + 1))
+        ]
+        assert cycle.recursive_with("p0", f"p{length}")
+
+    def test_sccs_topological_orders_generated_programs(self):
+        for seed in range(200):
+            program = generate_case(seed).program
+            sccs = program.sccs_topological()
+            position = {
+                pred: index
+                for index, scc in enumerate(sccs)
+                for pred in scc
+            }
+            assert len(position) == len(program.predicates())
+            for rule in program:
+                for literal in rule.body:
+                    assert position[rule.head.pred] <= position[literal.pred]
 
 
 class TestMakeRule:

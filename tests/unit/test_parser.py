@@ -1,14 +1,18 @@
 """Unit tests for the CQL parser."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
+from repro.conformance.generator import case_from_text, generate_case
 from repro.constraints.atom import Atom
 from repro.constraints.linexpr import LinearExpr
 from repro.lang.ast import Literal
 from repro.lang.parser import (
     ParseError,
+    _tokenize,
     parse_program,
     parse_program_and_queries,
     parse_query,
@@ -145,3 +149,97 @@ class TestRoundTrip:
         reparsed = parse_program(text)
         assert len(reparsed) == len(flights_program)
         assert reparsed.predicates() == flights_program.predicates()
+
+    def test_corpus_and_generated_programs(self):
+        corpus = Path(__file__).resolve().parent.parent / "conformance"
+        programs = [
+            case_from_text(path.read_text()).program
+            for path in sorted((corpus / "corpus").glob("*.cql"))
+        ]
+        programs += [generate_case(seed).program for seed in range(100)]
+        for program in programs:
+            assert parse_program(str(program)) == program
+
+
+_SYMBOL = st.from_regex(r"[a-z][a-z0-9_]{0,6}", fullmatch=True)
+_INTEGER = st.from_regex(r"[0-9]{1,6}", fullmatch=True)
+_BLANK = st.sampled_from(["", " ", "\t", " \t  "])
+
+
+@st.composite
+def _fact_parts(draw):
+    """A predicate name and argument texts with blanks around them."""
+    arguments = draw(
+        st.lists(st.one_of(_SYMBOL, _INTEGER), min_size=1, max_size=5)
+    )
+    return draw(_SYMBOL), [
+        draw(_BLANK) + argument + draw(_BLANK) for argument in arguments
+    ]
+
+
+def _kinds(text):
+    return [token.kind for token in _tokenize(text)]
+
+
+def _value_types(rule):
+    return [
+        (type(arg), type(arg.expr.constant))
+        if isinstance(arg, NumTerm) else (type(arg), None)
+        for arg in rule.head.args
+    ]
+
+
+class TestGroundFactLines:
+    """A one-line ground fact skips the tokenizer and the grammar."""
+
+    @given(_fact_parts())
+    def test_fast_path_builds_the_full_parsers_rule(self, parts):
+        name, arguments = parts
+        line = f"{name}({','.join(arguments)})."
+        split = f"{name}(\n{','.join(arguments)})."
+        assert _kinds(line) == ["fact", "eof"]
+        assert "fact" not in _kinds(split)
+        fast, full = parse_rule(line), parse_rule(split)
+        assert fast == full
+        assert hash(fast) == hash(full)
+        assert repr(fast) == repr(full)
+        assert _value_types(fast) == _value_types(full)
+
+    @pytest.mark.parametrize(
+        "text, printed",
+        [
+            ("p(-3).", "p(-3)."),
+            ("p(1.5).", "p(3/2)."),
+            ("p(3/4).", "p(3/4)."),
+            ("l: p(a).", "l: p(a)."),
+            ("p(X).", "p(X)."),
+            ("p.", "p."),
+            ("f(X) :-\n g(a, 1).", "f(X) :- g(a, 1)."),
+        ],
+    )
+    def test_other_lines_take_the_full_parser(self, text, printed):
+        assert "fact" not in _kinds(text)
+        assert str(parse_program(text)) == printed
+
+    def test_statement_boundaries(self):
+        text = "p(a).\tq(1).  r(X) :- p(X).\n% c\ns(b).\n?- r(a)."
+        assert _kinds(text)[:2] == ["fact", "fact"]
+        assert _kinds(text).count("fact") == 3
+        program, queries = parse_program_and_queries(text)
+        assert [rule.head.pred for rule in program] == ["p", "q", "r", "s"]
+        assert len(queries) == 1
+
+    @pytest.mark.parametrize(
+        "text, line, column",
+        [
+            ("p(a).\nq(1, b).\nr(c).\n% note\ns(X) :- t(X) ~ u.\n", 5, 14),
+            ("p(a).\np(b).\np(c).\n% note\np(d, ).\n", 5, 6),
+            ("p(a).\tq(1).  r(b). % c\n  s(c)..\n", 2, 8),
+        ],
+    )
+    def test_errors_after_fact_lines_keep_their_location(
+        self, text, line, column
+    ):
+        with pytest.raises(ParseError) as caught:
+            parse_program(text)
+        assert (caught.value.line, caught.value.column) == (line, column)
