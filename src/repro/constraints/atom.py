@@ -20,14 +20,17 @@ Atoms are additionally *hash-consed*: construction returns the one
 canonical instance per normalized form from a global weak intern table
 (:mod:`repro.constraints.intern`), so live atoms are semantically equal
 iff identical, hashes are precomputed, and pickling or deep-copying an
-atom re-interns it on the way back in.
+atom re-interns it on the way back in.  An interned atom derives its
+keys once: the sort key and variable set at interning, its negations
+and its box bound on first use.  Pickling carries none of them.
 """
 
 from __future__ import annotations
 
 import enum
-from math import gcd
-from typing import Mapping
+from fractions import Fraction
+from math import gcd, lcm
+from typing import Mapping, Sequence
 
 from repro.constraints.intern import InternTable
 from repro.constraints.linexpr import Coefficient, LinearExpr
@@ -58,40 +61,32 @@ _INPUT_OPS = {
 _OPS_BY_SYMBOL = {op.value: op for op in Op}
 
 
-def _normalize_scale(expr: LinearExpr, op: Op) -> LinearExpr:
-    """Scale to coprime integer coefficients; fix sign for equalities."""
-    coeffs = dict(expr.coeffs)
-    constant = expr.constant
-    # Clear denominators (ints report denominator 1, so the common
-    # all-integer case never touches Fraction arithmetic).
-    lcm = constant.denominator
-    for value in coeffs.values():
-        den = value.denominator
-        if den != 1:
-            lcm = lcm * den // gcd(lcm, den)
-    if lcm != 1:
-        constant = int(constant * lcm)
-        coeffs = {var: int(value * lcm) for var, value in coeffs.items()}
-    else:
-        constant = int(constant)
-        coeffs = {var: int(value) for var, value in coeffs.items()}
-    # Divide out the common factor (gcd ignores zeros).
-    divisor = abs(constant)
-    for value in coeffs.values():
-        divisor = gcd(divisor, value)
+def normal_row(
+    coeffs: Sequence[int], constant: int, op: Op
+) -> tuple[tuple[int, ...], int, Op]:
+    """The normal form of the integer row ``coeffs·x̄ + constant op 0``.
+
+    ``coeffs`` is in variable-name order.  Divides out the common
+    factor (gcd ignores zeros); for ``=`` the first nonzero coefficient
+    (the constant, for a ground row) is made positive.  This is the one
+    normalization: :class:`Atom` applies it to every expression and the
+    projection kernel to every row it derives, so equal rows over one
+    variable list are identical atoms.
+    """
+    divisor = gcd(constant, *coeffs)
     if divisor > 1:
         constant //= divisor
-        coeffs = {var: value // divisor for var, value in coeffs.items()}
+        coeffs = [value // divisor for value in coeffs]
     if op is Op.EQ:
-        if coeffs:
-            lead = coeffs[min(coeffs)]
-            negate = lead < 0
+        for lead in coeffs:
+            if lead:
+                break
         else:
-            negate = constant < 0
-        if negate:
+            lead = constant
+        if lead < 0:
             constant = -constant
-            coeffs = {var: -value for var, value in coeffs.items()}
-    return LinearExpr(coeffs, constant)
+            coeffs = [-value for value in coeffs]
+    return tuple(coeffs), constant, op
 
 
 _ATOMS = InternTable("atoms")
@@ -105,20 +100,48 @@ def _rebuild_atom(op_symbol: str, terms: tuple, constant: Coefficient):
 class Atom:
     """A normalized, interned linear arithmetic constraint ``expr op 0``."""
 
-    __slots__ = ("_expr", "_op", "_hash", "_dir", "__weakref__")
+    __slots__ = (
+        "_expr", "_op", "_hash", "_dir", "_sort", "_vars", "_neg", "_box",
+        "__weakref__",
+    )
 
     def __new__(cls, expr: LinearExpr, op: Op) -> "Atom":
         if not isinstance(op, Op):
             raise TypeError(f"op must be an Op, got {op!r}")
-        scaled = _normalize_scale(expr, op)
-        key = (op, scaled.constant, tuple(scaled.sorted_terms()))
+        terms = expr.sorted_terms()
+        coeffs = [value for __, value in terms]
+        constant = expr.constant
+        # Clear denominators (ints report denominator 1).
+        scale = lcm(constant.denominator, *[v.denominator for v in coeffs])
+        if scale != 1:
+            coeffs = [int(value * scale) for value in coeffs]
+            constant = int(constant * scale)
+        coeffs, constant, __ = normal_row(coeffs, constant, op)
+        names = [var for var, __ in terms]
+        return Atom._intern(tuple(zip(names, coeffs)), constant, op)
+
+    @staticmethod
+    def from_row(names: Sequence[str], row: tuple) -> "Atom":
+        """The atom of ``row``, in :func:`normal_row` form, over ``names``."""
+        coeffs, constant, op = row
+        return Atom._intern(
+            tuple((var, c) for var, c in zip(names, coeffs) if c), constant, op
+        )
+
+    @staticmethod
+    def _intern(terms: tuple, constant: int, op: Op) -> "Atom":
+        """The one atom of a normal form; a new one derives its sort key
+        and variable set here, once (the intern key holds their parts)."""
+        key = (op, constant, terms)
 
         def build() -> "Atom":
-            self = object.__new__(cls)
-            self._expr = scaled
+            self = object.__new__(Atom)
+            self._expr = LinearExpr(dict(terms), constant)
             self._op = op
             self._hash = hash(key)
-            self._dir = None
+            self._dir = self._neg = self._box = None
+            self._sort = (op.value, terms, constant)
+            self._vars = frozenset(var for var, __ in terms)
             return self
 
         return _ATOMS.intern(key, build)
@@ -192,15 +215,19 @@ class Atom:
 
     def variables(self) -> frozenset[str]:
         """The variable names occurring in this object."""
-        return self._expr.variables()
+        return self._vars
+
+    def terms(self) -> tuple[tuple[str, int], ...]:
+        """The variable terms in name order (the intern key's tuple)."""
+        return self._sort[1]
 
     def is_ground(self) -> bool:
         """True when the atom mentions no variables."""
-        return self._expr.is_constant()
+        return not self._vars
 
     def truth_value(self) -> bool | None:
         """``True``/``False`` for ground atoms, ``None`` otherwise."""
-        if not self.is_ground():
+        if self._vars:
             return None
         constant = self._expr.constant
         if self._op is Op.LE:
@@ -226,13 +253,9 @@ class Atom:
         """
         cached = self._dir
         if cached is None:
-            terms = self._expr.sorted_terms()
-            scale = 0
-            for __, coeff in terms:
-                scale = gcd(scale, coeff if coeff >= 0 else -coeff)
-            if not terms:
-                scale = 1
-            elif terms[0][1] < 0:
+            terms = self._sort[1]
+            scale = gcd(*(coeff for __, coeff in terms)) or 1
+            if terms and terms[0][1] < 0:
                 scale = -scale
             direction = tuple(
                 (var, coeff // scale) for var, coeff in terms
@@ -241,17 +264,49 @@ class Atom:
             self._dir = cached
         return cached
 
+    def box_bound(self) -> tuple:
+        """``(var, upper, lower)`` of a one-variable atom (cached).
+
+        ``k*var + c op 0`` bounds ``var`` at ``-c/k``: above when
+        ``k > 0``, below when ``k < 0``, both for ``=``.  A bound is
+        ``(value, flag)``: the tightest upper bound is the min (flag 0 =
+        strict, 1 = closed), the tightest lower bound the max (1 =
+        strict, 0 = closed).  Other atoms give ``(None, None, None)``.
+        """
+        cached = self._box
+        if cached is None:
+            terms = self._sort[1]
+            if len(terms) != 1:
+                cached = (None, None, None)
+            else:
+                ((var, coeff),) = terms
+                value = Fraction(-self._expr.constant, coeff)
+                strict = self._op is Op.LT
+                both = self._op is Op.EQ
+                cached = (
+                    var,
+                    (value, 0 if strict else 1) if both or coeff > 0 else None,
+                    (value, 1 if strict else 0) if both or coeff < 0 else None,
+                )
+            self._box = cached
+        return cached
+
     # -- logic --------------------------------------------------------
 
     def negations(self) -> tuple["Atom", ...]:
-        """Atoms whose disjunction is the negation of this atom.
+        """Atoms whose disjunction is the negation of this atom (cached).
 
         ``not (e <= 0)`` is ``-e < 0``; ``not (e < 0)`` is ``-e <= 0``;
         ``not (e = 0)`` is ``e < 0 or -e < 0``.
         """
-        if self._op is Op.EQ:
-            return (Atom(self._expr, Op.LT), Atom(-self._expr, Op.LT))
-        return (Atom(-self._expr, _NEGATIONS[self._op]),)
+        cached = self._neg
+        if cached is None:
+            if self._op is Op.EQ:
+                cached = (Atom(self._expr, Op.LT), Atom(-self._expr, Op.LT))
+            else:
+                cached = (Atom(-self._expr, _NEGATIONS[self._op]),)
+            self._neg = cached
+        return cached
 
     def substitute(self, bindings: Mapping[str, LinearExpr]) -> "Atom":
         """Substitute expressions for variables."""
@@ -289,11 +344,7 @@ class Atom:
 
     def sort_key(self) -> tuple:
         """A deterministic ordering key."""
-        return (
-            self._op.value,
-            tuple(self._expr.sorted_terms()),
-            self._expr.constant,
-        )
+        return self._sort
 
     def __repr__(self) -> str:
         return f"Atom({self})"

@@ -67,11 +67,14 @@ class LinearExpr:
         items = {}
         if coeffs:
             for var, coeff in coeffs.items():
-                exact = _as_exact(coeff)
-                if exact != 0:
-                    items[var] = exact
+                if type(coeff) is not int:  # ints (not bools) are exact
+                    coeff = _as_exact(coeff)
+                if coeff:
+                    items[var] = coeff
         self._coeffs: dict[str, Coefficient] = items
-        self._constant = _as_exact(constant)
+        self._constant = (
+            constant if type(constant) is int else _as_exact(constant)
+        )
         self._hash: int | None = None
 
     # -- constructors -------------------------------------------------
@@ -163,14 +166,17 @@ class LinearExpr:
 
     def substitute(self, bindings: Mapping[str, "LinearExpr"]) -> "LinearExpr":
         """Replace each bound variable by a linear expression."""
-        result = LinearExpr.const(self._constant)
+        coeffs: dict[str, Coefficient] = {}
+        constant = self._constant
         for var, coeff in self._coeffs.items():
             replacement = bindings.get(var)
             if replacement is None:
-                result = result + LinearExpr.var(var, coeff)
-            else:
-                result = result + replacement * coeff
-        return result
+                coeffs[var] = coeffs.get(var, _ZERO) + coeff
+                continue
+            constant += replacement._constant * coeff
+            for other, factor in replacement._coeffs.items():
+                coeffs[other] = coeffs.get(other, _ZERO) + factor * coeff
+        return LinearExpr(coeffs, constant)
 
     def rename(self, mapping: Mapping[str, str]) -> "LinearExpr":
         """Rename variables; unmapped variables are kept."""

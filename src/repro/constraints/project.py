@@ -7,18 +7,25 @@ conjunction of atoms by Gaussian elimination (for equalities) followed by
 Fourier-Motzkin elimination (for inequalities).  Lassez and Maher's
 Fourier-based algorithm cited as [8] in the paper is exactly this scheme.
 
-Arithmetic is *integer-scaled*: atom normalization
-(:mod:`repro.constraints.atom`) guarantees coprime integer coefficient
-vectors, so the Fourier-Motzkin combination of an upper atom
-``a*v + ru <= 0`` (``a > 0``) and a lower atom ``b*v + rl <= 0``
-(``b < 0``) is formed as the positive integer combination
-``(-b)*(a*v + ru) + a*(b*v + rl) = (-b)*ru + a*rl`` -- pure integer
-multiply-adds; exactness is preserved because the combination is exact
-and the resulting atom re-normalizes once at construction.  ``Fraction``
-appears only where division is inherent (solving an equality for a
-variable) and in tightness comparisons, via explicit
-``Fraction(numerator, denominator)`` construction.  The pre-overhaul
-pure-``Fraction`` algorithms survive as
+The elimination runs on *integer rows*, not on atoms.
+:func:`eliminate_variables` maps its atoms once to rows over the sorted
+list of their variables; a row is ``(coefficient tuple, constant, op)``
+of plain ints and an :class:`~repro.constraints.atom.Op`.  Every step
+is a positive integer combination of two rows:
+
+* Gaussian substitution of the pivot equality ``eq`` (coefficient
+  ``e`` on the variable) into a row with coefficient ``c`` is
+  ``|e|·row − sign(e)·c·eq``;
+* the Fourier-Motzkin combination of an upper row (``a > 0`` on the
+  variable) and a lower row (``b < 0``) is ``(-b)·upper + a·lower``.
+
+Each new row is brought to :func:`~repro.constraints.atom.normal_row`
+form, the one normalization :class:`Atom` itself applies, so equal rows
+are identical atoms and the parallel prune, the folds and the returned
+projection are what the same steps on atoms would give.  Atoms are
+built only for the returned projection; a satisfiability check builds
+none.  No ``Fraction`` is created: tightness is compared by integer
+cross-multiplication.  The pure-``Fraction`` algorithms survive as
 :mod:`repro.constraints._reference` for differential testing.
 
 The entry point is :func:`eliminate_variables`, which returns the projected
@@ -27,36 +34,84 @@ atoms or ``None`` when the conjunction is detected to be unsatisfiable.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
-from repro.constraints.atom import Atom, Op
-from repro.constraints.linexpr import LinearExpr
+from repro.constraints.atom import Atom, Op, normal_row
 from repro.governor import budget as governor
 from repro.obs.recorder import count as obs_count
 
+#: ``(coefficient tuple, constant, op)``: ``coeffs·x̄ + constant op 0``.
+Row = tuple[tuple[int, ...], int, Op]
 
-def _fold_ground(atoms: Iterable[Atom]) -> list[Atom] | None:
-    """Drop trivially-true atoms; signal unsatisfiability on a false one."""
-    kept: list[Atom] = []
+
+def _rows(atoms: Sequence[Atom]) -> tuple[list[str], list[Row]]:
+    """The atoms as rows over the sorted list of their variables."""
+    names = sorted(set().union(*(atom.variables() for atom in atoms)))
+    position = {var: index for index, var in enumerate(names)}
+    rows = []
     for atom in atoms:
-        truth = atom.truth_value()
-        if truth is None:
-            kept.append(atom)
-        elif truth is False:
+        coeffs = [0] * len(names)
+        for var, coeff in atom.terms():
+            coeffs[position[var]] = coeff
+        rows.append((tuple(coeffs), atom.expr.constant, atom.op))
+    return names, rows
+
+
+def _holds(constant: int, op: Op) -> bool:
+    """The truth of the ground row ``constant op 0``."""
+    if op is Op.LE:
+        return constant <= 0
+    if op is Op.LT:
+        return constant < 0
+    return constant == 0
+
+
+def _fold_ground(rows: Iterable[Row]) -> list[Row] | None:
+    """Drop trivially-true rows; signal unsatisfiability on a false one."""
+    kept: list[Row] = []
+    for row in rows:
+        coeffs, constant, op = row
+        if any(coeffs):
+            kept.append(row)
+        elif not _holds(constant, op):
             return None
     return kept
 
 
-def _bound_of(atom: Atom) -> Fraction:
-    """Tightness measure among atoms sharing a direction key.
+def _prune(rows: Iterable[Row]) -> list[Row]:
+    """Keep only the tightest row among parallel inequality rows.
 
-    After dividing by the (signed) direction scale the atoms read
-    ``d·x̄ (op) -c/|k|`` in the same direction, so the larger scaled
-    constant ``c / |k|`` is the tighter constraint.
+    A row ``k·d·x̄ + c op 0`` with ``d`` primitive and ``k > 0`` is
+    keyed by ``d``; among rows sharing it the largest ``c / k`` is the
+    tightest, compared as ``c1·k2 > c2·k1``, with strictness breaking
+    ties.  Ground rows come first, then the equalities (deduplicated,
+    in order), then the kept inequalities in first-seen key order.
     """
-    __, scale = atom.direction()
-    return Fraction(atom.expr.constant, abs(scale))
+    best: dict[tuple[int, ...], tuple[Row, int]] = {}
+    equalities: dict[Row, None] = {}
+    ground: list[Row] = []
+    for row in rows:
+        coeffs, constant, op = row
+        scale = gcd(*coeffs)
+        if not scale:
+            ground.append(row)
+            continue
+        if op is Op.EQ:
+            equalities[row] = None
+            continue
+        key = (
+            coeffs if scale == 1 else tuple(c // scale for c in coeffs)
+        )
+        current = best.get(key)
+        if current is None:
+            best[key] = (row, scale)
+            continue
+        kept, kept_scale = current
+        new_bound, old_bound = constant * kept_scale, kept[1] * scale
+        if new_bound > old_bound or (new_bound == old_bound and op is Op.LT):
+            best[key] = (row, scale)
+    return ground + list(equalities) + [row for row, __ in best.values()]
 
 
 def prune_parallel(atoms: Sequence[Atom]) -> list[Atom]:
@@ -68,135 +123,91 @@ def prune_parallel(atoms: Sequence[Atom]) -> list[Atom]:
     strictness breaking ties.  This is a cheap, sound redundancy filter
     applied between Fourier-Motzkin steps to curb the quadratic blowup.
     """
-    best: dict[tuple, Atom] = {}
-    equalities: list[Atom] = []
-    seen_eq: set[Atom] = set()
-    ground: list[Atom] = []
-    for atom in atoms:
-        if atom.is_ground():
-            ground.append(atom)
-            continue
-        if atom.op is Op.EQ:
-            if atom not in seen_eq:
-                seen_eq.add(atom)
-                equalities.append(atom)
-            continue
-        direction, scale = atom.direction()
-        key = (direction, 1 if scale > 0 else -1)
-        current = best.get(key)
-        if current is None or current is atom:
-            best[key] = atom
-            continue
-        new_bound = _bound_of(atom)
-        old_bound = _bound_of(current)
-        if new_bound > old_bound:
-            best[key] = atom
-        elif new_bound == old_bound and atom.op is Op.LT:
-            best[key] = atom
-    return ground + equalities + list(best.values())
+    __, rows = _rows(atoms)
+    by_row = dict(zip(rows, atoms))
+    return [by_row[row] for row in _prune(rows)]
 
 
-def _solve_equality(atom: Atom, var: str) -> LinearExpr:
-    """Solve the equality atom for ``var``: returns the replacing expr."""
-    coeff = atom.expr.coeff(var)
-    rest = atom.expr - LinearExpr.var(var, coeff)
-    # The one inherent division of the pipeline: exact by construction.
-    return rest * (Fraction(-1) / coeff)
-
-
-def _substitute_all(
-    atoms: Iterable[Atom], var: str, replacement: LinearExpr
-) -> list[Atom]:
-    bindings = {var: replacement}
-    return [
-        atom.substitute(bindings) if var in atom.variables() else atom
-        for atom in atoms
-    ]
+def _combine(first: Row, m: int, second: Row, n: int, op: Op) -> Row:
+    """``m·first + n·second`` in normal form (``m > 0`` keeps direction)."""
+    return normal_row(
+        [m * x + n * y for x, y in zip(first[0], second[0])],
+        m * first[1] + n * second[1],
+        op,
+    )
 
 
 def _gaussian_step(
-    atoms: list[Atom], elim_vars: set[str]
-) -> tuple[list[Atom], bool]:
-    """Eliminate one quantified variable via an equality, if possible."""
-    for index, atom in enumerate(atoms):
-        if atom.op is not Op.EQ:
+    rows: list[Row], remaining: set[int]
+) -> tuple[list[Row], int | None]:
+    """Eliminate one quantified variable via an equality, if possible.
+
+    The first equality mentioning a remaining variable pivots on the
+    first such variable; returns the other rows with it substituted and
+    the variable, or the rows unchanged and ``None``.
+    """
+    for index, pivot in enumerate(rows):
+        if pivot[2] is not Op.EQ:
             continue
-        candidates = sorted(atom.variables() & elim_vars)
-        if not candidates:
+        var = min((v for v in remaining if pivot[0][v]), default=None)
+        if var is None:
             continue
-        var = candidates[0]
-        replacement = _solve_equality(atom, var)
-        remaining = atoms[:index] + atoms[index + 1 :]
-        substituted = _substitute_all(remaining, var, replacement)
-        elim_vars.discard(var)
-        return substituted, True
-    return atoms, False
+        e = pivot[0][var]
+        sign = 1 if e > 0 else -1
+        rest = rows[:index] + rows[index + 1 :]
+        return [
+            _combine(row, abs(e), pivot, -sign * row[0][var], row[2])
+            if row[0][var]
+            else row
+            for row in rest
+        ], var
+    return rows, None
 
 
-def _fourier_motzkin_step(atoms: list[Atom], var: str) -> list[Atom] | None:
-    """Eliminate one inequality-only variable by Fourier-Motzkin."""
-    uppers: list[Atom] = []  # positive coefficient of var: v bounded above
-    lowers: list[Atom] = []  # negative coefficient of var: v bounded below
-    equalities: list[Atom] = []
-    rest: list[Atom] = []
-    for atom in atoms:
-        coeff = atom.expr.coeff(var)
+def _fourier_motzkin_step(rows: list[Row], var: int) -> list[Row] | None:
+    """Eliminate one inequality-only variable by Fourier-Motzkin.
+
+    No equality mentions ``var`` here: the Gaussian phase ends only
+    once none mentions a remaining variable.
+    """
+    uppers: list[Row] = []  # positive coefficient of var: v bounded above
+    lowers: list[Row] = []  # negative coefficient of var: v bounded below
+    rest: list[Row] = []
+    for row in rows:
+        coeff = row[0][var]
         if coeff == 0:
-            rest.append(atom)
-        elif atom.op is Op.EQ:
-            equalities.append(atom)
+            rest.append(row)
         elif coeff > 0:
-            uppers.append(atom)
+            uppers.append(row)
         else:
-            lowers.append(atom)
-    if equalities:
-        # An equality on the variable survived the Gaussian phase only if
-        # the variable was not selected; handle it here for robustness.
-        replacement = _solve_equality(equalities[0], var)
-        survivors = uppers + lowers + equalities[1:] + rest
-        return _fold_ground(_substitute_all(survivors, var, replacement))
-    combined: list[Atom] = []
-    for upper in uppers:
-        a_up = upper.expr.coeff(var)
-        for lower in lowers:
-            a_lo = lower.expr.coeff(var)
-            # Positive integer combination cancelling var exactly:
-            # (-a_lo) * upper + a_up * lower.
-            op = (
-                Op.LT
-                if Op.LT in (upper.op, lower.op)
-                else Op.LE
-            )
-            combined.append(
-                Atom(
-                    upper.expr * (-a_lo) + lower.expr * a_up,
-                    op,
-                )
-            )
+            lowers.append(row)
+    combined = [
+        _combine(
+            upper,
+            -lower[0][var],
+            lower,
+            upper[0][var],
+            Op.LT if Op.LT in (upper[2], lower[2]) else Op.LE,
+        )
+        for upper in uppers
+        for lower in lowers
+    ]
     folded = _fold_ground(combined)
     if folded is None:
         return None
     return rest + folded
 
 
-def _pick_variable(atoms: Sequence[Atom], elim_vars: set[str]) -> str:
-    """Pick the elimination variable minimizing the FM blowup estimate."""
-    best_var = None
-    best_cost = None
-    for var in sorted(elim_vars):
-        uppers = lowers = 0
-        for atom in atoms:
-            coeff = atom.expr.coeff(var)
-            if coeff > 0:
-                uppers += 1
-            elif coeff < 0:
-                lowers += 1
-        cost = uppers * lowers - (uppers + lowers)
-        if best_cost is None or cost < best_cost:
-            best_cost = cost
-            best_var = var
-    assert best_var is not None
-    return best_var
+def _fm_cost(rows: list[Row], var: int) -> int:
+    """The Fourier-Motzkin blowup estimate of eliminating ``var``."""
+    uppers = sum(1 for row in rows if row[0][var] > 0)
+    lowers = sum(1 for row in rows if row[0][var] < 0)
+    return uppers * lowers - (uppers + lowers)
+
+
+def _occurring(rows: list[Row], variables: set[int]) -> set[int]:
+    """The variables some row still mentions."""
+    return {var for var in variables if any(row[0][var] for row in rows)}
 
 
 def eliminate_variables(
@@ -214,77 +225,68 @@ def eliminate_variables(
     # every satisfiability check and projection passes through here,
     # so this one charge covers the whole solver surface.
     governor.charge("solver_calls", phase="solver")
-    current = _fold_ground(atoms)
+    names, rows = _rows(list(atoms))
+    current = _fold_ground(rows)
     if current is None:
         return None
-    remaining = {
-        var
-        for var in elim_vars
-        if any(var in atom.variables() for atom in current)
-    }
-    # Phase 1: Gaussian elimination through equality atoms.
-    progress = True
-    while progress and remaining:
-        current = prune_parallel(current)
-        folded = _fold_ground(current)
+    elim = set(elim_vars)
+    remaining = {index for index, var in enumerate(names) if var in elim}
+    # Phase 1: Gaussian elimination through equality rows.  Each step
+    # cancels its variable from every row, so ``_occurring`` drops it.
+    while remaining:
+        folded = _fold_ground(_prune(current))
         if folded is None:
             return None
-        current, progress = _gaussian_step(folded, remaining)
-        remaining = {
-            var
-            for var in remaining
-            if any(var in atom.variables() for atom in current)
-        }
+        current, pivot_var = _gaussian_step(folded, remaining)
+        if pivot_var is None:
+            break
+        remaining = _occurring(current, remaining)
     # Phase 2: Fourier-Motzkin for the inequality-only variables.
     while remaining:
-        current = prune_parallel(current)
-        var = _pick_variable(current, remaining)
+        current = _prune(current)
+        var = min(sorted(remaining), key=lambda v: _fm_cost(current, v))
         step = _fourier_motzkin_step(current, var)
         if step is None:
             return None
         current = step
-        remaining.discard(var)
-        remaining = {
-            var
-            for var in remaining
-            if any(var in atom.variables() for atom in current)
-        }
-    final = _fold_ground(prune_parallel(current))
+        remaining = _occurring(current, remaining)
+    final = _fold_ground(_prune(current))
     if final is None:
         return None
-    return sorted(set(final), key=Atom.sort_key)
+    return sorted(
+        (Atom.from_row(names, row) for row in set(final)),
+        key=Atom.sort_key,
+    )
 
 
 def _box_decides(atoms: Sequence[Atom]) -> bool | None:
     """Decide satisfiability by interval intersection, where that is exact.
 
-    ``k*x + c op 0`` bounds ``x`` at ``-c/k`` (``=`` from both sides).
-    An empty interval or a false ground atom decides ``False`` for any
-    conjunction.  When every atom is such a bound or a true ground atom
-    the variables are independent, so non-empty intervals decide
-    ``True``; an atom coupling two variables otherwise leaves ``None``.
+    Each atom's cached :meth:`Atom.box_bound` gives the bounds it puts
+    on its one variable.  An empty interval or a false ground atom
+    decides ``False`` for any conjunction.  When every atom is such a
+    bound or a true ground atom the variables are independent, so
+    non-empty intervals decide ``True``; an atom coupling two variables
+    otherwise leaves ``None``.
     """
-    # A bound is keyed (value, flag): the tightest upper bound is the
-    # min with 0 = strict, 1 = closed; the tightest lower bound the max
-    # with 1 = strict, 0 = closed.  An interval is empty iff lower >= upper.
-    lower: dict[str, tuple[Fraction, int]] = {}
-    upper: dict[str, tuple[Fraction, int]] = {}
+    # The tightest upper bound is the min, the tightest lower bound the
+    # max; an interval is empty iff lower >= upper.
+    lower: dict[str, tuple] = {}
+    upper: dict[str, tuple] = {}
     coupled = False
     for atom in atoms:
-        terms, coeff = atom.direction()
-        if len(terms) != 1:
-            if not terms and not atom.truth_value():
-                return False
-            coupled = coupled or bool(terms)
+        var, high, low = atom.box_bound()
+        if var is None:
+            if atom.is_ground():
+                if not atom.truth_value():
+                    return False
+            else:
+                coupled = True
             continue
-        var, strict = terms[0][0], atom.op is Op.LT
-        value = Fraction(-atom.expr.constant, coeff)
-        if atom.op is Op.EQ or coeff > 0:
-            bound = (value, 0 if strict else 1)
-            upper[var] = min(upper.get(var, bound), bound)
-        if atom.op is Op.EQ or coeff < 0:
-            bound = (value, 1 if strict else 0)
-            lower[var] = max(lower.get(var, bound), bound)
+        if high is not None:
+            upper[var] = min(upper.get(var, high), high)
+        if low is not None:
+            lower[var] = max(lower.get(var, low), low)
     if any(var in upper and low >= upper[var] for var, low in lower.items()):
         return False
     return None if coupled else True

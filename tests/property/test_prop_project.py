@@ -13,9 +13,10 @@ without ever needing a witness for the eliminated variables.
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from repro.constraints.atom import Atom
+from repro.constraints import project
+from repro.constraints.atom import Atom, Op
 from repro.constraints.conjunction import Conjunction
 from repro.constraints.linexpr import LinearExpr
 from repro.constraints.project import eliminate_variables, is_satisfiable
@@ -131,3 +132,78 @@ class TestExactness:
             assert Conjunction(again).satisfied_by(
                 point
             ) == Conjunction(projected).satisfied_by(point)
+
+
+# -- the row kernel's normal form is the atom's --------------------------
+
+NAMES = ("U", "V", "X", "Y")
+raw_rows = st.lists(
+    st.integers(min_value=-6, max_value=6),
+    min_size=len(NAMES),
+    max_size=len(NAMES),
+)
+ops = st.sampled_from(list(Op))
+
+
+def _atom_of(coeffs, constant, op):
+    """``Atom(LinearExpr(raw row), op)``: the atom-level normalization."""
+    return Atom(LinearExpr(dict(zip(NAMES, coeffs)), constant), op)
+
+
+class TestNormalFormAgreement:
+    """Row equality is atom identity: the kernel normalizes a combined
+    row exactly as ``Atom.__new__`` normalizes the same expression, so
+    the rows it derives are the atoms the atom-level steps built."""
+
+    @given(
+        raw_rows, constants, raw_rows, constants,
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=-6, max_value=6),
+        ops,
+    )
+    @example(  # an equality whose first coefficient comes out negative
+        [1, 2, 0, 0], 3, [1, 0, 1, 0], 0, 1, -2, Op.EQ
+    )
+    @example(  # a Gaussian pivot -3*V on an inequality: m = 3, n = 2
+        [1, 2, 0, -1], 4, [0, -3, 1, 0], 2, 3, 2, Op.LE
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_combination_is_the_atom(self, a, ca, b, cb, m, n, op):
+        combined = project._combine(
+            (tuple(a), ca, op), m, (tuple(b), cb, Op.EQ), n, op
+        )
+        raw = [m * x + n * y for x, y in zip(a, b)]
+        assert Atom.from_row(NAMES, combined) is _atom_of(
+            raw, m * ca + n * cb, op
+        )
+
+    @given(
+        raw_rows, constants, raw_rows, constants,
+        st.sampled_from([Op.LE, Op.LT, Op.EQ]),
+        st.sampled_from(range(len(NAMES))),
+    )
+    @example(  # a negative Gaussian pivot on an inequality
+        [0, -3, 1, 0], 2, [1, 2, 0, -1], 4, Op.LE, 1
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_gaussian_substitution_is_the_atom(
+        self, pivot, cp, row, cr, op, var
+    ):
+        """The kernel's pivot step equals substituting the solved
+        equality into the atom, the step the atom-level solver took."""
+        assume(pivot[var] != 0 and row[var] != 0)
+        eq = _atom_of(pivot, cp, Op.EQ)
+        atom = _atom_of(row, cr, op)
+        assume(atom is not eq)
+        name = NAMES[var]
+        names, rows = project._rows([eq, atom])
+        rest, pivoted = project._gaussian_step(rows, {names.index(name)})
+        assert names[pivoted] == name
+        (substituted,) = rest
+        coeff = eq.expr.coeff(name)
+        solved = (eq.expr - LinearExpr.var(name, coeff)) * (
+            Fraction(-1) / coeff
+        )
+        assert Atom.from_row(names, substituted) is atom.substitute(
+            {name: solved}
+        )

@@ -14,7 +14,9 @@ with it force-disabled, so a divergence introduced *by the cache
 layer* (rather than by the arithmetic) would also surface here.
 Satisfiability is differenced a second time on conjunctions built for
 the interval pre-check (single-variable bounds with ties, ``=`` and
-ground atoms, alone and mixed with general atoms).
+ground atoms, alone and mixed with general atoms), and ``project`` and
+satisfiability a third time on wider systems: five variables, up to
+seven atoms, at least two equalities.
 """
 
 from fractions import Fraction
@@ -100,6 +102,39 @@ def box_conjunctions(draw, mixed: bool = False):
     for piece in draw(st.lists(st.one_of(*pieces), max_size=5)):
         atoms.extend(piece if isinstance(piece, list) else [piece])
     return atoms
+
+
+WIDE_VARS = ["U", "V", "X", "Y", "Z"]
+wide_coefficients = st.integers(min_value=1, max_value=4).flatmap(
+    lambda k: st.sampled_from([k, -k])
+)
+
+
+@st.composite
+def wide_atoms(draw, op: str):
+    """An atom over up to four of five variables, coefficients ±1..4."""
+    names = draw(
+        st.lists(
+            st.sampled_from(WIDE_VARS), min_size=1, max_size=4, unique=True
+        )
+    )
+    expr = LinearExpr(
+        {name: draw(wide_coefficients) for name in names},
+        draw(constants),
+    )
+    return Atom.make(expr, op, LinearExpr.zero())
+
+
+@st.composite
+def wide_conjunctions(draw):
+    """Five variables, up to seven atoms, at least two equalities: the
+    shapes that reach multi-pivot Gaussian runs and ties in the choice
+    of the Fourier-Motzkin variable."""
+    n_eq = draw(st.integers(min_value=2, max_value=4))
+    n_other = draw(st.integers(min_value=0, max_value=7 - n_eq))
+    atoms = [draw(wide_atoms("=")) for __ in range(n_eq)]
+    atoms += [draw(wide_atoms(draw(operators))) for __ in range(n_other)]
+    return Conjunction(atoms)
 
 
 def _both_cache_modes(check):
@@ -209,6 +244,38 @@ class TestProject:
         )
         if projected.is_satisfiable():
             assert projected.variables() == frozenset()
+
+
+class TestWideSystems:
+    """``project`` and satisfiability on the wider systems."""
+
+    @given(wide_conjunctions(), st.sets(st.sampled_from(WIDE_VARS)))
+    @settings(max_examples=300, deadline=None)
+    def test_project_matches_reference(self, conjunction, keep):
+        expected = ref.project(conjunction.atoms, keep)
+
+        def check():
+            projected = conjunction.project(keep)
+            if expected is None:
+                assert not projected.is_satisfiable()
+                return
+            assert projected.variables() <= set(keep)
+            produced = ref.from_atoms(projected.atoms)
+            assert ref.equivalent_vecs(produced, expected)
+
+        _both_cache_modes(check)
+
+    @given(wide_conjunctions())
+    @settings(max_examples=300, deadline=None)
+    def test_satisfiable_matches_reference(self, conjunction):
+        expected = ref.satisfiable(conjunction.atoms)
+
+        def check():
+            atoms = list(conjunction.atoms)
+            assert project.is_satisfiable(atoms) == expected
+            assert Conjunction(atoms).is_satisfiable() == expected
+
+        _both_cache_modes(check)
 
 
 class TestImpliesSet:

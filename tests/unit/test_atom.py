@@ -1,10 +1,14 @@
 """Unit tests for atomic constraints: normalization, negation, truth."""
 
+import copy
+import gc
+import pickle
 from fractions import Fraction
 
 import pytest
 
 from repro.constraints.atom import Atom, FALSE_ATOM, Op, TRUE_ATOM
+from repro.constraints.intern import TABLES
 from repro.constraints.linexpr import LinearExpr
 
 
@@ -75,6 +79,70 @@ class TestNegation:
         assert any(satisfied)
         satisfied_at_2 = [b.satisfied_by({"X": 2}) for b in branches]
         assert not any(satisfied_at_2)
+
+
+class TestPerAtomCaches:
+    """Keys an interned atom derives once, and what pickling carries."""
+
+    @staticmethod
+    def _filled(atom):
+        atom.negations()
+        atom.box_bound()
+        atom.direction()
+        return atom
+
+    def test_negations_is_one_tuple(self):
+        for atom in (Atom.le(X, Y), Atom.lt(X, c(1)), Atom.eq(X, c(2))):
+            assert atom.negations() is atom.negations()
+
+    @pytest.mark.parametrize("make", [Atom.le, Atom.lt, Atom.ge, Atom.gt])
+    def test_negating_twice_gives_the_atom(self, make):
+        atom = make(X + 2 * Y, c(3))
+        (negated,) = atom.negations()
+        assert negated.negations() == (atom,)
+
+    def test_keys_match_the_expression(self):
+        atom = Atom.le(3 * Y - X, c(4))
+        assert atom.sort_key() == (
+            "<=", tuple(atom.expr.sorted_terms()), atom.expr.constant
+        )
+        assert atom.variables() == atom.expr.variables() == {"X", "Y"}
+        assert atom.terms() == (("X", -1), ("Y", 3))
+
+    def test_box_bound(self):
+        assert Atom.le(2 * X, c(3)).box_bound() == (
+            "X", (Fraction(3, 2), 1), None
+        )
+        assert Atom.gt(X, c(1)).box_bound() == ("X", None, (1, 1))
+        assert Atom.eq(X, c(2)).box_bound() == ("X", (2, 1), (2, 0))
+        assert Atom.le(X, Y).box_bound() == (None, None, None)
+        assert TRUE_ATOM.box_bound() == (None, None, None)
+
+    @pytest.mark.parametrize(
+        "clone", [lambda a: pickle.loads(pickle.dumps(a)), copy.deepcopy]
+    )
+    def test_copy_of_a_filled_atom_is_the_atom(self, clone):
+        atom = self._filled(Atom.eq(X - 2 * Y, c(5)))
+        assert clone(atom) is atom
+
+    def test_reduce_carries_no_cache(self):
+        atom = self._filled(Atom.lt(X + Y, c(1)))
+        __, payload = atom.__reduce__()
+        assert payload == ("<", (("X", 1), ("Y", 1)), -1)
+
+    def test_negated_pair_is_collected(self):
+        """The negation cache is liveness, not a leak: a dropped atom
+        and its cached negation leave the intern table together."""
+        gc.collect()
+        baseline = len(TABLES["atoms"])
+        atoms = [Atom.le(X, c(Fraction(n, 13))) for n in range(9000, 9100)]
+        for atom in atoms:
+            (negated,) = atom.negations()
+            negated.negations()
+        assert len(TABLES["atoms"]) >= baseline + 200
+        del atoms, atom, negated
+        gc.collect()
+        assert len(TABLES["atoms"]) == baseline
 
 
 class TestSubstitution:
