@@ -15,8 +15,11 @@ workload the median over the untraced passes of every end-to-end
 metric, the failed-op count and the host factors that tell a noisy
 host from a slow program: the median of the per-epoch slowdown
 factors the runner printed and the mean one-minute load average.
-``--change`` labels a measurement of uncommitted work on top of
-``commit`` (a PR records its own line before it has a hash).
+``commit`` is the ``HEAD`` the result file names.  With ``--change``
+the line measures uncommitted work on top of that commit, so there
+``commit`` names the *parent* of the change, not the change itself: a
+PR records its own line before it has a hash, and the ``change`` label
+is what tells its line from the parent's.
 
 ``--check`` (what the CI ``ruler`` job runs) verifies that every line
 parses and that the last one names a commit.

@@ -198,6 +198,16 @@ def main(argv: list[str] | None = None) -> int:
 
         return serve_main(argv[1:])
     arguments = build_parser().parse_args(argv)
+    if arguments.batch is not None:
+        # One-shot output flags: a batch answers in JSON lines only.
+        for flag in ("show_program", "derivations", "explain", "stats"):
+            if getattr(arguments, flag):
+                print(
+                    f"repro: --{flag.replace('_', '-')} cannot be used "
+                    "with --batch",
+                    file=sys.stderr,
+                )
+                return 2
     if arguments.file == "-":
         text = sys.stdin.read()
     else:

@@ -14,6 +14,13 @@ otherwise joined from its smallest literal -- the delta, unless a whole
 relation is smaller -- so an iteration costs in proportion to what the
 last one added, not to what the database holds.
 
+A derivation costs one insert and one log record: the log keeps a
+plain tuple per derivation (rule, fact, outcome, parents) and, per
+iteration, the list of facts that were new.  The new, duplicate and
+subsumed counts are tallied in locals and folded into the run's
+:class:`~repro.engine.stats.EvalStats` and the ``engine.*`` counters
+once per rule application.
+
 Programs in a CQL may not terminate (Example 1.2); the ``max_iterations``
 cap makes that a reported outcome (``reached_fixpoint=False``).
 """
@@ -21,7 +28,7 @@ cap makes that a reported outcome (``reached_fixpoint=False``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from repro.config import DEFAULT_EVAL_ITERATIONS
 from repro.engine.database import Database
@@ -36,15 +43,11 @@ from repro.lang.normalize import normalize_program
 from repro.obs.recorder import count as obs_count, span as obs_span
 
 
-_OUTCOME_COUNTERS = {
-    InsertOutcome.NEW: "engine.facts.new",
-    InsertOutcome.DUPLICATE: "engine.facts.duplicate",
-    InsertOutcome.SUBSUMED: "engine.facts.subsumed",
-}
+_NEW = InsertOutcome.NEW
+_DUPLICATE = InsertOutcome.DUPLICATE
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(NamedTuple):
     """One successful derivation and what became of the derived fact.
 
     ``parents`` are the body facts used, in written body-literal order
@@ -63,20 +66,26 @@ class Derivation:
         return f"{label}: {self.fact}{marker}"
 
 
+# Builds a Derivation from its four fields without the Python-level
+# ``__new__`` a NamedTuple call goes through.
+_derivation = tuple.__new__
+
+
 @dataclass
 class IterationLog:
-    """All derivations made during one iteration."""
+    """All derivations made during one iteration.
+
+    ``added`` lists the facts that were new, in derivation order; the
+    evaluator appends to it as it appends their derivations.
+    """
 
     number: int
     derivations: list[Derivation] = field(default_factory=list)
+    added: list[Fact] = field(default_factory=list)
 
     def new_facts(self) -> list[Fact]:
         """The facts this iteration actually added."""
-        return [
-            derivation.fact
-            for derivation in self.derivations
-            if derivation.outcome is InsertOutcome.NEW
-        ]
+        return self.added
 
     def __str__(self) -> str:
         inner = ", ".join(str(derivation) for derivation in self.derivations)
@@ -302,34 +311,10 @@ def _run_fixpoint(
                         if not variants:
                             continue
                     with obs_span("rule", label=rule.label or "?"):
-                        for delta, first in variants:
-                            view = database_view(
-                                database, iteration - 1, delta
-                            )
-                            for fact, parents in (
-                                evaluator.derive_with_parents(view, first)
-                            ):
-                                outcome = database.insert(
-                                    fact, stamp=iteration
-                                )
-                                log.derivations.append(
-                                    Derivation(
-                                        rule.label, fact, outcome,
-                                        parents,
-                                    )
-                                )
-                                stats.record(
-                                    rule.label, fact.pred, outcome
-                                )
-                                obs_count("engine.derivations")
-                                obs_count(_OUTCOME_COUNTERS[outcome])
-                                if (
-                                    outcome is InsertOutcome.NEW
-                                    and meter is not None
-                                ):
-                                    meter.charge(
-                                        "facts", phase="evaluate"
-                                    )
+                        _apply(
+                            database, evaluator, variants, iteration,
+                            log, stats, meter,
+                        )
                 if backward_subsumption:
                     for fact in log.new_facts():
                         relation = database.get(fact.pred)
@@ -354,6 +339,61 @@ def _run_fixpoint(
             reached_fixpoint = True
             break
     return reached_fixpoint, tripped
+
+
+def _apply(
+    database: Database,
+    evaluator: "RuleEvaluator",
+    variants: "list[tuple[int | None, int | None]]",
+    iteration: int,
+    log: IterationLog,
+    stats: EvalStats,
+    meter: "governor.BudgetMeter | None",
+) -> None:
+    """One rule application: insert and log each derivation, stamped
+    ``iteration``, then fold its outcome counts into ``stats`` and the
+    ``engine.*`` counters (also when a budget trips part-way)."""
+    rule = evaluator.rule
+    label, head = rule.label, rule.head
+    insert = database.relation(head.pred, head.arity).insert
+    record, added = log.derivations.append, log.added.append
+    new = duplicates = subsumed = 0
+    try:
+        for delta, first in variants:
+            view = database_view(database, iteration - 1, delta)
+            for fact, parents in evaluator.derive_with_parents(
+                view, first
+            ):
+                outcome = insert(fact, iteration)
+                record(_derivation(
+                    Derivation, (label, fact, outcome, parents)
+                ))
+                if outcome is _NEW:
+                    added(fact)
+                    new += 1
+                    if meter is not None:
+                        meter.charge("facts", phase="evaluate")
+                elif outcome is _DUPLICATE:
+                    duplicates += 1
+                else:
+                    subsumed += 1
+    finally:
+        stats.record_many(label, head.pred, new, duplicates, subsumed)
+        derived = new + duplicates + subsumed
+        if derived:
+            obs_count("engine.derivations", derived)
+        _count_outcomes(new, duplicates, subsumed)
+
+
+def _count_outcomes(new: int, duplicates: int, subsumed: int) -> None:
+    """Add insert outcomes to the ``engine.facts.*`` counters."""
+    for name, n in (
+        ("engine.facts.new", new),
+        ("engine.facts.duplicate", duplicates),
+        ("engine.facts.subsumed", subsumed),
+    ):
+        if n:
+            obs_count(name, n)
 
 
 def resume(
@@ -403,17 +443,21 @@ def resume(
     stats = EvalStats()
     logs: list[IterationLog] = []
     tripped: str | None = None
-    added = 0
+    added = duplicates = subsumed = 0
     try:
         for fact in new_facts:
             outcome = database.insert(fact, stamp=start_stamp)
-            obs_count(_OUTCOME_COUNTERS[outcome])
-            if outcome is InsertOutcome.NEW:
+            if outcome is _NEW:
                 added += 1
                 if meter is not None:
                     meter.charge("facts", phase="evaluate")
+            elif outcome is _DUPLICATE:
+                duplicates += 1
+            else:
+                subsumed += 1
     except BudgetExceeded as error:
         tripped = error.resource
+    _count_outcomes(added, duplicates, subsumed)
     reached_fixpoint = tripped is None
     if (added or assume_delta) and tripped is None:
         evaluators = _evaluators(normalized, database, use_range_index)

@@ -20,9 +20,20 @@ Two indexes accelerate joins:
   enable ("the constraints Cost <= 150 and Time <= 240 could be used
   to efficiently retrieve (via B trees, etc.) singleleg tuples").
 
+Neither exists until a probe asks for it: sizing a bound position
+builds that position's hash index, and sizing a ranged position its
+ordered index, in one pass over the stored facts (buckets in insertion
+order, the ordered index one sort by value and then insertion
+sequence -- exactly what inserting fact by fact would have left).
+From then on ``insert``/``remove`` maintain it, and ``copy`` carries
+it; an index no plan probes is never built or maintained.  A build
+fills a local and publishes it with one assignment, so two readers
+racing on a shared database at worst both build the same index.
+
 Facts whose value at the probed position is PENDING are kept in a side
-list since they may cover any probed value or range.  Numeric fact
-arguments are int-first (:mod:`repro.engine.facts`), already the
+list, maintained on every insert, since they may cover any probed value
+or range.  Numeric fact arguments are int-first
+(:mod:`repro.engine.facts`), already the
 :func:`~repro.engine.facts.number_key` form the ordered index is keyed
 by; only ``Range`` bounds are converted.
 
@@ -52,6 +63,10 @@ from repro.obs.recorder import count as obs_count
 # Sorts after every insertion sequence number: ``(key, _AFTER)`` lands
 # just past the entries of ``key`` and ``(key,)`` just before them.
 _AFTER = float("inf")
+
+# An ordered index: sorted ``(numeric key, insertion seq)`` entries and
+# the facts they belong to, aligned.
+_Ordered = tuple[list[tuple["int | Fraction", int]], list[Fact]]
 
 
 class Range:
@@ -124,21 +139,16 @@ class Relation:
         self._next_seq = 0
         # How many stored facts have a PENDING position.
         self._nonground = 0
+        # _pending[pos] -> facts with PENDING at pos (always kept);
         # _fixed[pos][value] -> facts with that fixed value at pos;
-        # _pending[pos] -> facts with PENDING at pos;
-        # _ordered[pos] -> sorted (numeric key, insertion seq) entries,
-        # _ordered_facts[pos] -> the facts of those entries, aligned, so
-        # a range probe is one slice.
-        self._fixed: list[dict[Value, list[Fact]]] = [
-            {} for _ in range(arity)
-        ]
+        # _ordered[pos] -> (sorted (numeric key, insertion seq) entries,
+        # the facts of those entries, aligned), so a range probe is one
+        # slice.  None at a position no probe has asked for yet.
         self._pending: list[list[Fact]] = [[] for _ in range(arity)]
-        self._ordered: list[list[tuple["int | Fraction", int]]] = [
-            [] for _ in range(arity)
-        ]
-        self._ordered_facts: list[list[Fact]] = [
-            [] for _ in range(arity)
-        ]
+        self._fixed: list[dict[Value, list[Fact]] | None] = (
+            [None] * arity
+        )
+        self._ordered: list[_Ordered | None] = [None] * arity
 
     def copy(self) -> "Relation":
         """An independent copy (facts are immutable and are shared)."""
@@ -150,14 +160,16 @@ class Relation:
         clone._seqs = dict(self._seqs)
         clone._next_seq = self._next_seq
         clone._nonground = self._nonground
+        clone._pending = [list(facts) for facts in self._pending]
         clone._fixed = [
-            {value: list(bucket) for value, bucket in index.items()}
+            None if index is None
+            else {value: list(bucket) for value, bucket in index.items()}
             for index in self._fixed
         ]
-        clone._pending = [list(facts) for facts in self._pending]
-        clone._ordered = [list(entries) for entries in self._ordered]
-        clone._ordered_facts = [
-            list(facts) for facts in self._ordered_facts
+        clone._ordered = [
+            None if ordered is None
+            else (list(ordered[0]), list(ordered[1]))
+            for ordered in self._ordered
         ]
         return clone
 
@@ -191,7 +203,7 @@ class Relation:
         """Insert unless a syntactic duplicate or semantically subsumed
         (by the duplicate test alone while no non-ground fact is stored).
         """
-        if fact.pred != self.pred or fact.arity != self.arity:
+        if fact.pred != self.pred or len(fact.args) != self.arity:
             raise ValueError(
                 f"fact {fact} does not belong to relation "
                 f"{self.pred}/{self.arity}"
@@ -205,23 +217,35 @@ class Relation:
                 if existing.subsumes(fact):
                     return InsertOutcome.SUBSUMED
         self._stamps[fact] = stamp
-        self._groups.setdefault(stamp, []).append(fact)
+        group = self._groups.get(stamp)
+        if group is None:
+            self._groups[stamp] = [fact]
+        else:
+            group.append(fact)
         seq = self._next_seq
-        self._next_seq += 1
+        self._next_seq = seq + 1
         self._seqs[fact] = seq
+        fixed, ordered = self._fixed, self._ordered
         ground = True
         for position, value in enumerate(fact.args):
             if value is PENDING:
                 self._pending[position].append(fact)
                 ground = False
                 continue
-            self._fixed[position].setdefault(value, []).append(fact)
-            if type(value) is not Sym:  # a number, in number_key form
-                entry = (value, seq)
-                entries = self._ordered[position]
-                index = bisect.bisect_left(entries, entry)
-                entries.insert(index, entry)
-                self._ordered_facts[position].insert(index, fact)
+            index = fixed[position]
+            if index is not None:
+                bucket = index.get(value)
+                if bucket is None:
+                    index[value] = [fact]
+                else:
+                    bucket.append(fact)
+            sorted_index = ordered[position]
+            if sorted_index is not None and type(value) is not Sym:
+                entries, facts = sorted_index
+                entry = (value, seq)  # a number, in number_key form
+                at = bisect.bisect_left(entries, entry)
+                entries.insert(at, entry)
+                facts.insert(at, fact)
         if not ground:
             self._nonground += 1
         return InsertOutcome.NEW
@@ -242,16 +266,19 @@ class Relation:
                 self._pending[position].remove(fact)
                 ground = False
                 continue
-            bucket = self._fixed[position][value]
-            bucket.remove(fact)
-            if not bucket:
-                del self._fixed[position][value]
-            if type(value) is not Sym:
+            index = self._fixed[position]
+            if index is not None:
+                bucket = index[value]
+                bucket.remove(fact)
+                if not bucket:
+                    del index[value]
+            ordered = self._ordered[position]
+            if ordered is not None and type(value) is not Sym:
                 # (value, seq) is unique, so bisect lands on the entry.
-                entries = self._ordered[position]
-                index = bisect.bisect_left(entries, (value, seq))
-                entries.pop(index)
-                self._ordered_facts[position].pop(index)
+                entries, facts = ordered
+                at = bisect.bisect_left(entries, (value, seq))
+                entries.pop(at)
+                facts.pop(at)
         if not ground:
             self._nonground -= 1
 
@@ -278,16 +305,52 @@ class Relation:
                 removed.append(candidate)
         return removed
 
+    def _hash_index(self, position: int) -> dict[Value, list[Fact]]:
+        """The hash index at ``position``, built on first request."""
+        index = self._fixed[position]
+        if index is None:
+            index = {}
+            for fact in self._stamps:  # insertion order
+                value = fact.args[position]
+                if value is PENDING:
+                    continue
+                bucket = index.get(value)
+                if bucket is None:
+                    index[value] = [fact]
+                else:
+                    bucket.append(fact)
+            self._fixed[position] = index
+        return index
+
+    def _ordered_index(self, position: int) -> "_Ordered":
+        """The ordered index at ``position``, built on first request."""
+        ordered = self._ordered[position]
+        if ordered is None:
+            # Insertion order is sequence order, so a stable sort by
+            # value is the (value, seq) order.
+            facts = sorted(
+                (
+                    fact for fact in self._stamps
+                    if (value := fact.args[position]) is not PENDING
+                    and type(value) is not Sym
+                ),
+                key=lambda fact: fact.args[position],
+            )
+            seqs = self._seqs
+            entries = [(fact.args[position], seqs[fact]) for fact in facts]
+            ordered = self._ordered[position] = (entries, facts)
+        return ordered
+
     def _bucket_size(self, position: int, value: Value) -> int:
         """Facts a hash probe of ``value`` at ``position`` would return."""
-        return len(self._fixed[position].get(value, ())) + len(
+        return len(self._hash_index(position).get(value, ())) + len(
             self._pending[position]
         )
 
     def _bucket(self, position: int, value: Value) -> list[Fact]:
         """A fresh list: the hash bucket, then the PENDING facts."""
         return (
-            self._fixed[position].get(value, [])
+            self._hash_index(position).get(value, [])
             + self._pending[position]
         )
 
@@ -313,7 +376,7 @@ class Relation:
         The offsets already honour strict bounds, so the slice holds
         exactly the admitted values; an inverted range is empty.
         """
-        entries = self._ordered[position]
+        entries = self._ordered_index(position)[0]
         low = 0
         high = len(entries)
         key = probe._lower_key
@@ -386,7 +449,7 @@ class Relation:
             }
         else:
             candidates = (
-                self._ordered_facts[served][span[0]:span[1]]
+                self._ordered[served][1][span[0]:span[1]]
                 + self._pending[served]
             )
             ranges = {

@@ -40,15 +40,37 @@ class EvalStats:
             raise TypeError(
                 f"outcome must be an InsertOutcome, got {outcome!r}"
             )
-        self.derivations += 1
-        self.derivations_by_rule[rule_label or "?"] += 1
-        if outcome is InsertOutcome.NEW:
-            self.new_facts += 1
-            self.facts_by_pred[pred] += 1
-        elif outcome is InsertOutcome.DUPLICATE:
-            self.duplicates += 1
-        else:
-            self.subsumed += 1
+        self.record_many(
+            rule_label, pred,
+            new=int(outcome is InsertOutcome.NEW),
+            duplicates=int(outcome is InsertOutcome.DUPLICATE),
+            subsumed=int(outcome is InsertOutcome.SUBSUMED),
+        )
+
+    def record_many(
+        self,
+        rule_label: str | None,
+        pred: str,
+        new: int,
+        duplicates: int,
+        subsumed: int,
+    ) -> None:
+        """Count the derivations of one rule application at once.
+
+        ``pred`` is the rule's head predicate.  A rule or predicate
+        gets a per-key entry only once it has a derivation or a new
+        fact, as when counting derivation by derivation.
+        """
+        derivations = new + duplicates + subsumed
+        if not derivations:
+            return
+        self.derivations += derivations
+        self.derivations_by_rule[rule_label or "?"] += derivations
+        if new:
+            self.new_facts += new
+            self.facts_by_pred[pred] += new
+        self.duplicates += duplicates
+        self.subsumed += subsumed
 
     def as_dict(self) -> dict:
         """A plain-data copy (for run reports and benchmarks)."""

@@ -131,3 +131,18 @@ def test_batch_mode_writes_trace(program_file, tmp_path, capsys):
 
 def test_missing_batch_file_is_a_usage_error(program_file, capsys):
     assert main([str(program_file), "--batch", "/no/such/file"]) == 2
+
+
+@pytest.mark.parametrize(
+    "flag", ["--derivations", "--stats", "--explain", "--show-program"]
+)
+def test_one_shot_flags_are_refused_with_batch(
+    program_file, tmp_path, capsys, flag
+):
+    batch = tmp_path / "requests.txt"
+    batch.write_text("?- cheaporshort(madison, seattle, T, C).\n")
+    assert main([str(program_file), flag, "--batch", str(batch)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert flag in line and "--batch" in line

@@ -17,6 +17,13 @@ included: the ordered index must drop exactly the removed one).  An
 integral value is drawn both as ``3`` and as ``Fraction(3)``: the two
 must make one stored fact.
 
+Indexes are built on first request.  A relation whose indexes are
+first asked for after (or part-way through) a random script of inserts,
+removes and copies must answer every hash, range and stamp probe with
+the same facts in the same order as one whose indexes were all asked
+for before its first insert; and mutating a copy of a partly indexed
+relation must not change what the original answers.
+
 The insert outcome itself is checked against a second model --
 "a duplicate, else subsumed when any stored fact subsumes it" -- over
 random interleavings of inserts, removes, backward sweeps and copies of
@@ -401,3 +408,112 @@ class TestGroundOnlyInsert:
             assert relation.insert(point) is InsertOutcome.NEW
             assert clone.insert(point) is InsertOutcome.SUBSUMED
         assert tracer.metrics.counters["constraint.subsumption_tests"] == 1
+
+
+ground_rows = st.tuples(*[fixed_values] * ARITY)
+index_kinds = st.sampled_from(["hash", "range"])
+
+
+@st.composite
+def scripts(draw, max_size=30):
+    """Insert/remove/copy steps, with "index" steps that ask for one
+    index part-way.  Half the scripts insert only ground facts: a
+    stored constraint fact makes every insert size (so build) every
+    hash index."""
+    pool = draw(st.sampled_from([rows, ground_rows]))
+    return draw(st.lists(
+        st.one_of(
+            st.tuples(st.just("insert"), pool, stamps),
+            st.tuples(st.just("insert"), pool, stamps),
+            st.tuples(st.just("remove"), st.integers(0, 30), st.none()),
+            st.tuples(st.just("copy"), st.none(), st.none()),
+            st.tuples(
+                st.just("index"), st.integers(0, ARITY - 1), index_kinds
+            ),
+        ),
+        max_size=max_size,
+    ))
+
+
+def request(relation: Relation, position: int, kind: str) -> None:
+    """Ask for one index: run a probe that sizes it, drop the answer."""
+    if kind == "hash":
+        list(relation.matching({position: Sym("a")}))
+    else:
+        list(relation.matching(ranges={position: Range()}))
+
+
+def request_all(relation: Relation) -> None:
+    for position in range(ARITY):
+        for kind in ("hash", "range"):
+            request(relation, position, kind)
+
+
+def apply(relation: Relation, op, payload, extra):
+    """One script step on one relation; returns the relation to go on
+    with (its copy after a "copy" step) and an insert's outcome."""
+    if op == "insert":
+        return relation, relation.insert(build_fact(payload), extra)
+    if op == "remove" and len(relation):
+        relation.remove(relation.facts[payload % len(relation)])
+    elif op == "copy":
+        relation = relation.copy()
+    elif op == "index":
+        request(relation, payload, extra)
+    return relation, None
+
+
+def play(script, indexed: Relation, plain: Relation):
+    """Run the script on both relations; "index" steps reach only
+    ``indexed``."""
+    for op, payload, extra in script:
+        indexed, outcome = apply(indexed, op, payload, extra)
+        if op != "index":
+            plain, twin_outcome = apply(plain, op, payload, extra)
+            assert outcome is twin_outcome
+    return indexed, plain
+
+
+def answers(relation: Relation, probe) -> list[Fact]:
+    return list(relation.matching(
+        probe["bound"] or None,
+        max_stamp=probe["max_stamp"],
+        exact_stamp=probe["exact_stamp"],
+        ranges=probe["ranges"] or None,
+    ))
+
+
+class TestLazyIndexes:
+    @given(scripts(), st.lists(probes, min_size=1, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_built_late_answers_as_built_first(self, script, checks):
+        eager = Relation("p", ARITY)
+        request_all(eager)
+        lazy, eager = play(script, Relation("p", ARITY), eager)
+        assert list(lazy) == list(eager)
+        for probe in checks:
+            assert answers(lazy, probe) == answers(eager, probe)
+        for stamp in range(5):
+            assert list(lazy.matching(exact_stamp=stamp)) == list(
+                eager.matching(exact_stamp=stamp)
+            )
+
+    @given(
+        scripts(),
+        scripts(max_size=12),
+        st.lists(probes, min_size=1, max_size=8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_mutating_a_copy_leaves_the_original(
+        self, script, edits, checks
+    ):
+        original, twin = play(
+            script, Relation("p", ARITY), Relation("p", ARITY)
+        )
+        clone = original.copy()
+        for op, payload, extra in edits:
+            if op != "copy":
+                apply(clone, op, payload, extra)
+        request_all(clone)
+        for probe in checks:
+            assert answers(original, probe) == answers(twin, probe)

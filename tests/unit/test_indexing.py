@@ -1,5 +1,7 @@
 """Unit tests for the ordered (range) index and its use in joins."""
 
+import sys
+import threading
 from fractions import Fraction
 
 from repro.constraints.atom import Atom
@@ -9,6 +11,7 @@ from repro.engine import Database, evaluate
 from repro.engine.facts import Fact, make_fact
 from repro.engine.relation import Range, Relation
 from repro.lang.parser import parse_program
+from repro.lang.terms import Sym
 
 
 def pos(i):
@@ -134,3 +137,81 @@ class TestEvaluatorPushdown:
         result = evaluate(program, edb, use_range_index=True)
         assert result.count("mid") == 11
         assert result.stats.probes <= 12
+
+
+class TestIndexesOnRequest:
+    def test_a_run_builds_only_the_indexes_its_plans_probe(self):
+        program = parse_program("cheap(X, C) :- item(X, C), C <= 100.")
+        edb = Database.from_ground(
+            {"item": [(i, i * 7) for i in range(1, 50)]}
+        )
+        result = evaluate(program, edb, use_range_index=True)
+        item = result.database.get("item")
+        assert item._fixed == [None, None]
+        assert item._ordered[0] is None and item._ordered[1] is not None
+        # The input database was copied, not probed: it has none.
+        assert edb.get("item")._ordered == [None, None]
+        # A copy carries the built index and builds no other.
+        clone = result.database.copy().get("item")
+        assert clone._ordered[1] == item._ordered[1]
+        assert clone._ordered[1][1] is not item._ordered[1][1]
+        assert clone._fixed == [None, None] and clone._ordered[0] is None
+
+    def test_racing_readers_build_the_same_indexes(self):
+        facts = [
+            Fact.ground("leg", (f"c{i % 7}", i % 11, (i * 5) % 13))
+            for i in range(300)
+        ]
+        reference = Relation("leg", 3)
+        probes = [
+            ({0: Sym(name)}, None) for name in ("c0", "c3", "c6")
+        ] + [
+            ({1: 4}, None),
+            (None, {1: Range(Fraction(2), False, Fraction(6), True)}),
+            (None, {2: Range(lower=Fraction(9))}),
+            ({0: Sym("c2")}, {2: Range(upper=Fraction(3))}),
+        ]
+        for bound, ranges in probes:  # index everything up front
+            list(reference.matching(bound, ranges=ranges))
+        for fact in facts:
+            reference.insert(fact)
+        expected = [
+            list(reference.matching(bound, ranges=ranges))
+            for bound, ranges in probes
+        ]
+        shared = Relation("leg", 3)
+        for fact in facts:
+            shared.insert(fact)
+        failures = []
+        start = threading.Barrier(6)
+
+        def reader(offset):
+            try:
+                start.wait(timeout=10)
+                for round_ in range(20):
+                    for index in range(len(probes)):
+                        at = (index + offset + round_) % len(probes)
+                        bound, ranges = probes[at]
+                        found = list(
+                            shared.matching(bound, ranges=ranges)
+                        )
+                        if found != expected[at]:
+                            failures.append(at)
+            except Exception as error:  # reported by the assert below
+                failures.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=reader, args=(offset,))
+                for offset in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
