@@ -7,12 +7,14 @@ strategy the driver offers -- ``none`` (evaluate as written), ``pred``,
 7.10 order, which exercises the fold/unfold machinery end to end) --
 plus the compile-once warm-cache path of :class:`repro.service.Session`
 (queried twice: the second, warm answer must match the first) and its
-accumulating one (``warm-magic``: sibling queries of the case's form
-and held-out fact loads interleaved through one magic session, each
-answer checked against the oracle on the EDB as of that request; the
-opt-in ``sharded`` config runs the same schedule through a shard
-cluster).  All complete runs must produce identical answer sets; any
-difference is a :class:`Mismatch` carrying both sides.
+accumulating one (``warm-magic``: sibling queries of the case's form,
+the query with its constants freed, and held-out fact loads
+interleaved through one session each under ``magic``, ``optimal`` and
+``rewrite`` -- where the two forms share one compile and one warm
+database -- each answer checked against the oracle on the EDB as of
+that request; the opt-in ``sharded`` config runs the same schedule
+through a shard cluster).  All complete runs must produce identical
+answer sets; any difference is a :class:`Mismatch` carrying both sides.
 
 Comparison is modulo constraint representation: ground answers compare
 as value tuples, and a non-ground (constraint) answer fact is
@@ -43,7 +45,7 @@ from repro.governor import Budget
 from repro.governor import budget as governor
 from repro.lang.ast import Literal, Program, Query
 from repro.lang.positions import arg_position
-from repro.lang.terms import NumTerm, Sym
+from repro.lang.terms import NumTerm, Sym, Var
 from repro.obs.recorder import count as obs_count, span as obs_span
 
 from repro.conformance.generator import GeneratedCase
@@ -420,21 +422,53 @@ def sibling_queries(case: GeneratedCase, limit: int = 5) -> list[Query]:
     ][:limit]
 
 
+def generalized_query(case: GeneratedCase) -> Query | None:
+    """The case query with each constant freed to a fresh variable.
+
+    A second form of the query predicate: without ``mg`` it shares the
+    case query's compile and warm database.  ``None`` when the query
+    binds no constant.
+    """
+    literal = case.query.literal
+    taken = case.query.variables()
+    fresh = (
+        Var(name)
+        for name in (f"G{index}" for index in itertools.count())
+        if name not in taken
+    )
+    args = tuple(
+        next(fresh)
+        if isinstance(arg, Sym)
+        or (isinstance(arg, NumTerm) and arg.is_constant())
+        else arg
+        for arg in literal.args
+    )
+    if args == literal.args:
+        return None
+    return Query(Literal(literal.pred, args), case.query.constraint)
+
+
 def _held_out_schedule(case: GeneratedCase) -> tuple[list, list]:
     """The case's program less a few EDB facts, and the steps to run.
 
-    The steps ask the case's query and its :func:`sibling_queries`,
-    load a held-out fact (a fact rule) after every second one, then
-    the remaining loads and every query once more: new seeds and loads
-    reach a form's one warm database as deltas, in either order and
-    together.
+    The steps ask the case's query, its :func:`generalized_query` and
+    its :func:`sibling_queries`, load a held-out fact (a fact rule)
+    after every second one, then the remaining loads and every query
+    once more: new seeds and loads reach a warm database as deltas, in
+    either order and together, and two forms that share one database
+    each see what the other's requests folded in.
     """
     proper = {id(rule) for rule in split_edb(case.program)[0]}
     held = [
         rule for rule in case.program if id(rule) not in proper
     ][1::3][:3]
     current = [rule for rule in case.program if rule not in held]
-    queries = [case.query, *sibling_queries(case)]
+    general = generalized_query(case)
+    queries = [
+        case.query,
+        *([general] if general is not None else []),
+        *sibling_queries(case),
+    ]
     loads = list(held)
     steps: list = []
     for index, query in enumerate(queries):
@@ -497,7 +531,7 @@ def _warm_magic_runs(
     strategy: str,
     mutate: "Callable[[Program], Program] | None" = None,
 ) -> list[ConfigRun]:
-    """The :func:`_held_out_schedule` through one magic Session."""
+    """The :func:`_held_out_schedule` through one Session."""
     from repro.service.session import Session
 
     current, steps = _held_out_schedule(case)
@@ -602,7 +636,7 @@ def check_case(
                 elif config == "warm-magic":
                     runs = [
                         run
-                        for strategy in ("magic", "optimal")
+                        for strategy in ("magic", "optimal", "rewrite")
                         for run in _warm_magic_runs(
                             case, settings, strategy, mutate
                         )

@@ -1,10 +1,10 @@
 """A bounded LRU cache of compiled query forms.
 
-One entry per :class:`~repro.service.forms.QueryForm` holds the
-compiled (seed-less) program template plus the form's warm evaluated
-database, when one exists.  Eviction drops both -- the warm database is
-only reachable through its form's entry, so LRU order doubles as the
-warm-state retention policy.
+One entry per compile key (:func:`~repro.service.forms.compile_key`)
+holds the compiled (seed-less) program template plus its warm evaluated
+database, when one exists; every query form with that key shares both.
+Eviction drops both -- the warm database is only reachable through its
+entry, so LRU order doubles as the warm-state retention policy.
 
 Counters: ``service.cache_hits`` / ``service.cache_misses`` on lookup,
 ``service.cache_evictions`` when capacity forces an entry out.
@@ -15,11 +15,10 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Hashable, Iterator
 
 from repro.config import DEFAULT_CACHE_SIZE
 from repro.obs.recorder import count as obs_count
-from repro.service.forms import QueryForm
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.service.session import CompiledForm, WarmState
@@ -37,10 +36,10 @@ class CacheEntry:
     """A cached compiled form plus its one warm state (or ``None``).
 
     ``lock`` serializes *evaluation* against this entry: concurrent
-    requests for the same form take it around their warm-state lookup,
-    (re-)evaluation, and answer extraction, so two threads can never
-    resume the same warm database at once (requests for different
-    forms proceed in parallel).
+    requests for its compile key take it around their warm-state
+    lookup, (re-)evaluation, and answer extraction, so two threads can
+    never resume the same warm database at once (requests for different
+    keys proceed in parallel).
     """
 
     compiled: "CompiledForm"
@@ -48,7 +47,7 @@ class CacheEntry:
     lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
-    #: The adaptive planner's per-form measurements
+    #: The adaptive planner's measurements of the last form served
     #: (:class:`repro.planner.adaptive.PlanRecord`), when the session
     #: runs with the ``auto`` strategy.
     plan_record: object = field(
@@ -72,13 +71,13 @@ class CacheEntry:
 
 
 class FormCache:
-    """Least-recently-used mapping from query forms to cache entries."""
+    """Least-recently-used mapping from compile keys to cache entries."""
 
     def __init__(self, capacity: int = DEFAULT_CACHE_SIZE) -> None:
         if capacity < 1:
             raise ValueError(f"cache capacity must be >= 1: {capacity}")
         self.capacity = capacity
-        self._entries: OrderedDict[QueryForm, CacheEntry] = OrderedDict()
+        self._entries: OrderedDict[Hashable, CacheEntry] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -86,39 +85,39 @@ class FormCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, form: QueryForm) -> bool:
-        return form in self._entries
+    def __contains__(self, key: Hashable) -> bool:
+        return key in self._entries
 
     def entries(self) -> Iterator[CacheEntry]:
         """The live entries, least recently used first."""
         return iter(self._entries.values())
 
-    def peek(self, form: QueryForm) -> CacheEntry | None:
-        """Look a form up without touching recency or hit/miss counts.
+    def peek(self, key: Hashable) -> CacheEntry | None:
+        """Look a key up without touching recency or hit/miss counts.
 
         The double-checked re-lookup of the session's compile
         single-flight: a request that lost the compile race must find
         the winner's entry without double-counting the miss.
         """
-        return self._entries.get(form)
+        return self._entries.get(key)
 
-    def get(self, form: QueryForm) -> CacheEntry | None:
-        """Look a form up, refreshing its recency; counts hit/miss."""
-        entry = self._entries.get(form)
+    def get(self, key: Hashable) -> CacheEntry | None:
+        """Look a key up, refreshing its recency; counts hit/miss."""
+        entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
             obs_count("service.cache_misses")
             return None
-        self._entries.move_to_end(form)
+        self._entries.move_to_end(key)
         self.hits += 1
         obs_count("service.cache_hits")
         return entry
 
-    def put(self, form: QueryForm, compiled: "CompiledForm") -> CacheEntry:
-        """Insert a freshly compiled form, evicting the LRU if full."""
+    def put(self, key: Hashable, compiled: "CompiledForm") -> CacheEntry:
+        """Insert a fresh compile under its key, evicting the LRU if full."""
         entry = CacheEntry(compiled)
-        self._entries[form] = entry
-        self._entries.move_to_end(form)
+        self._entries[key] = entry
+        self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.evictions += 1

@@ -1,16 +1,19 @@
-"""Query forms: canonical keys for compile-once caching.
+"""Query forms and the compile keys that cache their programs.
 
 Two queries have the same *form* when they differ only in constants --
 the parameterized constraint selections of Section 4: ``?-
 cheaporshort(madison, seattle, T, C), C <= 150`` and ``?-
 cheaporshort(chicago, dallas, T, C), C <= 90`` share one form.  Every
 rewriting strategy's output is reusable across a form's instances: the
-constraint-propagation strategies depend only on the query predicate,
-and the magic strategies embed the constants solely in the seed fact,
-which :meth:`repro.service.session.CompiledForm.seed_rule` rebuilds
-per call (:meth:`~repro.service.session.Session.prepare`).
+magic strategies embed the constants solely in the seed fact, which
+:meth:`repro.service.session.CompiledForm.seed_rule` rebuilds per call
+(:meth:`~repro.service.session.Session.prepare`).  The
+constraint-propagation strategies go further: ``Constraint_rewrite``
+seeds its QRP constraints with *true* for the query predicate, so their
+output depends on the query predicate alone, and every form of one
+predicate shares one compile (:func:`compile_key`).
 
-The canonical key is
+The canonical form is
 
 * the query predicate and arity,
 * the bf-adornment (constants are bound -- Section 7.5),
@@ -23,14 +26,15 @@ The canonical key is
 The partition is conservative: :class:`repro.constraints.atom.Atom`
 scales coefficients to coprime integers *including* the constant, so
 ``2X <= 100`` (stored as ``X <= 50``) and ``2X <= 101`` land in
-different forms.  Splitting a true form across cache entries costs a
-recompile, never an incorrect answer.
+different forms.  Under a magic strategy, splitting a true form across
+cache entries costs a recompile, never an incorrect answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.pipeline import STRATEGY_SEQUENCES
 from repro.lang.ast import Query
 from repro.lang.normalize import normalize_query
 from repro.lang.terms import NumTerm, Sym, Var
@@ -114,3 +118,15 @@ def canonicalize(query: Query) -> tuple[QueryForm, tuple[str, ...]]:
         ),
         tuple(params),
     )
+
+
+def compile_key(form: QueryForm, strategy: str) -> tuple:
+    """What a compile of ``form`` under ``strategy`` depends on.
+
+    ``(strategy, pred, arity)`` for the strategies without ``mg``; the
+    magic strategies adorn the program by the form's bindings, so for
+    them the key is ``(strategy, form)``.
+    """
+    if "mg" in STRATEGY_SEQUENCES[strategy]:
+        return (strategy, form)
+    return (strategy, form.pred, form.arity)

@@ -5,14 +5,15 @@ and splits a program **once**, then answers any number of queries and
 fact loads against the same state:
 
 * Each query is canonicalized to a :class:`~repro.service.forms.QueryForm`
-  and compiled at most once per form (LRU-bounded, :meth:`prepare`).
-  For the magic strategies the cached artifact is the *seed-less*
-  template; the seed fact -- the only place query constants appear
-  (Appendix B builds it as a runtime fact) -- is rebuilt from the
-  actual call by :meth:`CompiledForm.seed_rule`.  The
+  and compiled at most once per compile key (LRU-bounded,
+  :meth:`prepare`; :func:`~repro.service.forms.compile_key`).  For the
+  magic strategies the key is the form and the cached artifact is the
+  *seed-less* template; the seed fact -- the only place query
+  constants appear (Appendix B builds it as a runtime fact) -- is
+  rebuilt from the actual call by :meth:`CompiledForm.seed_rule`.  The
   constraint-propagation strategies depend only on the query
-  predicate, so their cached program is reused verbatim.
-* The first evaluation of a form leaves its one **warm**
+  predicate, so every form of it shares one compile, used verbatim.
+* The first evaluation of a compile key leaves its one **warm**
   :class:`WarmState` -- the evaluated database and its final iteration
   stamp.  A later request folds what that database lacks
   (:meth:`warm_delta`) into it with one
@@ -21,7 +22,7 @@ fact loads against the same state:
   facts, seeds included), or reads the answer straight off; so does a
   shard worker (:mod:`repro.shard.worker`), one round at a time.
   Truncated evaluations are *never* kept warm -- a
-  truncated resume drops the form's whole accumulated database -- and
+  truncated resume drops the key's whole accumulated database -- and
   degraded (fallback) compiles are never cached: cached state must
   reproduce exactly what a cold run would.
 * Every request runs under its own fresh budget meter (from the
@@ -32,7 +33,7 @@ fact loads against the same state:
   (:class:`~repro.service.sync.RWLock`): any number of queries run
   concurrently, while :meth:`add_facts` epochs are exclusive, so a
   query always sees a consistent EDB + fact-log state.  Within the
-  concurrent-query side, form compiles are single-flight (the first
+  concurrent-query side, compiles are single-flight (the first
   request compiles, racers wait and reuse) and evaluation against one
   cache entry is serialized by the entry's lock, so two threads never
   resume the same warm database at once.  The supervisor
@@ -75,20 +76,21 @@ from repro.service.cache import (
     DEFAULT_CACHE_SIZE,
     FormCache,
 )
-from repro.service.forms import QueryForm, canonicalize
+from repro.service.forms import QueryForm, canonicalize, compile_key
 from repro.service.sync import RWLock
 
 
 @dataclass
 class CompiledForm:
-    """The reusable optimization artifact of one query form.
+    """The reusable optimization artifact of one compile key.
 
-    ``template`` is the optimized program with the magic seed (if any)
-    stripped; ``seed_pred`` names the magic predicate the seed must
-    define, or ``None`` for the seed-less strategies.  ``cacheable`` is
-    False when the compile degraded (budget fallbacks): a degraded
-    rewrite is specific to the budget weather it was compiled under,
-    so it serves this request only.
+    ``form`` is the query form that compiled it, the key's own under a
+    magic strategy.  ``template`` is the optimized program with the
+    magic seed (if any) stripped; ``seed_pred`` names the magic
+    predicate the seed must define, or ``None`` for the seed-less
+    strategies.  ``cacheable`` is False when the compile degraded
+    (budget fallbacks): a degraded rewrite is specific to the budget
+    weather it was compiled under, so it serves this request only.
     """
 
     form: QueryForm
@@ -101,7 +103,7 @@ class CompiledForm:
 
     @property
     def cacheable(self) -> bool:
-        """Safe to reuse for other instances of the form?"""
+        """Safe to reuse for other requests of its compile key?"""
         return not self.fallbacks
 
     def seed_rule(self, query: Query) -> Rule | None:
@@ -140,7 +142,7 @@ class CompiledForm:
 
 @dataclass
 class WarmState:
-    """A form's evaluated database, reusable across requests.
+    """A compile key's evaluated database, reusable across requests.
 
     ``last_stamp`` is the highest iteration stamp stored, so the next
     delta (loaded facts, a new seed) enters at ``last_stamp + 1``;
@@ -276,10 +278,10 @@ class Session:
         # Concurrency discipline: queries share, fact loads exclude
         # (module docstring).  ``_mutex`` guards the form cache, the
         # compile-lock table, and the request/error counters;
-        # ``_compile_locks`` makes form compiles single-flight.
+        # ``_compile_locks`` makes compiles single-flight per key.
         self._rw = RWLock()
         self._mutex = threading.Lock()
-        self._compile_locks: dict[QueryForm, threading.Lock] = {}
+        self._compile_locks: dict[tuple, threading.Lock] = {}
 
     # -- the two request kinds ----------------------------------------
 
@@ -378,31 +380,33 @@ class Session:
             error_message=str(error),
         )
 
-    def _compile_lock(self, form: QueryForm) -> threading.Lock:
-        """The single-flight lock for one form's compile."""
+    def _compile_lock(self, key: tuple) -> threading.Lock:
+        """The single-flight lock for one compile key."""
         with self._mutex:
             if len(self._compile_locks) > max(
                 1024, 4 * self._cache.capacity
             ):
-                # Evicted forms leave dead locks behind; dropping the
+                # Evicted keys leave dead locks behind; dropping the
                 # table is safe (its absence only risks a duplicate
                 # compile, never a wrong answer).
                 self._compile_locks.clear()
-            return self._compile_locks.setdefault(
-                form, threading.Lock()
-            )
+            return self._compile_locks.setdefault(key, threading.Lock())
 
-    def prepare(self, query: Query) -> tuple[CacheEntry, bool]:
-        """The query form's cache entry, and whether it was a hit.
+    def prepare(
+        self, query: Query
+    ) -> tuple[CacheEntry, bool, QueryForm]:
+        """The query's cache entry, whether it was a hit, and its form.
 
-        Compiles at most once per form: concurrent first requests are
-        single-flight (the race winner compiles, the others wait on the
-        form's lock and reuse the artifact), and an entry compiled
-        under another strategy (the adaptive planner switched) is
-        replaced the same way.  Evaluation is the caller's --
-        :meth:`query`, or a shard worker stepping exchange rounds
-        (:mod:`repro.shard.worker`); so is converting the
-        :class:`~repro.errors.ReproError` of a failed compile.
+        Compiles at most once per compile key, so forms that compile
+        alike share one entry; the form returned is the request's own,
+        which ``entry.compiled.form`` need not be.  Concurrent first
+        requests are single-flight (the race winner compiles, the
+        others wait on the key's lock and reuse the artifact); a
+        strategy the adaptive planner switched to is another key.
+        Evaluation is the caller's -- :meth:`query`, or a shard worker
+        stepping exchange rounds (:mod:`repro.shard.worker`); so is
+        converting the :class:`~repro.errors.ReproError` of a failed
+        compile.
         """
         form, __ = canonicalize(query)
         strategy = self._strategy
@@ -410,25 +414,23 @@ class Session:
             # Planner state has its own lock; safe under the shared
             # (reader) side of the session's RW discipline.
             strategy = self._planner.decide(str(form), query)
+        key = compile_key(form, strategy)
         with self._mutex:
-            entry = self._cache.get(form)
-        if entry is not None and entry.compiled.strategy == strategy:
-            return entry, True
-        with self._compile_lock(form):
+            entry = self._cache.get(key)
+        if entry is not None:
+            return entry, True, form
+        with self._compile_lock(key):
             with self._mutex:
-                entry = self._cache.peek(form)
-            if (
-                entry is not None
-                and entry.compiled.strategy == strategy
-            ):
-                return entry, True  # a racer compiled it first
+                entry = self._cache.peek(key)
+            if entry is not None:
+                return entry, True, form  # a racer compiled it first
             compiled = self._compile(query, form, strategy)
             if compiled.cacheable:
                 with self._mutex:
-                    entry = self._cache.put(form, compiled)
+                    entry = self._cache.put(key, compiled)
             else:
                 entry = CacheEntry(compiled)  # serve-once, never stored
-            return entry, False
+            return entry, False, form
 
     def warm_delta(
         self, compiled: CompiledForm, warm: WarmState, query: Query
@@ -461,18 +463,19 @@ class Session:
     def _answer(
         self, query: Query, meter: BudgetMeter | None
     ) -> Response:
-        entry, cached = self.prepare(query)
+        entry, cached, form = self.prepare(query)
         # Evaluation against one entry is serialized by its lock, so a
         # warm database is never resumed by two threads at once;
-        # different forms evaluate in parallel.
+        # different entries evaluate in parallel.
         started = time.perf_counter()
         with entry.lock:
             response = self._evaluate_entry(query, entry, cached, meter)
+        response.form = str(form)
         if self._planner is not None:
             # The first run after a (re)compile pays the compile bill;
             # the planner records it but keeps it out of warm means.
             entry.plan_record = self._planner.observe(
-                str(entry.compiled.form),
+                str(form),
                 entry.compiled.strategy,
                 time.perf_counter() - started,
                 cold=not cached,
@@ -553,7 +556,6 @@ class Session:
             query=query,
             answers=found,
             completeness=completeness,
-            form=str(compiled.form),
             cached=cached,
             warm=warm is not None,
             resumed=warm is not None and result is not None,
@@ -564,7 +566,7 @@ class Session:
     def _compile(
         self, query: Query, form: QueryForm, strategy: str
     ) -> CompiledForm:
-        """Run the strategy's rewrite once for this form."""
+        """Run the strategy's rewrite once for this compile key."""
         obs_count("service.form_compiles")
         with obs_span(
             "service.compile", form=str(form), strategy=strategy

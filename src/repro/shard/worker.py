@@ -25,8 +25,8 @@ Each query runs under its own per-shard budget meter built from the
 handshake's budget spec, and every request is error-isolated: a
 ``REPRO_*`` failure becomes an error reply, never a dead worker.
 
-Warm state is the session's, one database per compiled form: at
-``q_start`` the worker checks the form's
+Warm state is the session's, one database per cache entry: at
+``q_start`` the worker checks the entry's
 :class:`~repro.service.session.WarmState` out to the query, builds its
 delta (:meth:`~repro.service.session.Session.warm_delta`: the EDB
 facts loaded since, plus the call's seed as a fact) and replies with
@@ -290,9 +290,9 @@ class ShardWorker:
         query = parse_query(frame["query"])
         meter = self._meter(frame)
         with self._governed(meter):
-            entry, cached = self.session.prepare(query)
-        # Check the form's one warm state out to this query: a
-        # concurrent query of the form finds none and runs cold.
+            entry, cached, form = self.session.prepare(query)
+        # Check the entry's one warm state out to this query: a
+        # concurrent query of the entry finds none and runs cold.
         warm, entry.warm = entry.warm, None
         state = _EvalState(entry, query, meter, warm)
         if warm is not None:
@@ -309,7 +309,7 @@ class ShardWorker:
             "ok": True,
             "warm": warm.origin if warm is not None else None,
             "delta": len(state.pending) + state.seeded,
-            "form": str(compiled.form),
+            "form": str(form),
             "cached": cached,
             "notes": list(compiled.notes),
             "fallbacks": list(compiled.fallbacks),

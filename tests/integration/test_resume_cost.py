@@ -84,7 +84,7 @@ def test_exchange_step_probes_are_scale_free(time, cost):
     per_width = []
     for width in WIDTHS:
         session, query, network = _session(width)
-        entry, __ = session.prepare(query)
+        entry, __, __ = session.prepare(query)
         program, __ = entry.compiled.specialize(query)
         result = evaluate(program, session.edb)
         assert result.reached_fixpoint

@@ -64,7 +64,7 @@ def test_one_evaluation_then_deltas(stream):
         responses.append(response)
         # What a per-seed policy pays for a seed it holds no state for.
         query = parse_query(op.text)
-        entry, __ = reference.session.prepare(query)
+        entry, __, __ = reference.session.prepare(query)
         specialized, __ = entry.compiled.specialize(query)
         cold = evaluate(specialized, reference.session.edb)
         cold_derivations += cold.stats.derivations

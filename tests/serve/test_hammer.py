@@ -10,12 +10,16 @@ way) and checks the two load-bearing invariants:
   program is monotone, so anything else is a torn read), and
 * no fact-load epoch is lost -- the final epoch equals the number of
   effective loads, and the final answers equal the sequential run's.
+
+The queriers ask three forms of one predicate, which under the default
+``rewrite`` strategy share one compile and one warm database, so
+every load folded in by one form's request must reach the others.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
-
 
 from repro.service.engine import Engine
 
@@ -27,6 +31,8 @@ edge(n0, n1, 1).
 """
 
 QUERY = "?- reach(n0, X, C)."
+#: Three forms of ``reach``: one cache entry under ``rewrite``.
+FORMS = (QUERY, "?- reach(X, n9, C).", "?- reach(X, Y, C), C <= 3.")
 
 #: Chain facts loaded while queries run: edge(n1, n2, 1) ... -- each
 #: one extends the reachable set, so progress is observable.
@@ -39,17 +45,17 @@ QUERIERS = 4
 QUERIES_EACH = 8
 
 
-def _sequential_answers() -> list[str]:
+def _sequential_answers(query: str = QUERY) -> list[str]:
     engine = Engine.from_text(PROGRAM)
     for spec in CHAIN:
         assert engine.add_facts(spec).ok
-    return sorted(engine.query(QUERY).answer_strings)
+    return sorted(engine.query(query).answer_strings)
 
 
 def test_hammer_matches_sequential_and_loses_no_epochs():
     engine = Engine.from_text(PROGRAM)
     errors: list[str] = []
-    observed: list[list[str]] = []
+    observed: list[tuple[str, list[str]]] = []
     lock = threading.Lock()
     start = threading.Barrier(LOADERS + QUERIERS)
 
@@ -64,10 +70,10 @@ def test_hammer_matches_sequential_and_loses_no_epochs():
                         f"(added={response.added})"
                     )
 
-    def querier() -> None:
+    def querier(query: str) -> None:
         start.wait()
         for _ in range(QUERIES_EACH):
-            response = engine.query(QUERY)
+            response = engine.query(query)
             if not response.ok:
                 with lock:
                     errors.append(
@@ -75,32 +81,42 @@ def test_hammer_matches_sequential_and_loses_no_epochs():
                     )
                 continue
             with lock:
-                observed.append(sorted(response.answer_strings))
+                observed.append((query, sorted(response.answer_strings)))
 
     chunks = [CHAIN[index::LOADERS] for index in range(LOADERS)]
     threads = [
         threading.Thread(target=loader, args=(chunk,))
         for chunk in chunks
     ] + [
-        threading.Thread(target=querier) for _ in range(QUERIERS)
+        threading.Thread(target=querier, args=(FORMS[index % 3],))
+        for index in range(QUERIERS)
     ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=90)
-        assert not thread.is_alive(), "hammer thread hung"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=90)
+            assert not thread.is_alive(), "hammer thread hung"
+    finally:
+        sys.setswitchinterval(interval)
 
     assert errors == []
     # No lost epochs: every effective load bumped the epoch exactly
     # once.
     assert engine.session.epoch == len(CHAIN)
-    final = sorted(engine.query(QUERY).answer_strings)
-    assert final == _sequential_answers()
+    assert len(engine.session.cache) == 1
+    finals = {
+        query: sorted(engine.query(query).answer_strings)
+        for query in FORMS
+    }
+    for query, final in finals.items():
+        assert final == _sequential_answers(query), query
     # Monotone program + consistent snapshots: every concurrent
     # answer set must be a subset of the final one.
-    final_set = set(final)
-    for answers in observed:
-        assert set(answers) <= final_set
+    for query, answers in observed:
+        assert set(answers) <= set(finals[query])
     assert len(observed) == QUERIERS * QUERIES_EACH
 
 

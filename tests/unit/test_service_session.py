@@ -7,7 +7,7 @@ from repro.driver import answer_query, run_text
 from repro.engine.facts import Fact
 from repro.governor import Budget
 from repro.lang.parser import parse_program, parse_query
-from repro.service import Engine
+from repro.service import Engine, canonicalize
 
 FLIGHTS_TEXT = """
 cheaporshort(S, D, T, C) :- flight(S, D, T, C), T <= 240.
@@ -22,6 +22,10 @@ singleleg(chicago, dallas, 90, 80).
 """
 
 ALL_STRATEGIES = ("none", "pred", "qrp", "rewrite", "magic", "optimal")
+
+
+def own_form(text):
+    return str(canonicalize(parse_query(text))[0])
 
 
 def tracked_engine(strategy="rewrite", **options):
@@ -149,6 +153,138 @@ class TestSeedsAsDeltas:
         assert healthy.answer_strings == self.cold(
             "madison, seattle", strategy
         )
+
+
+class TestSharedCompiles:
+    """Forms that compile alike share one compile and one warm database.
+
+    Without ``mg`` a compile reads the query predicate alone, so every
+    form of it is one cache entry; the magic strategies key on the form.
+    """
+
+    FORMS = (
+        "?- cheaporshort(madison, seattle, T, C).",
+        "?- cheaporshort(S, dallas, T, C).",
+        "?- cheaporshort(S, D, T, C), C <= 150.",
+    )
+    LOADS = (
+        "singleleg(dallas, reno, 10, 20).\n",
+        "singleleg(seattle, dallas, 30, 10).\n",
+    )
+
+    @staticmethod
+    def fresh(strategy, query, loads=()):
+        """The answers of a new session asked only ``query``."""
+        engine = Engine.from_text(
+            FLIGHTS_TEXT + "".join(loads), strategy=strategy
+        )
+        return sorted(engine.query(query).answer_strings)
+
+    def run(self, engine, tracer, steps):
+        """Run queries and loads in order; check every answer fresh.
+
+        Only the session's own requests are recorded on ``tracer``.
+        Each response names its own form, not the one whose compile
+        it shares.
+        """
+        loaded, responses = [], []
+        for step in steps:
+            if step.startswith("?-"):
+                with obs.recording(tracer):
+                    response = engine.query(step)
+                assert sorted(response.answer_strings) == self.fresh(
+                    engine.session.strategy, step, loaded
+                ), step
+                assert response.form == own_form(step)
+                responses.append(response)
+            else:
+                assert engine.add_facts(step).added == 1
+                loaded.append(step)
+        return responses
+
+    @pytest.mark.parametrize("strategy", ("none", "pred", "qrp", "rewrite"))
+    def test_forms_of_one_predicate_share_one_entry(self, strategy):
+        first, second, third = self.FORMS
+        engine, tracer = tracked_engine(strategy)
+        responses = self.run(engine, tracer, [
+            first, self.LOADS[0], second, first,
+            self.LOADS[1], third, second, first,
+        ])
+        assert tracer.metrics.counters.get("service.form_compiles") == 1
+        cache = engine.stats()["cache"]
+        assert (cache["entries"], cache["warm_states"]) == (1, 1)
+        assert [r.cached for r in responses] == [False] + [True] * 5
+        # One database serves them all: only the first ran cold.
+        assert [r.warm for r in responses] == [False] + [True] * 5
+
+    @pytest.mark.parametrize("strategy", ("magic", "optimal"))
+    def test_magic_adornments_get_separate_entries(self, strategy):
+        first, second, __ = self.FORMS
+        engine, tracer = tracked_engine(strategy)
+        self.run(engine, tracer, [
+            first, second, self.LOADS[0], first, second,
+            "?- cheaporshort(chicago, dallas, T, C).",
+        ])
+        assert tracer.metrics.counters.get("service.form_compiles") == 2
+        cache = engine.stats()["cache"]
+        assert (cache["entries"], cache["warm_states"]) == (2, 2)
+        adornments = {
+            entry.compiled.form.adornment
+            for entry in engine.session.cache.entries()
+        }
+        assert adornments == {"bbff", "fbff"}
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    def test_two_predicates_never_share(self, strategy):
+        # Same arity: only the predicate tells the two keys apart.
+        engine, tracer = tracked_engine(strategy)
+        self.run(engine, tracer, [
+            self.FORMS[0],
+            "?- flight(madison, seattle, T, C).",
+            self.LOADS[0],
+            "?- flight(S, D, T, C).",
+            self.FORMS[1],
+        ])
+        # Under magic each adornment is an entry of its own as well.
+        expected = 4 if strategy in ("magic", "optimal") else 2
+        assert len(engine.session.cache) == expected
+
+    def test_auto_strategies_never_share(self):
+        """Forms the planner gives different strategies, one entry each."""
+        engine, tracer = tracked_engine("auto")
+        picks = {"bbff": "rewrite", "fbff": "none", "ffff": "rewrite"}
+        engine.session._planner.decide = (
+            lambda form, query: picks[form.split("^")[1].split()[0]]
+        )
+        responses = self.run(engine, tracer, [
+            self.FORMS[0], self.FORMS[1], self.LOADS[0],
+            self.FORMS[2], self.FORMS[1],
+        ])
+        assert tracer.metrics.counters.get("service.form_compiles") == 2
+        assert sorted(
+            entry.compiled.strategy
+            for entry in engine.session.cache.entries()
+        ) == ["none", "rewrite"]
+        # The third form shares the first's rewrite compile.
+        assert [r.cached for r in responses] == [False, False, True, True]
+
+    def test_worker_q_start_names_the_requests_own_form(self):
+        from repro.driver import split_edb
+        from repro.shard.partition import build_plan
+        from repro.shard.worker import ShardWorker
+
+        rules, edb = split_edb(parse_program(FLIGHTS_TEXT))
+        plan, __ = build_plan(rules, edb, 1)
+        worker = ShardWorker({
+            "op": "hello", "shard": 0, "program": FLIGHTS_TEXT,
+            "plan": plan.describe(), "strategy": "rewrite",
+        })
+        for number, text in enumerate(self.FORMS):
+            reply = worker.handle(
+                {"op": "q_start", "qid": f"q{number}", "query": text}
+            )
+            assert reply["ok"] and reply["cached"] == (number > 0)
+            assert reply["form"] == own_form(text)
 
 
 class TestIncrementalFacts:
