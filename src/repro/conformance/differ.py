@@ -448,17 +448,41 @@ def generalized_query(case: GeneratedCase) -> Query | None:
     return Query(Literal(literal.pred, args), case.query.constraint)
 
 
+def fact_lookups(facts: list, rules: Program) -> list[Query]:
+    """Per ground fact of an EDB predicate of ``rules``: its predicate
+    with the first argument bound and the others free.
+
+    Column 0 is a shard plan's default key, so on a cluster each
+    lookup is pruned to one owner shard.
+    """
+    edb = rules.edb_predicates()
+    return [
+        Query(Literal(head.pred, (
+            head.args[0],
+            *(Var(f"L{index}") for index in range(1, len(head.args))),
+        )))
+        for head in (rule.head for rule in facts)
+        if head.pred in edb and head.args and all(
+            isinstance(arg, Sym)
+            or (isinstance(arg, NumTerm) and arg.is_constant())
+            for arg in head.args
+        )
+    ]
+
+
 def _held_out_schedule(case: GeneratedCase) -> tuple[list, list]:
     """The case's program less a few EDB facts, and the steps to run.
 
-    The steps ask the case's query, its :func:`generalized_query` and
-    its :func:`sibling_queries`, load a held-out fact (a fact rule)
-    after every second one, then the remaining loads and every query
-    once more: new seeds and loads reach a warm database as deltas, in
-    either order and together, and two forms that share one database
-    each see what the other's requests folded in.
+    The steps ask the case's query, its :func:`generalized_query`, its
+    :func:`sibling_queries` and the :func:`fact_lookups` of the held
+    facts, load a held-out fact (a fact rule) after every second one,
+    then the remaining loads and every query once more: new seeds and
+    loads reach a warm database as deltas, in either order and
+    together, and two forms that share one database each see what the
+    other's requests folded in.
     """
-    proper = {id(rule) for rule in split_edb(case.program)[0]}
+    rules = split_edb(case.program)[0]
+    proper = {id(rule) for rule in rules}
     held = [
         rule for rule in case.program if id(rule) not in proper
     ][1::3][:3]
@@ -468,6 +492,7 @@ def _held_out_schedule(case: GeneratedCase) -> tuple[list, list]:
         case.query,
         *([general] if general is not None else []),
         *sibling_queries(case),
+        *fact_lookups(held, rules),
     ]
     loads = list(held)
     steps: list = []

@@ -212,6 +212,13 @@ def optimize(
     with obs_span("optimize", strategy=strategy):
         if not sequence:
             return program, query_pred, []
+        if "mg" in sequence and query_pred in program.edb_predicates():
+            # No rule derives the query predicate: the answers are the
+            # database's own, and there is nothing to adorn or seed.
+            return Program(()), query_pred, [
+                f"{query_pred} is not derived by any rule; "
+                "reading the database"
+            ]
         if strategy == "rewrite":
             # Constraint_rewrite: the two steps under the q1 wrapper.
             done = constraint_rewrite(program, query_pred, **options)

@@ -18,9 +18,10 @@ which is precisely what makes the cross-shard checkpoint a consistent
 cut (:mod:`repro.shard.snapshot`).  A query is routed to the one
 shard owning its bound key when the plan can prove that
 (:meth:`~repro.shard.partition.ShardPlan.seed_shards` -- the magic
-seed's constants picking the shard), and broadcast otherwise; rounds
-then run the delta-exchange loop (:mod:`repro.shard.exchange`) and
-answers are gathered, deduplicated, and deterministically ordered.
+seed's constants picking the shard), and broadcast otherwise.  A
+broadcast runs the delta-exchange loop (:mod:`repro.shard.exchange`)
+and gathers, deduplicates and orders the answers; a pruned query is
+one ``q_start`` frame on which the owner runs, answers and checks in.
 
 Failure policy: every worker interaction is deadline-bounded and
 supervised.  A dead pipe, an expired op deadline, or a missed
@@ -873,34 +874,44 @@ class ShardCoordinator:
             self.counters["scatter_pruned"] += 1
             obs_count("shard.scatter_pruned")
         qid = f"q{next(self._qids)}"
+        solo = len(participants) == 1
+        start = {"op": "q_start", "qid": qid, "query": text}
+        if solo:
+            # Nothing to exchange: the owner's one frame does it all.
+            start["rounds"] = self.eval_iterations
         try:
-            starts = send({
-                shard: {"op": "q_start", "qid": qid, "query": text}
-                for shard in participants
-            })
+            starts = send({shard: start for shard in participants})
             check_replies(starts)
-            warm, rounds = warm_start(starts)
-            outcome = None
-            if rounds:
-                outcome = run_exchange(
-                    send,
-                    participants,
-                    qid,
-                    self.eval_iterations,
-                    warm=warm,
-                )
-                self.counters["rounds"] += outcome.rounds
-                self.counters["exchanged"] += outcome.exchanged
-            with obs_span("shard.gather"):
-                gathered = send({
-                    shard: {
-                        "op": "q_answers",
-                        "qid": qid,
-                        "query": text,
-                    }
-                    for shard in participants
-                })
-            check_replies(gathered)
+            if solo:
+                gathered = starts
+                ((__, reply),) = starts.items()
+                warm, resumed = reply["warm"], reply["resumed"]
+                truncated = reply["truncated"]
+            else:
+                warm, rounds = warm_start(starts)
+                outcome = None
+                if rounds:
+                    outcome = run_exchange(
+                        send,
+                        participants,
+                        qid,
+                        self.eval_iterations,
+                        warm=warm,
+                    )
+                    self.counters["rounds"] += outcome.rounds
+                    self.counters["exchanged"] += outcome.exchanged
+                resumed = warm and outcome is not None
+                truncated = outcome.truncated if outcome else None
+                with obs_span("shard.gather"):
+                    gathered = send({
+                        shard: {
+                            "op": "q_answers",
+                            "qid": qid,
+                            "keep_warm": truncated is None,
+                        }
+                        for shard in participants
+                    })
+                check_replies(gathered)
         except BaseException:
             try:
                 self._scatter({
@@ -910,22 +921,10 @@ class ShardCoordinator:
             except (ShardError, WorkerReplyError):
                 pass
             raise
-        truncated = outcome.truncated if outcome else None
         for reply in gathered.values():
             if reply.get("exhausted") and truncated is None:
                 truncated = str(reply["exhausted"])
         complete = truncated is None
-        try:
-            self._scatter({
-                shard: {
-                    "op": "q_finish",
-                    "qid": qid,
-                    "keep_warm": complete,
-                }
-                for shard in participants
-            })
-        except (ShardError, WorkerReplyError):
-            pass  # warm state is an optimization, never correctness
         first = starts[min(starts)]
         completeness, must_fail = grade(
             "complete" if complete else f"truncated:{truncated}",
@@ -957,7 +956,7 @@ class ShardCoordinator:
                 reply.get("cached") for reply in starts.values()
             ),
             warm=warm,
-            resumed=warm and outcome is not None,
+            resumed=resumed,
             notes=list(first.get("notes", ())),
             epoch=self.epoch,
         )

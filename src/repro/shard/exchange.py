@@ -32,8 +32,9 @@ exhausted resource in its round reply, and the loop stops immediately
 with a truncated outcome instead of delivering further deltas --
 mirroring the single-session governor's truncate-at-a-checkpoint
 behaviour.  The loop itself is transport-agnostic (it only needs a
-``scatter`` callable), which is what the shard test suite exploits to
-drive it against in-process fakes.
+``scatter`` callable): the coordinator drives it over the wire for a
+broadcast query, the sole worker of a pruned query drives it over its
+own round step, and the shard test suite drives it against fakes.
 
 Stragglers are the transport's problem, and the transport solves it:
 the coordinator's ``scatter`` closure carries the request's remaining

@@ -20,7 +20,10 @@ Queries are evaluated *in rounds* (:mod:`repro.shard.exchange`): the
 coordinator steps every participating shard one semi-naive iteration
 at a time (``q_round``), forwarding each round's newly derived tuples
 to the shards that did not derive them, and gathers answers
-(``q_answers``) once the round barrier reports a global fixpoint.
+(``q_answers``) once the round barrier reports a global fixpoint.  A
+query pruned to this one shard is a single ``q_start`` carrying the
+round cap: the worker steps the same rounds itself and replies with
+the answers.
 Each query runs under its own per-shard budget meter built from the
 handshake's budget spec, and every request is error-isolated: a
 ``REPRO_*`` failure becomes an error reply, never a dead worker.
@@ -33,10 +36,12 @@ facts loaded since, plus the call's seed as a fact) and replies with
 the run that left the state and the delta's size.  Round 0 resumes
 the state only when every participant's is that one run's, all or
 none (:mod:`repro.shard.exchange`, :func:`warm_start
-<repro.shard.exchange.warm_start>`).  A complete run's
-``q_finish(keep_warm)`` checks the database back in; any other finish
-drops it.  Loads never land mid-query: the coordinator holds its read
-lock from ``q_start`` to ``q_finish``.
+<repro.shard.exchange.warm_start>`).  Reading the answers ends the
+query: the database is checked back in, stamped with the query as
+its origin, when the run was complete (``keep_warm``) and this
+shard's meter is clean, else dropped; ``q_finish`` only aborts.
+Loads never land mid-query: the coordinator holds its read lock from
+``q_start`` to the answers.
 
 Durability is the serve machinery's, policy included: the worker owns
 a :class:`~repro.serve.snapshot.Snapshotter` over its per-shard
@@ -70,6 +75,7 @@ from repro.lang.parser import parse_program, parse_query
 from repro.obs.recorder import count as obs_count
 from repro.serve.snapshot import Snapshotter
 from repro.service.session import Session, WarmState
+from repro.shard.exchange import run_exchange, warm_start
 from repro.shard.partition import ShardPlan
 from repro.shard.protocol import (
     FrameError,
@@ -193,9 +199,7 @@ class ShardWorker:
             return handler(frame)
         except ReproError as error:
             return self._error(error)
-        except ValueError as error:
-            # Mirror Session.query: bad query shapes (e.g. a magic
-            # rewrite of an EDB predicate) are usage errors.
+        except ValueError as error:  # mirror Session.query
             return self._error(UsageError(str(error)))
         except Exception as error:  # isolation: reply, don't die
             return {
@@ -305,7 +309,7 @@ class ShardWorker:
         self.counters["queries"] += 1
         obs_count("shard.worker_queries")
         compiled = entry.compiled
-        return {
+        reply = {
             "ok": True,
             "warm": warm.origin if warm is not None else None,
             "delta": len(state.pending) + state.seeded,
@@ -314,6 +318,21 @@ class ShardWorker:
             "notes": list(compiled.notes),
             "fallbacks": list(compiled.fallbacks),
         }
+        if "rounds" not in frame:
+            return reply
+        # The sole participant runs the rounds itself, then answers
+        # and checks in as the gather would.
+        warm, rounds = warm_start({self.shard: reply})
+        outcome = rounds and run_exchange(
+            lambda sent: {s: self._op_q_round(p) for s, p in sent.items()},
+            [self.shard], frame["qid"], int(frame["rounds"]), warm=warm,
+        )
+        truncated = outcome.truncated if outcome else None
+        reply.update(
+            self._op_q_answers(dict(frame, keep_warm=not truncated)),
+            truncated=truncated, warm=warm, resumed=warm and bool(outcome),
+        )
+        return reply
 
     def _state(self, frame: dict) -> _EvalState:
         state = self._evals.get(frame["qid"])
@@ -393,19 +412,25 @@ class ShardWorker:
             )
         found = answers_as(
             state.warm.database,
-            parse_query(frame["query"]),
+            state.query,
             state.entry.compiled.query_pred,
         )
         meter = state.meter
+        exhausted = meter.exhausted if meter is not None else None
+        # The gather ends the query: check in a run complete
+        # everywhere whose meter here is clean.
+        self._op_q_finish({
+            "qid": frame["qid"],
+            "keep_warm": frame.get("keep_warm") and not exhausted,
+        })
         return {
             "ok": True,
             "answers": [encode_fact(fact) for fact in found],
-            "exhausted": (
-                meter.exhausted if meter is not None else None
-            ),
+            "exhausted": exhausted,
         }
 
     def _op_q_finish(self, frame: dict) -> dict:
+        """Drop (abort) or, with ``keep_warm``, check the state in."""
         state = self._evals.pop(frame["qid"], None)
         if (
             state is not None

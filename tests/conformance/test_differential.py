@@ -26,6 +26,7 @@ from repro.conformance import (
 from repro.conformance.differ import (
     CheckSettings,
     INJECTIONS,
+    _held_out_schedule,
     generalized_query,
     sibling_queries,
 )
@@ -36,6 +37,7 @@ from repro.conformance.shrinker import (
     still_fails_like,
     write_reproducer,
 )
+from repro.lang.ast import Query
 
 CORPUS = Path(__file__).parent / "corpus"
 CORPUS_CASES = sorted(CORPUS.glob("*.cql"))
@@ -196,6 +198,15 @@ class TestWarmMagicConfig:
                 # The freed query is a second form: magic and optimal
                 # compile it apart, rewrite shares the case query's.
                 compiles += 3 + 2 * (generalized_query(case) is not None)
+                # Each fact lookup's EDB predicate is one more key in
+                # every session.
+                lookups = {
+                    step.literal.pred
+                    for step in _held_out_schedule(case)[1]
+                    if isinstance(step, Query)
+                    and step.literal.pred != case.query.literal.pred
+                }
+                compiles += 3 * len(lookups)
         counters = tracer.metrics.counters
         # One compile per key; seeds and loads entered as deltas.
         assert compiles > 36

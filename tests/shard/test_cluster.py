@@ -22,6 +22,7 @@ import time
 
 import pytest
 
+from repro.governor import Budget
 from repro.lang.parser import parse_program, parse_query
 from repro.service.engine import parse_facts
 from repro.service.session import Session
@@ -420,3 +421,119 @@ def test_serve_cli_rejects_bad_flags(tmp_path, flags, fragment):
     assert result.returncode == 2
     assert fragment in result.stderr
     assert "Traceback" not in result.stderr
+
+
+# -- pruned lookups: one frame, run, answered and checked in on the owner
+
+
+def _counting_calls(engine, monkeypatch):
+    """Patch every client so each non-ping call is recorded by op."""
+    calls: list[tuple[int, str]] = []
+    for client in engine.coordinator._clients:
+        original = client.call
+
+        def call(payload, *args, _client=client, _call=original, **kw):
+            if payload.get("op") != "ping":
+                calls.append((_client.shard, payload.get("op")))
+            return _call(payload, *args, **kw)
+
+        monkeypatch.setattr(client, "call", call)
+    return calls
+
+
+def test_pruned_lookups_interleaved_with_loads(monkeypatch):
+    engine = ShardedEngine.from_text(PROGRAM, 2, heartbeat_interval=0.0)
+    engine.coordinator.start()
+    single = Session(parse_program(PROGRAM))
+    calls = _counting_calls(engine, monkeypatch)
+
+    def lookup(text):
+        query = parse_query(text)
+        owner = engine.coordinator.plan.seed_shards(query)
+        assert owner is not None and len(owner) == 1
+        del calls[:]
+        response = engine.session.query(query)
+        assert response.ok, response.error_message
+        assert calls == [(owner[0], "q_start")]
+        assert answers_of(response) == answers_of(single.query(query))
+        return response
+
+    try:
+        first = lookup("?- edge(n2, Y, C).")
+        assert not first.warm and not first.resumed
+        # Another form of the same compile key, on the same state.
+        again = lookup("?- edge(n2, Z, D).")
+        assert again.warm and not again.resumed
+        for index, fact in enumerate(
+            ["edge(n2, n9, 4).", "edge(n2, n8, 1)."]
+        ):
+            assert engine.add_facts(fact).ok
+            single.add_facts(parse_facts(fact))
+            loaded = lookup(f"?- edge(n2, Y{index}, C).")
+            assert loaded.warm and loaded.resumed
+            assert len(loaded.answers) == 3 + index
+    finally:
+        engine.coordinator.close(drain=False)
+
+
+@pytest.mark.parametrize(
+    "options",
+    [{"budget": Budget(max_facts=3)}, {"eval_iterations": 2}],
+    ids=["meter", "round-cap"],
+)
+def test_budget_truncated_solo_run_keeps_no_warm_state(options):
+    # Under ``none`` an edge lookup still computes every reach fact:
+    # the worker's meter trips, or the round cap cuts the run.
+    engine = ShardedEngine.from_text(
+        PROGRAM, 2, strategy="none", heartbeat_interval=0.0, **options
+    )
+    engine.coordinator.start()
+    try:
+        for variable in ("Y", "Z"):
+            query = parse_query(f"?- edge(n1, {variable}, C).")
+            assert engine.coordinator.plan.seed_shards(query)
+            response = engine.session.query(query)
+            assert response.ok
+            assert response.completeness.startswith("truncated:")
+            assert not response.warm and not response.resumed
+    finally:
+        engine.coordinator.close(drain=False)
+
+
+def test_broadcast_cut_at_the_round_cap_keeps_no_warm_state():
+    engine = ShardedEngine.from_text(
+        PROGRAM, 2, eval_iterations=2, heartbeat_interval=0.0
+    )
+    engine.coordinator.start()
+    try:
+        for variable in ("Y", "Z"):
+            response = engine.session.query(
+                parse_query(f"?- reach(n1, {variable}).")
+            )
+            assert response.completeness == "truncated:iterations"
+            assert not response.warm
+    finally:
+        engine.coordinator.close(drain=False)
+
+
+def test_solo_check_in_makes_the_next_broadcast_cold():
+    engine = ShardedEngine.from_text(PROGRAM, 2, heartbeat_interval=0.0)
+    engine.coordinator.start()
+    plan = engine.coordinator.plan
+    try:
+        broadcast = parse_query("?- edge(X, n3, C).")
+        assert plan.seed_shards(broadcast) is None
+        assert not engine.session.query(broadcast).warm
+        # The owner's solo run resumes the broadcast's state, then
+        # checks it in as its own: the two shards now disagree.
+        solo = parse_query("?- edge(n1, Y, C).")
+        assert plan.seed_shards(solo) is not None
+        assert engine.session.query(solo).warm
+        # Same compile key, new text (the answer cache must miss).
+        again = engine.session.query(parse_query("?- edge(Z, n3, D)."))
+        assert again.answer_strings == ["D = 1, Z = n2"]
+        assert not again.warm
+        # ... which left every shard on one origin again.
+        assert engine.session.query(parse_query("?- edge(W, n3, C).")).warm
+    finally:
+        engine.coordinator.close(drain=False)

@@ -163,6 +163,37 @@ def test_hang_fault_is_detected_killed_and_query_retried():
         engine.coordinator.close(drain=False)
 
 
+def test_hang_on_a_pruned_lookup_is_detected_and_retried():
+    # The same fault on the solo path: a pruned lookup is one q_start
+    # frame to its owner, so the owner's second lookup wedges there.
+    engine = ShardedEngine.from_text(
+        PROGRAM,
+        2,
+        faults="hang:q_start:2:1",
+        op_timeout=2.0,
+        heartbeat_interval=0.5,
+    )
+    engine.coordinator.start()
+    try:
+        first = parse_query("?- edge(n1, Y, C).")
+        second = parse_query("?- edge(n1, Z, D).")
+        owners = engine.coordinator.plan.seed_shards(first)
+        assert owners is not None and len(owners) == 1
+        assert engine.session.query(first).ok
+        started = time.monotonic()
+        response = engine.session.query(second)
+        elapsed = time.monotonic() - started
+        assert response.ok, response.error_message
+        assert response.answer_strings == ["D = 1, Z = n2", "D = 5, Z = n4"]
+        counters = engine.coordinator.counters
+        assert counters["hangs"] == 1
+        assert counters["respawns"] == 1
+        assert counters["round_retries"] == 1
+        assert elapsed < 20.0
+    finally:
+        engine.coordinator.close(drain=False)
+
+
 def test_sigstop_worker_heartbeat_detects_and_recovers(tmp_path):
     engine = ShardedEngine.from_text(
         PROGRAM,
