@@ -313,8 +313,23 @@ class Atom:
         return Atom(self._expr.substitute(bindings), self._op)
 
     def rename(self, mapping: Mapping[str, str]) -> "Atom":
-        """Rename variables."""
-        return Atom(self._expr.rename(mapping), self._op)
+        """Rename variables.
+
+        Renaming without a merge keeps the coefficients, so the atom
+        stays coprime: the renamed terms are re-sorted, and an equality
+        whose new leading coefficient is negative flips its sign.  Only
+        a rename that merges two variables re-normalizes from scratch.
+        """
+        terms = self._sort[1]
+        renamed = [(mapping.get(var, var), coeff) for var, coeff in terms]
+        if len({var for var, __ in renamed}) < len(renamed):
+            return Atom(self._expr.rename(mapping), self._op)
+        renamed.sort()
+        constant = self._expr.constant
+        if self._op is Op.EQ and renamed and renamed[0][1] < 0:
+            renamed = [(var, -coeff) for var, coeff in renamed]
+            constant = -constant
+        return Atom._intern(tuple(renamed), constant, self._op)
 
     def satisfied_by(self, assignment: Mapping[str, Coefficient]) -> bool:
         """Evaluate the atom under a total assignment."""

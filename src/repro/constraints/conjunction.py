@@ -71,13 +71,17 @@ class Conjunction:
                 kept.append(atom)
         if false:
             kept = [FALSE_ATOM]
-        key = tuple(sorted(kept, key=Atom.sort_key))
+        return Conjunction._intern(tuple(sorted(kept, key=Atom.sort_key)))
+
+    @staticmethod
+    def _intern(key: tuple[Atom, ...]) -> "Conjunction":
+        """The one conjunction of a sorted, deduplicated atom tuple."""
 
         def build() -> "Conjunction":
-            self = object.__new__(cls)
+            self = object.__new__(Conjunction)
             self._atoms = key
             self._hash = hash(key)
-            self._sat = False if false else None
+            self._sat = False if key == (FALSE_ATOM,) else None
             self._vars = None
             self._canon = None
             return self
@@ -164,8 +168,18 @@ class Conjunction:
         return Conjunction((*self._atoms, atom))
 
     def rename(self, mapping: Mapping[str, str]) -> "Conjunction":
-        """Rename variables."""
-        return Conjunction(atom.rename(mapping) for atom in self._atoms)
+        """Rename variables.
+
+        A rename that is injective on the variables maps distinct
+        non-ground atoms to distinct non-ground atoms, so the renamed
+        tuple needs only sorting; a merging rename may make atoms
+        coincide or turn ground, and takes the general path.
+        """
+        renamed = [atom.rename(mapping) for atom in self._atoms]
+        names = self.variables()
+        if len({mapping.get(var, var) for var in names}) < len(names):
+            return Conjunction(renamed)
+        return Conjunction._intern(tuple(sorted(renamed, key=Atom.sort_key)))
 
     def substitute(
         self, bindings: Mapping[str, LinearExpr]

@@ -212,9 +212,10 @@ def optimize(
     with obs_span("optimize", strategy=strategy):
         if not sequence:
             return program, query_pred, []
-        if "mg" in sequence and query_pred in program.edb_predicates():
+        if query_pred not in program.derived_predicates():
             # No rule derives the query predicate: the answers are the
-            # database's own, and there is nothing to adorn or seed.
+            # database's own (none when no fact holds it either), and
+            # there is nothing to propagate, adorn or seed.
             return Program(()), query_pred, [
                 f"{query_pred} is not derived by any rule; "
                 "reading the database"

@@ -47,21 +47,28 @@ def ptol(literal: Literal, cset: ConstraintSet) -> ConstraintSet:
     matching the literal); if *every* disjunct is dropped the result is
     ``false``.
     """
+    names: dict[str, str] = {}
     bindings: dict[str, LinearExpr] = {}
     symbolic: set[str] = set()
     for index, arg in enumerate(literal.args, start=1):
         name = arg_position(index)
         if isinstance(arg, Var):
+            names[name] = arg.name
             bindings[name] = arg.to_expr()
         elif isinstance(arg, NumTerm):
             bindings[name] = arg.expr
         elif isinstance(arg, Sym):
             symbolic.add(name)
+    # With no arithmetic argument the substitution is a renaming.
+    rename = len(names) == len(bindings)
     kept: list[Conjunction] = []
     for disjunct in cset.disjuncts:
         if disjunct.variables() & symbolic:
             continue
-        kept.append(disjunct.substitute(bindings))
+        kept.append(
+            disjunct.rename(names) if rename
+            else disjunct.substitute(bindings)
+        )
     return ConstraintSet(kept)
 
 
@@ -71,10 +78,8 @@ def ptol_conjunction(
     """PTOL of a single conjunction; symbolic positions must be absent."""
     result = ptol(literal, ConstraintSet.of(conjunction))
     if result.is_false():
-        if not conjunction.is_satisfiable():
-            return Conjunction.false()
-        # A constrained symbolic position: the conjunction denotes no
-        # fact matching the literal.
+        # Unsatisfiable, or a constrained symbolic position: either way
+        # the conjunction denotes no fact matching the literal.
         return Conjunction.false()
     (single,) = result.disjuncts
     return single
@@ -89,7 +94,29 @@ def ltop(literal: Literal, cset: ConstraintSet) -> ConstraintSet:
     positions receive no constraint.  Constants in the literal *do*
     produce position constraints (``$i = c``), which is what lets query
     constants flow into QRP constraints.
+
+    When the literal's variable arguments are distinct (every literal
+    of a normalized program), ``Yi = Xi`` is a renaming: each disjunct
+    is projected onto the literal's own variables, which are then
+    renamed to their positions.
     """
+    positions: dict[str, str] = {}
+    for index, arg in enumerate(literal.args, start=1):
+        if isinstance(arg, NumTerm) or (
+            isinstance(arg, Var) and arg.name in positions
+        ):
+            return _ltop_fresh(literal, cset)
+        if isinstance(arg, Var):
+            positions[arg.name] = arg_position(index)
+    return ConstraintSet(
+        disjunct.project(positions).rename(positions)
+        for disjunct in cset.disjuncts
+    )
+
+
+def _ltop_fresh(literal: Literal, cset: ConstraintSet) -> ConstraintSet:
+    """:func:`ltop` through fresh variables: the general construction,
+    for literals with repeated variables or arithmetic terms."""
     fresh_names = [f"@{index}" for index in range(1, literal.arity + 1)]
     equalities: list[Atom] = []
     for index, arg in enumerate(literal.args, start=1):

@@ -119,9 +119,11 @@ def _apply(rule: Rule, bindings: dict[str, Term]) -> Rule:
     """Apply a substitution to a rule (constraints included)."""
     if not bindings:
         return rule
+    names = {}
     numeric = {}
     for name, term in bindings.items():
         if isinstance(term, Var):
+            names[name] = term.name
             numeric[name] = term.to_expr()
         elif isinstance(term, NumTerm):
             numeric[name] = term.expr
@@ -134,10 +136,12 @@ def _apply(rule: Rule, bindings: dict[str, Term]) -> Rule:
                 f"substituting symbol {term} for {name} which occurs in "
                 f"arithmetic constraints of {rule}"
             )
+    # Variables for variables is a renaming of the constraint.
     return Rule(
         rule.head.substitute(bindings),
         tuple(literal.substitute(bindings) for literal in rule.body),
-        rule.constraint.substitute(numeric),
+        rule.constraint.rename(names) if len(names) == len(numeric)
+        else rule.constraint.substitute(numeric),
         rule.label,
     )
 

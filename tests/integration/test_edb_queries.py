@@ -1,18 +1,21 @@
-"""A query over an EDB predicate answers alike under every strategy.
+"""A query over a predicate no rule derives answers alike everywhere.
 
-No rule derives ``edge``, so there is nothing for a magic rewrite to
-adorn or seed: ``magic`` and ``optimal`` compile to an empty rule set
-and read the database, as ``none`` does.  Checked through the one-shot
-driver, a :class:`~repro.service.session.Session` (cold, then after a
-load) and a 2-shard cluster, where a key-bound lookup is pruned to the
-one owner shard.  A predicate no rule mentions stays a usage error
-(``test_service_session.py::TestErrorIsolation``).
+No rule derives ``edge``, ``color`` (only facts hold it) or ``nosuch``
+(nothing does), so there is nothing to propagate, adorn or seed: every
+strategy compiles to an empty rule set and reads the database, as
+``none`` does -- the empty answer for ``nosuch``.  Checked through the
+one-shot driver, a :class:`~repro.service.session.Session` (cold, then
+after a load), ``repro --batch`` and a 2-shard cluster, where a
+key-bound lookup is pruned to the one owner shard.
 """
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from repro.__main__ import main
 from repro.driver import STRATEGIES, answer_query, split_edb
 from repro.lang.parser import parse_program, parse_query
 from repro.service.engine import parse_facts
@@ -20,11 +23,15 @@ from repro.service.session import Session
 
 PROGRAM = """
 edge(n1, n2). edge(n2, n3). edge(n1, n4). edge(n4, n5). edge(n5, n6).
+color(n1, red). color(n2, blue).
 reach(X, Y) :- edge(X, Y).
 reach(X, Z) :- reach(X, Y), edge(Y, Z).
 """
 
-LOOKUPS = ("?- edge(n1, Y).", "?- edge(X, n3).", "?- edge(X, Y).")
+LOOKUPS = (
+    "?- edge(n1, Y).", "?- edge(X, n3).", "?- edge(X, Y).",
+    "?- color(n1, C).", "?- nosuch(X).",
+)
 ALL = (*STRATEGIES, "auto")
 
 
@@ -59,7 +66,27 @@ def test_session_answers_before_and_after_a_load(strategy):
     )
 
 
-@pytest.mark.parametrize("strategy", ["none", "magic", "optimal"])
+@pytest.mark.parametrize("strategy", ALL)
+def test_batch_answers_without_error(strategy, tmp_path, capsys):
+    program = tmp_path / "program.cql"
+    program.write_text(PROGRAM)
+    requests = tmp_path / "requests.txt"
+    requests.write_text("\n".join(LOOKUPS) + "\n")
+    status = main([
+        str(program), "--batch", str(requests), "--strategy", strategy,
+    ])
+    captured = capsys.readouterr()
+    assert status == 0 and "Traceback" not in captured.err
+    docs = [json.loads(line) for line in captured.out.splitlines()]
+    assert [doc["type"] for doc in docs] == ["answers"] * len(LOOKUPS)
+    for text, doc in zip(LOOKUPS, docs):
+        assert sorted(doc["answers"]) == sorted(
+            Session(parse_program(PROGRAM), strategy="none")
+            .query(parse_query(text)).answer_strings
+        )
+
+
+@pytest.mark.parametrize("strategy", ["none", "rewrite", "magic", "optimal"])
 def test_pruned_cluster_lookup_answers(strategy):
     from repro.shard import ShardedEngine
 
@@ -73,5 +100,9 @@ def test_pruned_cluster_lookup_answers(strategy):
         response = engine.session.query(query)
         assert response.ok, response.error_message
         assert answers_of(response.answers) == reference(str(query))
+        for text in ("?- color(n1, C).", "?- nosuch(X)."):
+            response = engine.session.query(parse_query(text))
+            assert response.ok, response.error_message
+            assert answers_of(response.answers) == reference(text)
     finally:
         engine.coordinator.close(drain=False)
