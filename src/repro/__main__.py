@@ -79,8 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--explain",
         action="store_true",
-        help="with --strategy auto, print the planner's pick, its "
-        "reason and the candidates for each query",
+        help="with --strategy auto, print the planner's pick and its "
+        "reason for each query",
     )
     parser.add_argument(
         "--max-iterations",

@@ -58,8 +58,9 @@ from repro.conformance.oracle import (
 
 #: The configurations every case is pushed through, in report order.
 #: ``auto`` runs the planner end to end: pick a paper-ordered strategy
-#: sequence by the program's shape, then execute it -- whatever it
-#: picks must agree with the oracle like any fixed strategy.
+#: sequence by the program's shape, then execute it one-shot and
+#: through a session -- whatever it picks must agree with the oracle
+#: like any fixed strategy.
 DEFAULT_CONFIGS = (
     "oracle",
     "none",
@@ -302,28 +303,35 @@ def _strategy_run(
     )
 
 
-def _auto_run(
+def _auto_runs(
     case: GeneratedCase,
     settings: CheckSettings,
     domain: list[Fraction],
-) -> ConfigRun:
+) -> list[ConfigRun]:
     """The planner path: the program's shape picks the strategy.
 
-    The chosen strategy then runs exactly like a fixed config, so a
-    planner that picks an unsound sequence surfaces as an ordinary
-    mismatch.  The pick is recorded in ``detail`` for triage.
+    Run ``auto`` is the pick run one-shot, exactly like a fixed
+    config, so a planner that picks an unsound sequence surfaces as an
+    ordinary mismatch.  Runs ``auto-service`` and ``auto-warm`` ask the
+    query twice through a session under ``auto``, which must serve the
+    form with that same pick.  The pick is recorded in ``detail`` for
+    triage.
     """
     from repro.planner import plan_query
 
     rules, __ = split_edb(case.program)
-    plan = plan_query(rules, case.query)
-    run = _strategy_run(case, plan.strategy, settings, domain)
-    detail = f"plan={plan.strategy}"
+    pick = plan_query(rules, case.query).strategy
+    run = _strategy_run(case, pick, settings, domain)
+    detail = f"plan={pick}"
     if run.detail:
         detail = f"{detail},{run.detail}"
-    return ConfigRun(
-        "auto", run.answers, run.completeness, detail=detail
-    )
+    return [
+        ConfigRun("auto", run.answers, run.completeness, detail=detail),
+        *_service_runs(
+            case, settings, domain, strategy="auto",
+            names=("auto-service", "auto-warm"), pick=pick,
+        ),
+    ]
 
 
 def _response_run(
@@ -349,6 +357,8 @@ def _service_runs(
     settings: CheckSettings,
     domain: list[Fraction],
     strategy: str = "magic",
+    names: tuple[str, str] = ("service", "service-warm"),
+    pick: str | None = None,
 ) -> list[ConfigRun]:
     """The warm-cache path: same query twice through one Session.
 
@@ -356,7 +366,8 @@ def _service_runs(
     its answers must equal the cold ones (run name ``service-warm``).
     The magic strategy is used because it exercises the most service
     machinery (seed-stripped template, seed re-attached per call) at a
-    fraction of the ``optimal`` pipeline's rewrite cost.
+    fraction of the ``optimal`` pipeline's rewrite cost.  Under
+    ``auto``, ``pick`` is the strategy the form must be served with.
     """
     from repro.service.session import Session
 
@@ -368,10 +379,20 @@ def _service_runs(
         budget=settings.budget(),
         on_limit="truncate",
     )
-    return [
-        _response_run(name, session.query(case.query), domain)
-        for name in ("service", "service-warm")
-    ]
+    runs = []
+    for name in names:
+        response = session.query(case.query)
+        run = _response_run(name, response, domain)
+        if pick is not None and response.ok:
+            served = session.prepare(case.query)[0].compiled.strategy
+            run.detail = f"plan={pick}"
+            if served != pick:
+                run = ConfigRun(
+                    name, None, "error:REPRO_INTERNAL",
+                    detail=f"plan={pick}, but the session ran {served}",
+                )
+        runs.append(run)
+    return runs
 
 
 def sibling_queries(case: GeneratedCase, limit: int = 5) -> list[Query]:
@@ -649,7 +670,7 @@ def check_case(
                 if config == "oracle":
                     runs = [_oracle_run(case, settings)]
                 elif config == "auto":
-                    runs = [_auto_run(case, settings, domain)]
+                    runs = _auto_runs(case, settings, domain)
                 elif config == "service":
                     runs = _service_runs(case, settings, domain)
                 elif config == "sharded":

@@ -42,7 +42,7 @@ VALID_STEPS = ("pred", "qrp", "mg")
 
 #: The named strategies and the sequence each one stands for -- the
 #: subsequences of the Theorem 7.10 optimal ordering.  The driver's
-#: ``STRATEGIES`` and the planner's candidates both derive from this.
+#: ``STRATEGIES`` and the planner's picks both derive from this.
 STRATEGY_SEQUENCES: dict[str, tuple[str, ...]] = {
     "none": (),
     "pred": ("pred",),

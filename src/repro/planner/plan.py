@@ -16,9 +16,8 @@ Tables 1/2 says which one a program needs:
 * otherwise the program as written (``none``).
 
 The pick reads no EDB statistics and estimates nothing: it is a
-function of the program and the query alone.  A session
-(:mod:`repro.planner.adaptive`) measures its :attr:`Plan.candidates`
-and keeps the fastest.
+function of the program and the query alone.  A session under ``auto``
+serves each query form with its pick, fixed; nothing is measured.
 """
 
 from __future__ import annotations
@@ -30,40 +29,23 @@ from repro.lang.ast import Program, Query
 from repro.lang.terms import NumTerm, Sym
 from repro.obs.recorder import count as obs_count, span as obs_span
 
-#: Candidates a session measures at all.
-TOP_K = 3
-
 
 @dataclass(frozen=True)
 class Plan:
-    """The picked strategy, why, and what a session should measure."""
+    """The picked strategy and why."""
 
     strategy: str
     sequence: tuple[str, ...]
     #: One line naming the shape the pick was made on.
     reason: str
-    #: The strategies a session probes, pick first.
-    candidates: tuple[str, ...]
 
     def explain(self) -> str:
         """A human-readable dump of the pick, for ``--explain``."""
-        return "\n".join((
+        return (
             f"plan: strategy={self.strategy} "
-            f"sequence={'+'.join(self.sequence) or '(no rewriting)'}",
-            f"  reason: {self.reason}",
-            "  candidates: " + ", ".join(
-                f"{name} ({'+'.join(STRATEGY_SEQUENCES[name]) or '-'})"
-                for name in self.candidates
-            ),
-        ))
-
-    def as_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "sequence": list(self.sequence),
-            "reason": self.reason,
-            "candidates": list(self.candidates),
-        }
+            f"sequence={'+'.join(self.sequence) or '(no rewriting)'}\n"
+            f"  reason: {self.reason}"
+        )
 
 
 def plan_query(program: Program, query: Query) -> Plan:
@@ -77,7 +59,6 @@ def plan_query(program: Program, query: Query) -> Plan:
                 STRATEGY_SEQUENCES["optimal"],
                 "value-generating recursion: only the predicate "
                 "constraint planted before mg makes the fixpoint finite",
-                ("optimal",),
             )
         strategy = "none"
         reason = "the query binds no argument to a constant"
@@ -103,17 +84,7 @@ def plan_query(program: Program, query: Query) -> Plan:
                 )
             else:
                 reason = "the query binds a constant but reaches no recursion"
-        # The pick, then the fixed strategies the ruler's
-        # ``choice_regret`` compares ``auto`` against.
-        candidates = tuple(
-            dict.fromkeys((strategy, "none", "rewrite", "optimal"))
-        )
-        return Plan(
-            strategy,
-            STRATEGY_SEQUENCES[strategy],
-            reason,
-            candidates[:TOP_K],
-        )
+        return Plan(strategy, STRATEGY_SEQUENCES[strategy], reason)
 
 
 def _recursive_components(program: Program) -> dict[str, frozenset[str]]:

@@ -1,17 +1,20 @@
-"""EDB statistics: the snapshot a session's planner records are keyed on.
+"""EDB statistics, which the ``auto`` pick does not read.
 
 One pass over a :class:`~repro.engine.database.Database` produces an
 :class:`EdbStats`: per relation the cardinality, and per column the
 distinct count, the numeric ``[min, max]`` interval and the mode count
-(largest single-value frequency).  The adaptive planner reads two
-things off it: :meth:`EdbStats.fingerprint`, which ties persisted
-measurements to the database they were taken against, and
-``total_facts``, whose growth triggers a re-plan.
+(largest single-value frequency).
+
+Nothing in the package calls :func:`collect_stats`: the pick
+(:mod:`repro.planner.plan`) is a function of the program and the query.
+It stays only because the ruler's traced pass
+(``benchmarks/perf/trace.py`` ``PROBES``) names
+``repro.planner.stats:collect_stats``.  ROADMAP item 3's benchmark
+change drops that probe, and this module goes with it.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,56 +54,6 @@ class EdbStats:
 
     def relation(self, pred: str) -> RelationStats | None:
         return self.relations.get(pred)
-
-    def fingerprint(self) -> str:
-        """A deterministic digest of the snapshot's shape.
-
-        Persisted planner records carry it so a record measured
-        against another database is detectable.
-        """
-        digest = hashlib.sha256()
-        for pred in sorted(self.relations):
-            stats = self.relations[pred]
-            digest.update(
-                f"{pred}/{stats.arity}#{stats.cardinality};".encode()
-            )
-            for column in stats.columns:
-                digest.update(
-                    f"{column.distinct},{column.mode_count},"
-                    f"{column.minimum},{column.maximum};".encode()
-                )
-        return digest.hexdigest()[:12]
-
-    def as_dict(self) -> dict:
-        """A JSON-ready summary for stats endpoints."""
-        return {
-            "total_facts": self.total_facts,
-            "fingerprint": self.fingerprint(),
-            "relations": {
-                pred: {
-                    "arity": stats.arity,
-                    "cardinality": stats.cardinality,
-                    "columns": [
-                        {
-                            "distinct": column.distinct,
-                            "mode_count": column.mode_count,
-                            "min": (
-                                str(column.minimum)
-                                if column.minimum is not None
-                                else None
-                            ),
-                            "max": (
-                                str(column.maximum)
-                                if column.maximum is not None
-                                else None
-                            ),
-                        }
-                        for column in stats.columns
-                    ],
-                }
-                for pred, stats in sorted(self.relations.items())
-            },
-        }
 
 
 def _column_stats(values: list[object]) -> ColumnStats:

@@ -191,8 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategy",
         choices=STRATEGY_CHOICES,
         default="rewrite",
-        help="transformation pipeline, or 'auto' for the adaptive "
-        "planner (default: rewrite)",
+        help="transformation pipeline, or 'auto' to run each query "
+        "form with the strategy its shape picks (default: rewrite)",
     )
     parser.add_argument(
         "--max-iterations", type=int, metavar="N",
@@ -408,19 +408,12 @@ def main(argv: list[str] | None = None) -> int:
             if recovery and (
                 recovery["facts_restored"] or recovery["replayed"]
             ):
-                planner_note = ""
-                if recovery.get("planner_records_restored"):
-                    planner_note = (
-                        f", {recovery['planner_records_restored']} "
-                        f"planner records restored"
-                    )
                 print(
                     f"repro serve: recovered epoch "
                     f"{recovery['epoch']} "
                     f"({recovery['facts_restored']} facts from "
                     f"snapshot {recovery['snapshot_epoch']}, "
-                    f"{recovery['replayed']} log epochs replayed"
-                    f"{planner_note})",
+                    f"{recovery['replayed']} log epochs replayed)",
                     file=sys.stderr,
                 )
             supervisor.start()

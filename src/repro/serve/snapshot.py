@@ -16,11 +16,10 @@ classic checkpoint + write-ahead-log pair:
   a crash even between snapshots.  After each snapshot the log is
   compacted down to the entries the snapshot does not cover.
 * **Recovery** loads the newest *verifiable* snapshot whose program
-  hash matches the running program, restores it into a fresh session
-  (including any persisted planner records -- see below), and replays
-  the log entries with epochs past the snapshot point -- in order,
-  through :meth:`Session.add_facts`, so replayed state is *exactly*
-  the state a warm database would have been resumed against.
+  hash matches the running program, restores it into a fresh session,
+  and replays the log entries with epochs past the snapshot point --
+  in order, through :meth:`Session.add_facts`, so replayed state is
+  *exactly* the state a warm database would have been resumed against.
 
 **Integrity.**  Every WAL record and snapshot is sealed -- the CRC32
 of its bytes as written, covering all of them -- so recovery
@@ -82,14 +81,11 @@ so the governor's fault injector (``write:wal``, ``fsync:snapshot``,
 ...) can turn any of them into a deterministic ``OSError(EIO)`` -- the
 seam degraded mode is tested through.
 
-**Planner persistence.**  Snapshots optionally embed the adaptive
-planner's converged per-form records (strategy choice, observed
-scalars, the EDB stats fingerprint they were measured against).
-Recovery hands them to :meth:`Session.restore_planner` *before* WAL
-replay -- at that point the session's EDB is exactly the snapshot-time
-EDB, so the fingerprint check is meaningful: matching records are
-reinstalled as converged (the restarted session skips the probe
-phase), stale ones are discarded and counted in the summary.
+**Older snapshots.**  A snapshot written while ``auto`` sessions
+measured strategies per form carries those measurements under a
+``planner`` key.  Recovery restores its facts as usual and counts the
+records in ``planner_records_discarded``; nothing else about them is
+read, since a session under ``auto`` runs the planner's pick.
 
 Facts are written in :mod:`repro.codec`'s encoding, so a recovered
 constraint fact is bit-identical to the original -- the paper's
@@ -318,7 +314,7 @@ class Snapshotter:
         return response
 
     def checkpoint(self, session: Session) -> int | None:
-        """Snapshot ``session`` (EDB + converged planner records).
+        """Snapshot ``session``'s EDB.
 
         Returns the epoch checkpointed, or ``None`` when durability is
         degraded -- already, or by this attempt failing.
@@ -327,9 +323,7 @@ class Snapshotter:
             return None
         epoch, facts = session.export_state()
         try:
-            self.snapshot(
-                epoch, facts, planner_records=session.export_planner()
-            )
+            self.snapshot(epoch, facts)
         except OSError as error:
             self._degrade(f"checkpoint failed: {error}")
             return None
@@ -337,26 +331,18 @@ class Snapshotter:
 
     # -- writing ------------------------------------------------------
 
-    def snapshot(
-        self,
-        epoch: int,
-        facts: Iterable[Fact],
-        planner_records: list | None = None,
-    ) -> str:
+    def snapshot(self, epoch: int, facts: Iterable[Fact]) -> str:
         """Write one atomic checkpoint; returns its path.
 
         The fact log is then compacted down to the epochs this
         snapshot does not cover, and snapshots beyond the retention
-        window are dropped.  ``planner_records`` are the adaptive
-        planner's exported converged records (JSON-ready), embedded
-        for :meth:`Session.restore_planner` at recovery.
+        window are dropped.
         """
         text = seal({
             "schema": SCHEMA,
             "program_sha": self.program_id,
             "epoch": epoch,
             "facts": [encode_fact(fact) for fact in facts],
-            "planner": list(planner_records or []),
         })
         path = os.path.join(self.directory, f"snapshot-{epoch:08d}.json")
         with self._mutex, obs_span("serve.snapshot", epoch=epoch):
@@ -484,8 +470,8 @@ class Snapshotter:
 
         Returns a summary dict: ``snapshot_epoch``, ``facts_restored``
         and ``replayed`` (as before), the session's resulting
-        ``epoch``, the planner records ``planner_records_restored`` /
-        ``planner_records_discarded`` (fingerprint-stale or malformed),
+        ``epoch``, ``planner_records_discarded`` (the records an older
+        snapshot carries, never restored),
         ``log_records_dropped`` by the valid-prefix policy (a torn
         tail counts -- it was never acked), the ``quarantined`` paths
         this recovery produced, and ``corrupt`` -- True (with ``code``
@@ -502,22 +488,14 @@ class Snapshotter:
             # snapshot -- corruption by definition.
             corrupt = len(self.quarantined) > already_quarantined
             snapshot_epoch = 0
-            restored = 0
-            planner_restored = planner_discarded = 0
+            restored = discarded = 0
             if payload is not None:
                 facts = [
                     decode_fact(entry) for entry in payload["facts"]
                 ]
                 snapshot_epoch = payload["epoch"]
                 restored = session.restore_state(facts, snapshot_epoch)
-                # Planner records must be validated against the
-                # snapshot-time EDB -- i.e. before WAL replay grows
-                # it past the fingerprint they were exported under.
-                planner_restored, planner_discarded = (
-                    session.restore_planner(
-                        payload.get("planner") or []
-                    )
-                )
+                discarded = len(payload.get("planner") or ())
             entries, damage = self._scan_log()
             dropped = 0
             if damage is not None:
@@ -556,8 +534,7 @@ class Snapshotter:
             "facts_restored": restored,
             "replayed": replayed,
             "epoch": session.epoch,
-            "planner_records_restored": planner_restored,
-            "planner_records_discarded": planner_discarded,
+            "planner_records_discarded": discarded,
             "log_records_dropped": dropped,
             "quarantined": quarantined,
             "corrupt": corrupt,

@@ -416,14 +416,6 @@ class Supervisor:
             health["durability_reason"] = (
                 self.snapshotter.degraded_reason
             )
-        planner = self._engine.session.planner
-        if planner is not None:
-            summary = planner.stats()
-            health["planner"] = {
-                "forms": summary["forms"],
-                "converged": summary["converged"],
-                "replans": summary["replans"],
-            }
         return health
 
     def stats(self) -> dict:

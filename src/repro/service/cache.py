@@ -47,12 +47,6 @@ class CacheEntry:
     lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
-    #: The adaptive planner's measurements of the last form served
-    #: (:class:`repro.planner.adaptive.PlanRecord`), when the session
-    #: runs with the ``auto`` strategy.
-    plan_record: object = field(
-        default=None, repr=False, compare=False
-    )
 
     def trim(self, base_facts: int) -> None:
         """Drop a state past the ceiling; the next request rebuilds cold.

@@ -44,7 +44,6 @@ fact loads against the same state:
 from __future__ import annotations
 
 import threading
-import time
 from contextlib import nullcontext as _nullcontext
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -71,6 +70,7 @@ from repro.governor import budget as governor
 from repro.lang.ast import Literal, Program, Query, Rule
 from repro.lang.normalize import normalize_query
 from repro.obs.recorder import count as obs_count, span as obs_span
+from repro.planner import plan_query
 from repro.service.cache import (
     CacheEntry,
     DEFAULT_CACHE_SIZE,
@@ -260,12 +260,8 @@ class Session:
             self._rules, self._edb = split_edb(program)
         self._derived = self._rules.derived_predicates()
         self._strategy = strategy
-        if strategy == AUTO_STRATEGY:
-            from repro.planner import AdaptivePlanner
-
-            self._planner = AdaptivePlanner(self._rules, self._edb)
-        else:
-            self._planner = None
+        #: Under ``auto``, each form's :func:`plan_query` pick, fixed.
+        self._picks: dict[QueryForm, str] = {}
         self._max_iterations = max_iterations
         self._eval_iterations = eval_iterations
         self._budget = budget
@@ -354,8 +350,6 @@ class Session:
             if added:
                 self._epoch += 1
                 self._fact_log.append((self._epoch, added))
-                if self._planner is not None:
-                    self._planner.note_facts(len(added))
             obs_count("service.facts_added", len(added))
             request_span.set("added", len(added))
             return Response(
@@ -401,8 +395,9 @@ class Session:
         alike share one entry; the form returned is the request's own,
         which ``entry.compiled.form`` need not be.  Concurrent first
         requests are single-flight (the race winner compiles, the
-        others wait on the key's lock and reuse the artifact); a
-        strategy the adaptive planner switched to is another key.
+        others wait on the key's lock and reuse the artifact).  Under
+        ``auto`` the form's strategy is :func:`plan_query`'s pick, made
+        on the form's first request and kept.
         Evaluation is the caller's -- :meth:`query`, or a shard worker
         stepping exchange rounds (:mod:`repro.shard.worker`); so is
         converting the :class:`~repro.errors.ReproError` of a failed
@@ -410,10 +405,13 @@ class Session:
         """
         form, __ = canonicalize(query)
         strategy = self._strategy
-        if self._planner is not None:
-            # Planner state has its own lock; safe under the shared
-            # (reader) side of the session's RW discipline.
-            strategy = self._planner.decide(str(form), query)
+        if strategy == AUTO_STRATEGY:
+            with self._mutex:
+                strategy = self._picks.get(form)
+            if strategy is None:
+                strategy = plan_query(self._rules, query).strategy
+                with self._mutex:
+                    strategy = self._picks.setdefault(form, strategy)
         key = compile_key(form, strategy)
         with self._mutex:
             entry = self._cache.get(key)
@@ -467,19 +465,9 @@ class Session:
         # Evaluation against one entry is serialized by its lock, so a
         # warm database is never resumed by two threads at once;
         # different entries evaluate in parallel.
-        started = time.perf_counter()
         with entry.lock:
             response = self._evaluate_entry(query, entry, cached, meter)
         response.form = str(form)
-        if self._planner is not None:
-            # The first run after a (re)compile pays the compile bill;
-            # the planner records it but keeps it out of warm means.
-            entry.plan_record = self._planner.observe(
-                str(form),
-                entry.compiled.strategy,
-                time.perf_counter() - started,
-                cold=not cached,
-            )
         return response
 
     def _evaluate_entry(
@@ -631,29 +619,6 @@ class Session:
             self._epoch = max(self._epoch, epoch)
             return len(added)
 
-    def export_planner(self) -> list[dict]:
-        """The adaptive planner's converged records, JSON-ready.
-
-        Empty for the fixed-strategy sessions (nothing to persist);
-        see :meth:`~repro.planner.AdaptivePlanner.export_records`.
-        """
-        if self._planner is None:
-            return []
-        return self._planner.export_records()
-
-    def restore_planner(self, records: list[dict]) -> tuple[int, int]:
-        """Reinstall snapshot-persisted planner records.
-
-        Call between :meth:`restore_state` and WAL replay (so the
-        fingerprint validation sees the snapshot-time EDB).  Returns
-        ``(restored, discarded)``; both 0 for fixed-strategy sessions,
-        which ignore the records -- they are an optimization for the
-        ``auto`` strategy, never a correctness input.
-        """
-        if self._planner is None or not records:
-            return (0, 0)
-        return self._planner.restore_records(list(records))
-
     # -- inspection ---------------------------------------------------
 
     @property
@@ -681,16 +646,11 @@ class Session:
         """The session's degradation policy (``fail|truncate|widen``)."""
         return self._on_limit
 
-    @property
-    def planner(self) -> "object | None":
-        """The adaptive planner (``auto`` strategy only, else ``None``)."""
-        return self._planner
-
     def stats(self) -> dict:
         """A JSON-ready operational snapshot."""
         with self._mutex:
             requests, errors = self.requests, self.errors
-        snapshot = {
+        return {
             "strategy": self._strategy,
             "requests": requests,
             "errors": errors,
@@ -698,6 +658,3 @@ class Session:
             "edb_facts": self._edb.count(),
             "cache": self._cache.stats(),
         }
-        if self._planner is not None:
-            snapshot["planner"] = self._planner.stats()
-        return snapshot

@@ -501,9 +501,6 @@ class ShardCoordinator:
         self.eval_iterations = eval_iterations
         self.cache_size = cache_size
         self.on_limit = on_limit
-        #: The supervisor surfaces planner stats when present; shard
-        #: planners live inside the workers (see per-shard stats).
-        self.planner = None
         self.budget = budget
         self.op_timeout = op_timeout
         self.heartbeat_interval = heartbeat_interval

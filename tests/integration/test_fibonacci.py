@@ -253,9 +253,9 @@ class TestTable2ThroughAuto(TestTable2ThroughTheOptimalStrategy):
     """Table 2 again under ``--strategy auto``.
 
     P_fib recurses through ``fib(N - 1, X1)``: value-generating
-    recursion, so the planner picks ``optimal`` and a session probes
-    nothing else.  A pick of ``magic`` would stop at the iteration cap
-    (Table 1).
+    recursion, so the planner picks ``optimal``, and a session runs
+    that pick for the form.  A pick of ``magic`` would stop at the
+    iteration cap (Table 1).
     """
 
     strategy = "auto"

@@ -120,6 +120,47 @@ def test_hammer_matches_sequential_and_loses_no_epochs():
     assert len(observed) == QUERIERS * QUERIES_EACH
 
 
+def test_auto_picks_race_to_one_strategy_per_form():
+    """Racing first requests under ``auto`` settle on one pick per form.
+
+    The bound forms reach recursion (``magic``, one key each) and the
+    free one does not (``none``): three compiles, whatever the
+    interleaving, and every answer equals a fresh run's.
+    """
+    engine = Engine.from_text(PROGRAM + "\n".join(CHAIN), strategy="auto")
+    answers: list[tuple[str, list[str]]] = []
+    lock = threading.Lock()
+    start = threading.Barrier(2 * len(FORMS))
+
+    def querier(query: str) -> None:
+        start.wait()
+        response = engine.query(query)
+        with lock:
+            answers.append((query, sorted(response.answer_strings)))
+
+    threads = [
+        threading.Thread(target=querier, args=(query,))
+        for query in FORMS * 2
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=90)
+            assert not thread.is_alive(), "querier thread hung"
+    finally:
+        sys.setswitchinterval(interval)
+
+    assert sorted(
+        entry.compiled.strategy for entry in engine.session.cache.entries()
+    ) == ["magic", "magic", "none"]
+    assert len(answers) == 2 * len(FORMS)
+    for query, found in answers:
+        assert found == _sequential_answers(query), query
+
+
 def test_hammer_through_the_supervisor():
     """The same interleaving submitted through the worker pool."""
     from repro.serve.supervisor import ServeConfig, Supervisor

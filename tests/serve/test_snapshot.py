@@ -441,7 +441,6 @@ class TestRecovery:
             "facts_restored": 0,
             "replayed": 0,
             "epoch": 0,
-            "planner_records_restored": 0,
             "planner_records_discarded": 0,
             "log_records_dropped": 0,
             "quarantined": [],

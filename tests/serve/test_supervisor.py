@@ -7,15 +7,19 @@ real retry and respawn paths, not mocks of them.
 
 from __future__ import annotations
 
+import shutil
 import time
+from pathlib import Path
 
 import pytest
 
+from repro.codec import unseal
 from repro.governor import Budget, FaultPlan, FaultyRecorder
 from repro.lang.parser import parse_query
 from repro.obs.recorder import recording
 from repro.serve.breaker import OPEN
 from repro.serve.retry import RetryPolicy
+from repro.serve.snapshot import program_sha
 from repro.serve.supervisor import ServeConfig, Supervisor
 from repro.service.engine import Engine
 from repro.service.forms import canonicalize
@@ -28,6 +32,12 @@ reach(X, Z, C) :- reach(X, Y, C1), edge(Y, Z, C2), C = C1 + C2,
 edge(a, b, 3).
 edge(b, c, 4).
 """
+
+#: A ``repro-snap/v3`` directory whose snapshot embeds the per-form
+#: strategy records that ``auto`` sessions once measured and persisted.
+SNAPSHOT_PLANNER = (
+    Path(__file__).parent.parent / "golden" / "snap-v3-planner"
+)
 
 LINES = [
     "?- reach(a, X, C).",
@@ -321,34 +331,51 @@ class TestDurability:
             restarted.drain()
         assert sorted(answer.answer_strings) == expected
 
-    def test_checkpoint_embeds_planner_records(self, tmp_path):
-        config = ServeConfig(
-            workers=1, snapshot_dir=str(tmp_path), snapshot_every=100
-        )
-        engine = Engine.from_text(PROGRAM, strategy="auto")
-        with Supervisor(
-            engine, config, program_id="prog"
-        ) as supervisor:
-            # Enough repeats to drive the form past its probe phase.
-            responses = _run(
-                supervisor, ["?- reach(a, X, C)."] * 12
-            )
-            assert all(response.ok for response in responses)
-        # Drain checkpointed; the snapshot carries converged records.
-        payload = supervisor.snapshotter.latest()
-        assert payload["planner"], "no planner records persisted"
+    def test_older_snapshot_with_planner_records_recovers(self, tmp_path):
+        """A snapshot written when ``auto`` sessions measured strategies.
 
-        fresh = Engine.from_text(PROGRAM, strategy="auto")
-        restarted = Supervisor(
-            fresh, ServeConfig(snapshot_dir=str(tmp_path)),
-            program_id="prog",
+        Its ``planner`` key holds two converged records, both on
+        ``rewrite``.  Recovery counts them as discarded, restores the
+        facts, replays the log tail, and serves each form with the
+        pick; the next checkpoint carries no records.
+        """
+        directory = tmp_path / "snap"
+        shutil.copytree(SNAPSHOT_PLANNER, directory)
+        text = (directory / "program.cql").read_text()
+        (snapshot,) = directory.glob("snapshot-*.json")
+        records = unseal(snapshot.read_text())["planner"]
+        assert len(records) == 2
+        engine = Engine.from_text(text, strategy="auto")
+        supervisor = Supervisor(
+            engine,
+            ServeConfig(workers=1, snapshot_dir=str(directory)),
+            program_id=program_sha(text),
         )
-        summary = restarted.recover()
-        assert summary["planner_records_restored"] >= 1
-        assert summary["planner_records_discarded"] == 0
-        # The restored form is converged before any request runs.
-        planner = fresh.session.planner
-        assert planner.stats()["converged"] >= 1
+        summary = supervisor.recover()
+        assert summary["planner_records_discarded"] == len(records)
+        assert (summary["snapshot_epoch"], summary["replayed"]) == (1, 1)
+        assert summary["epoch"] == 2 and not summary["corrupt"]
+
+        queries = ["?- reach(a, X, C).", "?- reach(X, Y, C)."]
+        fresh = Engine.from_text(
+            text + "edge(c, d, 5).\nedge(d, e, 6).\n", strategy="auto"
+        )
+        supervisor.start()
+        try:
+            responses = _run(supervisor, queries)
+        finally:
+            supervisor.drain()
+        for query, response in zip(queries, responses):
+            assert sorted(response.answer_strings) == sorted(
+                fresh.query(query).answer_strings
+            )
+        assert sorted(
+            entry.compiled.strategy
+            for entry in engine.session.cache.entries()
+        ) == ["magic", "none"]
+        payload = supervisor.snapshotter.latest()
+        assert payload["epoch"] == 2
+        assert "planner" not in payload
 
     def test_log_is_written_before_acknowledgement(self, tmp_path):
         config = ServeConfig(

@@ -7,6 +7,7 @@ from repro.driver import answer_query, run_text
 from repro.engine.facts import Fact
 from repro.governor import Budget
 from repro.lang.parser import parse_program, parse_query
+from repro.planner import plan_query
 from repro.service import Engine, canonicalize
 
 FLIGHTS_TEXT = """
@@ -250,23 +251,35 @@ class TestSharedCompiles:
         assert len(engine.session.cache) == expected
 
     def test_auto_strategies_never_share(self):
-        """Forms the planner gives different strategies, one entry each."""
+        """Forms the planner gives different strategies, one entry each.
+
+        A city constant reaches the recursive ``flight``, so both bound
+        forms get ``magic`` (a key per form); the free forms get
+        ``none`` (one key for the predicate).
+        """
+        from repro.driver import split_edb
+
         engine, tracer = tracked_engine("auto")
-        picks = {"bbff": "rewrite", "fbff": "none", "ffff": "rewrite"}
-        engine.session._planner.decide = (
-            lambda form, query: picks[form.split("^")[1].split()[0]]
-        )
-        responses = self.run(engine, tracer, [
+        rules, __ = split_edb(parse_program(FLIGHTS_TEXT))
+        free = "?- cheaporshort(S, D, T, C)."
+        steps = [
             self.FORMS[0], self.FORMS[1], self.LOADS[0],
-            self.FORMS[2], self.FORMS[1],
-        ])
-        assert tracer.metrics.counters.get("service.form_compiles") == 2
+            self.FORMS[2], self.FORMS[1], free,
+        ]
+        responses = self.run(engine, tracer, steps)
+        assert [
+            plan_query(rules, parse_query(step)).strategy
+            for step in steps if step.startswith("?-")
+        ] == ["magic", "magic", "none", "magic", "none"]
+        assert tracer.metrics.counters.get("service.form_compiles") == 3
         assert sorted(
             entry.compiled.strategy
             for entry in engine.session.cache.entries()
-        ) == ["none", "rewrite"]
-        # The third form shares the first's rewrite compile.
-        assert [r.cached for r in responses] == [False, False, True, True]
+        ) == ["magic", "magic", "none"]
+        # A repeat and a second free form hit; nothing crosses a pick.
+        assert [r.cached for r in responses] == [
+            False, False, False, True, True
+        ]
 
     def test_worker_q_start_names_the_requests_own_form(self):
         from repro.driver import split_edb
