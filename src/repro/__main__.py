@@ -32,14 +32,10 @@ import argparse
 import sys
 
 from repro import __version__
-from repro.config import (
-    DEFAULT_CACHE_SIZE,
-    DEFAULT_EVAL_ITERATIONS,
-    DEFAULT_REWRITE_ITERATIONS,
-)
-from repro.driver import STRATEGY_CHOICES, run_text
+from repro.cli import add_session_arguments, session_options
+from repro.driver import run_text
 from repro.errors import ReproError, exit_code_for
-from repro.governor.cli import add_governor_arguments, build_budget
+from repro.governor.faults import faulty_recorder
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,53 +65,19 @@ def build_parser() -> argparse.ArgumentParser:
         version=f"%(prog)s {__version__}",
     )
     parser.add_argument(
-        "--strategy",
-        choices=STRATEGY_CHOICES,
-        default="rewrite",
-        help="transformation pipeline to apply (default: rewrite = "
-        "the paper's Constraint_rewrite; auto = pick by the "
-        "program's shape)",
-    )
-    parser.add_argument(
         "--explain",
         action="store_true",
         help="with --strategy auto, print the planner's pick and its "
         "reason for each query",
     )
+    add_session_arguments(parser, "the whole run")
     parser.add_argument(
-        "--max-iterations",
-        type=int,
-        default=DEFAULT_REWRITE_ITERATIONS,
-        help="cap for the constraint-inference fixpoints "
-        "(default %(default)s)",
-    )
-    parser.add_argument(
-        "--eval-iterations",
-        type=int,
-        default=DEFAULT_EVAL_ITERATIONS,
-        help="cap for the bottom-up evaluation (default %(default)s)",
-    )
-    add_governor_arguments(parser, "the whole run")
-    service = parser.add_argument_group(
-        "service mode",
-        "long-lived session semantics: the program is compiled once "
-        "per query form and the database stays warm across requests "
-        "(docs/service.md)",
-    )
-    service.add_argument(
         "--batch",
         metavar="FILE",
-        help="serve a stream of requests from FILE ('-' for stdin): "
-        "one query (?- ...) or fact line per input line, one JSON "
-        "result per output line; budgets apply per request",
-    )
-    service.add_argument(
-        "--cache-size",
-        type=int,
-        default=DEFAULT_CACHE_SIZE,
-        metavar="N",
-        help="capacity of the query-form LRU cache in batch mode "
-        "(default %(default)s)",
+        help="serve a stream of requests from FILE ('-' for stdin) "
+        "through one long-lived session (docs/service.md): one query "
+        "(?- ...) or fact line per input line, one JSON result per "
+        "output line; budgets apply per request",
     )
     parser.add_argument(
         "--show-program",
@@ -171,13 +133,7 @@ def _run_batch_mode(arguments, text: str) -> int:
     from repro.service.batch import run_batch
 
     engine = Engine.from_text(
-        text,
-        strategy=arguments.strategy,
-        max_iterations=arguments.max_iterations,
-        eval_iterations=arguments.eval_iterations,
-        budget=build_budget(arguments),
-        on_limit=arguments.on_limit,
-        cache_size=arguments.cache_size,
+        text, cache_size=arguments.cache_size, **session_options(arguments)
     )
     if arguments.batch == "-":
         return run_batch(engine, sys.stdin, sys.stdout)
@@ -240,16 +196,14 @@ def main(argv: list[str] | None = None) -> int:
         arguments.trace or arguments.report or arguments.metrics
     )
     tracer = obs.Tracer() if observing else None
-    recorder = tracer if tracer is not None else obs.get_recorder()
-    if arguments.faults:
-        from repro.governor import FaultPlan, FaultyRecorder
-
-        try:
-            plan = FaultPlan.from_spec(arguments.faults)
-        except ReproError as error:
-            print(f"repro: {error}", file=sys.stderr)
-            return exit_code_for(error)
-        recorder = FaultyRecorder(plan, inner=recorder)
+    try:
+        recorder = faulty_recorder(
+            arguments.faults,
+            tracer if tracer is not None else obs.get_recorder(),
+        )
+    except ReproError as error:
+        print(f"repro: {error}", file=sys.stderr)
+        return exit_code_for(error)
     export_failed = False
 
     def export():
@@ -273,14 +227,7 @@ def main(argv: list[str] | None = None) -> int:
             if arguments.batch is not None:
                 batch_status = _run_batch_mode(arguments, text)
             else:
-                outcomes = run_text(
-                    text,
-                    strategy=arguments.strategy,
-                    max_iterations=arguments.max_iterations,
-                    eval_iterations=arguments.eval_iterations,
-                    budget=build_budget(arguments),
-                    on_limit=arguments.on_limit,
-                )
+                outcomes = run_text(text, **session_options(arguments))
     except OSError as error:
         print(f"repro: {error}", file=sys.stderr)
         return 2

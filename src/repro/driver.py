@@ -71,8 +71,11 @@ STRATEGY_CHOICES = STRATEGIES + (AUTO_STRATEGY,)
 ON_LIMIT_POLICIES = ("fail", "truncate", "widen")
 
 
-def validate_strategy(strategy: str, allow_auto: bool = False) -> str:
-    """Check a strategy name, returning it; raises :class:`UsageError`.
+def validate_strategy(
+    strategy: str, allow_auto: bool = False, on_limit: str = "truncate"
+) -> str:
+    """Check a strategy name and an ``on_limit`` policy, returning the
+    strategy; raises :class:`UsageError`.
 
     ``allow_auto`` additionally admits :data:`AUTO_STRATEGY` for entry
     points that resolve it through the planner before optimizing.
@@ -81,6 +84,11 @@ def validate_strategy(strategy: str, allow_auto: bool = False) -> str:
     if strategy not in allowed:
         raise UsageError(
             f"unknown strategy {strategy!r}; choose from {allowed}"
+        )
+    if on_limit not in ON_LIMIT_POLICIES:
+        raise UsageError(
+            f"unknown on_limit policy {on_limit!r}; "
+            f"choose from {ON_LIMIT_POLICIES}"
         )
     return strategy
 
@@ -314,11 +322,7 @@ def answer_query(
     any) applies.  ``on_limit`` picks the degradation policy described
     in the module docstring.
     """
-    if on_limit not in ON_LIMIT_POLICIES:
-        raise UsageError(
-            f"unknown on_limit policy {on_limit!r}; "
-            f"choose from {ON_LIMIT_POLICIES}"
-        )
+    validate_strategy(strategy, allow_auto=True, on_limit=on_limit)
     own, meter = _resolve_meter(budget)
     with governor.governed(own) if own is not None else _nullcontext():
         return _answer_query_governed(
@@ -419,16 +423,11 @@ def run_text(
     per *run*, not per query).  The meter's consumption is recorded on
     a ``governor`` span and in each outcome's ``budget`` snapshot.
     """
-    validate_strategy(strategy, allow_auto=True)
+    validate_strategy(strategy, allow_auto=True, on_limit=on_limit)
     # Each batch run starts from a cold solver memo so its counters and
     # reports are deterministic regardless of what ran earlier in the
     # process (the long-lived serve path deliberately keeps its warmth).
     solver_cache.clear()
-    if on_limit not in ON_LIMIT_POLICIES:
-        raise UsageError(
-            f"unknown on_limit policy {on_limit!r}; "
-            f"choose from {ON_LIMIT_POLICIES}"
-        )
     with obs_span("parse"):
         program, queries = parse_program_and_queries(text)
     if not queries:

@@ -406,3 +406,12 @@ class FaultyRecorder:
                 )
                 return True
         return False
+
+
+def faulty_recorder(spec: str | None, inner=NULL_RECORDER):
+    """``inner`` firing the ``--faults`` plan ``spec``; ``inner``
+    itself when there is none.  A malformed spec raises
+    ``REPRO_USAGE``."""
+    if not spec:
+        return inner
+    return FaultyRecorder(FaultPlan.from_spec(spec), inner=inner)

@@ -28,39 +28,14 @@ import json
 import sys
 
 from repro import obs
-from repro.config import (
-    DEFAULT_CACHE_SIZE,
-    DEFAULT_EVAL_ITERATIONS,
-    DEFAULT_REWRITE_ITERATIONS,
-)
-from repro.driver import STRATEGY_CHOICES
+from repro.cli import add_session_arguments, positive_int, session_options
 from repro.errors import ReproError, UsageError, exit_code_for
-from repro.governor.cli import add_governor_arguments, build_budget
+from repro.governor.faults import faulty_recorder
 from repro.serve.retry import RetryPolicy
 from repro.serve.snapshot import program_sha
 from repro.serve.supervisor import ServeConfig, Supervisor
-from repro.service.batch import degraded_status
+from repro.service.batch import print_response
 from repro.service.engine import Engine
-
-
-def positive_int(text: str) -> int:
-    """Argparse type for flags that must be a positive integer.
-
-    Rejecting at parse time turns ``--workers 0`` into a clean usage
-    error (exit 2 with the offending flag named) instead of a
-    ``ValueError`` surfacing from ``ServeConfig``.
-    """
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {value}"
-        )
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -187,30 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
         "probes during long ops) to tell slow from dead "
         "(default 2; 0 disables heartbeats)",
     )
-    parser.add_argument(
-        "--strategy",
-        choices=STRATEGY_CHOICES,
-        default="rewrite",
-        help="transformation pipeline, or 'auto' to run each query "
-        "form with the strategy its shape picks (default: rewrite)",
-    )
-    parser.add_argument(
-        "--max-iterations", type=int, metavar="N",
-        default=DEFAULT_REWRITE_ITERATIONS,
-        help="cap for the constraint-inference fixpoints "
-        "(default %(default)s)",
-    )
-    parser.add_argument(
-        "--eval-iterations", type=int, metavar="N",
-        default=DEFAULT_EVAL_ITERATIONS,
-        help="cap for the bottom-up evaluation (default %(default)s)",
-    )
-    parser.add_argument(
-        "--cache-size", type=int, metavar="N",
-        default=DEFAULT_CACHE_SIZE,
-        help="query-form LRU cache capacity (default %(default)s)",
-    )
-    add_governor_arguments(parser, "each request")
+    add_session_arguments(parser, "each request")
     parser.add_argument(
         "--summary",
         action="store_true",
@@ -284,9 +236,7 @@ def _serve(arguments, supervisor: Supervisor, lines, out) -> int:
 
     def flush_one() -> None:
         nonlocal status
-        response = pending.popleft().result()
-        print(json.dumps(response.to_dict()), file=out, flush=True)
-        status |= degraded_status(response, on_limit)
+        status |= print_response(pending.popleft().result(), on_limit, out)
 
     for line in lines:
         request = supervisor.submit(line)
@@ -317,13 +267,8 @@ def main(argv: list[str] | None = None) -> int:
             raise UsageError(
                 "--partition-key requires --shards"
             )
-        session_options = dict(
-            strategy=arguments.strategy,
-            max_iterations=arguments.max_iterations,
-            eval_iterations=arguments.eval_iterations,
-            budget=build_budget(arguments),
-            on_limit=arguments.on_limit,
-            cache_size=arguments.cache_size,
+        options = dict(
+            session_options(arguments), cache_size=arguments.cache_size
         )
         if sharded:
             from repro.shard import (
@@ -348,10 +293,10 @@ def main(argv: list[str] | None = None) -> int:
                 heartbeat_interval=max(
                     arguments.heartbeat_interval, 0.0
                 ),
-                **session_options,
+                **options,
             )
         else:
-            engine = Engine.from_text(text, **session_options)
+            engine = Engine.from_text(text, **options)
         config = ServeConfig(
             workers=arguments.workers,
             queue_depth=arguments.queue_depth,
@@ -375,16 +320,11 @@ def main(argv: list[str] | None = None) -> int:
             exit_code_for(error)
             if isinstance(error, ReproError) else 2
         )
-    recorder = obs.get_recorder()
-    if arguments.faults:
-        from repro.governor import FaultPlan, FaultyRecorder
-
-        try:
-            plan = FaultPlan.from_spec(arguments.faults)
-        except ReproError as error:
-            print(f"repro serve: {error}", file=sys.stderr)
-            return exit_code_for(error)
-        recorder = FaultyRecorder(plan, inner=recorder)
+    try:
+        recorder = faulty_recorder(arguments.faults, obs.get_recorder())
+    except ReproError as error:
+        print(f"repro serve: {error}", file=sys.stderr)
+        return exit_code_for(error)
     supervisor = Supervisor(
         engine, config, program_id=program_sha(text)
     )

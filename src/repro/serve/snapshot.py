@@ -5,8 +5,9 @@ every ``add_facts`` epoch since startup.  Losing the process loses
 those epochs -- unless they are durable.  This module implements the
 classic checkpoint + write-ahead-log pair:
 
-* **Snapshots** are full dumps of the session's EDB at a fact epoch,
-  one sealed line (:func:`repro.codec.seal`) written to
+* **Snapshots** dump the facts the session's loads added by a fact
+  epoch (the program text supplies the rest), one sealed line
+  (:func:`repro.codec.seal`) written to
   ``snapshot-<epoch>.json`` via a temporary file and
   :func:`os.replace`, so a crash mid-write can never leave a torn
   snapshot under the final name.  A small trailing window of old
@@ -249,13 +250,6 @@ def newest_verifiable(
 # -- the snapshot directory -------------------------------------------
 
 
-def _refusal(message: str) -> Response:
-    error = SnapshotError(message)
-    return Response(
-        kind="error", error_code=error.code, error_message=str(error)
-    )
-
-
 class Snapshotter:
     """One snapshot directory: the durability policy and its files."""
 
@@ -297,7 +291,8 @@ class Snapshotter:
         reason = self.degraded_reason
         if reason is not None:
             obs_count("serve.readonly_refusals")
-            return _refusal(
+            return Response.failure(
+                SnapshotError.code,
                 f"fact load refused: durability lost ({reason}); "
                 "serving read-only"
             )
@@ -307,14 +302,15 @@ class Snapshotter:
                 self.append_log(response.epoch, response.loaded)
             except OSError as error:
                 self._degrade(f"WAL append failed: {error}")
-                return _refusal(
+                return Response.failure(
+                    SnapshotError.code,
                     f"fact load not durable (WAL append failed: "
                     f"{error}); now read-only"
                 )
         return response
 
     def checkpoint(self, session: Session) -> int | None:
-        """Snapshot ``session``'s EDB.
+        """Snapshot ``session``'s loaded facts.
 
         Returns the epoch checkpointed, or ``None`` when durability is
         degraded -- already, or by this attempt failing.

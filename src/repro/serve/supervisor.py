@@ -44,13 +44,13 @@ import queue
 import threading
 from dataclasses import dataclass, field, replace
 
-from repro.errors import OverloadError, ReproError, UsageError
-from repro.lang.parser import parse_query
+from repro.errors import OverloadError, ReproError
 from repro.obs.recorder import count as obs_count, span as obs_span
 from repro.serve.breaker import BreakerRegistry, counts_as_trip
 from repro.serve.retry import RetryPolicy, is_transient
 from repro.serve.snapshot import Snapshotter
-from repro.service.engine import Engine
+from repro.service.batch import classify
+from repro.service.engine import Engine, parse_query_text
 from repro.service.forms import canonicalize
 from repro.service.session import Response
 
@@ -83,12 +83,14 @@ class ServeConfig:
 
 
 class PendingRequest:
-    """One submitted request; ``result()`` blocks until a worker (or
-    the shed path) resolves it with a :class:`Response`."""
+    """One submitted request (``kind`` as :func:`classify` says);
+    ``result()`` blocks until a worker (or the shed path) resolves it
+    with a :class:`Response`."""
 
-    __slots__ = ("line", "index", "_event", "_response")
+    __slots__ = ("kind", "line", "index", "_event", "_response")
 
-    def __init__(self, line: str, index: int) -> None:
+    def __init__(self, kind: str, line: str, index: int) -> None:
+        self.kind = kind
         self.line = line
         self.index = index
         self._event = threading.Event()
@@ -214,15 +216,15 @@ class Supervisor:
         :class:`PendingRequest` otherwise -- already resolved with an
         ``REPRO_OVERLOAD`` error if the request was shed.
         """
-        stripped = line.strip()
-        if not stripped or stripped.startswith(("%", "#")):
+        classified = classify(line)
+        if classified is None:
             return None
         if not self._started:
             raise RuntimeError("supervisor not started; call start()")
         with self._lock:
             self._submitted += 1
             index = self._submitted
-        request = PendingRequest(stripped, index)
+        request = PendingRequest(*classified, index)
         if self._draining:
             return self._shed_request(request)
         try:
@@ -236,11 +238,7 @@ class Supervisor:
             self._shed += 1
         obs_count("serve.shed")
         error = OverloadError(self.config.queue_depth)
-        request.resolve(Response(
-            kind="error",
-            error_code=error.code,
-            error_message=str(error),
-        ))
+        request.resolve(Response.failure(error.code, str(error)))
         return request
 
     # -- the worker loop -----------------------------------------------
@@ -276,35 +274,23 @@ class Supervisor:
             error.code if isinstance(error, ReproError)
             else "REPRO_INTERNAL"
         )
-        return Response(
-            kind="error",
-            error_code=code,
-            error_message=f"worker died serving request: {error}",
+        return Response.failure(
+            code, f"worker died serving request: {error}"
         )
 
     # -- request handling ----------------------------------------------
 
     def _handle(self, item: PendingRequest) -> Response:
-        if item.line.startswith("?-"):
+        if item.kind == "query":
             return self._serve_query(item.line)
         return self._serve_facts(item.line)
 
-    def _error(self, error: ReproError, query=None) -> Response:
-        return Response(
-            kind="error",
-            query=query,
-            error_code=error.code,
-            error_message=str(error),
-        )
-
     def _serve_query(self, line: str) -> Response:
         try:
-            query = parse_query(line)
+            query = parse_query_text(line)
             form, _ = canonicalize(query)
         except ReproError as error:
-            return self._error(error)
-        except ValueError as error:
-            return self._error(UsageError(str(error)))
+            return Response.failure(error.code, str(error))
         key = str(form)
         with self._breaker_lock:
             breaker = self._breakers.get(key)
@@ -324,7 +310,8 @@ class Supervisor:
                         ],
                     )
                 obs_count("serve.breaker_refusals")
-                return self._error(breaker.refuse(key), query)
+                error = breaker.refuse(key)
+                return Response.failure(error.code, str(error), query)
         response = self._query_with_retries(query)
         with self._breaker_lock:
             if counts_as_trip(response):
@@ -359,7 +346,7 @@ class Supervisor:
             ):
                 return self._engine.session.query(query)
         except ReproError as error:
-            return self._error(error, query)
+            return Response.failure(error.code, str(error), query)
 
     def _serve_facts(self, line: str) -> Response:
         # Never retried: a fault firing after the epoch committed
@@ -370,7 +357,7 @@ class Supervisor:
                     return self._engine.add_facts(line)
                 response = self.snapshotter.load(self._engine, line)
         except ReproError as error:
-            return self._error(error)
+            return Response.failure(error.code, str(error))
         if response.ok and response.loaded:
             with self._lock:
                 self._loads_since_snapshot += 1

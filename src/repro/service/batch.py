@@ -34,14 +34,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.service.engine import Engine
 
 
-def process_line(engine: "Engine", line: str) -> Response | None:
-    """Dispatch one batch line; ``None`` for blanks and comments."""
+def classify(line: str) -> tuple[str, str] | None:
+    """``(kind, text)`` of one request line -- ``kind`` is ``"query"``
+    or ``"facts"`` -- or ``None`` for blanks and comments."""
     stripped = line.strip()
     if not stripped or stripped.startswith(("%", "#")):
         return None
-    if stripped.startswith("?-"):
-        return engine.query(stripped)
-    return engine.add_facts(stripped)
+    return "query" if stripped.startswith("?-") else "facts", stripped
 
 
 def degraded_status(response: Response, on_limit: str) -> int:
@@ -63,6 +62,13 @@ def degraded_status(response: Response, on_limit: str) -> int:
     return 0
 
 
+def print_response(response: Response, on_limit: str, out: IO[str]) -> int:
+    """Print one response as its JSON line; returns its
+    :func:`degraded_status`."""
+    print(json.dumps(response.to_dict()), file=out, flush=True)
+    return degraded_status(response, on_limit)
+
+
 def run_batch(
     engine: "Engine",
     lines: Iterable[str],
@@ -72,6 +78,5 @@ def run_batch(
     status = 0
     on_limit = engine.session.on_limit
     for response in engine.batch(lines):
-        print(json.dumps(response.to_dict()), file=out, flush=True)
-        status |= degraded_status(response, on_limit)
+        status |= print_response(response, on_limit, out)
     return status

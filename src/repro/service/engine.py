@@ -64,6 +64,17 @@ def parse_facts(text: str) -> list[Fact]:
     return facts
 
 
+def parse_query_text(text: str) -> Query:
+    """The query of one ``?- ...`` request text; a parse failure
+    raises ``ReproError`` (a bare ``ValueError`` as ``REPRO_USAGE``)."""
+    try:
+        return parse_query(text)
+    except ReproError:
+        raise
+    except ValueError as error:
+        raise UsageError(str(error)) from None
+
+
 class Engine:
     """A long-lived query engine over one loaded program."""
 
@@ -87,7 +98,8 @@ class Engine:
             cache_size=cache_size,
         )
         #: Queries that appeared in the loaded program text (populated
-        #: by :meth:`from_text`); the CLI batch mode runs them first.
+        #: by :meth:`from_text`), for callers: batch mode does not run
+        #: them.
         self.initial_queries: list[Query] = []
 
     @classmethod
@@ -110,11 +122,9 @@ class Engine:
         """Answer a query (a :class:`Query` or ``?- ...`` source text)."""
         if isinstance(query, str):
             try:
-                query = parse_query(query)
+                query = parse_query_text(query)
             except ReproError as error:
                 return self.session._error_response(error)
-            except ValueError as error:
-                return self.session._error_response(UsageError(str(error)))
         return self.session.query(query)
 
     def add_facts(self, facts: str | Iterable[Fact]) -> Response:
@@ -132,12 +142,17 @@ class Engine:
 
     def batch(self, lines: Iterable[str]) -> Iterator[Response]:
         """Process batch-protocol lines (see :mod:`repro.service.batch`)."""
-        from repro.service.batch import process_line
+        from repro.service.batch import classify
 
         for line in lines:
-            response = process_line(self, line)
-            if response is not None:
-                yield response
+            request = classify(line)
+            if request is None:
+                continue
+            kind, text = request
+            if kind == "query":
+                yield self.query(text)
+            else:
+                yield self.add_facts(text)
 
     def stats(self) -> dict:
         """The session's operational snapshot."""

@@ -54,7 +54,6 @@ from repro.config import (
 )
 from repro.driver import (
     AUTO_STRATEGY,
-    ON_LIMIT_POLICIES,
     compile_query,
     grade,
     render_answers,
@@ -197,6 +196,19 @@ class Response:
     #: evaluated).
     eval_stats: object = field(default=None, repr=False, compare=False)
 
+    @classmethod
+    def failure(
+        cls, code: str, message: str, query: Query | None = None
+    ) -> "Response":
+        """The error response carrying ``code`` -- every one is built
+        here, whoever refuses the request."""
+        return cls(
+            kind="error",
+            query=query,
+            error_code=code,
+            error_message=message,
+        )
+
     @property
     def ok(self) -> bool:
         """Did the request succeed (possibly degraded)?"""
@@ -250,12 +262,7 @@ class Session:
         on_limit: str = "truncate",
         cache_size: int = DEFAULT_CACHE_SIZE,
     ) -> None:
-        validate_strategy(strategy, allow_auto=True)
-        if on_limit not in ON_LIMIT_POLICIES:
-            raise UsageError(
-                f"unknown on_limit policy {on_limit!r}; "
-                f"choose from {ON_LIMIT_POLICIES}"
-            )
+        validate_strategy(strategy, allow_auto=True, on_limit=on_limit)
         with obs_span("service.load"):
             self._rules, self._edb = split_edb(program)
         self._derived = self._rules.derived_predicates()
@@ -269,6 +276,9 @@ class Session:
         self._cache = FormCache(cache_size)
         self._epoch = 0
         self._fact_log: list[tuple[int, list[Fact]]] = []
+        #: Every fact loaded or restored since the program's own EDB:
+        #: what a checkpoint must hold (:meth:`export_state`).
+        self._loaded: list[Fact] = []
         self.requests = 0
         self.errors = 0
         # Concurrency discipline: queries share, fact loads exclude
@@ -350,6 +360,7 @@ class Session:
             if added:
                 self._epoch += 1
                 self._fact_log.append((self._epoch, added))
+                self._loaded.extend(added)
             obs_count("service.facts_added", len(added))
             request_span.set("added", len(added))
             return Response(
@@ -367,12 +378,7 @@ class Session:
         with self._mutex:
             self.errors += 1
         obs_count("service.errors")
-        return Response(
-            kind="error",
-            query=query,
-            error_code=error.code,
-            error_message=str(error),
-        )
+        return Response.failure(error.code, str(error), query)
 
     def _compile_lock(self, key: tuple) -> threading.Lock:
         """The single-flight lock for one compile key."""
@@ -598,24 +604,27 @@ class Session:
     # -- snapshot hooks (see repro.serve.snapshot) --------------------
 
     def export_state(self) -> tuple[int, list[Fact]]:
-        """A consistent ``(epoch, EDB facts)`` view for checkpointing.
+        """A consistent ``(epoch, facts)`` view for checkpointing: the
+        facts loaded and restored on top of the program's own EDB,
+        which the program text already supplies.
 
         Taken in the lock's shared mode: it can overlap queries but
-        never a fact-load epoch, so the fact list is exactly the EDB
-        as of the returned epoch.
+        never a fact-load epoch, so the fact list is exactly what the
+        loads up to the returned epoch added.
         """
         with self._rw.read_locked():
-            return self._epoch, list(self._edb.all_facts())
+            return self._epoch, list(self._loaded)
 
     def restore_state(self, facts: Iterable[Fact], epoch: int) -> int:
         """Install a recovered EDB and epoch (before serving begins).
 
-        Facts already present (the program's own EDB) deduplicate, so
-        restoring over a freshly loaded program only adds what fact
-        loads contributed.  Returns how many facts were new.
+        Facts already present (the program's own EDB, which snapshots
+        written before checkpoints left it out still carry)
+        deduplicate.  Returns how many facts were new.
         """
         with self._rw.write_locked():
             added = self._edb.insert_many(list(facts))
+            self._loaded.extend(added)
             self._epoch = max(self._epoch, epoch)
             return len(added)
 

@@ -739,16 +739,6 @@ class ShardCoordinator:
                 if not client.alive:
                     self._respawn_client(client)
 
-    def _error(
-        self, query: Query | None, code: str, message: str
-    ) -> Response:
-        return Response(
-            kind="error",
-            query=query,
-            error_code=code,
-            error_message=message,
-        )
-
     @property
     def epoch(self) -> int:
         """The cluster epoch: the sum of per-shard load epochs."""
@@ -776,7 +766,7 @@ class ShardCoordinator:
             try:
                 response = self._query_locked(query, text, started)
             except WorkerReplyError as error:
-                return self._error(query, error.code, error.message)
+                return Response.failure(error.code, error.message, query)
             except ShardError as error:
                 response = self._retry_after_straggler(
                     query, text, started, error
@@ -812,18 +802,18 @@ class ShardCoordinator:
             if not client.alive
         ]
         if not all(revived):
-            return self._error(query, "REPRO_SHARD", str(error))
+            return Response.failure("REPRO_SHARD", str(error), query)
         self.counters["round_retries"] += 1
         obs_count("shard.round_retries")
         try:
             return self._query_locked(query, text, started)
         except WorkerReplyError as retry_error:
-            return self._error(
-                query, retry_error.code, retry_error.message
+            return Response.failure(
+                retry_error.code, retry_error.message, query
             )
         except ShardError as retry_error:
-            return self._error(
-                query, "REPRO_SHARD", str(retry_error)
+            return Response.failure(
+                "REPRO_SHARD", str(retry_error), query
             )
 
     def _op_deadline(
@@ -930,10 +920,10 @@ class ShardCoordinator:
             truncated,
         )
         if must_fail:
-            return self._error(
-                query,
+            return Response.failure(
                 "REPRO_BUDGET",
                 f"{truncated} budget exhausted during evaluate",
+                query,
             )
         answers = sorted(
             {
@@ -985,7 +975,7 @@ class ShardCoordinator:
                     for shard, payload in targets.items()
                 })
             except ShardError as error:
-                return self._error(None, "REPRO_SHARD", str(error))
+                return Response.failure("REPRO_SHARD", str(error))
             for shard, reply in sorted(replies.items()):
                 if reply.get("ok"):
                     self._epochs[shard] = reply.get(
@@ -998,8 +988,7 @@ class ShardCoordinator:
             ]
             if failed:
                 shard, reply = failed[0]
-                return self._error(
-                    None,
+                return Response.failure(
                     reply.get("error_code", "REPRO_INTERNAL"),
                     f"shard {shard}: {reply.get('error_message')}",
                 )
@@ -1155,9 +1144,7 @@ class ShardedEngine:
             try:
                 facts = parse_facts(facts)
             except ReproError as error:
-                return self.coordinator._error(
-                    None, error.code, str(error)
-                )
+                return Response.failure(error.code, str(error))
         return self.coordinator.add_facts(facts)
 
     def stats(self) -> dict:

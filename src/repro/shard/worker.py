@@ -67,10 +67,13 @@ from repro import obs
 from repro.codec import decode_fact, encode_fact
 from repro.driver import split_edb
 from repro.engine import evaluate, resume
+from repro.engine.facts import fact_of_rule
 from repro.engine.query import answers_as
 from repro.errors import ReproError, SnapshotError, UsageError
 from repro.governor import Budget
 from repro.governor import budget as governor
+from repro.governor.faults import faulty_recorder
+from repro.lang.ast import Program
 from repro.lang.parser import parse_program, parse_query
 from repro.obs.recorder import count as obs_count
 from repro.serve.snapshot import Snapshotter
@@ -127,12 +130,14 @@ class ShardWorker:
         self.shard = int(hello["shard"])
         self.plan = ShardPlan.from_description(hello["plan"])
         program = parse_program(hello["program"])
-        rules, edb = split_edb(program)
-        owned = [
-            fact
-            for fact in edb.all_facts()
-            if self.plan.placed_on(fact, self.shard)
-        ]
+        rules = set(split_edb(program)[0])
+        # Every rule, and the program's EDB facts placed on this shard:
+        # they are this session's own EDB, never a checkpoint's.
+        placed = Program(
+            rule for rule in program
+            if rule in rules
+            or self.plan.placed_on(fact_of_rule(rule), self.shard)
+        )
         budget_spec = hello.get("budget") or None
         if budget_spec is not None:
             unknown = set(budget_spec) - set(_BUDGET_FIELDS)
@@ -144,7 +149,7 @@ class ShardWorker:
         else:
             self.budget = None
         self.session = Session(
-            rules,
+            placed,
             strategy=hello.get("strategy", "rewrite"),
             max_iterations=int(hello.get("max_iterations", 20)),
             eval_iterations=int(hello.get("eval_iterations", 200)),
@@ -152,7 +157,6 @@ class ShardWorker:
             on_limit=hello.get("on_limit", "truncate"),
             cache_size=int(hello.get("cache_size", 64)),
         )
-        self.session.restore_state(owned, 0)
         self.snapshotter: Snapshotter | None = None
         if hello.get("snapshot_dir"):
             self.snapshotter = Snapshotter(
@@ -608,13 +612,7 @@ def serve_frames(
             "error_message": str(error),
         })
         return 2
-    recorder = obs.get_recorder()
-    if hello.get("faults"):
-        from repro.governor import FaultPlan, FaultyRecorder
-
-        recorder = FaultyRecorder(
-            FaultPlan.from_spec(hello["faults"]), inner=recorder
-        )
+    recorder = faulty_recorder(hello.get("faults"), obs.get_recorder())
     write_frame(stdout, worker.hello_reply())
     stdout_lock = threading.Lock()
     frames: "queue.Queue" = queue.Queue()

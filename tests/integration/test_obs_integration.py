@@ -11,6 +11,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from repro import obs
 from repro.driver import run_text
 from repro.engine import Database, evaluate
@@ -208,6 +210,22 @@ class TestCli:
     def test_exit_2_on_parse_error(self):
         completed = self.run_cli("q(X :- broken(\n?- q(X).\n")
         assert completed.returncode == 2
+
+    @pytest.mark.parametrize(
+        "flags, fragment",
+        [
+            (("--max-iterations", "-1"), "--max-iterations"),
+            (("--eval-iterations", "0"), "--eval-iterations"),
+            (("--cache-size", "0"), "--cache-size"),
+        ],
+    )
+    def test_cli_rejects_bad_flags(self, flags, fragment):
+        # The twin of ``repro serve``'s check: both parsers share the
+        # flag group, so a non-positive cap is a usage error here too.
+        completed = self.run_cli(FLIGHTS_TEXT, *flags)
+        assert completed.returncode == 2
+        assert fragment in completed.stderr
+        assert "Traceback" not in completed.stderr
 
     def test_untraced_run_default_recorder_untouched(self):
         completed = self.run_cli(FLIGHTS_TEXT)

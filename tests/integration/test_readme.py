@@ -4,6 +4,7 @@ import functools
 import glob
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -155,3 +156,82 @@ def test_cited_paths_symbols_and_flags_exist(document):
         | set(CITED_FLAG.findall(text)) - _known_flags()
     )
     assert not missing, f"{document.name} cites {missing}"
+
+
+# -- every documented command line parses with the real parser -------------
+
+COMMAND = re.compile(r"^(?:\$\s+)?python -m repro\b(.*)$")
+#: A shell substitution stands for the value the shell computes; the
+#: docs use it for integer seeds only.
+SUBSTITUTION = re.compile(r"\$\([^)]*\)")
+
+
+def _documented_commands() -> list[tuple[str, str]]:
+    """``(where, arguments)`` of every ``python -m repro`` line in a
+    code block of the docs, continuation lines joined."""
+    commands = []
+    for document in DOCUMENTS:
+        in_block, held = False, None
+        for number, line in enumerate(
+            document.read_text().splitlines(), start=1
+        ):
+            if line.lstrip().startswith("```"):
+                in_block = not in_block
+                continue
+            if held is not None:
+                where, text = held
+                held = None
+                line = text + " " + line.strip()
+            else:
+                where = f"{document.relative_to(ROOT)}:{number}"
+                match = COMMAND.match(line.strip()) if in_block else None
+                if match is None:
+                    continue
+                line = match.group(1)
+            if line.rstrip().endswith("\\"):
+                held = (where, line.rstrip()[:-1])
+            else:
+                commands.append((where, line))
+    return commands
+
+
+def _parser_for(arguments: list[str]):
+    """The real parser of the command's subcommand, and its argv."""
+    from repro.__main__ import build_parser
+    from repro.conformance.cli import build_parser as conformance
+    from repro.serve.cli import build_parser as serve
+
+    if arguments and arguments[0] in ("serve", "conformance"):
+        chosen = serve if arguments[0] == "serve" else conformance
+        return chosen(), arguments[1:]
+    return build_parser(), arguments
+
+
+DOCUMENTED_COMMANDS = _documented_commands()
+
+
+def test_the_docs_show_commands_of_every_parser():
+    subcommands = {
+        (shlex.split(text, comments=True) or ["repro"])[0]
+        for __, text in DOCUMENTED_COMMANDS
+    }
+    assert {"serve", "conformance"} <= subcommands
+    assert len(DOCUMENTED_COMMANDS) >= 20
+
+
+@pytest.mark.parametrize(
+    "where, text",
+    DOCUMENTED_COMMANDS,
+    ids=[where for where, __ in DOCUMENTED_COMMANDS],
+)
+def test_documented_command_parses(where, text, capsys):
+    arguments = shlex.split(SUBSTITUTION.sub("0", text), comments=True)
+    parser, argv = _parser_for(arguments)
+    try:
+        parser.parse_args(argv)
+    except SystemExit as exit:
+        if exit.code != 0:  # --version and --help exit 0
+            pytest.fail(
+                f"{where}: `python -m repro {text.strip()}` does not "
+                f"parse: {capsys.readouterr().err.strip()}"
+            )

@@ -12,20 +12,24 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import threading
 import zlib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from repro.codec import SCHEMA, decode_fact, encode_fact, seal
+from repro.codec import SCHEMA, decode_fact, encode_fact, seal, unseal
 from repro.constraints.atom import Atom
 from repro.constraints.conjunction import Conjunction
 from repro.constraints.linexpr import LinearExpr
 from repro.engine.facts import Fact, make_fact
 from repro.errors import SnapshotError
 from repro.serve.snapshot import Snapshotter, program_sha
-from repro.service.engine import Engine
+from repro.service.engine import Engine, parse_facts
+
+GOLDEN = Path(__file__).resolve().parents[1] / "golden"
 
 PROGRAM = """
 reach(X, Y, C) :- edge(X, Y, C).
@@ -489,6 +493,76 @@ class TestRecovery:
         again = recovered.add_facts("edge(c, d, 5).")
         assert again.ok and again.added == 0
         assert recovered.session.epoch == 1
+
+
+class TestCheckpointHoldsLoadsOnly:
+    """A checkpoint holds what loads added; the program text supplies
+    the rest."""
+
+    def test_checkpoint_holds_exactly_the_loaded_facts(self, tmp_path):
+        sha = program_sha(PROGRAM)
+        engine = Engine.from_text(PROGRAM)
+        program_facts = set(engine.session.edb.all_facts())
+        assert len(program_facts) == 2
+        # The last line is one of the program's own facts: not new.
+        for spec in ("edge(c, d, 5).", "edge(d, e, 6).", "edge(a, b, 3)."):
+            assert engine.add_facts(spec).ok
+        loaded = set(parse_facts("edge(c, d, 5). edge(d, e, 6)."))
+        snap = Snapshotter(str(tmp_path), sha)
+        assert snap.checkpoint(engine.session) == 2
+        written = snap.latest()["facts"]
+        assert len(written) == 2
+        assert {decode_fact(entry) for entry in written} == loaded
+
+        recovered = Engine.from_text(PROGRAM)
+        summary = Snapshotter(str(tmp_path), sha).recover(
+            recovered.session
+        )
+        assert summary["facts_restored"] == 2
+        fresh = Engine.from_text(
+            PROGRAM + "edge(c, d, 5).\nedge(d, e, 6).\n"
+        )
+        assert set(recovered.session.edb.all_facts()) == set(
+            fresh.session.edb.all_facts()
+        ) == program_facts | loaded
+        query = "?- reach(a, X, C)."
+        assert sorted(recovered.query(query).answer_strings) == sorted(
+            fresh.query(query).answer_strings
+        )
+        # Restored facts are the next checkpoint's again.
+        assert set(recovered.session.export_state()[1]) == loaded
+
+    @pytest.mark.parametrize("name", ["snap-v3", "snap-v3-planner"])
+    def test_older_snapshots_with_program_facts_recover_the_same_edb(
+        self, tmp_path, name
+    ):
+        directory = tmp_path / name
+        shutil.copytree(GOLDEN / name, directory)
+        text = (directory / "program.cql").read_text()
+        (snapshot,) = directory.glob("snapshot-*.json")
+        in_snapshot = {
+            decode_fact(entry)
+            for entry in unseal(snapshot.read_text())["facts"]
+        }
+        in_log = {
+            decode_fact(entry)
+            for line in (directory / "facts.log").read_text().splitlines()
+            for entry in unseal(line)["facts"]
+        }
+        engine = Engine.from_text(text)
+        program_facts = set(engine.session.edb.all_facts())
+        assert program_facts <= in_snapshot  # written before the change
+        summary = Snapshotter(str(directory), program_sha(text)).recover(
+            engine.session
+        )
+        assert not summary["corrupt"]
+        assert summary["facts_restored"] == len(in_snapshot - program_facts)
+        assert set(engine.session.edb.all_facts()) == (
+            program_facts | in_snapshot | in_log
+        )
+        assert set(engine.session.export_state()[1]) == (
+            (in_snapshot | in_log) - program_facts
+        )
 
 
 class TestConcurrentLoaders:

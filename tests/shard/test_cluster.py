@@ -22,6 +22,7 @@ import time
 
 import pytest
 
+from repro.codec import decode_fact, unseal
 from repro.governor import Budget
 from repro.lang.parser import parse_program, parse_query
 from repro.service.engine import parse_facts
@@ -261,6 +262,30 @@ def test_durable_cycle_recovers_cluster(tmp_path):
         revived.coordinator.close(drain=False)
 
 
+def test_shard_checkpoints_hold_only_loaded_facts(tmp_path):
+    # Each worker's session owns the program facts placed on its shard
+    # as its EDB, so no checkpoint re-encodes them.
+    snapdir = tmp_path / "snap"
+    engine = ShardedEngine.from_text(
+        PROGRAM, 2, snapshot_dir=str(snapdir), snapshot_every=100
+    )
+    engine.coordinator.recover()
+    loaded = [f"edge(x{index}, y{index}, 1)." for index in range(4)]
+    try:
+        for spec in loaded:
+            assert engine.add_facts(spec).ok
+    finally:
+        engine.coordinator.close()  # drain checkpoint + manifest
+    snapshots = sorted(snapdir.glob("shard-*/snapshot-*.json"))
+    assert snapshots
+    written = {
+        decode_fact(entry)
+        for snapshot in snapshots
+        for entry in unseal(snapshot.read_text())["facts"]
+    }
+    assert written == set(parse_facts("\n".join(loaded)))
+
+
 def test_sigkill_one_shard_isolates_then_recovers(tmp_path):
     snapdir = str(tmp_path / "snap")
     engine = ShardedEngine.from_text(
@@ -414,6 +439,9 @@ def test_serve_cli_sharded_end_to_end(tmp_path):
         (("--shards", "two"), "--shards"),
         (("--snapshot-every", "0"), "--snapshot-every"),
         (("--partition-key", "edge=0"), "--partition-key"),
+        (("--max-iterations", "-1"), "--max-iterations"),
+        (("--eval-iterations", "0"), "--eval-iterations"),
+        (("--cache-size", "0"), "--cache-size"),
     ],
 )
 def test_serve_cli_rejects_bad_flags(tmp_path, flags, fragment):
