@@ -52,6 +52,11 @@ from dataclasses import asdict, replace
 from typing import Iterable, Mapping
 
 from repro.codec import decode_fact, encode_fact, frozen
+from repro.config import (
+    DEFAULT_CACHE_SIZE,
+    DEFAULT_EVAL_ITERATIONS,
+    DEFAULT_REWRITE_ITERATIONS,
+)
 from repro.driver import grade, split_edb
 from repro.engine.facts import Fact
 from repro.errors import ReproError, ShardError, UsageError
@@ -470,9 +475,9 @@ class ShardCoordinator:
         shards: int,
         *,
         strategy: str = "rewrite",
-        max_iterations: int = 20,
-        eval_iterations: int = 200,
-        cache_size: int = 64,
+        max_iterations: int = DEFAULT_REWRITE_ITERATIONS,
+        eval_iterations: int = DEFAULT_EVAL_ITERATIONS,
+        cache_size: int = DEFAULT_CACHE_SIZE,
         on_limit: str = "truncate",
         budget: Budget | None = None,
         snapshot_dir: str | None = None,

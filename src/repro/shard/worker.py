@@ -65,6 +65,11 @@ from typing import NoReturn
 
 from repro import obs
 from repro.codec import decode_fact, encode_fact
+from repro.config import (
+    DEFAULT_CACHE_SIZE,
+    DEFAULT_EVAL_ITERATIONS,
+    DEFAULT_REWRITE_ITERATIONS,
+)
 from repro.driver import split_edb
 from repro.engine import evaluate, resume
 from repro.engine.facts import fact_of_rule
@@ -151,11 +156,15 @@ class ShardWorker:
         self.session = Session(
             placed,
             strategy=hello.get("strategy", "rewrite"),
-            max_iterations=int(hello.get("max_iterations", 20)),
-            eval_iterations=int(hello.get("eval_iterations", 200)),
+            max_iterations=int(
+                hello.get("max_iterations", DEFAULT_REWRITE_ITERATIONS)
+            ),
+            eval_iterations=int(
+                hello.get("eval_iterations", DEFAULT_EVAL_ITERATIONS)
+            ),
             budget=None,  # metering is per round, not per Session call
             on_limit=hello.get("on_limit", "truncate"),
-            cache_size=int(hello.get("cache_size", 64)),
+            cache_size=int(hello.get("cache_size", DEFAULT_CACHE_SIZE)),
         )
         self.snapshotter: Snapshotter | None = None
         if hello.get("snapshot_dir"):

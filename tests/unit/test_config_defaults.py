@@ -114,3 +114,28 @@ def test_cli_defers_to_config_defaults():
         assert "default 50)" not in parser.format_help()
     assert default_of(Session.__init__, "cache_size") == DEFAULT_CACHE_SIZE
     assert default_of(FormCache.__init__, "capacity") == DEFAULT_CACHE_SIZE
+
+
+def test_shard_path_defers_to_config_defaults():
+    # The coordinator's constructor and the worker's ``hello`` fallbacks
+    # used to spell 20 / 200 / 64 themselves, so a sharded session
+    # compiled under a different rewrite cap from ``Engine``'s.
+    from repro.config import DEFAULT_CACHE_SIZE
+    from repro.driver import split_edb
+    from repro.lang.parser import parse_program
+    from repro.shard.coordinator import ShardCoordinator
+    from repro.shard.partition import build_plan
+    from repro.shard.worker import ShardWorker
+
+    init = ShardCoordinator.__init__
+    assert default_of(init, "max_iterations") == DEFAULT_REWRITE_ITERATIONS
+    assert default_of(init, "eval_iterations") == DEFAULT_EVAL_ITERATIONS
+    assert default_of(init, "cache_size") == DEFAULT_CACHE_SIZE
+    text = "reach(X, Y) :- edge(X, Y).\nedge(a, b).\n"
+    plan, __ = build_plan(*split_edb(parse_program(text)), 1)
+    worker = ShardWorker(
+        {"shard": 0, "plan": plan.describe(), "program": text}
+    )
+    assert worker.session._max_iterations == DEFAULT_REWRITE_ITERATIONS
+    assert worker.session._eval_iterations == DEFAULT_EVAL_ITERATIONS
+    assert worker.session._cache.capacity == DEFAULT_CACHE_SIZE
