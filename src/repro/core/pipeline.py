@@ -26,7 +26,8 @@ from repro.config import (
     DEFAULT_EVAL_ITERATIONS,
     DEFAULT_REWRITE_ITERATIONS,
 )
-from repro.core.steps import pred_step, qrp_step
+from repro.constraints.cset import ConstraintSet
+from repro.core.steps import carry, pred_step, qrp_step
 from repro.engine.database import Database
 from repro.engine.fixpoint import EvaluationResult, evaluate
 from repro.engine.query import answers_as
@@ -70,6 +71,9 @@ class PipelineResult:
     #: so query-generic callers (the service's form cache) can strip it
     #: and rebuild it per call.
     seed_pred: str | None = None
+    #: The last ``pred`` step's predicate constraints, under the names
+    #: the later steps gave those predicates (``repro.core.prune``).
+    proved: dict[str, ConstraintSet] = field(default_factory=dict)
 
     def name(self) -> str:
         """Display name of the sequence (paper notation)."""
@@ -118,6 +122,7 @@ def apply_sequence(
         query_pred = query.literal.pred
     notes: list[str] = []
     fallbacks: list[str] = []
+    proved: dict[str, ConstraintSet] = {}
     seed_rule = None
     for step in sequence:
         governor.checkpoint(f"pipeline.{step}")
@@ -158,11 +163,13 @@ def apply_sequence(
                 current, max_iterations=max_iterations,
                 on_budget=on_budget,
             )
+            proved = dict(done.constraints)
         else:
             done = qrp_step(
                 current, query_pred, max_iterations,
                 on_budget=on_budget,
             )
+            proved = carry(proved, done)
         current = done.program
         fallbacks.extend(done.fallbacks)
         notes.extend(done.notes)
@@ -187,6 +194,7 @@ def apply_sequence(
         notes=notes,
         fallbacks=fallbacks,
         seed_pred=seed_rule.head.pred if seed_rule is not None else None,
+        proved=proved,
     )
 
 

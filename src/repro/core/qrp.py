@@ -145,6 +145,9 @@ class QRPPropagation:
     unfolded_occurrences: int = 0
     folded_occurrences: int = 0
     unfoldable_occurrences: list[str] = field(default_factory=list)
+    #: Each restricted predicate's primed copy (``p -> p'``); a copy
+    #: renamed back keeps ``p``'s own name in the program.
+    primes: dict[str, str] = field(default_factory=dict)
 
 
 def _prime_name(pred: str, taken: frozenset[str]) -> str:
@@ -206,7 +209,7 @@ def gen_prop_qrp_constraints(
         taken = taken | {prime}
         primes[pred] = prime
         state = state.define(prime, base, disjuncts)
-    result = QRPPropagation(program, qrp, report)
+    result = QRPPropagation(program, qrp, report, primes=primes)
     # Unfolding steps: expand the single p literal of each definition
     # rule into p's definitions (one unfold step per definition rule;
     # the recursive occurrences this introduces are folded, not

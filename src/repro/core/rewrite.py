@@ -17,7 +17,7 @@ from typing import Mapping
 from repro.config import DEFAULT_REWRITE_ITERATIONS
 from repro.constraints.cset import ConstraintSet
 from repro.core.predconstraints import InferenceReport
-from repro.core.steps import pred_step, qrp_step
+from repro.core.steps import carry, pred_step, qrp_step
 from repro.lang.ast import Literal, Program, Query, Rule
 from repro.lang.normalize import normalize_program, normalize_query
 from repro.lang.terms import FreshVars
@@ -39,6 +39,9 @@ class RewriteResult:
     #: ``"qrp:widened"``) and what each says to a human.
     fallbacks: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+    #: ``predicate_constraints`` under the output's names: a primed
+    #: copy keeps its predicate's (``repro.core.prune``).
+    proved: dict[str, ConstraintSet] = field(default_factory=dict)
 
     @property
     def converged(self) -> bool:
@@ -141,4 +144,5 @@ def constraint_rewrite(
         qrp_report=qrp.report,
         fallbacks=[*pred.fallbacks, *qrp.fallbacks],
         notes=[*pred.notes, *qrp.notes],
+        proved=carry(pred.constraints, qrp),
     )

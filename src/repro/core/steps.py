@@ -45,7 +45,8 @@ class Step(NamedTuple):
     ``fallbacks`` holds the machine-readable degradation tag
     (``"pred:widened"``, ``"qrp:widened"`` or ``"qrp:skipped"``) and
     ``notes`` the same said to a human; both are empty for an exact
-    step.
+    step.  ``primes`` maps each predicate ``qrp`` restricted to its
+    primed copy (``p -> p'``).
     """
 
     program: Program
@@ -54,6 +55,7 @@ class Step(NamedTuple):
     fallbacks: Sequence[str] = ()
     notes: Sequence[str] = ()
     unfoldable: Sequence[str] = ()
+    primes: Mapping[str, str] = {}
 
 
 def _absorbed(error: BudgetExceeded, on_budget: str, span) -> str:
@@ -144,7 +146,7 @@ def qrp_step(
         span.set("converged", result.report.converged)
     step = Step(
         result.program, result.constraints, result.report,
-        unfoldable=result.unfoldable_occurrences,
+        unfoldable=result.unfoldable_occurrences, primes=result.primes,
     )
     if result.report.converged:
         return step
@@ -152,3 +154,16 @@ def qrp_step(
         fallbacks=("qrp:widened",),
         notes=("qrp fixpoint diverged; widened to true",),
     )
+
+
+def carry(
+    proved: Mapping[str, ConstraintSet], step: Step
+) -> dict[str, ConstraintSet]:
+    """``pred``'s proved constraints, named for the program ``step``
+    (a ``qrp`` step) made: a primed copy ``p'`` computes a subset of
+    ``p``'s facts, so it keeps ``p``'s predicate constraint."""
+    carried = dict(proved)
+    for pred, prime in step.primes.items():
+        if pred in proved:
+            carried[prime] = proved[pred]
+    return carried

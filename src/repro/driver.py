@@ -49,6 +49,7 @@ from repro.config import (
     DEFAULT_REWRITE_ITERATIONS,
 )
 from repro.core.pipeline import STRATEGY_SEQUENCES, apply_sequence
+from repro.core.prune import prune
 from repro.core.rewrite import constraint_rewrite
 from repro.engine import Database, EvaluationResult, evaluate
 from repro.engine.facts import Fact
@@ -237,9 +238,11 @@ def optimize(
                 **options,
             )
             query_pred = done.query_pred
+        with obs_span("prune"):
+            pruned = prune(done.program, done.proved)
     if fallbacks is not None:
         fallbacks.extend(done.fallbacks)
-    return done.program, query_pred, list(done.notes)
+    return pruned, query_pred, list(done.notes)
 
 
 def compile_query(

@@ -13,7 +13,10 @@ runs, the per-iteration sequence of ``(rule label, fact, outcome,
 parents)``.  The runs are flights 4x4 (``flight_network(n_layers=4,
 width=4, seed=1)``, all-free query) under ``none``/``rewrite``/
 ``optimal`` and ``generate_case(0..49)`` under every strategy.  The
-values are what commit ``a401944`` produces.  They are not re-pinned
+``none`` value is what commit ``a401944`` produces; the others were
+re-pinned when the compile's last step started dropping dead rules and
+the atoms ``pred`` proved (``repro.core.prune``), which relabels rules
+and removes derivations.  They are not re-pinned
 for an engine change: the engine must derive the same facts in the same
 order.  A compile change that is meant to alter a rewritten program
 re-pins only the strategies whose programs it changed (``none``
@@ -34,11 +37,11 @@ EVAL_ITERATIONS = 80
 #: strategy -> sha256 of its runs' derivation logs in emission order.
 PINNED = {
     "none": "923eca6626ba836a656b168a3badb9541ac418c6b7e4c4c03b022bd9cd87400d",
-    "pred": "281a63bfdd9a6b8b1ca30a616f7ab364743d0b587490a19aeecab57f799e815a",
-    "qrp": "6f59bbffd046694c23c7cca9531f2a8fb831cb56336db485a348526764038ccf",
-    "rewrite": "e7877a7355a9b5afed763ae0dd67ae4e91b0e5add017fbc21e63cfe7f889dbc8",
-    "magic": "c08f6051258af1c3cd535b020af85ac6227be35e5c669ebb994b8a8a32528549",
-    "optimal": "a88aa524bb42347984374dcc3c8b80a40e6422964b6970c0b7ebd03a91980039",
+    "pred": "ff2805646a92c612b96d82bb00fe9012f7607f0dc5b10c0744a400b3b13db472",
+    "qrp": "47e0b4dd3253f9027c08520bb0ae011121135a85f53dd95ef83548fa00e5d98b",
+    "rewrite": "5f9fa3fc76dfc4bced372a88063fd0a0af3f11af4f3492b2645185f141c13599",
+    "magic": "f3c5eb8d48a0cc65ec68e70e8b736cc85a26a46d934c78f8c2c20fb4e4a998ae",
+    "optimal": "76244f910830ef4bf9cb7a5782fce9dfa0f6deb2b8d29f9761894d31e392c721",
 }
 
 

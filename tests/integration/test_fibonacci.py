@@ -11,11 +11,14 @@ import pytest
 
 from repro.__main__ import main
 from repro.constraints.cset import ConstraintSet
+from repro.core.pipeline import apply_sequence
+from repro.core.prune import prune
 from repro.core.widening import gen_predicate_constraints_widened
 from repro.driver import answer_query, run_text
 from repro.engine import evaluate
 from repro.engine.facts import PENDING
 from repro.governor import Budget
+from repro.governor import budget as governor
 from repro.lang.positions import ptol
 from repro.service import Engine
 from repro.workloads.fib import (
@@ -185,18 +188,28 @@ class TestTable2ThroughTheOptimalStrategy:
         # test_degradation pins that a 1-iteration rewrite budget +
         # widen terminates; it must be the *same* program and work.
         free = self._run(5)
+        tight_budget = Budget(max_rewrite_iterations=1)
         (tight,) = run_text(
             self._text(5),
             strategy=self.strategy,
-            budget=Budget(max_rewrite_iterations=1),
+            budget=tight_budget,
             on_limit="widen",
         )
         bounds = gen_predicate_constraints_widened(fib_program())[0]
         assert str(bounds["fib"]) == "($1 >= 0 & $2 >= 1)"
-        for outcome in (free, tight):
+        for budget, outcome in ((None, free), (tight_budget, tight)):
+            # The steps attach the widened bounds to every fib call;
+            # the program that runs has them proved, not re-checked.
+            with governor.governed(
+                budget.meter() if budget is not None else None
+            ):
+                steps = apply_sequence(
+                    fib_program(), fib_query(5), ("pred", "qrp", "mg")
+                )
+            assert prune(steps.program, steps.proved) == outcome.program
             calls = [
                 (rule, literal)
-                for rule in outcome.program
+                for rule in steps.program
                 for literal in rule.body
                 if literal.pred in ("fib_fb", "fib_bb")
             ]
@@ -205,6 +218,7 @@ class TestTable2ThroughTheOptimalStrategy:
                 assert ConstraintSet.of(rule.constraint).implies(
                     ptol(literal, bounds["fib"])
                 )
+                assert steps.proved[literal.pred] == bounds["fib"]
         assert tight.result.stats.derivations == (
             free.result.stats.derivations
         )

@@ -5,8 +5,13 @@ Work on the rewrite path -- the solver, the constraint fixpoints of
 change what it produces.  This pins, for every strategy, a digest of
 ``str(optimize(...))`` on generated programs (``generate_case`` seeds
 0-59, plus 346, whose ``qrp`` compile meets a symbol in a disjunctive
-fold), on the flights program and on Examples 4.1 and 5.1.  The digests
-are what commit ``ed32d12`` produces.
+fold), on the flights program and on Examples 4.1 and 5.1.
+
+``STEPS`` pins the programs Section 7's steps return -- the compile
+without its last step, :func:`repro.core.prune.prune` -- at the values
+commit ``ed32d12`` produces.  ``PINNED`` pins the programs that run:
+they were re-pinned when that last step started dropping dead rules
+and the atoms ``pred`` proved (57 of the 64 inputs moved).
 
 Re-pin only for a change that is *meant* to alter a rewritten program,
 and say so in its change note, as with ``PINNED`` in
@@ -19,6 +24,7 @@ import hashlib
 
 import pytest
 
+from repro import driver
 from repro.conformance.generator import generate_case
 from repro.driver import STRATEGIES, optimize
 from repro.lang.parser import parse_program, parse_query
@@ -64,8 +70,9 @@ def _digest(name):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-#: input -> sha256 prefix of its rewrites under all six strategies.
-PINNED = {
+#: input -> sha256 prefix of its steps' programs under all six
+#: strategies, pruning left out.
+STEPS = {
     "case-0": "e666600b5479e438",
     "case-1": "f5590b9420b49eb9",
     "case-10": "3cb108f9ad535817",
@@ -132,9 +139,78 @@ PINNED = {
     "flights": "233dec80407a4dcd",
 }
 
+#: input -> sha256 prefix of its rewrites under all six strategies.
+PINNED = {
+    "case-0": "020a17857e0e86c4",
+    "case-1": "1c8f58a4247b3d91",
+    "case-10": "a10382e711c1541d",
+    "case-11": "eeb17cf503d2e66a",
+    "case-12": "8d0e001acd22a05e",
+    "case-13": "f6126ba988b714ed",
+    "case-14": "96c6ad4ebceea654",
+    "case-15": "0e0a1314f8fe6238",
+    "case-16": "74d70107d55beba8",
+    "case-17": "c5ed32e8f5c44d43",
+    "case-18": "fc07af4c49319a60",
+    "case-19": "30f0350e57b75833",
+    "case-2": "52e7ca192eca5c08",
+    "case-20": "03918dfb0f48a6a6",
+    "case-21": "9f99e741ecba98d2",
+    "case-22": "d3c26ac7f6e6f0af",
+    "case-23": "d7e894f948a4109a",
+    "case-24": "f88ad94a1c19a8db",
+    "case-25": "5af0ac287969ce37",
+    "case-26": "1f8f56f51152bc00",
+    "case-27": "ef7c55d9a3cff7b4",
+    "case-28": "34163574ad5d2204",
+    "case-29": "ec263992f01ee644",
+    "case-3": "a3d39de2a67e7c64",
+    "case-30": "f0b263cc5823cc19",
+    "case-31": "15a47ec5f06f58c4",
+    "case-32": "6d4aa3e2ed82ee60",
+    "case-33": "33db5acb01c6eabd",
+    "case-34": "149909a4d209e16e",
+    "case-346": "ddb6d07b6e98ed9d",
+    "case-35": "fe87a2e067f26f7b",
+    "case-36": "041b9f97241f3f8c",
+    "case-37": "8dc0af5aa67bb511",
+    "case-38": "45a88b0b542caf05",
+    "case-39": "7cb2e2734c6f9451",
+    "case-4": "5a9972c245984d63",
+    "case-40": "c3ed14beea374719",
+    "case-41": "1a03c90e9a451ff1",
+    "case-42": "92ccf0f7a7756990",
+    "case-43": "9149817e18d6791e",
+    "case-44": "a320637b1f91c9d0",
+    "case-45": "d2e5cc831b529ac8",
+    "case-46": "2b1f48277c8823b9",
+    "case-47": "61207c9b248c87e0",
+    "case-48": "a480324d82377aa5",
+    "case-49": "4e40470633adcdfe",
+    "case-5": "9b34d8b075aa1b4a",
+    "case-50": "2facc536cb2b5a91",
+    "case-51": "8df90c1cb03afb52",
+    "case-52": "83b878dca8c4e24f",
+    "case-53": "f5e4be2dad45c19a",
+    "case-54": "09733490f60c83f7",
+    "case-55": "c69e3e4e0513d181",
+    "case-56": "6e0fc6f6c0b8f134",
+    "case-57": "2addf3c6ed2443e1",
+    "case-58": "e69febac520aa6d6",
+    "case-59": "c09c683d0954e0ea",
+    "case-6": "f71992a9d51d8ef8",
+    "case-7": "2cebbb1bd57a0739",
+    "case-8": "e9c532f911dfab95",
+    "case-9": "63474e30e50079f7",
+    "example-4.1": "53fd666a00fc8e2d",
+    "example-5.1": "df06bcf1eb1bcaa3",
+    "flights": "4e19a11197c78a39",
+}
+
 
 def test_every_input_is_pinned():
     assert len(PINNED) == 60 + 1 + 3
+    assert set(STEPS) == set(PINNED)
     assert STRATEGIES == (
         "none", "pred", "qrp", "rewrite", "magic", "optimal"
     )
@@ -146,4 +222,13 @@ def test_rewrites_match_the_pin(name):
     assert digest == PINNED[name], (
         f"{name}: rewritten programs moved (now {digest!r}); re-pin "
         "only for a change meant to alter a rewrite"
+    )
+
+
+@pytest.mark.parametrize("name", sorted(STEPS))
+def test_steps_programs_match_the_pin(name, monkeypatch):
+    monkeypatch.setattr(driver, "prune", lambda program, proved: program)
+    digest = _digest(name)
+    assert digest == STEPS[name], (
+        f"{name}: the steps' programs moved (now {digest!r})"
     )

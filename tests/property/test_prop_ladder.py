@@ -14,12 +14,14 @@ budget, hence the ``pred`` step is compared, not the whole program.
 
 And one ladder means one answer: ``Constraint_rewrite``,
 ``apply_sequence(("pred",), adorn=False)`` and strategy ``pred`` attach
-the same constraints to ``fib``.
+the same constraints to ``fib`` -- the strategy then drops the atoms
+the step proved (``repro.core.prune``), the same ones on every path.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core.pipeline import apply_sequence
+from repro.core.prune import prune
 from repro.core.rewrite import constraint_rewrite
 from repro.core.steps import pred_step
 from repro.driver import optimize
@@ -84,10 +86,13 @@ def test_one_ladder_one_answer():
             program, parse_query(query), "pred", fallbacks=fallbacks
         )
         assert fallbacks == ["pred:widened"]
-        assert (
-            _recursive_fib(sequence.program)
-            == _recursive_fib(strategy)
-            == _recursive_fib(step.program)
+        assert sequence.proved == step.constraints
+        assert _recursive_fib(sequence.program) == _recursive_fib(
+            step.program
+        )
+        # The strategy runs the steps' program less what pred proved.
+        assert _recursive_fib(strategy) == _recursive_fib(
+            prune(step.program, step.constraints)
         )
 
 
