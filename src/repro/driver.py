@@ -10,6 +10,9 @@ Strategies are named sequences over Section 7's three steps
 written, ``pred`` / ``qrp`` run one constraint step, ``rewrite`` is
 ``Constraint_rewrite`` (pred then qrp), ``magic`` the bf-adorned
 constraint magic only, ``optimal`` the Theorem 7.10 order pred, qrp, mg.
+Every strategy but ``none`` ends with :func:`repro.core.prune.prune`,
+which drops the body atoms ``pred`` proved and the rules that derive
+nothing new: what runs is the sequence's program less what it proved.
 
 A request is the same four moves whoever serves it -- ``answer_query``
 here, a :class:`~repro.service.session.Session`, a shard worker and its
