@@ -29,7 +29,7 @@ from repro.constraints.atom import Atom
 from repro.constraints.conjunction import Conjunction
 from repro.constraints.cset import ConstraintSet
 from repro.lang.ast import Literal, Program, Rule
-from repro.lang.positions import arg_position, ptol
+from repro.lang.positions import ptol
 
 #: A bound as :meth:`Atom.box_bound` gives it: ``(value, flag)``.
 Bound = tuple
@@ -52,14 +52,11 @@ def drop_implied_atoms(
     """
     if not proved:
         return program
-    proofs: dict[str, _Proof | None] = {}
-    return Program(
-        _without_implied(rule, proved, proofs) for rule in program
-    )
+    return Program(_without_implied(rule, proved) for rule in program)
 
 
 class _Proof(NamedTuple):
-    """What a proved constraint says, ready to rename onto a literal.
+    """What a proved constraint, renamed onto a literal, says.
 
     ``upper``/``lower`` hold the hull of its disjuncts' one-variable
     bounds; ``atoms`` its atoms when it is a single conjunction.
@@ -108,9 +105,7 @@ def _proof(cset: ConstraintSet) -> _Proof | None:
 
 
 def _without_implied(
-    rule: Rule,
-    proved: Mapping[str, ConstraintSet],
-    proofs: dict[str, _Proof | None],
+    rule: Rule, proved: Mapping[str, ConstraintSet]
 ) -> Rule:
     """``rule`` less the atoms its literals' proved constraints imply.
 
@@ -121,64 +116,42 @@ def _without_implied(
     those constraints mention every one of its variables: an atom over
     a variable no proved constraint speaks of (a head variable's
     defining equality, say) is the rule's own, and solving for it is
-    what would make this pass cost more than it saves.  ``proofs``
-    memoizes each predicate's :class:`_Proof` over one program.
+    what would make this pass cost more than it saves.
     """
     if rule.constraint.is_true():
         return rule
     upper: dict[str, Bound] = {}
     lower: dict[str, Bound] = {}
-    renamings: list[tuple[tuple[Atom, ...], dict[str, str] | None]] = []
+    premise: list[Atom] = []
     spoken: set[str] = set()
     for literal in rule.body:
         cset = proved.get(literal.pred)
         if cset is None or cset.is_true():
             continue
-        names: dict[str, str] | None = None
-        if literal.has_distinct_var_args():
-            # ptol is a renaming of positions onto the arguments.
-            if literal.pred not in proofs:
-                proofs[literal.pred] = _proof(cset)
-            proof = proofs[literal.pred]
-            names = {
-                arg_position(index): arg.name
-                for index, arg in enumerate(literal.args, start=1)
-            }
-        else:
-            proof = _proof(ptol(literal, cset))
+        proof = _proof(ptol(literal, cset))
         if proof is None:
             return rule  # the rule never fires; leave it to the engine
         for var, bound in proof.upper.items():
-            var = names[var] if names else var
             if var not in upper or bound < upper[var]:
                 upper[var] = bound
         for var, bound in proof.lower.items():
-            var = names[var] if names else var
             if var not in lower or bound > lower[var]:
                 lower[var] = bound
-        if proof.atoms:
-            renamings.append((proof.atoms, names))
-            spoken.update(
-                names[var] if names else var for var in proof.variables
-            )
+        premise.extend(proof.atoms)
+        spoken.update(proof.variables)
     atoms = rule.constraint.atoms
     kept: list[Atom] = []
-    premise: list[Atom] | None = None
     for index, atom in enumerate(atoms):
         if _within(atom, upper, lower):
             continue
         variables = atom.variables()
-        if len(variables) > 1 and variables <= spoken:
-            if premise is None:
-                premise = [
-                    each.rename(names) if names else each
-                    for constraint, names in renamings
-                    for each in constraint
-                ]
-            if atom in premise or Conjunction(
+        if len(variables) > 1 and variables <= spoken and (
+            atom in premise
+            or Conjunction(
                 (*kept, *atoms[index + 1:], *premise)
-            ).implies_atom(atom):
-                continue
+            ).implies_atom(atom)
+        ):
+            continue
         kept.append(atom)
     if len(kept) == len(atoms):
         return rule
@@ -211,14 +184,12 @@ def drop_dead_rules(program: Program) -> Program:
     re-derives the fact it read; of exact duplicates the first stays;
     and a rule whose head and body are a sibling's but whose atoms are
     a proper superset of the sibling's derives a subset of what the
-    sibling derives.  The magic ``seed`` rule is not analysed and stays
-    last; the rest are relabeled.
+    sibling derives.  The rules that stay keep their labels and order.
     """
-    seed = [rule for rule in program if rule.label == "seed"]
     shapes: dict[tuple[Literal, tuple[Literal, ...]], list] = {}
     live: list[tuple[Rule, frozenset[Atom], list]] = []
     for rule in program:
-        if rule.label == "seed" or rule.head in rule.body:
+        if rule.head in rule.body:
             continue
         siblings = shapes.setdefault((rule.head, rule.body), [])
         atoms = frozenset(rule.constraint.atoms)
@@ -231,6 +202,6 @@ def drop_dead_rules(program: Program) -> Program:
         for rule, atoms, siblings in live
         if not any(other < atoms for other in siblings)
     ]
-    if len(kept) == len(program) - len(seed):
+    if len(kept) == len(program):
         return program
-    return Program(kept).relabeled().with_rules(seed)
+    return Program(kept)

@@ -79,12 +79,12 @@ PINNED = {
     ('flights', 'rewrite'): (
         142, 68, 5, 8,
         [28, 56, 48, 10, 0],
-        '37a89515b0ec5983',
+        'f558aafcb70b8606',
     ),
     ('flights', 'optimal'): (
         93, 36, 10, 8,
         [1, 1, 4, 8, 8, 16, 21, 16, 18, 0],
-        '486fd87bb9c78ef2',
+        '411e807f607542d9',
     ),
     ('fib', 'none'): (
         11, 11, 10, 1,
@@ -114,8 +114,8 @@ PINNED = {
 #: 8efdfd77b3066421 for the then-divergent fib-magic/optimal).
 WORK = {
     ('flights', 'none'): (633, '6624795098953056', 903),
-    ('flights', 'rewrite'): (286, '88c5ba4546c79fec', 470),
-    ('flights', 'optimal'): (327, '8695f7c87011f54e', 667),
+    ('flights', 'rewrite'): (286, '3b5ec19b57df36f9', 470),
+    ('flights', 'optimal'): (327, 'd7db5a4ed24113b1', 667),
     ('fib', 'none'): (120, '590d31a67941bb6e', 164),
     ('fib', 'rewrite'): (120, '590d31a67941bb6e', 164),
     ('fib-magic', 'magic'): (287, '2d44001e2eb54a02', 827),

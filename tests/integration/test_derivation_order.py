@@ -15,8 +15,8 @@ width=4, seed=1)``, all-free query) under ``none``/``rewrite``/
 ``optimal`` and ``generate_case(0..49)`` under every strategy.  The
 ``none`` value is what commit ``a401944`` produces; the others were
 re-pinned when the compile's last step started dropping dead rules and
-the atoms ``pred`` proved (``repro.core.prune``), which relabels rules
-and removes derivations.  They are not re-pinned
+the atoms ``pred`` proved (``repro.core.prune``), which removes
+derivations; the rules it keeps keep their labels.  They are not re-pinned
 for an engine change: the engine must derive the same facts in the same
 order.  A compile change that is meant to alter a rewritten program
 re-pins only the strategies whose programs it changed (``none``
@@ -37,11 +37,11 @@ EVAL_ITERATIONS = 80
 #: strategy -> sha256 of its runs' derivation logs in emission order.
 PINNED = {
     "none": "923eca6626ba836a656b168a3badb9541ac418c6b7e4c4c03b022bd9cd87400d",
-    "pred": "ff2805646a92c612b96d82bb00fe9012f7607f0dc5b10c0744a400b3b13db472",
-    "qrp": "47e0b4dd3253f9027c08520bb0ae011121135a85f53dd95ef83548fa00e5d98b",
-    "rewrite": "5f9fa3fc76dfc4bced372a88063fd0a0af3f11af4f3492b2645185f141c13599",
-    "magic": "f3c5eb8d48a0cc65ec68e70e8b736cc85a26a46d934c78f8c2c20fb4e4a998ae",
-    "optimal": "76244f910830ef4bf9cb7a5782fce9dfa0f6deb2b8d29f9761894d31e392c721",
+    "pred": "ac35116ad181a49b0b271cc1bdff298dc23f4ebc7d39d6bab47de74b43e7ee47",
+    "qrp": "95ae229c8cad604e8dd10adcfd13f46873d1e30fea2c46fabccdd11d6afc1eb6",
+    "rewrite": "cc9db69e6f47f98eda77a9274a6362edfd55afa3b4a8bbe63c9e7bc0100fafa1",
+    "magic": "27bc75f9ce6b643a2fe740ab0af559b46d843fc8096307128a5f097745ba665a",
+    "optimal": "f20572d087b0417df84bd053b61ff72bacb08dda065acda917b3a0b033dbd872",
 }
 
 
