@@ -52,7 +52,10 @@ def drop_implied_atoms(
     """
     if not proved:
         return program
-    return Program(_without_implied(rule, proved) for rule in program)
+    proofs: dict[Literal, _Proof | None] = {}
+    return Program(
+        _without_implied(rule, proved, proofs) for rule in program
+    )
 
 
 class _Proof(NamedTuple):
@@ -105,7 +108,9 @@ def _proof(cset: ConstraintSet) -> _Proof | None:
 
 
 def _without_implied(
-    rule: Rule, proved: Mapping[str, ConstraintSet]
+    rule: Rule,
+    proved: Mapping[str, ConstraintSet],
+    proofs: dict[Literal, _Proof | None],
 ) -> Rule:
     """``rule`` less the atoms its literals' proved constraints imply.
 
@@ -116,7 +121,9 @@ def _without_implied(
     those constraints mention every one of its variables: an atom over
     a variable no proved constraint speaks of (a head variable's
     defining equality, say) is the rule's own, and solving for it is
-    what would make this pass cost more than it saves.
+    what would make this pass cost more than it saves.  ``proofs``
+    memoizes each literal's renamed proof over one program: the magic
+    templates copy a body literal into several rules.
     """
     if rule.constraint.is_true():
         return rule
@@ -128,7 +135,9 @@ def _without_implied(
         cset = proved.get(literal.pred)
         if cset is None or cset.is_true():
             continue
-        proof = _proof(ptol(literal, cset))
+        if literal not in proofs:
+            proofs[literal] = _proof(ptol(literal, cset))
+        proof = proofs[literal]
         if proof is None:
             return rule  # the rule never fires; leave it to the engine
         for var, bound in proof.upper.items():
