@@ -12,45 +12,42 @@ canonical non-ground fact covers at least two points, so no ground
 fact covers it.  What is derived, and so the derivation count, does
 not change.
 
-Two indexes accelerate joins:
-
-* a per-position hash index on fixed (Sym / number) values, and
-* a per-position *ordered* index on numeric values, supporting the
-  range probes that Section 4.6 points out constraint selections
-  enable ("the constraints Cost <= 150 and Time <= 240 could be used
-  to efficiently retrieve (via B trees, etc.) singleleg tuples").
-
-Neither exists until a probe asks for it: sizing a bound position
-builds that position's hash index, and sizing a ranged position its
-ordered index, in one pass over the stored facts (buckets in insertion
-order, the ordered index one sort by value and then insertion
-sequence -- exactly what inserting fact by fact would have left).
-From then on ``insert``/``remove`` maintain it, and ``copy`` carries
-it; an index no plan probes is never built or maintained.  A build
-fills a local and publishes it with one assignment, so two readers
-racing on a shared database at worst both build the same index.
+A per-position hash index on fixed (Sym / number) values accelerates
+joins.  It does not exist until a probe asks for it: sizing a bound
+position builds that position's index in one pass over the stored
+facts, buckets in insertion order -- exactly what inserting fact by
+fact would have left.  From then on ``insert``/``remove`` maintain it,
+and ``copy`` carries it; an index no plan probes is never built or
+maintained.  A build fills a local and publishes it with one
+assignment, so two readers racing on a shared database at worst both
+build the same index.
 
 Facts whose value at the probed position is PENDING are kept in a side
-list, maintained on every insert, since they may cover any probed value
-or range.  Numeric fact arguments are int-first
-(:mod:`repro.engine.facts`), already the
-:func:`~repro.engine.facts.number_key` form the ordered index is keyed
-by; only ``Range`` bounds are converted.
+list, maintained on every insert, since they may cover any probed
+value or range.
 
 The facts are also grouped by stamp, in insertion order, so the
 semi-naive delta (an ``exact_stamp`` probe) is read off its group
 rather than filtered out of the whole relation, and "how large is the
 delta, if there is one" is one dict lookup.
 
-A probe is *sized* before anything is built: a stamp group and a hash
-bucket by ``len`` calls, a range by its two bisect offsets.  Only the
-smallest candidate list is then materialized (one slice copy, because
-derivations land in the relation while a join iterates it).
+A numeric range pushed from the rule's constraints (Section 4.6's
+"Cost <= 150 and Time <= 240") is a *test*, not an index: it drops the
+facts outside it where they are read, before the join binds them.  An
+ordered index would serve it, but every insert would keep it sorted,
+and on the benchmarks it was kept up far more often than it served.
+Numeric fact arguments are int-first (:mod:`repro.engine.facts`),
+already the :func:`~repro.engine.facts.number_key` form a range
+compares with; only ``Range`` bounds are converted.
+
+A probe is *sized* before anything is built: the stamp group and each
+hash bucket by a ``len`` call.  Only the smallest candidate list is
+then materialized (one list copy, because derivations land in the
+relation while a join iterates it).
 """
 
 from __future__ import annotations
 
-import bisect
 import enum
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -60,17 +57,8 @@ from repro.lang.terms import Sym
 from repro.obs.recorder import count as obs_count
 
 
-# Sorts after every insertion sequence number: ``(key, _AFTER)`` lands
-# just past the entries of ``key`` and ``(key,)`` just before them.
-_AFTER = float("inf")
-
-# An ordered index: sorted ``(numeric key, insertion seq)`` entries and
-# the facts they belong to, aligned.
-_Ordered = tuple[list[tuple["int | Fraction", int]], list[Fact]]
-
-
 class Range:
-    """A (possibly half-open) numeric interval used for index probes.
+    """A (possibly half-open) numeric interval a probe filters on.
 
     Immutable once built: the bounds are also kept as
     :func:`number_key` forms, which is what probes compare against.
@@ -133,22 +121,15 @@ class Relation:
         # _groups[stamp] -> the facts carrying it, in insertion order;
         # a stamp nothing carries has no entry.
         self._groups: dict[int, list[Fact]] = {}
-        # Monotonic insertion sequence: the ordered-index tie-breaker.
-        # (A length-based tie-break would collide after remove().)
-        self._seqs: dict[Fact, int] = {}
-        self._next_seq = 0
         # How many stored facts have a PENDING position.
         self._nonground = 0
         # _pending[pos] -> facts with PENDING at pos (always kept);
-        # _fixed[pos][value] -> facts with that fixed value at pos;
-        # _ordered[pos] -> (sorted (numeric key, insertion seq) entries,
-        # the facts of those entries, aligned), so a range probe is one
-        # slice.  None at a position no probe has asked for yet.
+        # _fixed[pos][value] -> facts with that fixed value at pos, None
+        # at a position no probe has asked for yet.
         self._pending: list[list[Fact]] = [[] for _ in range(arity)]
         self._fixed: list[dict[Value, list[Fact]] | None] = (
             [None] * arity
         )
-        self._ordered: list[_Ordered | None] = [None] * arity
 
     def copy(self) -> "Relation":
         """An independent copy (facts are immutable and are shared)."""
@@ -157,19 +138,12 @@ class Relation:
         clone._groups = {
             stamp: list(group) for stamp, group in self._groups.items()
         }
-        clone._seqs = dict(self._seqs)
-        clone._next_seq = self._next_seq
         clone._nonground = self._nonground
         clone._pending = [list(facts) for facts in self._pending]
         clone._fixed = [
             None if index is None
             else {value: list(bucket) for value, bucket in index.items()}
             for index in self._fixed
-        ]
-        clone._ordered = [
-            None if ordered is None
-            else (list(ordered[0]), list(ordered[1]))
-            for ordered in self._ordered
         ]
         return clone
 
@@ -222,10 +196,7 @@ class Relation:
             self._groups[stamp] = [fact]
         else:
             group.append(fact)
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        self._seqs[fact] = seq
-        fixed, ordered = self._fixed, self._ordered
+        fixed = self._fixed
         ground = True
         for position, value in enumerate(fact.args):
             if value is PENDING:
@@ -239,13 +210,6 @@ class Relation:
                     index[value] = [fact]
                 else:
                     bucket.append(fact)
-            sorted_index = ordered[position]
-            if sorted_index is not None and type(value) is not Sym:
-                entries, facts = sorted_index
-                entry = (value, seq)  # a number, in number_key form
-                at = bisect.bisect_left(entries, entry)
-                entries.insert(at, entry)
-                facts.insert(at, fact)
         if not ground:
             self._nonground += 1
         return InsertOutcome.NEW
@@ -259,7 +223,6 @@ class Relation:
         group.remove(fact)
         if not group:
             del self._groups[stamp]
-        seq = self._seqs.pop(fact)
         ground = True
         for position, value in enumerate(fact.args):
             if value is PENDING:
@@ -272,13 +235,6 @@ class Relation:
                 bucket.remove(fact)
                 if not bucket:
                     del index[value]
-            ordered = self._ordered[position]
-            if ordered is not None and type(value) is not Sym:
-                # (value, seq) is unique, so bisect lands on the entry.
-                entries, facts = ordered
-                at = bisect.bisect_left(entries, (value, seq))
-                entries.pop(at)
-                facts.pop(at)
         if not ground:
             self._nonground -= 1
 
@@ -322,25 +278,6 @@ class Relation:
             self._fixed[position] = index
         return index
 
-    def _ordered_index(self, position: int) -> "_Ordered":
-        """The ordered index at ``position``, built on first request."""
-        ordered = self._ordered[position]
-        if ordered is None:
-            # Insertion order is sequence order, so a stable sort by
-            # value is the (value, seq) order.
-            facts = sorted(
-                (
-                    fact for fact in self._stamps
-                    if (value := fact.args[position]) is not PENDING
-                    and type(value) is not Sym
-                ),
-                key=lambda fact: fact.args[position],
-            )
-            seqs = self._seqs
-            entries = [(fact.args[position], seqs[fact]) for fact in facts]
-            ordered = self._ordered[position] = (entries, facts)
-        return ordered
-
     def _bucket_size(self, position: int, value: Value) -> int:
         """Facts a hash probe of ``value`` at ``position`` would return."""
         return len(self._hash_index(position).get(value, ())) + len(
@@ -370,27 +307,6 @@ class Relation:
 
     # -- lookups ----------------------------------------------------------
 
-    def _span(self, position: int, probe: Range) -> tuple[int, int]:
-        """The ``[low, high)`` slice of the ordered index a range admits.
-
-        The offsets already honour strict bounds, so the slice holds
-        exactly the admitted values; an inverted range is empty.
-        """
-        entries = self._ordered_index(position)[0]
-        low = 0
-        high = len(entries)
-        key = probe._lower_key
-        if key is not None:
-            low = bisect.bisect_left(
-                entries, (key, _AFTER) if probe.lower_strict else (key,)
-            )
-        key = probe._upper_key
-        if key is not None:
-            high = bisect.bisect_left(
-                entries, (key,) if probe.upper_strict else (key, _AFTER)
-            )
-        return low, max(low, high)
-
     def matching(
         self,
         bound: dict[int, Sym | Fraction] | None = None,
@@ -404,15 +320,15 @@ class Relation:
         same fixed value or PENDING (the constraint may still rule the
         value out; the join's satisfiability check decides that), and
         each ranged position holds a value inside the range or PENDING.
-        Stamp filters select the semi-naive views.  The probe uses
-        whichever single index (stamp group, hash bucket or ordered
-        range) promises the fewest candidates -- the first such on ties,
-        the ``exact_stamp`` group before bound positions before ranged
-        ones; remaining conditions filter.  A result served by the
-        stamp group is in insertion order.
+        Stamp filters select the semi-naive views.  The probe reads
+        whichever source promises the fewest candidates -- the
+        ``exact_stamp`` group, a bound position's hash bucket, or else
+        the whole relation -- the first such on ties, the group before
+        bound positions; remaining conditions, every range among them,
+        filter.  The result is in insertion order, except that a
+        bucket's PENDING facts follow the bucket.
         """
-        served: int | None = None  # the position whose index is used
-        span: tuple[int, int] | None = None
+        served: int | None = None  # the position whose bucket is used
         best_size: int | None = None
         group: list[Fact] | None = None
         if exact_stamp is not None:
@@ -425,36 +341,17 @@ class Relation:
                 size = self._bucket_size(position, value)
                 if best_size is None or size < best_size:
                     served, best_size = position, size
-        if ranges:
-            for position, probe in ranges.items():
-                if bound and position in bound:
-                    continue
-                obs_count("relation.range_scans")
-                low, high = self._span(position, probe)
-                size = high - low + len(self._pending[position])
-                if best_size is None or size < best_size:
-                    served, best_size, span = position, size, (low, high)
         # Materialized so concurrent inserts (derivations landing while
         # a join iterates this view) cannot invalidate it.  The serving
-        # index guarantees its own condition, so the filter drops it.
+        # source guarantees its own condition, so the filter drops it.
         if served is None:
             candidates = list(self._stamps if group is None else group)
             exact_stamp = None
-        elif span is None:
+        else:
             candidates = self._bucket(served, bound[served])
             bound = {
                 position: value
                 for position, value in bound.items()
-                if position != served
-            }
-        else:
-            candidates = (
-                self._ordered[served][1][span[0]:span[1]]
-                + self._pending[served]
-            )
-            ranges = {
-                position: probe
-                for position, probe in ranges.items()
                 if position != served
             }
         stamps = self._stamps
@@ -488,8 +385,8 @@ def _compatible(fact: Fact, bound: dict[int, Sym | Fraction]) -> bool:
 def _in_ranges(fact: Fact, ranges: dict[int, Range]) -> bool:
     for position, probe in ranges.items():
         actual = fact.args[position]
-        if actual is PENDING or isinstance(actual, Sym):
-            continue  # pending may qualify; symbols fail later in unify
-        if not probe.admits(actual):
-            return False
+        if actual is PENDING:
+            continue  # a pending value may still qualify
+        if type(actual) is Sym or not probe.admits(actual):
+            return False  # a symbol lies in no numeric range
     return True

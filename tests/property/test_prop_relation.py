@@ -1,23 +1,24 @@
 """``Relation.matching`` against a brute-force model of its contract.
 
-The model knows nothing of hash buckets, bisect offsets or key forms:
-it filters the stored facts in insertion order.  It does restate the
-*index choice* (smallest candidate list, first on ties, the
-``exact_stamp`` group before bound positions before ranged ones),
-because the chosen index fixes the order of the result -- stamp-group
-and bucket order is insertion order, range order is by value and then
-insertion -- and the order of a join's candidates is the order of its
-derivations, which the per-iteration logs pin.  So the results are
-compared as lists.  The stamp groups must survive ``remove`` and be
+The model knows nothing of hash buckets or key forms: it filters the
+stored facts in insertion order.  It does restate the *source choice*
+(smallest candidate list, first on ties, the ``exact_stamp`` group
+before bound positions, else the whole relation), because the chosen
+source fixes the order of the result -- insertion order, except that a
+hash bucket's PENDING facts follow the bucket -- and the order of a
+join's candidates is the order of its derivations, which the
+per-iteration logs pin.  So the results are compared as lists.  A
+range never chooses the source: it is a filter, and a symbol lies in
+no numeric range.  The stamp groups must survive ``remove`` and be
 independent in a ``copy``.
 
 Relations mix integers, non-integral Fractions, symbols and PENDING
-positions, and are probed after random removals (equal-valued entries
-included: the ordered index must drop exactly the removed one).  An
-integral value is drawn both as ``3`` and as ``Fraction(3)``: the two
-must make one stored fact.
+positions, and are probed after random removals.  Ranges are strict or
+not, half-open, inverted, and bounded by integral and non-integral
+Fractions.  An integral value is drawn both as ``3`` and as
+``Fraction(3)``: the two must make one stored fact.
 
-Indexes are built on first request.  A relation whose indexes are
+Hash indexes are built on first request.  A relation whose indexes are
 first asked for after (or part-way through) a random script of inserts,
 removes and copies must answer every hash, range and stamp probe with
 the same facts in the same order as one whose indexes were all asked
@@ -100,11 +101,6 @@ probes = st.fixed_dictionaries(
 )
 
 
-def numeric(value) -> bool:
-    """The engine's sorts: every fixed value not a symbol is a number."""
-    return value is not PENDING and not isinstance(value, Sym)
-
-
 def inside(value: Fraction, probe: Range) -> bool:
     if probe.lower is not None and (
         value < probe.lower
@@ -129,15 +125,6 @@ def brute_force(relation, bound, ranges, max_stamp, exact_stamp):
         same = [f for f in stored if f.args[position] == value]
         return same + pending(position)
 
-    def scan(position, probe):
-        found = [
-            f for f in stored
-            if numeric(f.args[position])
-            and inside(f.args[position], probe)
-        ]
-        found.sort(key=lambda f: f.args[position])  # stable
-        return found + pending(position)
-
     candidates = None
     if exact_stamp is not None:
         # The semi-naive delta: insertion order within the stamp.
@@ -146,12 +133,6 @@ def brute_force(relation, bound, ranges, max_stamp, exact_stamp):
         ]
     for position, value in bound.items():
         found = bucket(position, value)
-        if candidates is None or len(found) < len(candidates):
-            candidates = found
-    for position, probe in ranges.items():
-        if position in bound:
-            continue
-        found = scan(position, probe)
         if candidates is None or len(found) < len(candidates):
             candidates = found
     if candidates is None:
@@ -169,7 +150,9 @@ def brute_force(relation, bound, ranges, max_stamp, exact_stamp):
                 return False
         for position, probe in ranges.items():
             actual = fact.args[position]
-            if numeric(actual) and not inside(actual, probe):
+            if actual is PENDING:
+                continue
+            if isinstance(actual, Sym) or not inside(actual, probe):
                 return False
         return True
 
@@ -191,27 +174,23 @@ class TestMatchingAgainstBruteForce:
 
     @given(relations())
     @settings(max_examples=100, deadline=None)
-    def test_ordered_index_tracks_inserts_and_removes(self, relation):
+    def test_open_and_inverted_ranges_keep_insertion_order(self, relation):
         for position in range(ARITY):
-            ordered = [
-                fact for fact in relation
-                if numeric(fact.args[position])
-            ]
-            ordered.sort(key=lambda fact: fact.args[position])
-            assert list(
-                relation.matching(ranges={position: Range()})
-            ) == ordered + [
+            pending = [
                 fact for fact in relation
                 if fact.args[position] is PENDING
+            ]
+            assert list(
+                relation.matching(ranges={position: Range()})
+            ) == [
+                fact for fact in relation
+                if not isinstance(fact.args[position], Sym)
             ]
             assert list(
                 relation.matching(ranges={position: Range(
                     Fraction(3), False, Fraction(1), False
                 )})
-            ) == [
-                fact for fact in relation
-                if fact.args[position] is PENDING
-            ]
+            ) == pending
 
     @given(st.lists(rows, max_size=12))
     @settings(max_examples=100, deadline=None)
@@ -294,7 +273,7 @@ class TestEqualValuedEntries:
         assert list(relation.matching(ranges=point)) == [
             facts[0], facts[2]
         ]
-        # A re-inserted equal value sorts after the survivors.
+        # A re-inserted equal value comes after the survivors.
         relation.insert(facts[1])
         assert list(relation.matching(ranges=point)) == [
             facts[0], facts[2], facts[1]
@@ -411,13 +390,12 @@ class TestGroundOnlyInsert:
 
 
 ground_rows = st.tuples(*[fixed_values] * ARITY)
-index_kinds = st.sampled_from(["hash", "range"])
 
 
 @st.composite
 def scripts(draw, max_size=30):
     """Insert/remove/copy steps, with "index" steps that ask for one
-    index part-way.  Half the scripts insert only ground facts: a
+    hash index part-way.  Half the scripts insert only ground facts: a
     stored constraint fact makes every insert size (so build) every
     hash index."""
     pool = draw(st.sampled_from([rows, ground_rows]))
@@ -427,26 +405,20 @@ def scripts(draw, max_size=30):
             st.tuples(st.just("insert"), pool, stamps),
             st.tuples(st.just("remove"), st.integers(0, 30), st.none()),
             st.tuples(st.just("copy"), st.none(), st.none()),
-            st.tuples(
-                st.just("index"), st.integers(0, ARITY - 1), index_kinds
-            ),
+            st.tuples(st.just("index"), st.integers(0, ARITY - 1), st.none()),
         ),
         max_size=max_size,
     ))
 
 
-def request(relation: Relation, position: int, kind: str) -> None:
+def request(relation: Relation, position: int) -> None:
     """Ask for one index: run a probe that sizes it, drop the answer."""
-    if kind == "hash":
-        list(relation.matching({position: Sym("a")}))
-    else:
-        list(relation.matching(ranges={position: Range()}))
+    list(relation.matching({position: Sym("a")}))
 
 
 def request_all(relation: Relation) -> None:
     for position in range(ARITY):
-        for kind in ("hash", "range"):
-            request(relation, position, kind)
+        request(relation, position)
 
 
 def apply(relation: Relation, op, payload, extra):
@@ -459,7 +431,7 @@ def apply(relation: Relation, op, payload, extra):
     elif op == "copy":
         relation = relation.copy()
     elif op == "index":
-        request(relation, payload, extra)
+        request(relation, payload)
     return relation, None
 
 

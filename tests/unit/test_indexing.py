@@ -1,4 +1,9 @@
-"""Unit tests for the ordered (range) index and its use in joins."""
+"""Unit tests for pushed range probes and their use in joins.
+
+A range is a filter on the facts a probe reads, not an index: it
+drops the facts outside it before the join binds them, and the
+candidates keep insertion order.
+"""
 
 import sys
 import threading
@@ -75,16 +80,23 @@ class TestRelationRangeProbe:
         # join's satisfiability check is responsible for rejecting it.
         assert found == [wide]
 
-    def test_symbolic_values_not_in_ordered_index(self):
+    def test_symbols_lie_in_no_range(self):
         relation = Relation("p", 1)
         relation.insert(Fact.ground("p", ("a",)))
         relation.insert(Fact.ground("p", (3,)))
         found = list(
             relation.matching(ranges={0: Range(upper=Fraction(5))})
         )
-        # Range probes scan the numeric index; the symbol is not there
-        # (and a symbol can never satisfy a numeric constraint anyway).
+        # A symbol can never satisfy a numeric constraint.
         assert [fact.args[0] for fact in found] == [Fraction(3)]
+
+    def test_candidates_keep_insertion_order(self):
+        relation = Relation("leg", 2)
+        for value in (50, 10, 40, 20, 30):
+            relation.insert(Fact.ground("leg", (value, 0)))
+        probe = {0: Range(Fraction(15), False, Fraction(45), True)}
+        found = list(relation.matching(ranges=probe))
+        assert [fact.args[0] for fact in found] == [40, 20, 30]
 
 
 class TestEvaluatorPushdown:
@@ -141,21 +153,26 @@ class TestEvaluatorPushdown:
 
 class TestIndexesOnRequest:
     def test_a_run_builds_only_the_indexes_its_plans_probe(self):
-        program = parse_program("cheap(X, C) :- item(X, C), C <= 100.")
-        edb = Database.from_ground(
-            {"item": [(i, i * 7) for i in range(1, 50)]}
+        program = parse_program(
+            "cheap(X, C) :- item(X, C), C <= 100, tag(X)."
         )
+        edb = Database.from_ground({
+            "item": [(i, i * 7) for i in range(1, 50)],
+            "tag": [(i,) for i in range(1, 50, 2)],
+        })
         result = evaluate(program, edb, use_range_index=True)
-        item = result.database.get("item")
+        assert result.count("cheap") == 7
+        # The range on item's cost builds nothing; the join probes
+        # tag's one position, bound by X, through its hash index.
+        item, tag = (result.database.get(pred) for pred in ("item", "tag"))
         assert item._fixed == [None, None]
-        assert item._ordered[0] is None and item._ordered[1] is not None
+        assert tag._fixed[0] is not None
         # The input database was copied, not probed: it has none.
-        assert edb.get("item")._ordered == [None, None]
-        # A copy carries the built index and builds no other.
-        clone = result.database.copy().get("item")
-        assert clone._ordered[1] == item._ordered[1]
-        assert clone._ordered[1][1] is not item._ordered[1][1]
-        assert clone._fixed == [None, None] and clone._ordered[0] is None
+        assert edb.get("tag")._fixed == [None]
+        # A copy carries the built index, not the same dict.
+        clone = result.database.copy().get("tag")
+        assert clone._fixed == tag._fixed
+        assert clone._fixed[0] is not tag._fixed[0]
 
     def test_racing_readers_build_the_same_indexes(self):
         facts = [

@@ -1,8 +1,7 @@
 """Index consistency of ``Relation.remove`` / ``sweep_subsumed_by``.
 
-The ordered (range) index stores ``(value, seq, fact)`` entries keyed
-by a monotonic insertion sequence; a removal must excise exactly the
-right entry even when many facts share a value, and every subsequent
+A removal must excise exactly the right fact from its stamp group and
+hash buckets even when many facts share a value, and every subsequent
 probe -- bound values, ranges, full scans -- must agree with a
 brute-force scan over the surviving facts.
 """
@@ -63,7 +62,7 @@ def assert_matches_brute_force(relation: Relation):
 
 class TestRemoval:
     def test_remove_with_equal_values_keeps_the_right_entries(self):
-        """Equal indexed values exercise the sequence tie-breaker."""
+        """Equal values share one bucket; only the removed one leaves."""
         relation = Relation("p", 2)
         same = [fact(name, 4) for name in ("a", "b", "c")]
         for stored in same:
@@ -73,9 +72,9 @@ class TestRemoval:
         assert set(relation) == {same[0], same[2]}
 
     def test_reinsert_after_remove_uses_fresh_sequence(self):
-        """The len()-based tie-break bug: after a removal, a new insert
-        must not collide with a live sequence number (which used to
-        make bisect compare Fact objects and raise TypeError)."""
+        """Equal values inserted after a removal: the relation once
+        numbered inserts by its length, and a reused number broke
+        range probes (a TypeError)."""
         relation = Relation("p", 2)
         stored = [fact(name, 7) for name in ("a", "b", "c", "d")]
         for item in stored:
@@ -113,7 +112,7 @@ class TestRemoval:
         swept = relation.sweep_subsumed_by(general)
         assert specific in swept
         assert set(relation) == {general}
-        # The ordered index no longer mentions the swept fact.
+        # No probe returns the swept fact.
         assert list(
             relation.matching(ranges={0: Range(lower=Fraction(0))})
         ) == [general]
