@@ -31,7 +31,10 @@ new facts, iterations and answers unchanged.
 ``WORK`` is *how* it got there: ``stats.probes`` and a digest of the
 same log in emission order.  A join-order change is allowed to move
 these, downwards: each probe count is pinned and must stay at or below
-the ``1d35e4a`` value beside it::
+the ``1d35e4a`` value beside it.  The flights ``none`` and ``rewrite``
+ordered digests moved when the relations dropped their ordered index
+(a range no longer hands out candidates by value); their probe counts,
+633 and 286, did not::
 
     REPRO_PRINT_COUNTS=1 python -m pytest -s \
         tests/integration/test_count_invariance.py
@@ -113,8 +116,8 @@ PINNED = {
 #: 0d7a65fa00eb24b1, bf39febdf304217f, 590d31a67941bb6e twice,
 #: 8efdfd77b3066421 for the then-divergent fib-magic/optimal).
 WORK = {
-    ('flights', 'none'): (633, '6624795098953056', 903),
-    ('flights', 'rewrite'): (286, '3b5ec19b57df36f9', 470),
+    ('flights', 'none'): (633, '5f99656ba8808bb6', 903),
+    ('flights', 'rewrite'): (286, '884d3eb9650874ed', 470),
     ('flights', 'optimal'): (327, 'd7db5a4ed24113b1', 667),
     ('fib', 'none'): (120, '590d31a67941bb6e', 164),
     ('fib', 'rewrite'): (120, '590d31a67941bb6e', 164),

@@ -2,25 +2,29 @@
 
 ``PINNED`` in ``test_count_invariance.py`` digests each iteration's log
 as a sorted multiset, so it does not see the *order* of derivations.
-That order is the order in which the relation indexes hand candidates
-to the joins: a hash bucket in insertion order, a range by value and
-then insertion, a stamp group in insertion order.  An index built on
-first request must hand them out exactly as one maintained from the
-first insert did, and this test is where a difference shows.
+That order is the order in which the relations hand candidates to the
+joins: insertion order, whether a stamp group, a hash bucket or the
+whole relation serves the probe, and a bucket's PENDING facts after
+the bucket.  An index built on first request must hand them out
+exactly as one maintained from the first insert did, and this test is
+where a difference shows.
 
 It pins one sha256 per strategy over, for each of that strategy's
 runs, the per-iteration sequence of ``(rule label, fact, outcome,
 parents)``.  The runs are flights 4x4 (``flight_network(n_layers=4,
 width=4, seed=1)``, all-free query) under ``none``/``rewrite``/
 ``optimal`` and ``generate_case(0..49)`` under every strategy.  The
-``none`` value is what commit ``a401944`` produces; the others were
-re-pinned when the compile's last step started dropping dead rules and
-the atoms ``pred`` proved (``repro.core.prune``), which removes
-derivations; the rules it keeps keep their labels.  They are not re-pinned
-for an engine change: the engine must derive the same facts in the same
-order.  A compile change that is meant to alter a rewritten program
-re-pins only the strategies whose programs it changed (``none``
-compiles nothing and never moves), and says so in its change note.  To
+values were re-pinned, all six, when the relations dropped their
+ordered index: a range used to hand out its candidates by value, and
+is now a filter over candidates in insertion order, so every run that
+probed with a range moved (what is derived, and the probe counts, did
+not).  Before that, the compile's last step started dropping dead rules
+and the atoms ``pred`` proved (``repro.core.prune``).  They are not
+re-pinned for any other engine change: the engine must derive the same
+facts in the same order.  A compile change that is meant to alter a
+rewritten program re-pins only the strategies whose programs it changed
+(``none`` compiles nothing and never moves), and says so in its change
+note.  To
 see what moved, print :func:`_lines` for each run here and in a
 checkout of the parent commit, and diff.
 """
@@ -36,12 +40,12 @@ EVAL_ITERATIONS = 80
 
 #: strategy -> sha256 of its runs' derivation logs in emission order.
 PINNED = {
-    "none": "923eca6626ba836a656b168a3badb9541ac418c6b7e4c4c03b022bd9cd87400d",
-    "pred": "ac35116ad181a49b0b271cc1bdff298dc23f4ebc7d39d6bab47de74b43e7ee47",
-    "qrp": "95ae229c8cad604e8dd10adcfd13f46873d1e30fea2c46fabccdd11d6afc1eb6",
-    "rewrite": "cc9db69e6f47f98eda77a9274a6362edfd55afa3b4a8bbe63c9e7bc0100fafa1",
-    "magic": "27bc75f9ce6b643a2fe740ab0af559b46d843fc8096307128a5f097745ba665a",
-    "optimal": "f20572d087b0417df84bd053b61ff72bacb08dda065acda917b3a0b033dbd872",
+    "none": "09f1b3c66116c8d3f328e8f2e672dad8c5ae3d73ab27c2bd6dfbe5244a99713d",
+    "pred": "ce62258d7760b31b49dba95f5d9071170c0754936a2caa1693d997a569f8a066",
+    "qrp": "606876809890a65520b474eab9a9db547204cc621523dd3e055dbbe8a71323e9",
+    "rewrite": "416f69fed0158a285152eef8c6b03b7ba1c36a6dcc7ac546f966fe46b772f92a",
+    "magic": "61dc67bbb0e7e1b3e4cabd00cedbc1eb7c6c063b40ec9f99e0081139ed7a2f52",
+    "optimal": "f6cdf59c9970fc644e0ca9d4e4f62cda36b68ec49b2beb78013d358f2acf61dd",
 }
 
 
