@@ -170,10 +170,11 @@ def gen_prop_qrp_constraints(
     Generates QRP constraints (unless ``constraints`` are supplied) and
     propagates them with definition/unfold/fold steps.  Predicates whose
     QRP constraint is *true* are untouched; predicates with a *false*
-    QRP constraint are unreachable and their rules are dropped.  With
-    ``rename_back`` (default) the primed predicates are renamed to the
-    original names once the original definitions become unreachable,
-    which reproduces the paper's presentation of Example 4.3.
+    QRP constraint have no fact in any answer, so their rules and the
+    rules that use them are dropped.  With ``rename_back`` (default) the
+    primed predicates are renamed to the original names once the
+    original definitions become unreachable, which reproduces the
+    paper's presentation of Example 4.3.
     """
     program = normalize_program(program)
     if isinstance(query_preds, str):
@@ -290,7 +291,19 @@ def gen_prop_qrp_constraints(
                 result.unfoldable_occurrences.append(
                     f"{literal} in {rule.label or rule}"
                 )
-    final = state.program.restrict_to_reachable(query_preds)
+    # No fact of a predicate whose QRP constraint is false takes part in
+    # an answer, so neither does a fact derived from one: drop the rules
+    # that mention such a predicate before pruning the unreachable.
+    dead = {
+        pred for pred, cset in qrp.items()
+        if pred not in query_preds and cset.is_false()
+    }
+    final = Program(
+        rule for rule in state.program
+        if not any(
+            literal.pred in dead for literal in (rule.head, *rule.body)
+        )
+    ).restrict_to_reachable(query_preds)
     if rename_back:
         final = _rename_primes_back(final, primes)
     result.program = final.deduplicated().relabeled()

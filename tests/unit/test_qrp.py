@@ -4,7 +4,9 @@ from repro.constraints.atom import Atom
 from repro.constraints.conjunction import Conjunction
 from repro.constraints.cset import ConstraintSet
 from repro.constraints.linexpr import LinearExpr
+from repro.conformance.generator import generate_case
 from repro.core.qrp import gen_prop_qrp_constraints, gen_qrp_constraints
+from repro.driver import optimize, split_edb
 from repro.engine import Database, evaluate
 from repro.lang.parser import parse_program
 
@@ -122,6 +124,27 @@ class TestPropagation:
         program = parse_program("q(X) :- p(X).\np(X) :- e(X).").relabeled()
         result = gen_prop_qrp_constraints(program, "q")
         assert len(result.program) == 2
+
+    def test_false_constraints_drop_the_rules_that_mention_them(self):
+        program = parse_program(
+            "q(X) :- e(X).\nq(X) :- p(X), X > 5, X < 3.\np(X) :- e(X)."
+        )
+        constraints, __ = gen_qrp_constraints(program, "q")
+        assert constraints["p"].is_false()
+        result = gen_prop_qrp_constraints(program, "q")
+        assert str(result.program) == "r1: q(X) :- e(X)."
+
+    def test_generated_case_3_derives_no_fact_of_a_false_predicate(self):
+        case = generate_case(3)
+        rules, edb = split_edb(case.program)
+        constraints, __ = gen_qrp_constraints(rules, "p2")
+        assert constraints["p0"].is_false()
+        assert constraints["p1"].is_false()
+        program = optimize(rules, case.query, strategy="qrp")[0]
+        assert len(program) == 2
+        assert not {"p0", "p1"} & program.predicates()
+        result = evaluate(program, edb)
+        assert result.count("p0") == result.count("p1") == 0
 
     def test_semantics_preserved_on_query_pred(self, example_41_program):
         result = gen_prop_qrp_constraints(example_41_program, "q")
