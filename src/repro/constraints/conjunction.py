@@ -172,14 +172,21 @@ class Conjunction:
 
         A rename that is injective on the variables maps distinct
         non-ground atoms to distinct non-ground atoms, so the renamed
-        tuple needs only sorting; a merging rename may make atoms
-        coincide or turn ground, and takes the general path.
+        tuple needs only sorting, and it keeps the source's
+        satisfiability, which a newly interned result takes over; a
+        merging rename may make atoms coincide or turn ground, and takes
+        the general path.
         """
         renamed = [atom.rename(mapping) for atom in self._atoms]
         names = self.variables()
         if len({mapping.get(var, var) for var in names}) < len(names):
             return Conjunction(renamed)
-        return Conjunction._intern(tuple(sorted(renamed, key=Atom.sort_key)))
+        result = Conjunction._intern(
+            tuple(sorted(renamed, key=Atom.sort_key))
+        )
+        if result._sat is None:
+            result._sat = self._sat
+        return result
 
     def substitute(
         self, bindings: Mapping[str, LinearExpr]

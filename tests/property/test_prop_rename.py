@@ -10,7 +10,9 @@ These tests pin each shortcut to the general construction it replaces:
   changes (its sign flips) and when two variables merge (the general
   path);
 * ``Conjunction.rename`` yields the identical conjunction to building
-  it from the renamed atoms, injective or merging;
+  it from the renamed atoms, injective or merging, and an injective
+  rename hands the source's satisfiability to a newly interned result,
+  so deciding it runs no solver;
 * ``ptol`` of a literal with no arithmetic argument, which renames,
   returns the same interned conjunctions as substituting;
 * ``ltop`` of a literal with distinct variables, which projects onto
@@ -18,10 +20,15 @@ These tests pin each shortcut to the general construction it replaces:
   the fresh-variable construction of Definition 2.8.
 """
 
+from itertools import count
+from unittest import mock
+
 from hypothesis import given, settings, strategies as st
 
+from repro.constraints import conjunction as conjunction_module
 from repro.constraints.atom import Atom
 from repro.constraints.conjunction import Conjunction
+from repro.constraints.project import is_satisfiable
 from repro.constraints.cset import ConstraintSet
 from repro.constraints.linexpr import LinearExpr
 from repro.lang.ast import Literal
@@ -64,6 +71,8 @@ mappings = st.dictionaries(st.sampled_from(VARS), st.sampled_from(TARGETS))
 injective_mappings = st.permutations(TARGETS).map(
     lambda targets: dict(zip(VARS, targets))
 )
+#: Suffixes that make each fresh rename target a name never seen.
+FRESH = count()
 
 
 class TestAtomRename:
@@ -108,6 +117,22 @@ class TestConjunctionRename:
             Atom(atom.expr.rename(mapping), atom.op) for atom in conjunction
         )
         assert len(renamed) == len(conjunction)
+
+    @given(conjunctions_over(VARS, max_atoms=4))
+    @settings(max_examples=200, deadline=None)
+    def test_injective_rename_keeps_satisfiability_unsolved(
+        self, conjunction
+    ):
+        expected = conjunction.is_satisfiable()
+        suffix = next(FRESH)
+        mapping = {name: f"{name}{suffix}" for name in VARS}
+        with mock.patch.object(
+            conjunction_module, "is_satisfiable",
+            side_effect=AssertionError("the solver ran"),
+        ):
+            renamed = conjunction.rename(mapping)
+            assert renamed.is_satisfiable() is expected
+        assert is_satisfiable(renamed.atoms) is expected
 
 
 @st.composite
