@@ -15,6 +15,9 @@ order, the facts the loop stamps per iteration must be the ones
 ``evaluate`` stamps.  Two join orders may spell one constraint fact two
 ways (``$1 <= 3 & $1 = $3`` / ``$3 <= 3 & $1 = $3``), so derivations are
 compared through one spelling per class of mutually subsuming facts.
+Each join also runs on an evaluator that pushes no range into its
+probes (``use_ranges=False``): a range is only a filter on what a probe
+reads, so it must leave the derivations alone and never add a probe.
 
 (b) *Monotone resume* (ROADMAP 8(d)).  Loading the EDB in any number
 of ``resume`` calls, in any order, ends in the database one cold
@@ -148,12 +151,13 @@ class TestJoinOrderIsUnobservable:
 
         database = edb.copy()
         evaluators = [
-            RuleEvaluator(rule) for rule in normalize_program(rules)
+            (RuleEvaluator(rule), RuleEvaluator(rule, use_ranges=False))
+            for rule in normalize_program(rules)
         ]
         stamped = []
         for iteration in range(1, expected.stats.iterations + 1):
             new = set()
-            for evaluator in evaluators:
+            for evaluator, unranged in evaluators:
                 rule = evaluator.rule
                 body = range(len(rule.body))
                 for delta, first in (
@@ -164,10 +168,19 @@ class TestJoinOrderIsUnobservable:
                     emitted = list(
                         evaluator.derive_with_parents(view, first)
                     )
+                    derived = spelling.multiset(emitted)
                     for other in [None, *body]:
+                        ranged, plain = evaluator.probes, unranged.probes
                         assert spelling.multiset(
                             evaluator.derive_with_parents(view, other)
-                        ) == spelling.multiset(emitted)
+                        ) == derived
+                        assert spelling.multiset(
+                            unranged.derive_with_parents(view, other)
+                        ) == derived
+                        assert (
+                            evaluator.probes - ranged
+                            <= unranged.probes - plain
+                        )
                     for fact, parents in emitted:
                         assert [p.pred for p in parents] == [
                             literal.pred for literal in rule.body
