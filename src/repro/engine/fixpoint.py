@@ -149,8 +149,8 @@ def evaluate(
     the paper's tables: iteration 0 applies the rules to the EDB alone,
     so with an empty EDB it derives exactly the programs' fact rules.
     ``use_range_index`` pushes single-variable rule constraints into
-    ordered-index range probes (Section 4.6); disabling it is only
-    useful for the indexing ablation benchmark.
+    range probes, filters on the facts each probe reads (Section 4.6);
+    disabling it is only useful for the indexing ablation benchmark.
 
     ``backward_subsumption`` additionally removes *stored* facts that a
     newly derived, more general fact subsumes (forward subsumption --

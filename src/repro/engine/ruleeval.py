@@ -520,9 +520,10 @@ class RuleEvaluator:
     """The applier for one normalized rule: a shared plan plus run state.
 
     ``use_ranges`` enables pushing the rule's single-variable constraint
-    atoms into index range probes (Section 4.6's "effective indexing"):
-    a body literal argument ``T`` constrained by ``T <= 240`` probes the
-    relation's ordered index with that range instead of scanning.
+    atoms into range probes (Section 4.6's "effective indexing"): a body
+    literal argument ``T`` constrained by ``T <= 240`` probes the
+    relation with that range, which drops the facts outside it before
+    the join binds them.
     """
 
     def __init__(self, rule: Rule, use_ranges: bool = True) -> None:

@@ -2,10 +2,10 @@
 
 "These constraints can be used for effective indexing of relations ...
 the constraints Cost <= 150 and Time <= 240 could be used to
-efficiently retrieve (via B trees, etc.) singleleg tuples."  The
-ordered per-position index turns the pushed constraints into range
-probes; this ablation compares probe counts with and without it, at
-identical results.
+efficiently retrieve (via B trees, etc.) singleleg tuples."  A pushed
+constraint becomes a range test on the facts a probe reads, so the
+facts outside it never reach the join; this ablation compares probe
+counts with and without the ranges, at identical results.
 """
 
 import pytest
@@ -32,7 +32,7 @@ def test_selection_probe_counts(selectivity):
 
 
 def test_rewritten_flights_benefit():
-    """The pushed QRP constraints become index range probes."""
+    """The pushed QRP constraints become range tests on probes."""
     rewritten = constraint_rewrite(
         flights_program(), "cheaporshort"
     ).program
