@@ -43,7 +43,11 @@ compares with; only ``Range`` bounds are converted.
 A probe is *sized* before anything is built: the stamp group and each
 hash bucket by a ``len`` call.  Only the smallest candidate list is
 then materialized (one list copy, because derivations land in the
-relation while a join iterates it).
+relation while a join iterates it).  :meth:`Relation.matching` is that
+probe as a generator.  A generated join (:mod:`repro.engine.ruleeval`)
+makes the same probe inline, from ``stamps``, ``groups`` and
+:meth:`Relation.index`, while ``nonground`` is 0, and calls
+``matching`` otherwise.
 """
 
 from __future__ import annotations
@@ -116,13 +120,16 @@ class Relation:
     def __init__(self, pred: str, arity: int) -> None:
         self.pred = pred
         self.arity = arity
-        # The fact store: an insertion-ordered dict carrying the stamps.
-        self._stamps: dict[Fact, int] = {}
-        # _groups[stamp] -> the facts carrying it, in insertion order;
+        # The three attributes below, and :meth:`index`, are what a
+        # generated join reads to probe the relation itself; read-only
+        # outside this class.  ``stamps``: the fact store, an
+        # insertion-ordered dict from fact to stamp.
+        self.stamps: dict[Fact, int] = {}
+        # groups[stamp] -> the facts carrying it, in insertion order;
         # a stamp nothing carries has no entry.
-        self._groups: dict[int, list[Fact]] = {}
+        self.groups: dict[int, list[Fact]] = {}
         # How many stored facts have a PENDING position.
-        self._nonground = 0
+        self.nonground = 0
         # _pending[pos] -> facts with PENDING at pos (always kept);
         # _fixed[pos][value] -> facts with that fixed value at pos, None
         # at a position no probe has asked for yet.
@@ -134,11 +141,11 @@ class Relation:
     def copy(self) -> "Relation":
         """An independent copy (facts are immutable and are shared)."""
         clone = Relation(self.pred, self.arity)
-        clone._stamps = dict(self._stamps)
-        clone._groups = {
-            stamp: list(group) for stamp, group in self._groups.items()
+        clone.stamps = dict(self.stamps)
+        clone.groups = {
+            stamp: list(group) for stamp, group in self.groups.items()
         }
-        clone._nonground = self._nonground
+        clone.nonground = self.nonground
         clone._pending = [list(facts) for facts in self._pending]
         clone._fixed = [
             None if index is None
@@ -150,26 +157,26 @@ class Relation:
     # -- inspection ---------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._stamps)
+        return len(self.stamps)
 
     def __iter__(self) -> Iterator[Fact]:
-        return iter(self._stamps)
+        return iter(self.stamps)
 
     def __contains__(self, fact: Fact) -> bool:
-        return fact in self._stamps
+        return fact in self.stamps
 
     @property
     def facts(self) -> tuple[Fact, ...]:
         """The stored facts of a predicate."""
-        return tuple(self._stamps)
+        return tuple(self.stamps)
 
     def stamp(self, fact: Fact) -> int:
         """The iteration stamp a fact was inserted at."""
-        return self._stamps[fact]
+        return self.stamps[fact]
 
     def stamp_count(self, stamp: int) -> int:
         """How many stored facts carry the stamp.  O(1)."""
-        return len(self._groups.get(stamp, ()))
+        return len(self.groups.get(stamp, ()))
 
     # -- modification ---------------------------------------------------
 
@@ -183,17 +190,17 @@ class Relation:
                 f"{self.pred}/{self.arity}"
             )
         obs_count("relation.inserts")
-        if fact in self._stamps:
+        if fact in self.stamps:
             return InsertOutcome.DUPLICATE
-        if self._nonground:
+        if self.nonground:
             for existing in self._candidate_subsumers(fact):
                 obs_count("constraint.subsumption_tests")
                 if existing.subsumes(fact):
                     return InsertOutcome.SUBSUMED
-        self._stamps[fact] = stamp
-        group = self._groups.get(stamp)
+        self.stamps[fact] = stamp
+        group = self.groups.get(stamp)
         if group is None:
-            self._groups[stamp] = [fact]
+            self.groups[stamp] = [fact]
         else:
             group.append(fact)
         fixed = self._fixed
@@ -211,18 +218,18 @@ class Relation:
                 else:
                     bucket.append(fact)
         if not ground:
-            self._nonground += 1
+            self.nonground += 1
         return InsertOutcome.NEW
 
     def remove(self, fact: Fact) -> None:
         """Remove a stored fact (backward-subsumption support)."""
-        if fact not in self._stamps:
+        if fact not in self.stamps:
             raise KeyError(f"{fact} is not stored")
-        stamp = self._stamps.pop(fact)
-        group = self._groups[stamp]
+        stamp = self.stamps.pop(fact)
+        group = self.groups[stamp]
         group.remove(fact)
         if not group:
-            del self._groups[stamp]
+            del self.groups[stamp]
         ground = True
         for position, value in enumerate(fact.args):
             if value is PENDING:
@@ -236,7 +243,7 @@ class Relation:
                 if not bucket:
                     del index[value]
         if not ground:
-            self._nonground -= 1
+            self.nonground -= 1
 
     def sweep_subsumed_by(self, fact: Fact) -> list[Fact]:
         """Remove stored facts the given (stored) fact subsumes.
@@ -261,12 +268,15 @@ class Relation:
                 removed.append(candidate)
         return removed
 
-    def _hash_index(self, position: int) -> dict[Value, list[Fact]]:
-        """The hash index at ``position``, built on first request."""
+    def index(self, position: int) -> dict[Value, list[Fact]]:
+        """The hash index at ``position``, built on first request: fixed
+        value -> the facts holding it there, in insertion order (PENDING
+        facts are not in it).  The dict is kept up by every later
+        insert and remove; read-only to the caller."""
         index = self._fixed[position]
         if index is None:
             index = {}
-            for fact in self._stamps:  # insertion order
+            for fact in self.stamps:  # insertion order
                 value = fact.args[position]
                 if value is PENDING:
                     continue
@@ -280,14 +290,14 @@ class Relation:
 
     def _bucket_size(self, position: int, value: Value) -> int:
         """Facts a hash probe of ``value`` at ``position`` would return."""
-        return len(self._hash_index(position).get(value, ())) + len(
+        return len(self.index(position).get(value, ())) + len(
             self._pending[position]
         )
 
     def _bucket(self, position: int, value: Value) -> list[Fact]:
         """A fresh list: the hash bucket, then the PENDING facts."""
         return (
-            self._hash_index(position).get(value, [])
+            self.index(position).get(value, [])
             + self._pending[position]
         )
 
@@ -302,7 +312,7 @@ class Relation:
             if best_size is None or size < best_size:
                 best, best_size = position, size
         if best is None:
-            return list(self._stamps)
+            return list(self.stamps)
         return self._bucket(best, fact.args[best])
 
     # -- lookups ----------------------------------------------------------
@@ -332,7 +342,7 @@ class Relation:
         best_size: int | None = None
         group: list[Fact] | None = None
         if exact_stamp is not None:
-            group = self._groups.get(exact_stamp)
+            group = self.groups.get(exact_stamp)
             if group is None:
                 return  # an empty delta: nothing to size or build
             best_size = len(group)
@@ -345,7 +355,7 @@ class Relation:
         # a join iterates this view) cannot invalidate it.  The serving
         # source guarantees its own condition, so the filter drops it.
         if served is None:
-            candidates = list(self._stamps if group is None else group)
+            candidates = list(self.stamps if group is None else group)
             exact_stamp = None
         else:
             candidates = self._bucket(served, bound[served])
@@ -354,7 +364,7 @@ class Relation:
                 for position, value in bound.items()
                 if position != served
             }
-        stamps = self._stamps
+        stamps = self.stamps
         for fact in candidates:
             stamp = stamps[fact]
             if max_stamp is not None and stamp > max_stamp:
@@ -368,7 +378,7 @@ class Relation:
             yield fact
 
     def __str__(self) -> str:
-        inner = ", ".join(str(fact) for fact in self._stamps)
+        inner = ", ".join(str(fact) for fact in self.stamps)
         return f"{{{inner}}}"
 
 

@@ -25,10 +25,12 @@ variable holds a constant -- every derivation over ground facts -- a
 candidate is joined by slot assignments and integer arithmetic, in one
 of two tiers: the *interpreter* (:meth:`RuleEvaluator._join`) walks the
 steps; the *generated join* (:func:`_generate`, Brass & Stephan's
-compiled rules) is the same steps as straight-line Python.  A variant is
-interpreted until it has enumerated :data:`_HOT` candidates in this
-process: generating one costs about as much, and generating every
-variant made workloads of many one-off programs twice as slow.  A
+compiled rules) is the same steps as straight-line Python, with each
+probe of a ground relation inline (its access path: a bucket or stamp
+group and generated tests, Section 4.6's pushed ranges among them).  A
+variant is interpreted until it has enumerated :data:`_HOT` candidates
+in this process: generating one costs about as much, and generating
+every variant made workloads of many one-off programs twice as slow.  A
 candidate neither can decide (a PENDING position, a symbol meeting
 arithmetic) goes, with the bindings so far, to the *general* unify /
 substitute / project code below for the rest of its branch.  Per-run
@@ -92,7 +94,10 @@ FactView = Callable[
 ]
 """Produces candidate facts for a body literal: (literal, bound
 positions with fixed values, written body index, static range probes)
--> facts.  A fixed number arrives int-first, as fact values are."""
+-> facts.  A fixed number arrives int-first, as fact values are.  The
+interpreter calls it for every probe.  A generated join over a
+:class:`View` calls it only for a relation that holds a non-ground
+fact; it probes the others itself."""
 
 
 # Argument actions of a compiled body literal.
@@ -101,8 +106,10 @@ _CONST, _TEST, _BIND, _BIND_NUM = range(4)
 _TRUE = Conjunction.true()
 
 #: Candidates a variant enumerates interpreted before it is generated:
-#: the break-even of generating one (about 0.45 ms) against what the
-#: generated join saves per candidate (about 2.4 us).  Not a knob.
+#: about the break-even of generating one (about 0.75 ms, access paths
+#: included) against what the generated join saves per candidate (about
+#: 4.2 us on ``cold-none``, against 2.9 us before it probed ground
+#: relations itself; a 2-core x86 host).  Not a knob.
 _HOT = 200
 
 
@@ -420,11 +427,19 @@ def _generate(
     """:meth:`RuleEvaluator._join` over ``steps`` as one compiled
     generator ``join(evaluator, view)``: the same yields, order and
     probes, each action returning where :func:`_advance` does and an
-    undecided candidate going to :meth:`RuleEvaluator._general`."""
+    undecided candidate going to :meth:`RuleEvaluator._general`.
+
+    Over a :class:`View`, a step whose relation holds no non-ground fact
+    when the probe starts is probed inline: the stamp group or the
+    smallest hash bucket of a bound position, as
+    :meth:`~repro.engine.relation.Relation.matching` picks it, filtered
+    by the stamp window, the bound values and the pushed ranges into a
+    list -- the facts ``matching`` would yield, in its order.  Any other
+    probe calls ``view``."""
     scope: dict[str, object] = dict(
         PENDING=PENDING, Sym=Sym, Fact=Fact, TRUE=_TRUE, Fraction=Fraction,
         number_key=number_key, lift=_lift, STEPS=steps, NAMES=plan.names,
-        current_meter=governor.current_meter,
+        current_meter=governor.current_meter, View=View,
     )
 
     def const(value: object) -> str:
@@ -446,9 +461,79 @@ def _generate(
     def listed(items: Iterable[str]) -> str:  # a display's items
         return "".join(f"{item}, " for item in items)
 
+    def probe(depth: int, step: _Step, pad: str) -> list[str]:
+        """Lines setting ``c{depth}`` to the step's candidates."""
+        keys = [(position, f"s{payload}" if is_slot else const(payload),
+                 "is" if type(payload) is Sym else "==")
+                for position, is_slot, payload in step.bound]
+        tests = [f"f.args[{position}] {same} {value}"
+                 for position, value, same in keys]
+        for position, span in (step.ranges or {}).items():
+            value = f"f.args[{position}]"
+            tests.append(f"type({value}) is not Sym")
+            for limit, strict, op in (
+                (span.lower, span.lower_strict, ">"),
+                (span.upper, span.upper_strict, "<"),
+            ):
+                if limit is not None:
+                    equal = "" if strict else "="
+                    tests.append(
+                        f"{value} {op}{equal} {const(number_key(limit))}"
+                    )
+        relation, exact, most = f"r{depth}", f"e{depth}", f"h{depth}"
+
+        def smallest(inner: str) -> list[str]:  # b: the source so far
+            lines = []
+            for position, value, __ in keys:
+                index = f"x{depth}_{position}"
+                lines += [f"{inner}if {index} is None: "
+                          f"{index} = {relation}.index({position})",
+                          f"{inner}a = {index}.get({value}, ())",
+                          f"{inner}if len(a) < len(b): b = a"]
+            return lines
+
+        def kept(window: str, tests: list[str], inner: str) -> list[str]:
+            return [f"{inner}c{depth} = []",
+                    f"{inner}for f in b:",
+                    f"{inner}    if {' and '.join([window, *tests])}: "
+                    f"c{depth}.append(f)"]
+
+        # Outside a delta window the whole relation stays the source
+        # only against a bucket of equal size, which then holds every
+        # fact in the same order, as ``matching`` would read it: so with
+        # one bound position every candidate holds its value.
+        inner = pad + "        "
+        lines = [f"{pad}if {relation} is not None and not "
+                 f"{relation}.nonground:",
+                 f"{pad}    t = {relation}.stamps",
+                 f"{pad}    if {exact} is None:",
+                 f"{inner}b = t", *smallest(inner),
+                 *kept(f"({most} is None or t[f] <= {most})",
+                       tests[len(keys) == 1:], inner),
+                 f"{pad}    else:",
+                 f"{inner}b = {relation}.groups.get({exact}, ())"]
+        if keys:  # an empty delta sizes nothing
+            lines += [f"{inner}if b:", *smallest(inner + "    ")]
+        lines += kept(f"t[f] == {exact}", tests, inner)
+        bound = listed(f"{position}: {value}" for position, value, __ in keys)
+        lines += [f"{pad}else:",
+                  f"{pad}    c{depth} = view({const(step.literal)}, "
+                  f"{{{bound}}}, {step.index}, {const(step.ranges)})"]
+        return lines
+
+    # Once per call: each step's relation (None: always call ``view``),
+    # its stamp window and, built by the first probe, its hash indexes.
     lines = ["def join(self, view):",
              "    meter, counter, probes = current_meter(), [0], 0",
-             "    try:"]
+             "    database = view.database if type(view) is View else None"]
+    for depth, step in enumerate(steps):
+        lines += [f"    r{depth} = None if database is None else "
+                  f"database.get({const(step.literal.pred)})",
+                  f"    if r{depth} is not None: "
+                  f"e{depth}, h{depth} = view.window({step.index})",
+                  *(f"    x{depth}_{position} = None"
+                    for position, __, __ in step.bound)]
+    lines.append("    try:")
     pad = " " * 8
     for depth, step in enumerate(steps):
         fact, known = f"f{step.index}", dict(step.names).values()
@@ -459,14 +544,11 @@ def _generate(
                          for index in range(len(steps)))
         general = (f"yield from self._general(STEPS, {depth}, [{env}], "
                    f"{fact}, counter, view, [{parents}]); continue")
-        bound = listed(f"{position}: s{payload}" if is_slot else
-                       f"{position}: {const(payload)}"
-                       for position, is_slot, payload in step.bound)
         targets = [f"s{payload}" if action in (_BIND, _BIND_NUM) else
                    f"v{position}"
                    for position, action, payload in step.actions]
-        lines += [f"{pad}for {fact} in view({const(step.literal)}, "
-                  f"{{{bound}}}, {step.index}, {const(step.ranges)}):",
+        lines += probe(depth, step, pad)
+        lines += [f"{pad}for {fact} in c{depth}:",
                   f"{pad}    probes += 1",
                   f"{pad}    if meter is not None: meter.tick('rule')",
                   f"{pad}    [{listed(targets)}] = {fact}.args"]
@@ -928,40 +1010,68 @@ def _propagate_constants(
     return solved, residual
 
 
-def database_view(
-    database: Database,
-    max_stamp: int | None = None,
-    delta: int | None = None,
-) -> FactView:
+class View:
     """A fact view over a database with semi-naive stamp filtering.
 
     With ``delta`` set, the literal at that written body index sees only
     the facts stamped ``max_stamp`` (the delta), literals written before
     it see facts up to ``max_stamp``, and literals written after it see
     facts below ``max_stamp`` (the pre-delta view) -- whatever order the
-    literals are joined in.
+    literals are joined in.  Called as a :data:`FactView`, it probes the
+    literal's relation through :meth:`Relation.matching` within that
+    stamp window (:meth:`window`); a generated join reads ``database``
+    and :meth:`window` to probe a ground relation itself.
     """
 
-    def view(
+    __slots__ = ("database", "max_stamp", "delta")
+
+    def __init__(
+        self,
+        database: Database,
+        max_stamp: int | None = None,
+        delta: int | None = None,
+    ) -> None:
+        self.database, self.max_stamp, self.delta = database, max_stamp, delta
+
+    def window(self, index: int) -> tuple[int | None, int | None]:
+        """``(exact_stamp, max_stamp)`` of the literal at written body
+        index ``index``, as :meth:`Relation.matching` takes them."""
+        delta = self.delta
+        if delta is None or index < delta:
+            return None, self.max_stamp
+        if index == delta:
+            return self.max_stamp, None
+        return None, self.max_stamp - 1
+
+    def __call__(
+        self,
         literal: Literal,
         bound: dict[int, Sym | Fraction],
         index: int,
         ranges: "dict[int, Range] | None" = None,
     ) -> Iterable[Fact]:
         """The stamped fact view for one body literal."""
-        relation = database.get(literal.pred)
+        relation = self.database.get(literal.pred)
         if relation is None:
             return ()
+        delta = self.delta  # :meth:`window`, inline: once per probe
         if delta is None or index < delta:
             return relation.matching(
-                bound, max_stamp=max_stamp, ranges=ranges
+                bound, max_stamp=self.max_stamp, ranges=ranges
             )
         if index == delta:
             return relation.matching(
-                bound, exact_stamp=max_stamp, ranges=ranges
+                bound, exact_stamp=self.max_stamp, ranges=ranges
             )
         return relation.matching(
-            bound, max_stamp=max_stamp - 1, ranges=ranges
+            bound, max_stamp=self.max_stamp - 1, ranges=ranges
         )
 
-    return view
+
+def database_view(
+    database: Database,
+    max_stamp: int | None = None,
+    delta: int | None = None,
+) -> View:
+    """The :class:`View` of ``database`` for one semi-naive variant."""
+    return View(database, max_stamp, delta)

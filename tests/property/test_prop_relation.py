@@ -344,7 +344,7 @@ class TestGroundOnlyInsert:
         for op, payload in script:
             if op == "insert":
                 expected = expected_outcome(model, payload)
-                ground_only = relation._nonground == 0
+                ground_only = relation.nonground == 0
                 with recording(Tracer()) as tracer:
                     assert relation.insert(payload) is expected
                 if ground_only:
@@ -370,19 +370,19 @@ class TestGroundOnlyInsert:
             elif op == "copy":
                 relation = relation.copy()
             assert list(relation) == model
-            assert relation._nonground == nonground(model)
+            assert relation.nonground == nonground(model)
 
     def test_count_returns_to_zero_after_a_remove(self):
         relation = Relation("q", 2)
         wildcard = make_fact("q", [PENDING, Sym("a")])
         point = Fact.ground("q", (1, "a"))
         assert relation.insert(wildcard) is InsertOutcome.NEW
-        assert relation._nonground == 1
+        assert relation.nonground == 1
         assert relation.insert(point) is InsertOutcome.SUBSUMED
         clone = relation.copy()
         relation.remove(wildcard)
-        assert relation._nonground == 0
-        assert clone._nonground == 1
+        assert relation.nonground == 0
+        assert clone.nonground == 1
         with recording(Tracer()) as tracer:
             assert relation.insert(point) is InsertOutcome.NEW
             assert clone.insert(point) is InsertOutcome.SUBSUMED
