@@ -1,12 +1,18 @@
 """Unit tests for single-rule application over (constraint) facts."""
 
+import functools
 from fractions import Fraction
+from unittest.mock import patch
+
+import pytest
 
 from repro.constraints.atom import Atom
 from repro.constraints.conjunction import Conjunction
 from repro.constraints.linexpr import LinearExpr
 from repro.engine.database import Database
+from repro.engine import ruleeval
 from repro.engine.facts import Fact, make_fact
+from repro.engine.relation import Relation
 from repro.engine.ruleeval import RuleEvaluator, database_view
 from repro.lang.normalize import normalize_rule
 from repro.lang.parser import parse_rule
@@ -147,3 +153,66 @@ class TestFactRules:
         (fact,) = facts
         assert fact.args[1] == Fraction(5)
         assert not fact.is_ground()
+
+
+#: ``_HOT`` for each join tier: generated from the first call, or never.
+TIERS = pytest.mark.parametrize(
+    "hot", [0, 10**9], ids=["generated", "interpreted"]
+)
+
+
+def walk(rule_text: str, database: Database, hot: int):
+    """One join over the whole database that inserts each derivation
+    as it is yielded, as the fixpoint does; with the derivations it
+    returns how often ``Relation.matching`` was called."""
+    evaluator = RuleEvaluator(normalize_rule(parse_rule(rule_text)))
+    calls = []
+    matching = Relation.matching
+
+    @functools.wraps(matching)
+    def counted(*args, **kwargs):
+        calls.append(args[0].pred)
+        return matching(*args, **kwargs)
+
+    derived = []
+    with patch.object(ruleeval, "_HOT", hot), (
+        patch.object(Relation, "matching", counted)
+    ):
+        for fact, parents in evaluator.derive_with_parents(
+            database_view(database)
+        ):
+            derived.append((str(fact), [str(parent) for parent in parents]))
+            database.insert(fact, stamp=1)
+    return derived, calls
+
+
+class TestMidJoinInserts:
+    """Derivations land in a relation while the join reads it.  A probe
+    yields the facts stored when it starts, in both tiers."""
+
+    @TIERS
+    def test_a_relation_growing_under_its_own_walk(self, hot):
+        edges = {"e": [(0, 1), (1, 2), (2, 3)], "p": [(0,)]}
+        derived, __ = walk(
+            "p(Y) :- p(X), e(X, Y).", Database.from_ground(edges), hot
+        )
+        assert derived == [("p(1)", ["p(0)", "e(0, 1)"])]
+        # A later probe starts after the insert, and sees it.
+        derived, __ = walk(
+            "p(Y) :- e(X, Y), p(X).", Database.from_ground(edges), hot
+        )
+        assert [fact for fact, __ in derived] == ["p(1)", "p(2)", "p(3)"]
+
+    @TIERS
+    def test_a_probe_after_a_non_ground_insert_calls_matching(self, hot):
+        database = Database.from_ground({"e": [(1,), (7,)], "p": [(1, 5)]})
+        derived, calls = walk(
+            "p(W, X) :- e(X), p(X, V), W >= V.", database, hot
+        )
+        pending = "p($1, 1; $1 >= 5)"
+        assert derived == [
+            (pending, ["e(1)", "p(1, 5)"]),
+            ("p($1, 7; $1 >= 1)", ["e(7)", pending]),
+        ]
+        # The generated join reads e and the still ground p itself.
+        assert calls == (["p"] if hot == 0 else ["e", "p", "p"])
