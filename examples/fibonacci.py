@@ -46,7 +46,9 @@ def main(value: int = 5) -> None:
     unoptimized = fib_magic_program(value, optimized=False)
     print(f"Magic Templates only (query ?- fib(N, {value})):")
     print(unoptimized.program)
-    result = evaluate(unoptimized.program, max_iterations=9)
+    result = evaluate(
+        unoptimized.program, max_iterations=9, provenance=True
+    )
     show_trace(result, "Table 1: derivations of P_fib^mg")
     assert not result.reached_fixpoint
     print()
@@ -54,7 +56,7 @@ def main(value: int = 5) -> None:
     optimized = fib_magic_program(value, optimized=True)
     print("Predicate constraint $2 >= 1 pushed first, then magic:")
     print(optimized.program)
-    result = evaluate(optimized.program, max_iterations=50)
+    result = evaluate(optimized.program, max_iterations=50, provenance=True)
     show_trace(result, "Table 2: derivations of P_fib^mg_1")
     assert result.reached_fixpoint
     answers = sorted(

@@ -227,7 +227,10 @@ def main(argv: list[str] | None = None) -> int:
             if arguments.batch is not None:
                 batch_status = _run_batch_mode(arguments, text)
             else:
-                outcomes = run_text(text, **session_options(arguments))
+                outcomes = run_text(
+                    text, provenance=arguments.derivations,
+                    **session_options(arguments),
+                )
     except OSError as error:
         print(f"repro: {error}", file=sys.stderr)
         return 2

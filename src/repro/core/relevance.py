@@ -3,7 +3,8 @@
 The paper's yardstick for a rewriting is *constraint relevance*: a fact
 is constraint-relevant when it occurs in some derivation tree of a
 query answer. This module reconstructs derivation ancestry from the
-engine's provenance-carrying derivation logs and measures, for a
+engine's provenance-carrying derivation logs (an evaluation with
+``provenance=True``; a ``ValueError`` otherwise) and measures, for a
 concrete ``(program, query, EDB)`` triple, which computed facts
 actually support an answer.
 
@@ -73,7 +74,7 @@ def _parent_map(result: EvaluationResult) -> dict[Fact, tuple[Fact, ...]]:
     the earliest one.
     """
     parents: dict[Fact, tuple[Fact, ...]] = {}
-    for log in result.iterations:
+    for log in result.derivation_logs("relevance_report"):
         for derivation in log.derivations:
             if derivation.outcome is InsertOutcome.NEW:
                 parents.setdefault(derivation.fact, derivation.parents)

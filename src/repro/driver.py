@@ -320,20 +320,22 @@ def answer_query(
     eval_iterations: int = DEFAULT_EVAL_ITERATIONS,
     budget: "Budget | BudgetMeter | None" = None,
     on_limit: str = "truncate",
+    provenance: bool = False,
 ) -> QueryOutcome:
     """Optimize, evaluate bottom-up, and extract the query's answers.
 
     ``budget`` (a :class:`Budget` spec or live :class:`BudgetMeter`)
     governs the run; with ``None`` the ambiently installed meter (if
     any) applies.  ``on_limit`` picks the degradation policy described
-    in the module docstring.
+    in the module docstring.  ``provenance`` logs every derivation in
+    the outcome's result (``engine.evaluate``).
     """
     validate_strategy(strategy, allow_auto=True, on_limit=on_limit)
     own, meter = _resolve_meter(budget)
     with governor.governed(own) if own is not None else _nullcontext():
         return _answer_query_governed(
             program, query, edb, strategy, max_iterations,
-            eval_iterations, meter, on_limit,
+            eval_iterations, meter, on_limit, provenance,
         )
 
 
@@ -346,6 +348,7 @@ def _answer_query_governed(
     eval_iterations: int,
     meter: BudgetMeter | None,
     on_limit: str,
+    provenance: bool,
 ) -> QueryOutcome:
     notes: list[str] = []
     plan = None
@@ -365,7 +368,7 @@ def _answer_query_governed(
         with obs_span("evaluate"):
             result = evaluate(
                 optimized, edb, max_iterations=eval_iterations,
-                budget=meter,
+                budget=meter, provenance=provenance,
             )
         if result.completeness == "truncated:iterations":
             notes.append(
@@ -422,12 +425,14 @@ def run_text(
     eval_iterations: int = DEFAULT_EVAL_ITERATIONS,
     budget: "Budget | None" = None,
     on_limit: str = "truncate",
+    provenance: bool = False,
 ) -> list[QueryOutcome]:
     """Parse a program-with-queries text and answer every query.
 
     All queries share one budget meter (the deadline and the caps are
     per *run*, not per query).  The meter's consumption is recorded on
     a ``governor`` span and in each outcome's ``budget`` snapshot.
+    ``provenance`` is as for :func:`answer_query`.
     """
     validate_strategy(strategy, allow_auto=True, on_limit=on_limit)
     # Each batch run starts from a cold solver memo so its counters and
@@ -446,6 +451,7 @@ def run_text(
             answer_query(
                 rules, query, edb, strategy, max_iterations,
                 eval_iterations, on_limit=on_limit,
+                provenance=provenance,
             )
             for query in queries
         ]
@@ -470,6 +476,7 @@ def run_text(
                 answer_query(
                     rules, query, edb, strategy, max_iterations,
                     eval_iterations, on_limit=on_limit,
+                    provenance=provenance,
                 )
                 for query in queries
             ]

@@ -8,10 +8,10 @@ may be ground or *constraint facts* ``p(X̄; C)``; newly derived facts
 are discarded when subsumed by previously known ones.
 
 Both naive and semi-naive fixpoint evaluation are provided, with
-per-iteration derivation logs (used to regenerate the paper's Tables 1
-and 2) and an iteration cap so that non-terminating evaluations -- a
-phenomenon the paper studies -- are a reportable outcome rather than a
-hang.
+per-iteration derivation logs on request (``provenance=True``; used to
+regenerate the paper's Tables 1 and 2) and an iteration cap so that
+non-terminating evaluations -- a phenomenon the paper studies -- are a
+reportable outcome rather than a hang.
 """
 
 from repro.engine.facts import Fact, PENDING, Value

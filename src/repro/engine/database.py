@@ -12,6 +12,7 @@ from typing import Iterable, Iterator, Mapping
 from repro.constraints.conjunction import Conjunction
 from repro.engine.facts import Fact, make_fact
 from repro.engine.relation import InsertOutcome, Relation
+from repro.obs.recorder import count as obs_count
 
 
 class Database:
@@ -58,16 +59,26 @@ class Database:
 
     def insert(self, fact: Fact, stamp: int = 0) -> InsertOutcome:
         """Insert a fact; returns the insertion outcome."""
-        return self.relation(fact.pred, fact.arity).insert(fact, stamp)
+        outcome = self.relation(fact.pred, fact.arity).insert(fact, stamp)
+        obs_count("relation.inserts")
+        return outcome
 
     def insert_many(
         self, facts: Iterable[Fact], stamp: int = 0
     ) -> list[Fact]:
         """Insert facts; returns those that were actually new."""
         added = []
-        for fact in facts:
-            if self.insert(fact, stamp) is InsertOutcome.NEW:
-                added.append(fact)
+        attempts = 0
+        try:
+            for fact in facts:
+                relation = self.relation(fact.pred, fact.arity)
+                outcome = relation.insert(fact, stamp)
+                attempts += 1
+                if outcome is InsertOutcome.NEW:
+                    added.append(fact)
+        finally:
+            if attempts:
+                obs_count("relation.inserts", attempts)
         return added
 
     def add_ground(self, pred: str, values: Iterable[object]) -> None:
@@ -95,6 +106,13 @@ class Database:
         """How many facts of the predicate carry the stamp.  O(1)."""
         relation = self._relations.get(pred)
         return relation.stamp_count(stamp) if relation is not None else 0
+
+    def stamped(self, stamp: int) -> set[str]:
+        """The predicates some stored fact of which carries the stamp."""
+        return {
+            pred for pred, relation in self._relations.items()
+            if stamp in relation.groups
+        }
 
     def predicates(self) -> frozenset[str]:
         """The predicate names present."""

@@ -201,17 +201,18 @@ class Fact:
 
     # -- comparisons ----------------------------------------------------
 
-    def _key(self) -> tuple:
-        return (self.pred, self.args, self.constraint)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Fact):
             return NotImplemented
-        return self._key() == other._key()
+        return (
+            self.pred == other.pred
+            and self.args == other.args
+            and self.constraint == other.constraint
+        )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self._key())
+            self._hash = hash((self.pred, self.args, self.constraint))
         return self._hash
 
     def __repr__(self) -> str:

@@ -1,4 +1,4 @@
-"""Naive and semi-naive fixpoint evaluation with derivation logs.
+"""Naive and semi-naive fixpoint evaluation, with derivation logs on request.
 
 Evaluation starts from the constraint facts in the database and applies
 all rules in iterations until no new facts are computed (Section 2).
@@ -12,14 +12,19 @@ per-iteration derivation logs comparable with the paper's Tables 1/2.
 A delta variant is skipped outright when its delta is empty and is
 otherwise joined from its smallest literal -- the delta, unless a whole
 relation is smaller -- so an iteration costs in proportion to what the
-last one added, not to what the database holds.
+last one added, not to what the database holds; a rule none of whose
+body predicates gained a fact in the last iteration is not looked at.
 
-A derivation costs one insert and one log record: the log keeps a
-plain tuple per derivation (rule, fact, outcome, parents) and, per
-iteration, the list of facts that were new.  The new, duplicate and
-subsumed counts are tallied in locals and folded into the run's
-:class:`~repro.engine.stats.EvalStats` and the ``engine.*`` counters
-once per rule application.
+A derivation costs one insert: a variant's generated join inserts what
+it derives itself (:meth:`~repro.engine.ruleeval.RuleEvaluator.apply`),
+and per iteration the log keeps the list of facts that were new.  Only
+a run with ``provenance=True`` also logs a plain tuple per derivation
+(rule, fact, outcome, parents) -- what the paper's tables, derivation
+trees and relevance reports read; they raise a ``ValueError`` on a run
+without it.  The new, duplicate and subsumed counts are tallied in
+locals and folded into the run's :class:`~repro.engine.stats.EvalStats`
+and the ``engine.*`` counters once per rule application, with or
+without provenance.
 
 Programs in a CQL may not terminate (Example 1.2); the ``max_iterations``
 cap makes that a reported outcome (``reached_fixpoint=False``).
@@ -73,10 +78,11 @@ _derivation = tuple.__new__
 
 @dataclass
 class IterationLog:
-    """All derivations made during one iteration.
+    """What one iteration derived.
 
-    ``added`` lists the facts that were new, in derivation order; the
-    evaluator appends to it as it appends their derivations.
+    ``added`` lists the facts that were new, in derivation order;
+    ``derivations`` every derivation, only in a run with provenance
+    (empty otherwise).
     """
 
     number: int
@@ -103,6 +109,9 @@ class EvaluationResult:
     ``solver_calls``).  A truncated result is still a *usable partial
     state*: every stored fact is soundly derived, only completeness of
     the answer set is lost.
+
+    ``provenance`` says whether the iteration logs hold the
+    derivations; :meth:`derivation_logs` is how readers get them.
     """
 
     database: Database
@@ -111,6 +120,7 @@ class EvaluationResult:
     stats: EvalStats
     program: Program
     completeness: str = "complete"
+    provenance: bool = False
 
     @property
     def truncated(self) -> bool:
@@ -125,9 +135,22 @@ class EvaluationResult:
         """Number of stored facts (of one predicate, or all)."""
         return self.database.count(pred)
 
+    def derivation_logs(self, reader: str) -> list[IterationLog]:
+        """The iteration logs, for ``reader``, which reads derivations.
+
+        A ``ValueError`` unless the run recorded them: a log without
+        them would read as "nothing was derived".
+        """
+        if not self.provenance:
+            raise ValueError(
+                f"{reader} reads the derivation log, which only an "
+                "evaluation with provenance=True records"
+            )
+        return self.iterations
+
     def trace(self) -> str:
         """The full iteration log as text."""
-        lines = [str(log) for log in self.iterations]
+        lines = [str(log) for log in self.derivation_logs("trace")]
         if not self.reached_fixpoint:
             lines.append("... (iteration cap reached; no fixpoint)")
         return "\n".join(lines)
@@ -141,6 +164,7 @@ def evaluate(
     use_range_index: bool = True,
     backward_subsumption: bool = False,
     budget: "governor.BudgetMeter | None" = None,
+    provenance: bool = False,
 ) -> EvaluationResult:
     """Evaluate a program bottom-up over an input database.
 
@@ -165,6 +189,12 @@ def evaluate(
     the partial state is returned with
     ``completeness="truncated:<resource>"`` (callers that want fail
     semantics re-raise -- see ``repro.driver``).
+
+    ``provenance`` logs every derivation with the body facts it used
+    (:class:`Derivation`), which :meth:`EvaluationResult.trace`,
+    :mod:`repro.engine.report`, :mod:`repro.engine.provenance` and
+    :mod:`repro.core.relevance` read.  What is derived, and every count,
+    is the same without it.
     """
     if strategy not in ("seminaive", "naive"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -183,6 +213,7 @@ def evaluate(
             first_iteration=1, last_iteration=max_iterations,
             meter=meter, stats=stats, logs=logs,
             backward_subsumption=backward_subsumption, cold_start=True,
+            provenance=provenance,
         )
         fixpoint_span.set("iterations", stats.iterations)
         fixpoint_span.set("reached_fixpoint", reached_fixpoint)
@@ -190,7 +221,7 @@ def evaluate(
             fixpoint_span.set("truncated", tripped)
     return _result(
         database, normalized, evaluators, stats, logs,
-        reached_fixpoint, tripped,
+        reached_fixpoint, tripped, provenance,
     )
 
 
@@ -220,6 +251,7 @@ def _result(
     logs: list[IterationLog],
     reached_fixpoint: bool,
     tripped: str | None,
+    provenance: bool,
 ) -> EvaluationResult:
     """Close a run: total the probes and grade completeness."""
     stats.probes = sum(evaluator.probes for evaluator in evaluators)
@@ -236,6 +268,7 @@ def _result(
         stats=stats,
         program=normalized,
         completeness=completeness,
+        provenance=provenance,
     )
 
 
@@ -276,6 +309,7 @@ def _run_fixpoint(
     logs: list[IterationLog],
     backward_subsumption: bool,
     cold_start: bool,
+    provenance: bool,
 ) -> tuple[bool, str | None]:
     """The fixpoint iteration loop shared by cold and resumed runs.
 
@@ -284,13 +318,21 @@ def _run_fixpoint(
     the first iteration applies every rule (fact rules included) to the
     full pre-existing view; a resumed run always uses the semi-naive
     delta split (the delta being whatever carries the stamp
-    ``first_iteration - 1``).  Returns ``(reached_fixpoint, tripped)``
-    where ``tripped`` names the budget resource that stopped the run.
+    ``first_iteration - 1``), and skips a rule whose body names no
+    predicate holding such a fact: :func:`_variants` would find none.
+    Returns ``(reached_fixpoint, tripped)`` where ``tripped`` names the
+    budget resource that stopped the run.
     """
     reached_fixpoint = False
     tripped: str | None = None
     for iteration in range(first_iteration, last_iteration + 1):
         log = IterationLog(number=iteration - 1)
+        derivations = stats.derivations
+        whole = strategy == "naive" or (
+            cold_start and iteration == first_iteration
+        )
+        # No rule adds a fact stamped ``iteration - 1`` in this loop.
+        stamped = None if whole else database.stamped(iteration - 1)
         try:
             if meter is not None:
                 meter.checkpoint("evaluate")
@@ -302,18 +344,18 @@ def _run_fixpoint(
                     if meter is not None:
                         meter.checkpoint("rule")
                     rule = evaluator.rule
-                    if strategy == "naive" or (
-                        cold_start and iteration == first_iteration
-                    ):
+                    if stamped is None:
                         variants = [(None, None)]
                     else:
+                        if stamped.isdisjoint(evaluator.body_preds):
+                            continue
                         variants = _variants(database, rule, iteration - 1)
                         if not variants:
                             continue
                     with obs_span("rule", label=rule.label or "?"):
                         _apply(
                             database, evaluator, variants, iteration,
-                            log, stats, meter,
+                            log, stats, meter, provenance,
                         )
                 if backward_subsumption:
                     for fact in log.new_facts():
@@ -324,7 +366,7 @@ def _run_fixpoint(
                             relation.sweep_subsumed_by(fact)
                         )
                 it_span.set("delta", len(log.new_facts()))
-                it_span.set("derivations", len(log.derivations))
+                it_span.set("derivations", stats.derivations - derivations)
         except BudgetExceeded as error:
             # Stop at the checkpoint and keep the partial state:
             # everything derived so far (this iteration included)
@@ -349,39 +391,36 @@ def _apply(
     log: IterationLog,
     stats: EvalStats,
     meter: "governor.BudgetMeter | None",
+    provenance: bool,
 ) -> None:
-    """One rule application: insert and log each derivation, stamped
-    ``iteration``, then fold its outcome counts into ``stats`` and the
-    ``engine.*`` counters (also when a budget trips part-way)."""
+    """One rule application: insert each derivation, stamped
+    ``iteration`` (and log it, with ``provenance``), then fold its
+    outcome counts into ``stats`` and the ``engine.*`` counters (also
+    when a budget trips part-way)."""
     rule = evaluator.rule
     label, head = rule.label, rule.head
     insert = database.relation(head.pred, head.arity).insert
-    record, added = log.derivations.append, log.added.append
-    new = duplicates = subsumed = 0
+    record = None
+    if provenance:
+        append = log.derivations.append
+
+        def record(fact: Fact, outcome: InsertOutcome, parents) -> None:
+            append(_derivation(Derivation, (label, fact, outcome, parents)))
+
+    tally = [0, 0, 0]  # new, duplicates, subsumed
     try:
         for delta, first in variants:
-            view = database_view(database, iteration - 1, delta)
-            for fact, parents in evaluator.derive_with_parents(
-                view, first
-            ):
-                outcome = insert(fact, iteration)
-                record(_derivation(
-                    Derivation, (label, fact, outcome, parents)
-                ))
-                if outcome is _NEW:
-                    added(fact)
-                    new += 1
-                    if meter is not None:
-                        meter.charge("facts", phase="evaluate")
-                elif outcome is _DUPLICATE:
-                    duplicates += 1
-                else:
-                    subsumed += 1
+            evaluator.apply(
+                database_view(database, iteration - 1, delta), first,
+                insert, iteration, log.added.append, meter, tally, record,
+            )
     finally:
+        new, duplicates, subsumed = tally
         stats.record_many(label, head.pred, new, duplicates, subsumed)
         derived = new + duplicates + subsumed
         if derived:
             obs_count("engine.derivations", derived)
+            obs_count("relation.inserts", derived)
         _count_outcomes(new, duplicates, subsumed)
 
 
@@ -406,6 +445,7 @@ def resume(
     backward_subsumption: bool = False,
     budget: "governor.BudgetMeter | None" = None,
     assume_delta: bool = False,
+    provenance: bool = False,
 ) -> EvaluationResult:
     """Fold new EDB facts into an evaluated database and continue.
 
@@ -432,7 +472,8 @@ def resume(
     derived but never joined from).  The sharded exchange loop
     (:mod:`repro.shard.exchange`) uses this with ``max_iterations=1``
     to step the semi-naive fixpoint one round at a time, folding in
-    remote shards' derivations between rounds.
+    remote shards' derivations between rounds.  ``provenance`` is as
+    for :func:`evaluate`.
     """
     meter = budget if budget is not None else governor.current_meter()
     with obs_span("normalize"):
@@ -446,7 +487,8 @@ def resume(
     added = duplicates = subsumed = 0
     try:
         for fact in new_facts:
-            outcome = database.insert(fact, stamp=start_stamp)
+            relation = database.relation(fact.pred, fact.arity)
+            outcome = relation.insert(fact, start_stamp)
             if outcome is _NEW:
                 added += 1
                 if meter is not None:
@@ -457,6 +499,8 @@ def resume(
                 subsumed += 1
     except BudgetExceeded as error:
         tripped = error.resource
+    if added + duplicates + subsumed:
+        obs_count("relation.inserts", added + duplicates + subsumed)
     _count_outcomes(added, duplicates, subsumed)
     reached_fixpoint = tripped is None
     if (added or assume_delta) and tripped is None:
@@ -471,7 +515,7 @@ def resume(
                 last_iteration=start_stamp + max_iterations,
                 meter=meter, stats=stats, logs=logs,
                 backward_subsumption=backward_subsumption,
-                cold_start=False,
+                cold_start=False, provenance=provenance,
             )
             fixpoint_span.set("iterations", stats.iterations)
             fixpoint_span.set("reached_fixpoint", reached_fixpoint)
@@ -480,7 +524,7 @@ def resume(
     obs_count("engine.resumes")
     return _result(
         database, normalized, evaluators, stats, logs,
-        reached_fixpoint, tripped,
+        reached_fixpoint, tripped, provenance,
     )
 
 

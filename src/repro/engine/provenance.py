@@ -1,11 +1,13 @@
 """Derivation trees (Definition 2.2), reconstructed from provenance.
 
-Every NEW fact's first derivation records the rule and the body facts
-used; chasing those parents bottoms out at EDB facts, yielding the
-derivation tree of Definition 2.2 ("constraints in rules are viewed as
-conditions ... constraints are not themselves part of a tree").  The
-first-derivation graph is acyclic because a derivation at iteration
-``k`` only consumes facts stamped ``< k``.
+In a run with ``provenance=True``, every NEW fact's first derivation
+records the rule and the body facts used; chasing those parents bottoms
+out at EDB facts, yielding the derivation tree of Definition 2.2
+("constraints in rules are viewed as conditions ... constraints are not
+themselves part of a tree").  The first-derivation graph is acyclic
+because a derivation at iteration ``k`` only consumes facts stamped
+``< k``.  Every function here raises ``ValueError`` on a result
+evaluated without provenance.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ def first_derivations(
 ) -> dict[Fact, tuple[str | None, tuple[Fact, ...]]]:
     """The earliest (rule, parents) recorded for every derived fact."""
     recorded: dict[Fact, tuple[str | None, tuple[Fact, ...]]] = {}
-    for log in result.iterations:
+    for log in result.derivation_logs("first_derivations"):
         for derivation in log.derivations:
             if derivation.outcome is InsertOutcome.NEW:
                 recorded.setdefault(
@@ -85,9 +87,9 @@ def derivation_tree(
     Returns ``None`` when the fact is not in the result's database.
     EDB facts yield single-node trees.
     """
+    recorded = first_derivations(result)
     if fact not in result.database:
         return None
-    recorded = first_derivations(result)
 
     def build(node: Fact) -> DerivationTree:
         """Recursively build the subtree of a fact."""

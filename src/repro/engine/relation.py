@@ -7,7 +7,8 @@ facts subsumed by an existing fact (the paper's "subsumed facts ... are
 discarded, and are not used to make new derivations").  The relation
 counts its non-ground facts (with a PENDING position).  While there
 are none -- on most programs always (Theorem 6.2) -- an insert is one
-set-membership test: only an equal fact covers a ground one, and a
+``setdefault`` on the fact store, one hash for the duplicate test and
+the store together: only an equal fact covers a ground one, and a
 canonical non-ground fact covers at least two points, so no ground
 fact covers it.  What is derived, and so the derivation count, does
 not change.
@@ -183,21 +184,29 @@ class Relation:
     def insert(self, fact: Fact, stamp: int = 0) -> InsertOutcome:
         """Insert unless a syntactic duplicate or semantically subsumed
         (by the duplicate test alone while no non-ground fact is stored).
+
+        The caller counts ``relation.inserts``: the fixpoint once per
+        rule application, a load loop once per loop.
         """
         if fact.pred != self.pred or len(fact.args) != self.arity:
             raise ValueError(
                 f"fact {fact} does not belong to relation "
                 f"{self.pred}/{self.arity}"
             )
-        obs_count("relation.inserts")
-        if fact in self.stamps:
-            return InsertOutcome.DUPLICATE
+        stamps = self.stamps
         if self.nonground:
+            if fact in stamps:
+                return InsertOutcome.DUPLICATE
             for existing in self._candidate_subsumers(fact):
                 obs_count("constraint.subsumption_tests")
                 if existing.subsumes(fact):
                     return InsertOutcome.SUBSUMED
-        self.stamps[fact] = stamp
+            stamps[fact] = stamp
+        else:  # the duplicate test and the store are one hash
+            size = len(stamps)
+            stamps.setdefault(fact, stamp)
+            if len(stamps) == size:
+                return InsertOutcome.DUPLICATE
         group = self.groups.get(stamp)
         if group is None:
             self.groups[stamp] = [fact]

@@ -24,11 +24,14 @@ def render_derivation_table(
     """The paper's Table 1/2 format.
 
     Discarded (duplicate or subsumed) derivations are suffixed with
-    ``mark_discarded`` -- the paper prints them in boldface.
+    ``mark_discarded`` -- the paper prints them in boldface.  The result
+    must come from a run with ``provenance=True`` (``ValueError``
+    otherwise).
     """
+    logs = result.derivation_logs("render_derivation_table")
     width = len("Iteration")
     lines = [title, "", f"{'Iteration':<{width}}  Derivations made"]
-    for log in result.iterations:
+    for log in logs:
         rendered = []
         for derivation in log.derivations:
             label = derivation.rule_label or "?"

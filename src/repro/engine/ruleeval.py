@@ -50,7 +50,7 @@ from repro.constraints.conjunction import Conjunction
 from repro.constraints.linexpr import LinearExpr, as_fraction
 from repro.engine.database import Database
 from repro.engine.facts import Fact, PENDING, is_number, make_fact, number_key
-from repro.engine.relation import Range
+from repro.engine.relation import InsertOutcome, Range
 from repro.errors import ReproError
 from repro.governor import budget as governor
 from repro.lang.ast import Literal, Rule
@@ -104,6 +104,8 @@ fact; it probes the others itself."""
 _CONST, _TEST, _BIND, _BIND_NUM = range(4)
 
 _TRUE = Conjunction.true()
+_NEW = InsertOutcome.NEW
+_DUPLICATE = InsertOutcome.DUPLICATE
 
 #: Candidates a variant enumerates interpreted before it is generated:
 #: about the break-even of generating one (about 0.75 ms, access paths
@@ -160,13 +162,16 @@ class _Step(NamedTuple):
 
 
 class _Variant:
-    """A join order's steps, candidates enumerated and generated join
-    (racing fills are pure and lost counts only delay generation)."""
+    """A join order's steps, candidates enumerated and its two generated
+    joins, each built the first time it is asked for: ``join`` yields
+    what it derives, ``inserts`` inserts it (racing fills are pure and
+    lost counts only delay generation)."""
 
-    __slots__ = ("steps", "seen", "join")
+    __slots__ = ("steps", "seen", "join", "inserts")
 
     def __init__(self, steps: "tuple[_Step, ...]") -> None:
-        self.steps, self.seen, self.join = steps, 0, None
+        self.steps, self.seen = steps, 0
+        self.join = self.inserts = None
 
 
 class _Plan(NamedTuple):
@@ -187,6 +192,9 @@ class _Plan(NamedTuple):
     # body variables decide all of them and the head; None otherwise.
     finish: "tuple[_Lowered, ...] | None"
     head: tuple[tuple[bool, object], ...]  # (is_slot, slot or constant)
+    # A semi-naive iteration skips the rule unless one of these
+    # predicates gained a fact in the last iteration.
+    body_preds: frozenset[str]
 
 
 def _static_ranges(rule: Rule, literal: Literal) -> dict[int, Range]:
@@ -303,6 +311,7 @@ def _compile(rule: Rule, use_ranges: bool) -> _Plan:
         ),
         len(slots), body_names, deferred,
         None if finish is None else tuple(finish), tuple(head),
+        frozenset(literal.pred for literal in rule.body),
     )
 
 
@@ -422,12 +431,20 @@ _COMPARE = {Op.LE: "<=", Op.LT: "<", Op.EQ: "=="}
 
 
 def _generate(
-    rule: Rule, plan: _Plan, steps: tuple[_Step, ...], first: "int | None"
+    rule: Rule, plan: _Plan, steps: tuple[_Step, ...], first: "int | None",
+    inserting: bool = False,
 ) -> Callable:
     """:meth:`RuleEvaluator._join` over ``steps`` as one compiled
     generator ``join(evaluator, view)``: the same yields, order and
     probes, each action returning where :func:`_advance` does and an
     undecided candidate going to :meth:`RuleEvaluator._general`.
+
+    ``inserting`` generates the other form, a function ``join(evaluator,
+    view, insert, stamp, added, budget, tally)`` that inserts what the
+    generator would yield, where it would yield it, as
+    :func:`insert_derived` does (the general arm's yields go through
+    that function): no head fact leaves the join, and no parents tuple
+    is built.
 
     Over a :class:`View`, a step whose relation holds no non-ground fact
     when the probe starts is probed inline: the stamp group or the
@@ -440,6 +457,8 @@ def _generate(
         PENDING=PENDING, Sym=Sym, Fact=Fact, TRUE=_TRUE, Fraction=Fraction,
         number_key=number_key, lift=_lift, STEPS=steps, NAMES=plan.names,
         current_meter=governor.current_meter, View=View,
+        NEW=_NEW, DUPLICATE=_DUPLICATE,
+        sink=insert_derived,
     )
 
     def const(value: object) -> str:
@@ -521,11 +540,26 @@ def _generate(
                   f"{{{bound}}}, {step.index}, {const(step.ranges)})"]
         return lines
 
+    def inserted(head: str, pad: str) -> list[str]:
+        """Lines inserting ``head`` and tallying its outcome."""
+        return [f"{pad}o = insert({head}, stamp)",
+                f"{pad}if o is NEW:",
+                f"{pad}    added({head}); new += 1",
+                f"{pad}    if budget is not None: "
+                f"budget.charge('facts', phase='evaluate')",
+                f"{pad}elif o is DUPLICATE: duplicates += 1",
+                f"{pad}else: subsumed += 1"]
+
     # Once per call: each step's relation (None: always call ``view``),
     # its stamp window and, built by the first probe, its hash indexes.
-    lines = ["def join(self, view):",
-             "    meter, counter, probes = current_meter(), [0], 0",
-             "    database = view.database if type(view) is View else None"]
+    if inserting:
+        lines = ["def join(self, view, insert, stamp, added, budget, tally):",
+                 "    new = duplicates = subsumed = 0"]
+        arm = "sink({}, insert, stamp, added, budget, tally)"
+    else:
+        lines, arm = ["def join(self, view):"], "yield from {}"
+    lines += ["    meter, counter, probes = current_meter(), [0], 0",
+              "    database = view.database if type(view) is View else None"]
     for depth, step in enumerate(steps):
         lines += [f"    r{depth} = None if database is None else "
                   f"database.get({const(step.literal.pred)})",
@@ -542,8 +576,9 @@ def _generate(
                      for slot in range(plan.slots))
         parents = listed(f"f{index}" if index in joined else "None"
                          for index in range(len(steps)))
-        general = (f"yield from self._general(STEPS, {depth}, [{env}], "
-                   f"{fact}, counter, view, [{parents}]); continue")
+        general = arm.format(f"self._general(STEPS, {depth}, [{env}], "
+                             f"{fact}, counter, view, [{parents}])"
+                             ) + "; continue"
         targets = [f"s{payload}" if action in (_BIND, _BIND_NUM) else
                    f"v{position}"
                    for position, action, payload in step.actions]
@@ -572,7 +607,9 @@ def _generate(
         env = listed(f"s{slot}" if slot in body else "None"
                      for slot in range(plan.slots))
         lines += [f"{pad}head = self._finish(lift(NAMES, [{env}]))",
-                  f"{pad}if head is not None: yield head, ({parents})"]
+                  f"{pad}if head is not None:"]
+        lines += (inserted("head", pad + "    ") if inserting else
+                  [f"{pad}    yield head, ({parents})"])
     else:
         for lowered in plan.finish:
             slot = f"s{lowered.solves}"
@@ -589,10 +626,17 @@ def _generate(
                           f"{slot} = number_key({slot})"]
         head = listed(f"s{payload}" if is_slot else const(payload)
                       for is_slot, payload in plan.head)
-        lines.append(f"{pad}yield Fact({const(rule.head.pred)}, ({head}), "
-                     f"TRUE), ({parents})")
+        head = f"Fact({const(rule.head.pred)}, ({head}), TRUE)"
+        if inserting:
+            lines += [f"{pad}head = {head}", *inserted("head", pad)]
+        else:
+            lines.append(f"{pad}yield {head}, ({parents})")
     lines += ["    finally:", "        self.probes += probes"]
-    name = f"<join {rule.label or '?'} first={first}>"
+    if inserting:
+        lines += ["        tally[0] += new; tally[1] += duplicates; "
+                  "tally[2] += subsumed"]
+    form = " inserting" if inserting else ""
+    name = f"<join {rule.label or '?'} first={first}{form}>"
     exec(compile("\n".join(lines), name, "exec"), scope)
     return scope["join"]
 
@@ -612,6 +656,7 @@ class RuleEvaluator:
         self.rule = rule
         self.probes = 0
         self._plan = _compile(rule, use_ranges)
+        self.body_preds = self._plan.body_preds
         # Derivation memo: the semi-naive delta split re-derives the same
         # (values, constraint) pair from different body-fact combinations
         # in a large share of derivations; the head-side canonicalization
@@ -627,6 +672,38 @@ class RuleEvaluator:
         for fact, __ in self.derive_with_parents(view):
             yield fact
 
+    def _variant(self, first: "int | None") -> _Variant:
+        plan = self._plan
+        return plan.variants.get(first) or plan.variants.setdefault(
+            first, _Variant(_steps(self.rule, plan, first))
+        )
+
+    def apply(
+        self, view: FactView, first: "int | None", insert: Callable,
+        stamp: int, added: Callable, meter: "governor.BudgetMeter | None",
+        tally: list[int], record: "Callable | None" = None,
+    ) -> None:
+        """Insert what one application derives, as :func:`insert_derived`
+        inserts :meth:`derive_with_parents`' yields.
+
+        Without ``record`` a variant past :data:`_HOT` runs its inserting
+        generated join, which builds no parents tuple.
+        """
+        variant = self._variant(first)
+        if record is not None or variant.seen < _HOT:
+            insert_derived(
+                self.derive_with_parents(view, first), insert, stamp,
+                added, meter, tally, record,
+            )
+            return
+        obs_count("engine.rule_evals")
+        if variant.inserts is None:
+            variant.inserts = _generate(
+                self.rule, self._plan, variant.steps, first, inserting=True
+            )
+            obs_count("engine.joins_generated")
+        variant.inserts(self, view, insert, stamp, added, meter, tally)
+
     def derive_with_parents(
         self, view: FactView, first: "int | None" = None
     ) -> Iterator[tuple[Fact, tuple[Fact, ...]]]:
@@ -639,9 +716,7 @@ class RuleEvaluator:
         """
         obs_count("engine.rule_evals")
         plan = self._plan
-        variant = plan.variants.get(first) or plan.variants.setdefault(
-            first, _Variant(_steps(self.rule, plan, first))
-        )
+        variant = self._variant(first)
         if variant.seen < _HOT:
             return self._interpret(variant, view)
         if variant.join is None:
@@ -1008,6 +1083,43 @@ def _propagate_constants(
         residual = folded
         progress = True
     return solved, residual
+
+
+def insert_derived(
+    derived: "Iterable[tuple[Fact, tuple[Fact, ...]]]",
+    insert: Callable,
+    stamp: int,
+    added: Callable,
+    meter: "governor.BudgetMeter | None",
+    tally: list[int],
+    record: "Callable | None" = None,
+) -> None:
+    """Insert each derived fact with ``stamp`` and add its outcome to
+    ``tally`` (new, duplicates, subsumed), also when a budget trips.
+
+    A new fact goes to ``added`` and charges ``meter``'s ``facts``;
+    ``record``, if given, gets ``(fact, outcome, parents)`` of every
+    derivation.  An inserting generated join does the same inline.
+    """
+    new = duplicates = subsumed = 0
+    try:
+        for fact, parents in derived:
+            outcome = insert(fact, stamp)
+            if record is not None:
+                record(fact, outcome, parents)
+            if outcome is _NEW:
+                added(fact)
+                new += 1
+                if meter is not None:
+                    meter.charge("facts", phase="evaluate")
+            elif outcome is _DUPLICATE:
+                duplicates += 1
+            else:
+                subsumed += 1
+    finally:
+        tally[0] += new
+        tally[1] += duplicates
+        tally[2] += subsumed
 
 
 class View:

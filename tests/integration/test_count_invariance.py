@@ -130,7 +130,7 @@ def _observe(case: str, strategy: str) -> tuple:
     program, query, edb, iterations = CASES[case]()
     outcome = answer_query(
         program, query, edb, strategy=strategy,
-        eval_iterations=iterations,
+        eval_iterations=iterations, provenance=True,
     )
     ordered = hashlib.sha256()
     order_free = hashlib.sha256()

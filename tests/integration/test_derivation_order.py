@@ -72,7 +72,7 @@ def _lines(program, query, edb, strategy):
     """The run's derivation log, one line per derivation, in order."""
     outcome = answer_query(
         program, query, edb, strategy=strategy,
-        eval_iterations=EVAL_ITERATIONS,
+        eval_iterations=EVAL_ITERATIONS, provenance=True,
     )
     for log in outcome.result.iterations:
         for derivation in log.derivations:

@@ -31,13 +31,16 @@ from repro.workloads.fib import (
 
 @pytest.fixture(scope="module")
 def table1():
-    return evaluate(fib_magic_program(5).program, max_iterations=9)
+    return evaluate(
+        fib_magic_program(5).program, max_iterations=9, provenance=True
+    )
 
 
 @pytest.fixture(scope="module")
 def table2():
     return evaluate(
-        fib_magic_program(5, optimized=True).program, max_iterations=30
+        fib_magic_program(5, optimized=True).program, max_iterations=30,
+        provenance=True,
     )
 
 

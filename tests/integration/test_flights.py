@@ -108,7 +108,9 @@ class TestMultipleDerivations:
             {"singleleg": [("madison", "chicago", 50, 100)]}
         )
         original = evaluate(flights_program(), edb, max_iterations=10)
-        optimized = evaluate(rewrite.program, edb, max_iterations=10)
+        optimized = evaluate(
+            rewrite.program, edb, max_iterations=10, provenance=True
+        )
         assert original.count("flight") == 1
         assert optimized.count("flight") == 1
         flight_derivs = sum(

@@ -27,9 +27,12 @@ def test_relevance_ratio_sweep(rewritten, fraction):
     )
     query = parse_query("?- cheaporshort(S, D, T, C).")
     original = evaluate(
-        flights_program(), network.database, max_iterations=60
+        flights_program(), network.database, max_iterations=60,
+        provenance=True,
     )
-    optimized = evaluate(rewritten, network.database, max_iterations=60)
+    optimized = evaluate(
+        rewritten, network.database, max_iterations=60, provenance=True
+    )
     before = relevance_report(original, query)
     after = relevance_report(optimized, query)
     assert after.ratio == 1.0

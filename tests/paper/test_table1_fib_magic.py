@@ -12,7 +12,7 @@ from repro.workloads.fib import fib_magic_program
 
 def run_table1():
     magic = fib_magic_program(5, optimized=False)
-    return evaluate(magic.program, max_iterations=9)
+    return evaluate(magic.program, max_iterations=9, provenance=True)
 
 
 def test_table1_regeneration():

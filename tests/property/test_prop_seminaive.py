@@ -113,7 +113,9 @@ def _recursive_case(seed: int, picks):
     for candidate in itertools.count(seed):
         rules, edb = split_edb(generate_case(candidate, CONFIG).program)
         edb = _with_constraint_facts(edb, picks)
-        expected = evaluate(rules, edb, max_iterations=MAX_ITERATIONS)
+        expected = evaluate(
+            rules, edb, max_iterations=MAX_ITERATIONS, provenance=True
+        )
         if (
             any(log.derivations for log in expected.iterations[1:])
             and expected.stats.derivations <= MAX_DERIVATIONS

@@ -48,7 +48,9 @@ def test_threads_sharing_plans_report_the_single_threaded_run():
     edb = flight_network(
         n_layers=4, width=3, expensive_fraction=0.4, seed=42
     ).database
-    expected = _signature(evaluate(program, edb, max_iterations=60))
+    expected = _signature(
+        evaluate(program, edb, max_iterations=60, provenance=True)
+    )
     # The plans really are shared: one object per rule, process-wide.
     rule = next(iter(normalize_program(program)))
     assert RuleEvaluator(rule)._plan is RuleEvaluator(rule)._plan
@@ -64,7 +66,9 @@ def test_threads_sharing_plans_report_the_single_threaded_run():
             start.wait(timeout=JOIN_TIMEOUT)
             for __ in range(RUNS_EACH):
                 found = _signature(
-                    evaluate(program, edb, max_iterations=60)
+                    evaluate(
+                        program, edb, max_iterations=60, provenance=True
+                    )
                 )
                 with lock:
                     observed.append(found)

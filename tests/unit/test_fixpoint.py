@@ -86,13 +86,13 @@ class TestIterationLogs:
 
     def test_final_iteration_empty_at_fixpoint(self):
         edb = Database.from_ground({"edge": [(1, 2)]})
-        result = evaluate(parse_program(TC), edb)
+        result = evaluate(parse_program(TC), edb, provenance=True)
         assert result.reached_fixpoint
         assert result.iterations[-1].derivations == []
 
     def test_trace_mentions_cap(self):
         program = parse_program("x(0).\nx(N) :- x(M), N = M + 1.")
-        result = evaluate(program, max_iterations=3)
+        result = evaluate(program, max_iterations=3, provenance=True)
         assert "no fixpoint" in result.trace()
 
 

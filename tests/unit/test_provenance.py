@@ -22,7 +22,7 @@ def tc_result():
         """
     ).relabeled()
     edb = Database.from_ground({"edge": [(1, 2), (2, 3), (3, 4)]})
-    return evaluate(program, edb)
+    return evaluate(program, edb, provenance=True)
 
 
 class TestTrees:
@@ -91,7 +91,7 @@ class TestFirstDerivations:
 
         result = evaluate(
             fib_magic_program(5, optimized=True).program,
-            max_iterations=30,
+            max_iterations=30, provenance=True,
         )
         answer = next(
             fact

@@ -27,14 +27,14 @@ class TestReport:
     def test_all_relevant_when_everything_supports(self):
         program = parse_program("q(X) :- e(X).")
         edb = Database.from_ground({"e": [(1,), (2,)]})
-        result = evaluate(program, edb)
+        result = evaluate(program, edb, provenance=True)
         report = relevance_report(result, parse_query("?- q(X)."))
         assert report.ratio == 1.0
         assert not report.irrelevant
 
     def test_unreachable_branch_is_irrelevant(self, chain_setting):
         program, edb = chain_setting
-        result = evaluate(program, edb)
+        result = evaluate(program, edb, provenance=True)
         report = relevance_report(result, parse_query("?- q(X, Y)."))
         # t facts rooted at 8/9 never reach q (X <= 2 fails).
         assert report.ratio < 1.0
@@ -45,7 +45,7 @@ class TestReport:
 
     def test_transitive_ancestry_counted(self, chain_setting):
         program, edb = chain_setting
-        result = evaluate(program, edb)
+        result = evaluate(program, edb, provenance=True)
         report = relevance_report(result, parse_query("?- q(1, 3)."))
         # q(1,3) is supported by t(1,3), which needs t(2,3).
         t_relevant = {
@@ -58,20 +58,20 @@ class TestReport:
 
     def test_no_answers_no_relevant_facts(self, chain_setting):
         program, edb = chain_setting
-        result = evaluate(program, edb)
+        result = evaluate(program, edb, provenance=True)
         report = relevance_report(result, parse_query("?- q(99, 99)."))
         assert report.ratio == 0.0
 
     def test_edb_facts_excluded_from_ratio(self, chain_setting):
         program, edb = chain_setting
-        result = evaluate(program, edb)
+        result = evaluate(program, edb, provenance=True)
         report = relevance_report(result, parse_query("?- q(X, Y)."))
         assert all(fact.pred != "e" for fact in report.computed)
         assert any(fact.pred == "e" for fact in report.edb_facts)
 
     def test_irrelevant_by_pred(self, chain_setting):
         program, edb = chain_setting
-        result = evaluate(program, edb)
+        result = evaluate(program, edb, provenance=True)
         report = relevance_report(result, parse_query("?- q(X, Y)."))
         counts = report.irrelevant_by_pred()
         assert set(counts) <= {"t", "q"}
@@ -90,13 +90,15 @@ class TestRewritingImprovesRelevance:
         )
         query = parse_query("?- cheaporshort(S, D, T, C).")
         original = evaluate(
-            flights_program(), network.database, max_iterations=60
+            flights_program(), network.database, max_iterations=60,
+            provenance=True,
         )
         rewritten = constraint_rewrite(
             flights_program(), "cheaporshort"
         ).program
         optimized = evaluate(
-            rewritten, network.database, max_iterations=60
+            rewritten, network.database, max_iterations=60,
+            provenance=True,
         )
         before = relevance_ratio(original, query)
         after = relevance_ratio(optimized, query)
@@ -106,7 +108,7 @@ class TestRewritingImprovesRelevance:
     def test_chain_ratio_improves(self, chain_setting):
         program, edb = chain_setting
         query = parse_query("?- q(X, Y).")
-        before = relevance_ratio(evaluate(program, edb), query)
+        before = relevance_ratio(evaluate(program, edb, provenance=True), query)
         rewritten = constraint_rewrite(program, "q").program
-        after = relevance_ratio(evaluate(rewritten, edb), query)
+        after = relevance_ratio(evaluate(rewritten, edb, provenance=True), query)
         assert after >= before

@@ -8,7 +8,9 @@ from repro.workloads.fib import fib_magic_program
 
 class TestDerivationTable:
     def test_table1_shape(self):
-        result = evaluate(fib_magic_program(5).program, max_iterations=9)
+        result = evaluate(
+            fib_magic_program(5).program, max_iterations=9, provenance=True
+        )
         table = render_derivation_table(result, title="Table 1")
         assert table.startswith("Table 1")
         assert "m_fib($1, 5)" in table
@@ -18,7 +20,7 @@ class TestDerivationTable:
     def test_table2_shape(self):
         result = evaluate(
             fib_magic_program(5, optimized=True).program,
-            max_iterations=30,
+            max_iterations=30, provenance=True,
         )
         table = render_derivation_table(result, title="Table 2")
         assert "fixpoint after iteration" in table
@@ -29,7 +31,9 @@ class TestDerivationTable:
             "tc(X, Y) :- edge(X, Z), tc(Z, Y).\n"
         )
         edb = Database.from_ground({"edge": [(1, 2), (2, 3)]})
-        table = render_derivation_table(evaluate(program, edb))
+        table = render_derivation_table(
+            evaluate(program, edb, provenance=True)
+        )
         for number in ("0", "1"):
             assert f"\n{number}" in table
 
