@@ -55,14 +55,13 @@ from repro.core.pipeline import STRATEGY_SEQUENCES, apply_sequence
 from repro.core.prune import prune
 from repro.core.rewrite import constraint_rewrite
 from repro.engine import Database, EvaluationResult, evaluate
-from repro.engine.facts import Fact
+from repro.engine.facts import Fact, ground_fact
 from repro.engine.query import answers_as
 from repro.errors import BudgetExceeded, UsageError
 from repro.governor import Budget, BudgetMeter
 from repro.governor import budget as governor
 from repro.lang.ast import Program, Query, Rule
 from repro.lang.parser import parse_program_and_queries
-from repro.lang.terms import NumTerm, Sym
 from repro.obs.recorder import span as obs_span
 
 
@@ -174,27 +173,11 @@ def split_edb(program: Program) -> tuple[Program, Database]:
     edb = Database()
     kept: list[Rule] = []
     for rule in program:
-        if (
-            rule.is_fact
-            and rule.constraint.is_true()
-            and not rule.head.variables()
-            and rule.head.pred not in proper_heads
-            and rule.head.is_normalized()
-        ):
-            values = []
-            ground = True
-            for arg in rule.head.args:
-                if isinstance(arg, Sym):
-                    values.append(arg)
-                elif isinstance(arg, NumTerm) and arg.is_constant():
-                    values.append(arg.value)
-                else:  # pragma: no cover - excluded by checks above
-                    ground = False
-                    break
-            if ground:
-                edb.add_ground(rule.head.pred, values)
-                continue
-        kept.append(rule)
+        fact = None if rule.head.pred in proper_heads else ground_fact(rule)
+        if fact is None:
+            kept.append(rule)
+        else:
+            edb.insert(fact)
     return Program(kept), edb
 
 

@@ -42,7 +42,7 @@ from repro.constraints.conjunction import Conjunction
 from repro.constraints.linexpr import LinearExpr
 from repro.lang.ast import Rule
 from repro.lang.positions import arg_position
-from repro.lang.terms import Sym, Var
+from repro.lang.terms import NumTerm, Sym, Var
 
 
 class _Pending:
@@ -284,6 +284,23 @@ def make_fact(
                 changed = True
     conjunction = conjunction.canonical()
     return Fact(pred, tuple(args), conjunction)
+
+
+def ground_fact(rule: Rule) -> Fact | None:
+    """The ground fact a rule states, or ``None`` unless it states one:
+    it has no body and no constraint, and every head argument is a
+    symbol or a numeric constant."""
+    if rule.body or not rule.constraint.is_true():
+        return None
+    values: list[object] = []
+    for arg in rule.head.args:
+        if isinstance(arg, Sym):
+            values.append(arg)
+        elif isinstance(arg, NumTerm) and arg.is_constant():
+            values.append(arg.value)
+        else:
+            return None
+    return Fact.ground(rule.head.pred, values)
 
 
 def fact_of_rule(rule: Rule) -> Fact | None:

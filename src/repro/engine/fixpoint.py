@@ -399,7 +399,7 @@ def _apply(
     when a budget trips part-way)."""
     rule = evaluator.rule
     label, head = rule.label, rule.head
-    insert = database.relation(head.pred, head.arity).insert
+    store = database.relation(head.pred, head.arity)
     record = None
     if provenance:
         append = log.derivations.append
@@ -412,7 +412,7 @@ def _apply(
         for delta, first in variants:
             evaluator.apply(
                 database_view(database, iteration - 1, delta), first,
-                insert, iteration, log.added.append, meter, tally, record,
+                store, iteration, log.added.append, meter, tally, record,
             )
     finally:
         new, duplicates, subsumed = tally

@@ -49,6 +49,13 @@ probe as a generator.  A generated join (:mod:`repro.engine.ruleeval`)
 makes the same probe inline, from ``stamps``, ``groups`` and
 :meth:`Relation.index`, while ``nonground`` is 0, and calls
 ``matching`` otherwise.
+
+The generated join is also the second writer of ``stamps``, ``groups``
+and the built indexes (``_fixed``): while ``nonground`` is 0 its
+inserting form stores a ground head itself, exactly as :meth:`insert`
+would, and calls :meth:`insert` otherwise.  A change to how
+:meth:`insert` stores a ground fact changes ``ruleeval._generate`` too
+(``tests/property/test_prop_inline_store.py`` compares the two).
 """
 
 from __future__ import annotations
@@ -121,10 +128,11 @@ class Relation:
     def __init__(self, pred: str, arity: int) -> None:
         self.pred = pred
         self.arity = arity
-        # The three attributes below, and :meth:`index`, are what a
-        # generated join reads to probe the relation itself; read-only
-        # outside this class.  ``stamps``: the fact store, an
-        # insertion-ordered dict from fact to stamp.
+        # The three attributes below, :meth:`index` and ``_fixed`` are
+        # what a generated join reads to probe the relation and writes
+        # to store a ground head itself; untouched elsewhere outside
+        # this class.  ``stamps``: the fact store, an insertion-ordered
+        # dict from fact to stamp.
         self.stamps: dict[Fact, int] = {}
         # groups[stamp] -> the facts carrying it, in insertion order;
         # a stamp nothing carries has no entry.

@@ -27,7 +27,8 @@ of two tiers: the *interpreter* (:meth:`RuleEvaluator._join`) walks the
 steps; the *generated join* (:func:`_generate`, Brass & Stephan's
 compiled rules) is the same steps as straight-line Python, with each
 probe of a ground relation inline (its access path: a bucket or stamp
-group and generated tests, Section 4.6's pushed ranges among them).  A
+group and generated tests, Section 4.6's pushed ranges among them) and,
+in its inserting form, each ground head stored inline.  A
 variant is interpreted until it has enumerated :data:`_HOT` candidates
 in this process: generating one costs about as much, and generating
 every variant made workloads of many one-off programs twice as slow.  A
@@ -50,7 +51,7 @@ from repro.constraints.conjunction import Conjunction
 from repro.constraints.linexpr import LinearExpr, as_fraction
 from repro.engine.database import Database
 from repro.engine.facts import Fact, PENDING, is_number, make_fact, number_key
-from repro.engine.relation import InsertOutcome, Range
+from repro.engine.relation import InsertOutcome, Range, Relation
 from repro.errors import ReproError
 from repro.governor import budget as governor
 from repro.lang.ast import Literal, Rule
@@ -440,24 +441,34 @@ def _generate(
     undecided candidate going to :meth:`RuleEvaluator._general`.
 
     ``inserting`` generates the other form, a function ``join(evaluator,
-    view, insert, stamp, added, budget, tally)`` that inserts what the
-    generator would yield, where it would yield it, as
-    :func:`insert_derived` does (the general arm's yields go through
-    that function): no head fact leaves the join, and no parents tuple
-    is built.
+    view, store, stamp, added, budget, tally)`` that inserts what the
+    generator would yield into ``store``, the head relation, where it
+    would yield it, as :func:`insert_derived` does (the general arm's
+    yields go through that function): no head fact leaves the join, and
+    no parents tuple is built.  A ground head of a :attr:`_Plan.finish`
+    plan is stored inline while ``store`` holds no non-ground fact: one
+    ``setdefault`` on its ``stamps``, an append to its stamp group and
+    to each index :meth:`~repro.engine.relation.Relation.index` has
+    built (the index list is read at every store, so an index a probe
+    of this join builds gets the later heads), and the outcome tallied
+    and the ``facts`` budget charged as :meth:`Relation.insert` and
+    :func:`insert_derived` would.  Any other head goes through
+    ``store.insert``, by way of :func:`insert_derived`.
 
     Over a :class:`View`, a step whose relation holds no non-ground fact
     when the probe starts is probed inline: the stamp group or the
     smallest hash bucket of a bound position, as
     :meth:`~repro.engine.relation.Relation.matching` picks it, filtered
-    by the stamp window, the bound values and the pushed ranges into a
-    list -- the facts ``matching`` would yield, in its order.  Any other
-    probe calls ``view``."""
+    into a list -- the facts ``matching`` would yield, in its order --
+    by the bound values and the pushed ranges, and by the stamp window
+    only where the source does not guarantee it: the group is copied or
+    filtered by the other tests, the whole relation is read with its
+    stamps (``stamps.items()``) or copied, and only a bucket looks up
+    each fact's stamp.  Any other probe calls ``view``."""
     scope: dict[str, object] = dict(
         PENDING=PENDING, Sym=Sym, Fact=Fact, TRUE=_TRUE, Fraction=Fraction,
         number_key=number_key, lift=_lift, STEPS=steps, NAMES=plan.names,
         current_meter=governor.current_meter, View=View,
-        NEW=_NEW, DUPLICATE=_DUPLICATE,
         sink=insert_derived,
     )
 
@@ -487,18 +498,20 @@ def _generate(
                 for position, is_slot, payload in step.bound]
         tests = [f"f.args[{position}] {same} {value}"
                  for position, value, same in keys]
+        ranged = []
         for position, span in (step.ranges or {}).items():
             value = f"f.args[{position}]"
-            tests.append(f"type({value}) is not Sym")
+            ranged.append(f"type({value}) is not Sym")
             for limit, strict, op in (
                 (span.lower, span.lower_strict, ">"),
                 (span.upper, span.upper_strict, "<"),
             ):
                 if limit is not None:
                     equal = "" if strict else "="
-                    tests.append(
+                    ranged.append(
                         f"{value} {op}{equal} {const(number_key(limit))}"
                     )
+        tests += ranged
         relation, exact, most = f"r{depth}", f"e{depth}", f"h{depth}"
 
         def smallest(inner: str) -> list[str]:  # b: the source so far
@@ -511,51 +524,99 @@ def _generate(
                           f"{inner}if len(a) < len(b): b = a"]
             return lines
 
-        def kept(window: str, tests: list[str], inner: str) -> list[str]:
+        def kept(tests: list[str], inner: str, source: str = "b",
+                 item: str = "f") -> list[str]:
+            """Lines setting ``c{depth}`` to the facts of ``source`` that
+            pass ``tests``: a copy of ``source`` when there are none."""
+            if not tests:
+                return [f"{inner}c{depth} = list({source})"]
             return [f"{inner}c{depth} = []",
-                    f"{inner}for f in b:",
-                    f"{inner}    if {' and '.join([window, *tests])}: "
+                    f"{inner}for {item} in {source}:",
+                    f"{inner}    if {' and '.join(tests)}: "
                     f"c{depth}.append(f)"]
 
-        # Outside a delta window the whole relation stays the source
-        # only against a bucket of equal size, which then holds every
-        # fact in the same order, as ``matching`` would read it: so with
-        # one bound position every candidate holds its value.
+        def sourced(inner: str, own: str, window: str,
+                    read: Callable[[str], list[str]]) -> list[str]:
+            """``read``'s lines while ``b`` is still the source ``own``
+            the probe started from, else a bucket's, tested against the
+            stamp ``window`` (with one bound position a bucket's facts
+            all hold its value)."""
+            if not keys:
+                return read(inner)
+            deeper = inner + "    "
+            return [f"{inner}if b is {own}:", *read(deeper),
+                    f"{inner}else:",
+                    *kept([window, *tests[len(keys) == 1:]], deeper)]
+
+        def whole(inner: str) -> list[str]:
+            deeper = inner + "    "
+            return [f"{inner}if {most} is None:", *kept(ranged, deeper),
+                    f"{inner}else:",
+                    *kept([f"s <= {most}", *ranged], deeper,
+                          "t.items()", "f, s")]
+
+        # A source guarantees its own stamps: the delta group holds only
+        # its stamp, and the whole relation is read with each fact's.
+        # The whole relation stays the source only against buckets of
+        # equal size, which then hold every fact in the same order, as
+        # ``matching`` would read it: so every bound value holds.
         inner = pad + "        "
         lines = [f"{pad}if {relation} is not None and not "
                  f"{relation}.nonground:",
                  f"{pad}    t = {relation}.stamps",
                  f"{pad}    if {exact} is None:",
                  f"{inner}b = t", *smallest(inner),
-                 *kept(f"({most} is None or t[f] <= {most})",
-                       tests[len(keys) == 1:], inner),
+                 *sourced(inner, "t", f"({most} is None or t[f] <= {most})",
+                          whole),
                  f"{pad}    else:",
-                 f"{inner}b = {relation}.groups.get({exact}, ())"]
+                 f"{inner}{'g = ' * bool(keys)}b = "
+                 f"{relation}.groups.get({exact}, ())"]
         if keys:  # an empty delta sizes nothing
             lines += [f"{inner}if b:", *smallest(inner + "    ")]
-        lines += kept(f"t[f] == {exact}", tests, inner)
+        lines += sourced(inner, "g", f"t[f] == {exact}",
+                         lambda inner: kept(tests, inner))
         bound = listed(f"{position}: {value}" for position, value, __ in keys)
         lines += [f"{pad}else:",
                   f"{pad}    c{depth} = view({const(step.literal)}, "
                   f"{{{bound}}}, {step.index}, {const(step.ranges)})"]
         return lines
 
-    def inserted(head: str, pad: str) -> list[str]:
-        """Lines inserting ``head`` and tallying its outcome."""
-        return [f"{pad}o = insert({head}, stamp)",
-                f"{pad}if o is NEW:",
-                f"{pad}    added({head}); new += 1",
-                f"{pad}    if budget is not None: "
-                f"budget.charge('facts', phase='evaluate')",
-                f"{pad}elif o is DUPLICATE: duplicates += 1",
-                f"{pad}else: subsumed += 1"]
+    def stored(values: list[str], pad: str) -> list[str]:
+        """Lines storing the ground ``head`` (argument ``values``) as
+        :meth:`Relation.insert` does while ``store`` holds no non-ground
+        fact -- into ``stamps``, its stamp group and each built index,
+        read at every store -- and through ``insert`` otherwise."""
+        deeper, inner = pad + "    ", pad + "        "
+        lines = [f"{pad}if store.nonground: {inserted}",
+                 f"{pad}else:",
+                 f"{deeper}n = len(facts)",
+                 f"{deeper}facts.setdefault(head, stamp)",
+                 f"{deeper}if len(facts) == n: duplicates += 1",
+                 f"{deeper}else:",
+                 f"{inner}if group is None:",
+                 f"{inner}    group = store.groups.get(stamp)",
+                 f"{inner}    if group is None: "
+                 f"group = store.groups[stamp] = []",
+                 f"{inner}group.append(head)"]
+        for position, value in enumerate(values):
+            lines += [f"{inner}i = indexes[{position}]",
+                      f"{inner}if i is not None:",
+                      f"{inner}    k = i.get({value})",
+                      f"{inner}    if k is None: i[{value}] = [head]",
+                      f"{inner}    else: k.append(head)"]
+        return lines + [f"{inner}added(head); new += 1",
+                        f"{inner}if budget is not None: "
+                        f"budget.charge('facts', phase='evaluate')"]
 
     # Once per call: each step's relation (None: always call ``view``),
     # its stamp window and, built by the first probe, its hash indexes.
     if inserting:
-        lines = ["def join(self, view, insert, stamp, added, budget, tally):",
-                 "    new = duplicates = subsumed = 0"]
+        lines = ["def join(self, view, store, stamp, added, budget, tally):",
+                 "    new = duplicates = 0",
+                 "    insert, facts, indexes, group = "
+                 "store.insert, store.stamps, store._fixed, None"]
         arm = "sink({}, insert, stamp, added, budget, tally)"
+        inserted = arm.format("((head, None),)")  # one head, tallied
     else:
         lines, arm = ["def join(self, view):"], "yield from {}"
     lines += ["    meter, counter, probes = current_meter(), [0], 0",
@@ -608,8 +669,8 @@ def _generate(
                      for slot in range(plan.slots))
         lines += [f"{pad}head = self._finish(lift(NAMES, [{env}]))",
                   f"{pad}if head is not None:"]
-        lines += (inserted("head", pad + "    ") if inserting else
-                  [f"{pad}    yield head, ({parents})"])
+        lines.append(f"{pad}    {inserted}" if inserting else
+                     f"{pad}    yield head, ({parents})")
     else:
         for lowered in plan.finish:
             slot = f"s{lowered.solves}"
@@ -624,17 +685,16 @@ def _generate(
                 lines += [f"{pad}{slot} = {value}",
                           f"{pad}if type({slot}) is not int: "
                           f"{slot} = number_key({slot})"]
-        head = listed(f"s{payload}" if is_slot else const(payload)
-                      for is_slot, payload in plan.head)
-        head = f"Fact({const(rule.head.pred)}, ({head}), TRUE)"
+        values = [f"s{payload}" if is_slot else const(payload)
+                  for is_slot, payload in plan.head]
+        head = f"Fact({const(rule.head.pred)}, ({listed(values)}), TRUE)"
         if inserting:
-            lines += [f"{pad}head = {head}", *inserted("head", pad)]
+            lines += [f"{pad}head = {head}", *stored(values, pad)]
         else:
             lines.append(f"{pad}yield {head}, ({parents})")
     lines += ["    finally:", "        self.probes += probes"]
     if inserting:
-        lines += ["        tally[0] += new; tally[1] += duplicates; "
-                  "tally[2] += subsumed"]
+        lines.append("        tally[0] += new; tally[1] += duplicates")
     form = " inserting" if inserting else ""
     name = f"<join {rule.label or '?'} first={first}{form}>"
     exec(compile("\n".join(lines), name, "exec"), scope)
@@ -679,20 +739,22 @@ class RuleEvaluator:
         )
 
     def apply(
-        self, view: FactView, first: "int | None", insert: Callable,
+        self, view: FactView, first: "int | None", store: Relation,
         stamp: int, added: Callable, meter: "governor.BudgetMeter | None",
         tally: list[int], record: "Callable | None" = None,
     ) -> None:
-        """Insert what one application derives, as :func:`insert_derived`
-        inserts :meth:`derive_with_parents`' yields.
+        """Insert what one application derives into ``store``, the head
+        relation, as :func:`insert_derived` inserts
+        :meth:`derive_with_parents`' yields.
 
         Without ``record`` a variant past :data:`_HOT` runs its inserting
-        generated join, which builds no parents tuple.
+        generated join, which builds no parents tuple and stores a ground
+        head itself.
         """
         variant = self._variant(first)
         if record is not None or variant.seen < _HOT:
             insert_derived(
-                self.derive_with_parents(view, first), insert, stamp,
+                self.derive_with_parents(view, first), store.insert, stamp,
                 added, meter, tally, record,
             )
             return
@@ -702,7 +764,7 @@ class RuleEvaluator:
                 self.rule, self._plan, variant.steps, first, inserting=True
             )
             obs_count("engine.joins_generated")
-        variant.inserts(self, view, insert, stamp, added, meter, tally)
+        variant.inserts(self, view, store, stamp, added, meter, tally)
 
     def derive_with_parents(
         self, view: FactView, first: "int | None" = None

@@ -23,12 +23,11 @@ from repro.config import (
     DEFAULT_EVAL_ITERATIONS,
     DEFAULT_REWRITE_ITERATIONS,
 )
-from repro.engine.facts import Fact
+from repro.engine.facts import Fact, ground_fact
 from repro.errors import ReproError, UsageError
 from repro.governor import Budget
 from repro.lang.ast import Program, Query
 from repro.lang.parser import parse_program, parse_program_and_queries, parse_query
-from repro.lang.terms import NumTerm, Sym
 from repro.service.cache import DEFAULT_CACHE_SIZE
 from repro.service.session import Response, Session
 
@@ -44,23 +43,10 @@ def parse_facts(text: str) -> list[Fact]:
         raise UsageError(str(error)) from None
     facts = []
     for rule in program:
-        if not (
-            rule.is_fact
-            and rule.constraint.is_true()
-            and not rule.head.variables()
-        ):
-            raise UsageError(
-                f"not a ground fact: {rule}"
-            )
-        values = []
-        for arg in rule.head.args:
-            if isinstance(arg, Sym):
-                values.append(arg)
-            elif isinstance(arg, NumTerm) and arg.is_constant():
-                values.append(arg.value)
-            else:
-                raise UsageError(f"not a ground fact: {rule}")
-        facts.append(Fact.ground(rule.head.pred, values))
+        fact = ground_fact(rule)
+        if fact is None:
+            raise UsageError(f"not a ground fact: {rule}")
+        facts.append(fact)
     return facts
 
 

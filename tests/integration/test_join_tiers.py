@@ -2,11 +2,11 @@
 
 A variant's generated join must keep what the interpreter does around
 each candidate: the cooperative deadline tick inside the join loop,
-the probe count, and every ``Relation.insert`` as looked up on the
-class at call time -- which is where ``benchmarks/perf/trace.py``
-installs its probes.  ``Relation.matching`` is such a probe too, but
-the generated join reads a relation that holds no non-ground fact
-itself: it calls ``matching`` only for the other probes.
+the probe count and the insert outcomes.  ``Relation.matching`` and
+``Relation.insert``, as looked up on the class at call time, are where
+``benchmarks/perf/trace.py`` installs its probes, but the generated join
+probes and stores into a relation that holds no non-ground fact itself:
+it calls them only for the other probes and heads.
 """
 
 import functools
@@ -83,15 +83,20 @@ def _observed(hot):
     ), obs.recording(tracer):
         result = evaluate(flights_program(), network.database)
     generated = tracer.metrics.counters.get("engine.joins_generated", 0)
-    return calls, result.stats.probes, generated
+    return calls, result.stats, generated
 
 
 def test_generated_joins_call_the_class_probes_like_the_interpreter():
-    calls, probes, generated = _observed(0)
-    interpreted_calls, interpreted_probes, none = _observed(10**9)
-    assert calls["insert"] == interpreted_calls["insert"] > 0
-    assert probes == interpreted_probes
+    calls, stats, generated = _observed(0)
+    interpreted_calls, interpreted_stats, none = _observed(10**9)
+    assert (stats.new_facts, stats.duplicates, stats.probes) == (
+        interpreted_stats.new_facts, interpreted_stats.duplicates,
+        interpreted_stats.probes,
+    )
     assert generated > 0 and none == 0
-    # Every flights relation is ground: no generated probe falls back.
+    # Every flights relation is ground: no generated probe falls back,
+    # and every head is stored inline.
     assert interpreted_calls["matching"] > 0
     assert calls["matching"] == 0
+    assert interpreted_calls["insert"] > 0
+    assert calls["insert"] == 0

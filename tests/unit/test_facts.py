@@ -7,7 +7,9 @@ import pytest
 from repro.constraints.atom import Atom
 from repro.constraints.conjunction import Conjunction
 from repro.constraints.linexpr import LinearExpr
-from repro.engine.facts import Fact, PENDING, fact_of_rule, make_fact
+from repro.engine.facts import (
+    Fact, PENDING, fact_of_rule, ground_fact, make_fact,
+)
 from repro.engine.ruleeval import RuleEvaluator
 from repro.lang.normalize import normalize_rule
 from repro.lang.parser import parse_program
@@ -181,3 +183,24 @@ class TestFactOfRule:
         (rule,) = parse_program("p(X) :- q(X).")
         with pytest.raises(ValueError):
             fact_of_rule(rule)
+
+
+class TestGroundFact:
+    def test_a_ground_fact_rule(self):
+        (rule,) = parse_program("singleleg(madison, chicago, 50, 2.5).")
+        fact = ground_fact(rule)
+        assert fact == Fact.ground(
+            "singleleg", (Sym("madison"), Sym("chicago"), 50, Fraction(5, 2))
+        )
+        assert type(fact.args[2]) is int  # int-first
+        assert fact.constraint.is_true()
+
+    @pytest.mark.parametrize("text", [
+        "p(X).",
+        "p(X + 1, 2) :- X = 3.",
+        "p(1) :- X <= 3.",
+        "p(a) :- q(a).",
+    ], ids=["variable", "arithmetic", "constraint", "body"])
+    def test_any_other_rule_has_none(self, text):
+        (rule, *__) = parse_program(text)
+        assert ground_fact(rule) is None
